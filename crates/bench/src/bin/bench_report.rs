@@ -11,6 +11,12 @@
 //! 3. **scheduler** — a full cluster run (queueing, placement, per-node
 //!    event loops) under the untuned SNM policy.
 //!
+//! Below those sits the **scalar AMVA kernel** ledger: ns per fixed-point
+//! iteration on the two shapes the executor produces (one job over 2
+//! stations, two jobs over 3), with the register-resident fixed-shape
+//! kernel and the runtime-shape loop timed interleaved on the same
+//! problems, so their paired ratio comes from one run (`amva_kernel`).
+//!
 //! Every kernel is timed in up to three arms of identical shape: the
 //! *baseline* arm drives the frozen pre-refactor executor
 //! (`ecost_mapreduce::reference`: fresh allocating simulator per point),
@@ -56,8 +62,8 @@
 //! Besides `BENCH_sim.json`, every run appends one compact row to the
 //! `BENCH_trend.jsonl` trend store (path override: `ECOST_TREND_OUT`;
 //! commit hash from `ECOST_COMMIT`, falling back to `GITHUB_SHA`). The
-//! `trend_check` binary flags throughput regressions between comparable
-//! rows.
+//! `trend_check` binary flags throughput and kernel-latency regressions
+//! between comparable rows.
 //!
 //! Walls in the single-digit-millisecond range are at the mercy of
 //! thermal throttling and noisy neighbours, so every arm is measured in
@@ -71,7 +77,7 @@ use ecost_core::features::Testbed;
 use ecost_core::mapping::{run_untuned_faulted, FaultSetup};
 use ecost_mapreduce::reference::{run_colocated_reference, run_standalone_reference};
 use ecost_mapreduce::{JobSpec, PairConfig, TuningConfig, MAX_BATCH_LANES};
-use ecost_sim::FaultPlan;
+use ecost_sim::{AmvaScratch, ClassDemand, FaultPlan};
 use ecost_telemetry::{Recorder, TraceEvent};
 use rayon::prelude::*;
 use std::fmt::Write as _;
@@ -82,7 +88,7 @@ use std::time::Instant;
 /// Report schema version. Bump when the `BENCH_sim.json` shape changes
 /// (new sections or renamed keys), never for additive arm entries inside
 /// an existing section; the pinned unit test makes bumps deliberate.
-const SCHEMA: &str = "ecost-bench-sim/3";
+const SCHEMA: &str = "ecost-bench-sim/4";
 
 /// One timed measurement arm.
 #[derive(Debug, Clone, Copy)]
@@ -435,6 +441,123 @@ fn scheduler_timed(
     })
 }
 
+/// The scalar AMVA kernel on one shape: the fixed-shape kernel
+/// ([`AmvaScratch::solve`]) against the runtime-shape loop
+/// ([`AmvaScratch::solve_runtime_shape`]) on the same problems.
+#[derive(Debug, Clone, Copy)]
+struct KernelTiming {
+    problems: usize,
+    /// Fixed-point iterations per pass — the same on both kernels, which
+    /// are bit-identical.
+    iterations: u64,
+    /// Fastest round, ns per iteration.
+    fixed_ns: f64,
+    runtime_ns: f64,
+    /// Median over rounds of the same-round ratio `runtime_ns / fixed_ns`.
+    speedup: f64,
+}
+
+impl KernelTiming {
+    fn json(&self) -> String {
+        format!(
+            "{{\n      \"problems\": {},\n      \"iterations\": {},\n      \
+             \"fixed_ns_per_iter\": {:.2},\n      \"runtime_ns_per_iter\": {:.2},\n      \
+             \"speedup\": {:.2}\n    }}",
+            self.problems, self.iterations, self.fixed_ns, self.runtime_ns, self.speedup
+        )
+    }
+}
+
+/// `count` deterministic AMVA problems in the executor's layout: `nc`
+/// jobs, each with 1–8 slots, a think time, a demand at its own I/O path
+/// and, half the time, a demand at the shared NIC (`nc + 1` stations).
+fn kernel_problems(nc: usize, count: usize) -> Vec<Vec<ClassDemand>> {
+    let mut state: u64 = 0x9E37_79B9_7F4A_7C15 ^ nc as u64;
+    let mut unit = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    (0..count)
+        .map(|_| {
+            (0..nc)
+                .map(|j| {
+                    let mut demands_s = vec![0.0; nc + 1];
+                    demands_s[j] = 0.01 + unit();
+                    if unit() < 0.5 {
+                        demands_s[nc] = 0.05 * unit();
+                    }
+                    ClassDemand {
+                        population: (1.0 + 8.0 * unit()).floor(),
+                        think_time_s: 0.05 + 2.0 * unit(),
+                        demands_s,
+                    }
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Time both scalar kernels over `problems` for `rounds` rounds. Each
+/// round runs the two back to back, alternating which goes first, so
+/// host drift within a round hits both alike; the ratio is taken per
+/// round and its median reported.
+fn amva_kernel(problems: &[Vec<ClassDemand>], rounds: usize) -> Result<KernelTiming, BenchError> {
+    let stations = problems.first().map_or(0, |p| p.len() + 1);
+    let mut scratch = AmvaScratch::new();
+    let mut pass = |fixed: bool| -> Result<(f64, u64), BenchError> {
+        let t0 = Instant::now();
+        let mut iterations = 0u64;
+        for p in problems {
+            let p = std::hint::black_box(p.as_slice());
+            if fixed {
+                scratch.solve(p, stations)?;
+            } else {
+                scratch.solve_runtime_shape(p, stations)?;
+            }
+            std::hint::black_box(scratch.throughput());
+            iterations += scratch.iterations() as u64;
+        }
+        Ok((t0.elapsed().as_nanos() as f64, iterations))
+    };
+    let mut fixed_ns = f64::INFINITY;
+    let mut runtime_ns = f64::INFINITY;
+    let mut iterations = 0;
+    let mut ratios = Vec::with_capacity(rounds);
+    for round in 0..rounds {
+        let (fixed, runtime) = if round % 2 == 0 {
+            let fixed = pass(true)?;
+            (fixed, pass(false)?)
+        } else {
+            let runtime = pass(false)?;
+            (pass(true)?, runtime)
+        };
+        if fixed.1 != runtime.1 || fixed.1 == 0 {
+            return Err(BenchError::Invalid(format!(
+                "AMVA kernels ran {} vs {} iterations on the same problems",
+                fixed.1, runtime.1
+            )));
+        }
+        iterations = fixed.1;
+        let (f, r) = (fixed.0 / fixed.1 as f64, runtime.0 / runtime.1 as f64);
+        fixed_ns = fixed_ns.min(f);
+        runtime_ns = runtime_ns.min(r);
+        ratios.push(r / f);
+    }
+    ratios.sort_by(f64::total_cmp);
+    let speedup = *ratios
+        .get(ratios.len() / 2)
+        .ok_or(BenchError::Invalid("no AMVA kernel rounds ran".into()))?;
+    Ok(KernelTiming {
+        problems: problems.len(),
+        iterations,
+        fixed_ns,
+        runtime_ns,
+        speedup,
+    })
+}
+
 /// One instrumented pass over a fresh engine — the full solo sweep plus
 /// the full pair sweep, every point a miss — with phase timing on.
 /// Returns the pass's wall nanoseconds and the drained breakdown. The
@@ -607,6 +730,7 @@ fn append_trend_row(
     arms: Arms,
     quick: bool,
     metrics: &[(&str, Option<Arm>)],
+    scalars: &[(&str, f64)],
 ) -> Result<String, BenchError> {
     let path = std::env::var("ECOST_TREND_OUT").unwrap_or_else(|_| "BENCH_trend.jsonl".into());
     let (commit, dirty) = commit_context();
@@ -629,6 +753,9 @@ fn append_trend_row(
         if let Some(a) = arm {
             let _ = write!(row, ",\"{key}_sims_per_s\":{:.1}", a.sims_per_s());
         }
+    }
+    for (key, v) in scalars {
+        let _ = write!(row, ",\"{key}\":{v:.3}");
     }
     row.push('}');
     let mut f = std::fs::OpenOptions::new()
@@ -869,6 +996,13 @@ fn run(arms: Arms) -> Result<(), BenchError> {
     };
     let (sched_opt, sched_bat) = (patch(sched_opt), patch(sched_bat));
 
+    let kernel_count = if quick { 2_000 } else { 20_000 };
+    eprintln!(
+        "[bench_report] scalar AMVA kernel: {kernel_count} problems per shape, {rounds} rounds…"
+    );
+    let one_class = amva_kernel(&kernel_problems(1, kernel_count), rounds)?;
+    let two_class = amva_kernel(&kernel_problems(2, kernel_count), rounds)?;
+
     let mut out = String::new();
     out.push_str("{\n");
     let _ = writeln!(out, "  \"schema\": \"{SCHEMA}\",");
@@ -962,6 +1096,10 @@ fn run(arms: Arms) -> Result<(), BenchError> {
             ("speedup_batched", rate_ratio(sched_bat, sched_opt)),
         ],
     );
+    let _ = writeln!(out, "  \"amva_kernel\": {{");
+    let _ = writeln!(out, "    \"one_class\": {},", one_class.json());
+    let _ = writeln!(out, "    \"two_class\": {}", two_class.json());
+    let _ = writeln!(out, "  }},");
     if arms.batched {
         eprintln!("[bench_report] phase breakdown: legacy vs batch-resident, 1 thread…");
         measure_phases(&mut out, arms.simd, mb)?;
@@ -1001,6 +1139,14 @@ fn run(arms: Arms) -> Result<(), BenchError> {
             ("sched_optimized", sched_opt),
             ("sched_batched", sched_bat),
         ],
+        &[
+            ("amva_1c_fixed_ns_per_iter", one_class.fixed_ns),
+            ("amva_1c_runtime_ns_per_iter", one_class.runtime_ns),
+            ("amva_1c_speedup", one_class.speedup),
+            ("amva_2c_fixed_ns_per_iter", two_class.fixed_ns),
+            ("amva_2c_runtime_ns_per_iter", two_class.runtime_ns),
+            ("amva_2c_speedup", two_class.speedup),
+        ],
     )?;
     eprintln!("[bench_report] appended trend row to {trend_path}");
     Ok(())
@@ -1029,7 +1175,7 @@ mod tests {
         // Consumers (CI smoke, DESIGN.md §11, external dashboards) key on
         // this exact string; a shape change must bump it here on purpose,
         // in the same commit that documents the new shape.
-        assert_eq!(SCHEMA, "ecost-bench-sim/3");
+        assert_eq!(SCHEMA, "ecost-bench-sim/4");
     }
 
     #[test]

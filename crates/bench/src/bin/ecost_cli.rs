@@ -10,6 +10,7 @@
 //!
 //! Sizes are per-node GB ∈ {1, 5, 10} (default 5). All simulation, all
 //! deterministic — handy for poking at the model without writing code.
+//! An unknown application or size is a usage error (exit code 2).
 
 use ecost_apps::catalog::ALL_APPS;
 use ecost_apps::{App, InputSize};
@@ -26,8 +27,8 @@ fn parse_size(arg: Option<&String>) -> InputSize {
         Some("10") => InputSize::Large,
         None | Some("5") => InputSize::Medium,
         Some(other) => {
-            eprintln!("unknown size '{other}' (expected 1, 5 or 10); using 5");
-            InputSize::Medium
+            eprintln!("unknown size '{other}' (expected 1, 5 or 10)");
+            std::process::exit(2);
         }
     }
 }

@@ -9,9 +9,11 @@
 //! gate against full workstation rows — and fails (non-zero exit) when
 //! any kernel's
 //! throughput dropped by more than the tolerance (`ECOST_TREND_TOL`,
-//! default 0.10 = 10%). The median reference makes the gate robust to a
-//! single anomalously fast prior row (a noisy-neighbour lull would
-//! otherwise ratchet the baseline up and flag the next honest run).
+//! default 0.10 = 10%). Latency keys (`*_ns_per_iter`, the scalar AMVA
+//! kernel ledger) gate the other way: a rise beyond the tolerance fails.
+//! The median reference makes the gate robust to a single anomalously
+//! fast prior row (a noisy-neighbour lull would otherwise ratchet the
+//! baseline up and flag the next honest run).
 //!
 //! Usage: `trend_check [path]` (default `BENCH_trend.jsonl`).
 //!
@@ -30,8 +32,10 @@
 use ecost_bench::BenchError;
 use std::process::ExitCode;
 
-/// Headline throughput keys a row may carry (absent arms are skipped).
-const METRICS: [&str; 16] = [
+/// Headline keys a row may carry (absent arms are skipped): throughputs
+/// and ratios, where higher is better, and `*_ns_per_iter` kernel
+/// latencies, where lower is better.
+const METRICS: [&str; 22] = [
     "solo_baseline_sims_per_s",
     "solo_optimized_sims_per_s",
     "solo_batched_sims_per_s",
@@ -48,7 +52,18 @@ const METRICS: [&str; 16] = [
     "scale_decisions_per_s",
     "service_decisions_per_s",
     "fleet_decisions_per_s",
+    "amva_1c_fixed_ns_per_iter",
+    "amva_1c_runtime_ns_per_iter",
+    "amva_1c_speedup",
+    "amva_2c_fixed_ns_per_iter",
+    "amva_2c_runtime_ns_per_iter",
+    "amva_2c_speedup",
 ];
+
+/// Whether a rise (rather than a drop) in `key` is the regression.
+fn lower_is_better(key: &str) -> bool {
+    key.ends_with("_ns_per_iter")
+}
 
 /// How many comparable prior rows feed the reference median.
 const WINDOW: usize = 3;
@@ -167,7 +182,12 @@ fn check(path: &str, tol: f64) -> Result<(), BenchError> {
             continue;
         };
         compared += 1;
-        if old > 0.0 && new < old * (1.0 - tol) {
+        let regressed = if lower_is_better(key) {
+            new > old * (1.0 + tol)
+        } else {
+            new < old * (1.0 - tol)
+        };
+        if old > 0.0 && regressed {
             regressions.push(format!(
                 "{key}: median {old:.1} -> {new:.1} ({:+.1}%)",
                 100.0 * (new - old) / old
@@ -192,7 +212,7 @@ fn check(path: &str, tol: f64) -> Result<(), BenchError> {
         Ok(())
     } else {
         Err(BenchError::Invalid(format!(
-            "throughput regression vs the median of {} prior rows (commits {}, tolerance \
+            "regression vs the median of {} prior rows (commits {}, tolerance \
              {:.0}%): {}",
             prevs.len(),
             commits,
@@ -393,6 +413,34 @@ mod tests {
                 assert!(msg.contains("pair_batch_resident_sims_per_s"), "{msg}");
                 assert!(!msg.contains("pair_warm_start_sims_per_s"), "{msg}");
             }
+            other => panic!("expected Invalid regression, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn kernel_latency_keys_gate_on_a_rise() {
+        let mk = |commit: &str, ns: f64, speedup: f64| {
+            format!(
+                r#"{{"schema":"ecost-bench-trend/1","commit":"{commit}","mode":"full","arms":"all","threads":1,"simd":"on","amva_2c_fixed_ns_per_iter":{ns:.3},"amva_2c_speedup":{speedup:.3}}}"#
+            )
+        };
+        let prior = mk("a", 30.0, 2.8);
+        // Faster kernel, same ratio: within tolerance.
+        let path = write_store("kernel_ok.jsonl", &[&prior, &mk("b", 20.0, 2.8)]);
+        assert!(check(&path, 0.10).is_ok());
+        // Slower kernel: a rise beyond tolerance fails, naming only it.
+        let path = write_store("kernel_slow.jsonl", &[&prior, &mk("c", 40.0, 2.8)]);
+        match check(&path, 0.10) {
+            Err(BenchError::Invalid(msg)) => {
+                assert!(msg.contains("amva_2c_fixed_ns_per_iter"), "{msg}");
+                assert!(!msg.contains("amva_2c_speedup"), "{msg}");
+            }
+            other => panic!("expected Invalid regression, got {other:?}"),
+        }
+        // A collapsed paired ratio fails like any throughput drop.
+        let path = write_store("kernel_ratio.jsonl", &[&prior, &mk("d", 30.0, 1.2)]);
+        match check(&path, 0.10) {
+            Err(BenchError::Invalid(msg)) => assert!(msg.contains("amva_2c_speedup"), "{msg}"),
             other => panic!("expected Invalid regression, got {other:?}"),
         }
     }

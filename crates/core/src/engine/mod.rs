@@ -1232,6 +1232,7 @@ impl EvalEngine {
         cfg: TuningConfig,
         slowdown: f64,
     ) -> Result<Arc<JobOutcome>, EvalError> {
+        check_input_mb(input_mb)?;
         if !slowdown.is_finite() || slowdown < 1.0 {
             return Err(EvalError::InvalidInput {
                 what: "slowdown factor must be finite and >= 1",
@@ -1279,6 +1280,7 @@ impl EvalEngine {
         profile: &AppProfile,
         input_mb: f64,
     ) -> Result<Vec<SoloRun>, EvalError> {
+        check_input_mb(input_mb)?;
         let configs: Vec<TuningConfig> = TuningConfig::space(self.tb.node.cores).collect();
         if !self.batched() {
             return configs
@@ -1511,6 +1513,8 @@ impl EvalEngine {
         pc: PairConfig,
         slowdown: f64,
     ) -> Result<PairMetrics, EvalError> {
+        check_input_mb(input_a_mb)?;
+        check_input_mb(input_b_mb)?;
         if !slowdown.is_finite() || slowdown < 1.0 {
             return Err(EvalError::InvalidInput {
                 what: "slowdown factor must be finite and >= 1",
@@ -1547,6 +1551,8 @@ impl EvalEngine {
         b: &AppProfile,
         input_b_mb: f64,
     ) -> Result<PairSweep, EvalError> {
+        check_input_mb(input_a_mb)?;
+        check_input_mb(input_b_mb)?;
         let (key, swap) = self.pair_key(a, input_a_mb, b, input_b_mb, 1.0);
         if let Some(runs) = self.sweeps.get(&key) {
             self.hit("sweep");
@@ -1577,7 +1583,7 @@ impl EvalEngine {
                 self.batch_lanes
             };
             let windows: Vec<Vec<PairConfig>> = configs.chunks(chunk).map(<[_]>::to_vec).collect();
-            windows
+            let spans = windows
                 .into_par_iter()
                 .map(|window| {
                     if self.batch_resident {
@@ -1586,10 +1592,15 @@ impl EvalEngine {
                         self.simulate_pair_window(sa, sa_mb, sb, sb_mb, &window)
                     }
                 })
-                .collect::<Result<Vec<Vec<PairRun>>, EvalError>>()?
-                .into_iter()
-                .flatten()
-                .collect()
+                .collect::<Result<Vec<Vec<PairRun>>, EvalError>>()?;
+            // The sweep lives in the memo for the engine's lifetime, so
+            // size it exactly: collecting the flattened spans grows by
+            // doubling, to 16 384 slots for 11 200 runs.
+            let mut runs = Vec::with_capacity(configs.len());
+            for span in spans {
+                runs.extend(span);
+            }
+            runs
         } else {
             configs
                 .into_par_iter()
@@ -1637,6 +1648,8 @@ impl EvalEngine {
         input_b_mb: f64,
         (ma, mb): (u32, u32),
     ) -> Result<PairRun, EvalError> {
+        check_input_mb(input_a_mb)?;
+        check_input_mb(input_b_mb)?;
         let idle = self.idle_w();
         let configs: Vec<PairConfig> = TuningConfig::space_fixed_mappers(ma)
             .flat_map(|ca| {
@@ -1659,6 +1672,21 @@ impl EvalEngine {
             .ok_or(EvalError::EmptySweep {
                 what: "partition-restricted pair space",
             })
+    }
+}
+
+/// The engine's input-size contract, checked first by every public solo
+/// and pair entry point (the wrappers delegate): a per-node input share is
+/// a finite, positive number of MB. Anything else is a typed
+/// `InvalidInput` here, not a panic in `JobSpec::from_profile` or a late
+/// simulator error.
+fn check_input_mb(mb: f64) -> Result<(), EvalError> {
+    if mb.is_finite() && mb > 0.0 {
+        Ok(())
+    } else {
+        Err(EvalError::InvalidInput {
+            what: "input size must be finite and > 0 MB",
+        })
     }
 }
 

@@ -28,7 +28,8 @@ use crate::job::JobSpec;
 use crate::metrics::JobMetrics;
 use crate::stage::Stage;
 use ecost_sim::{
-    AmvaBatch, AmvaScratch, ClassDemand, EnergyMeter, NodeSpec, PowerModel, SimError, SimdBackend,
+    AmvaBatch, AmvaScratch, ClassDemand, EnergyMeter, FixedClasses, NodeSpec, PowerModel, SimError,
+    SimdBackend,
 };
 use ecost_telemetry::{Event, Recorder, SpanKey};
 use std::time::Instant;
@@ -788,10 +789,13 @@ impl NodeSim {
 /// stack (fixed [`MAX_COLOCATED`]-sized arrays) or in `scratch` (grown once,
 /// then reused), so a warm solve performs zero heap allocations.
 ///
-/// The arithmetic — every operation and its order — is copied verbatim from
-/// the pre-refactor allocating implementation (preserved in
-/// [`crate::reference`]); the property tests require the two to agree to
-/// the bit.
+/// One job and two co-located jobs — every solve outside k-way
+/// co-location — run the whole outer fixed point on the stack
+/// ([`fixed_round`]); wider mixes rebuild `scratch`'s class vectors each
+/// round ([`runtime_round`]). The arithmetic — every operation and its
+/// order — is copied verbatim from the pre-refactor allocating
+/// implementation (preserved in [`crate::reference`]); the property tests
+/// require the two to agree to the bit.
 #[allow(clippy::too_many_arguments)]
 fn solve_into(
     spec: &NodeSpec,
@@ -806,52 +810,122 @@ fn solve_into(
 ) -> Result<(), SimError> {
     let mut prep = SolvePrep::empty();
     prepare(spec, fw, slowdown, active, &mut prep);
-    let n = prep.n;
-
-    // --- 2–4. Outer fixed point over θ (disk scale) and slow (memory). ---
-    let mut theta: f64 = 1.0;
-    let mut slow: f64 = 1.0;
-    let mut x = [0.0_f64; MAX_COLOCATED];
-    let mut q_io = [0.0_f64; MAX_COLOCATED];
-    let mut nic_util = 0.0_f64;
-    let stations = n + 1; // one private I/O path per job + shared NIC
-    let mut think = [0.0_f64; MAX_COLOCATED];
-    for _outer in 0..200 {
-        build_classes(
-            &prep,
-            nic_bw_mbps,
-            theta,
-            slow,
-            &mut scratch.classes,
-            &mut think,
-        );
-        scratch.amva.solve(&scratch.classes[..n], stations)?;
-        x[..n].copy_from_slice(scratch.amva.throughput());
-        for (j, q) in q_io[..n].iter_mut().enumerate() {
-            *q = scratch.amva.queue(j, j);
-        }
-        nic_util = scratch.amva.station_util()[n];
-
-        let (slow_next, theta_next, resid) = couple(&prep, spec, &x, &q_io, &think, slow, theta);
-        slow = slow_next;
-        theta = theta_next;
-        if resid < 1e-5 {
-            break;
-        }
-    }
-
+    let prep = &prep;
+    let st = match prep.n {
+        1 => outer_fixed_point(prep, spec, |st| fixed_round::<1, 2>(prep, nic_bw_mbps, st)),
+        2 => outer_fixed_point(prep, spec, |st| fixed_round::<2, 3>(prep, nic_bw_mbps, st)),
+        _ => outer_fixed_point(prep, spec, |st| {
+            runtime_round(prep, nic_bw_mbps, scratch, st)
+        }),
+    }?;
     finalize(
-        &prep,
+        prep,
         spec,
         power,
         nic_power_w,
         active,
-        &x,
-        &q_io,
-        nic_util,
-        slow,
+        &st.x,
+        &st.q_io,
+        st.nic_util,
+        st.slow,
         out,
     );
+    Ok(())
+}
+
+/// State of one node's outer contention fixed point: the current
+/// `(θ, slow)` and the AMVA readback the coupling step consumes.
+struct OuterState {
+    theta: f64,
+    slow: f64,
+    think: [f64; MAX_COLOCATED],
+    x: [f64; MAX_COLOCATED],
+    q_io: [f64; MAX_COLOCATED],
+    nic_util: f64,
+}
+
+/// Outer fixed point over θ (disk scale) and slow (memory): each round
+/// re-solves the queueing network at the current `(θ, slow)` through
+/// `round`, then applies the [`couple`] step until its residual drops
+/// below `1e-5` or 200 rounds pass.
+fn outer_fixed_point(
+    prep: &SolvePrep,
+    spec: &NodeSpec,
+    mut round: impl FnMut(&mut OuterState) -> Result<(), SimError>,
+) -> Result<OuterState, SimError> {
+    let mut st = OuterState {
+        theta: 1.0,
+        slow: 1.0,
+        think: [0.0; MAX_COLOCATED],
+        x: [0.0; MAX_COLOCATED],
+        q_io: [0.0; MAX_COLOCATED],
+        nic_util: 0.0,
+    };
+    for _outer in 0..200 {
+        round(&mut st)?;
+        let (slow_next, theta_next, resid) =
+            couple(prep, spec, &st.x, &st.q_io, &st.think, st.slow, st.theta);
+        st.slow = slow_next;
+        st.theta = theta_next;
+        if resid < 1e-5 {
+            break;
+        }
+    }
+    Ok(st)
+}
+
+/// One outer round for any job count: rebuild the class vectors in
+/// `scratch`, solve, read back.
+fn runtime_round(
+    prep: &SolvePrep,
+    nic_bw_mbps: f64,
+    scratch: &mut SolveScratch,
+    st: &mut OuterState,
+) -> Result<(), SimError> {
+    let n = prep.n;
+    build_classes(
+        prep,
+        nic_bw_mbps,
+        st.theta,
+        st.slow,
+        &mut scratch.classes,
+        &mut st.think,
+    );
+    scratch.amva.solve(&scratch.classes[..n], n + 1)?;
+    st.x[..n].copy_from_slice(scratch.amva.throughput());
+    for (j, q) in st.q_io[..n].iter_mut().enumerate() {
+        *q = scratch.amva.queue(j, j);
+    }
+    st.nic_util = scratch.amva.station_util()[n];
+    Ok(())
+}
+
+/// One outer round for exactly `NC` jobs over `S = NC + 1` stations: the
+/// classes [`build_classes`] would build, held by value and solved by the
+/// register-resident [`FixedClasses`] kernel, which validates every round
+/// exactly as the runtime-shape solve does.
+fn fixed_round<const NC: usize, const S: usize>(
+    prep: &SolvePrep,
+    nic_bw_mbps: f64,
+    st: &mut OuterState,
+) -> Result<(), SimError> {
+    let mut p = FixedClasses::<NC, S>::zeroed();
+    for j in 0..NC {
+        if !prep.fluid[j] {
+            continue;
+        }
+        st.think[j] = think_at(prep, j, st.slow);
+        p.demands_s[j][j] = io_demand_at(prep, j, st.theta);
+        p.demands_s[j][NC] = nic_demand(prep, j, nic_bw_mbps);
+        p.population[j] = prep.eff_slots[j];
+        p.think_time_s[j] = st.think[j];
+    }
+    let sol = p.solve()?;
+    st.x[..NC].copy_from_slice(&sol.throughput);
+    for j in 0..NC {
+        st.q_io[j] = sol.queue[j][j];
+    }
+    st.nic_util = sol.station_util[NC];
     Ok(())
 }
 
@@ -949,6 +1023,37 @@ fn prepare(
     }
 }
 
+/// Fluid job `j`'s think time at memory-stall dilation `slow`.
+#[inline]
+fn think_at(prep: &SolvePrep, j: usize, slow: f64) -> f64 {
+    prep.think0[j]
+        * (1.0 - prep.stall[j] + prep.stall[j] * slow)
+        * prep.slowdown
+        * prep.stragglers[j]
+}
+
+/// Fluid job `j`'s demand at its private I/O path under disk scale
+/// `theta` (0 for a job without disk traffic).
+#[inline]
+fn io_demand_at(prep: &SolvePrep, j: usize, theta: f64) -> f64 {
+    if prep.io_mb[j] > 0.0 && prep.static_cap[j] > 0.0 {
+        prep.io_mb[j] * prep.spill / (theta * prep.static_cap[j]).max(1e-9)
+    } else {
+        0.0
+    }
+}
+
+/// Fluid job `j`'s demand at the shared NIC (0 without remote shuffle or
+/// on an unbounded NIC).
+#[inline]
+fn nic_demand(prep: &SolvePrep, j: usize, nic_bw_mbps: f64) -> f64 {
+    if prep.nic_mb[j] > 0.0 && nic_bw_mbps.is_finite() {
+        prep.nic_mb[j] / nic_bw_mbps
+    } else {
+        0.0
+    }
+}
+
 /// Rebuild the AMVA classes for the current `(θ, slow)` — one outer-loop
 /// body prefix of the original `solve_into`, arithmetic verbatim.
 ///
@@ -982,16 +1087,9 @@ fn build_classes(
             c.think_time_s = 0.0;
             continue;
         }
-        think[j] = prep.think0[j]
-            * (1.0 - prep.stall[j] + prep.stall[j] * slow)
-            * prep.slowdown
-            * prep.stragglers[j];
-        if prep.io_mb[j] > 0.0 && prep.static_cap[j] > 0.0 {
-            c.demands_s[j] = prep.io_mb[j] * prep.spill / (theta * prep.static_cap[j]).max(1e-9);
-        }
-        if prep.nic_mb[j] > 0.0 && nic_bw_mbps.is_finite() {
-            c.demands_s[n] = prep.nic_mb[j] / nic_bw_mbps;
-        }
+        think[j] = think_at(prep, j, slow);
+        c.demands_s[j] = io_demand_at(prep, j, theta);
+        c.demands_s[n] = nic_demand(prep, j, nic_bw_mbps);
         c.population = prep.eff_slots[j];
         c.think_time_s = think[j];
     }
@@ -1016,14 +1114,8 @@ fn update_classes(
         if !prep.fluid[j] {
             continue;
         }
-        think[j] = prep.think0[j]
-            * (1.0 - prep.stall[j] + prep.stall[j] * slow)
-            * prep.slowdown
-            * prep.stragglers[j];
-        if prep.io_mb[j] > 0.0 && prep.static_cap[j] > 0.0 {
-            classes[j].demands_s[j] =
-                prep.io_mb[j] * prep.spill / (theta * prep.static_cap[j]).max(1e-9);
-        }
+        think[j] = think_at(prep, j, slow);
+        classes[j].demands_s[j] = io_demand_at(prep, j, theta);
         classes[j].think_time_s = think[j];
     }
 }
@@ -1347,8 +1439,7 @@ impl Default for BatchScratch {
 /// each selected simulator gets its back buffer refreshed and flipped.
 ///
 /// This is the pre-resident per-round driver, kept verbatim as the frozen
-/// benchmark comparator and as the fallback for windows the resident path
-/// cannot hold open (single-lane groups).
+/// benchmark comparator ([`BatchScratch::set_batch_resident`] off).
 fn solve_batch_lockstep(
     sims: &mut [NodeSim],
     lane_ids: &[usize],
@@ -1642,9 +1733,10 @@ fn solve_group(
 /// resident windows: `lane_ids` is stably partitioned into shape-uniform
 /// groups (same co-located job count), each group of two or more holds one
 /// [`AmvaBatch`] window open across its whole outer fixed point
-/// ([`solve_group`]); singleton groups take the per-round
-/// [`solve_batch_lockstep`] path. Per-lane results are bit-identical to the
-/// lockstep driver either way.
+/// ([`solve_group`]); a singleton group has nothing to interleave with and
+/// takes the simulator's own scalar solve (`solve_into`, whose one- and
+/// two-job shapes run on the stack). Per-lane results are bit-identical to
+/// the lockstep driver either way.
 fn solve_batch_resident(
     sims: &mut [NodeSim],
     lane_ids: &[usize],
@@ -1676,7 +1768,7 @@ fn solve_batch_resident(
         if g >= 2 {
             solve_group(sims, &group[..g], scratch)?;
         } else {
-            solve_batch_lockstep(sims, &group[..g], scratch)?;
+            sims[group[0]].ensure_solution()?;
         }
     }
     Ok(())

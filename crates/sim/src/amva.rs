@@ -54,36 +54,64 @@ pub struct ClassDemand {
 
 impl ClassDemand {
     fn validate(&self, stations: usize) -> Result<(), SimError> {
-        if !self.population.is_finite() || self.population < 0.0 {
-            return Err(SimError::InvalidDemand(
-                "population must be finite and >= 0",
-            ));
-        }
-        if !self.think_time_s.is_finite() || self.think_time_s < 0.0 {
-            return Err(SimError::InvalidDemand(
-                "think time must be finite and >= 0",
-            ));
-        }
-        if self.demands_s.len() != stations {
-            return Err(SimError::InvalidDemand(
-                "demand vector length != station count",
-            ));
-        }
-        if self.demands_s.iter().any(|d| !d.is_finite() || *d < 0.0) {
-            return Err(SimError::InvalidDemand(
-                "station demand must be finite and >= 0",
-            ));
-        }
-        if self.population > 0.0 {
-            let total: f64 = self.think_time_s + self.demands_s.iter().sum::<f64>();
-            if total <= 0.0 {
-                return Err(SimError::InvalidDemand(
-                    "class with customers needs positive total demand",
-                ));
-            }
-        }
-        Ok(())
+        validate_class(
+            self.population,
+            self.think_time_s,
+            &self.demands_s,
+            stations,
+        )
     }
+}
+
+/// The per-class input checks, in the order both kernels apply them, so a
+/// bad class fails with the same [`SimError`] whichever kernel sees it.
+fn validate_class(
+    population: f64,
+    think_time_s: f64,
+    demands_s: &[f64],
+    stations: usize,
+) -> Result<(), SimError> {
+    if !population.is_finite() || population < 0.0 {
+        return Err(SimError::InvalidDemand(
+            "population must be finite and >= 0",
+        ));
+    }
+    if !think_time_s.is_finite() || think_time_s < 0.0 {
+        return Err(SimError::InvalidDemand(
+            "think time must be finite and >= 0",
+        ));
+    }
+    if demands_s.len() != stations {
+        return Err(SimError::InvalidDemand(
+            "demand vector length != station count",
+        ));
+    }
+    if demands_s.iter().any(|d| !d.is_finite() || *d < 0.0) {
+        return Err(SimError::InvalidDemand(
+            "station demand must be finite and >= 0",
+        ));
+    }
+    if population > 0.0 {
+        let total: f64 = think_time_s + demands_s.iter().sum::<f64>();
+        if total <= 0.0 {
+            return Err(SimError::InvalidDemand(
+                "class with customers needs positive total demand",
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// The post-loop convergence test shared by every kernel: a residual at
+/// or above `TOL · 10`, finite and above `1e-3` is a failure.
+fn convergence_check(iterations: usize, residual: f64) -> Result<(), SimError> {
+    if residual >= TOL * 10.0 && residual.is_finite() && residual > 1e-3 {
+        return Err(SimError::NoConvergence {
+            iterations,
+            residual,
+        });
+    }
+    Ok(())
 }
 
 /// Converged AMVA solution.
@@ -122,9 +150,14 @@ const DAMPING: f64 = 0.5;
 /// *every* rate re-solve, so the solver must not touch the heap once warm.
 /// All working vectors live here and are grown monotonically (`clear` +
 /// `resize` keeps capacity, so after the first solve at a given problem
-/// size every subsequent solve is allocation-free). [`solve`] is a thin
-/// wrapper over this type, so both entry points share one arithmetic path
-/// and produce bit-identical results.
+/// size every subsequent solve is allocation-free).
+///
+/// Two kernels run the same arithmetic: [`Self::solve`] hands the two
+/// shapes the executor produces (1 class × 2 stations, 2 × 3) to the
+/// register-resident [`FixedClasses`] kernel, and
+/// [`Self::solve_runtime_shape`] is the slice-walking loop for any shape —
+/// the fallback for wider mixes and the oracle the fixed kernel is pinned
+/// against. [`solve`] wraps the runtime-shape loop.
 #[derive(Debug, Default)]
 pub struct AmvaScratch {
     /// Queue lengths, row-major: `q[j * stations + s]`.
@@ -148,16 +181,48 @@ impl AmvaScratch {
         AmvaScratch::default()
     }
 
-    /// Solve the network in place. Identical semantics (and bit-identical
-    /// results) to [`solve`]; the converged state is read back through the
-    /// accessors below.
+    /// Solve the network in place; the converged state is read back
+    /// through the accessors below. Results, iteration counts and errors
+    /// are bit-identical to [`Self::solve_runtime_shape`] (and so to
+    /// [`solve`]): the 1×2 and 2×3 shapes run the [`FixedClasses`] kernel,
+    /// which writes its queues, throughputs and iteration count back here
+    /// before the shared convergence test and [`Self::finish`].
+    pub fn solve(&mut self, classes: &[ClassDemand], stations: usize) -> Result<(), SimError> {
+        let residual = match (classes.len(), stations) {
+            (1, 2) => self.run_fixed(&FixedClasses::<1, 2>::from_classes(classes, stations)?),
+            (2, 3) => self.run_fixed(&FixedClasses::<2, 3>::from_classes(classes, stations)?),
+            _ => {
+                self.begin(classes, stations)?;
+                self.run_loop(classes)
+            }
+        };
+        self.convergence_err(residual)?;
+        self.finish(classes);
+        Ok(())
+    }
+
+    /// [`Self::solve`] on the runtime-shape loop whatever the shape: the
+    /// oracle the fixed-shape kernel is tested and benchmarked against.
     ///
     /// The fixed point is decomposed into [`Self::begin`] (validate + seed),
     /// [`Self::iterate`] (one Bard–Schweitzer step) and [`Self::finish`]
     /// (derived per-station figures) so [`AmvaBatch`] can drive the *exact*
     /// same arithmetic lockstep across independent lanes.
-    pub fn solve(&mut self, classes: &[ClassDemand], stations: usize) -> Result<(), SimError> {
+    pub fn solve_runtime_shape(
+        &mut self,
+        classes: &[ClassDemand],
+        stations: usize,
+    ) -> Result<(), SimError> {
         self.begin(classes, stations)?;
+        let residual = self.run_loop(classes);
+        self.convergence_err(residual)?;
+        self.finish(classes);
+        Ok(())
+    }
+
+    /// Iterate a seeded problem to convergence or the iteration budget;
+    /// returns the last residual.
+    fn run_loop(&mut self, classes: &[ClassDemand]) -> f64 {
         let mut residual = f64::INFINITY;
         for _ in 0..MAX_ITER {
             residual = self.iterate(classes);
@@ -165,9 +230,24 @@ impl AmvaScratch {
                 break;
             }
         }
-        self.convergence_err(residual)?;
-        self.finish(classes);
-        Ok(())
+        residual
+    }
+
+    /// Run the fixed-shape kernel on a problem the caller already
+    /// validated, and write its state back into this scratch (sized here)
+    /// so the accessors, [`Self::convergence_err`] and [`Self::finish`]
+    /// see exactly what the runtime-shape loop would have left. Returns
+    /// the last residual.
+    fn run_fixed<const NC: usize, const S: usize>(&mut self, p: &FixedClasses<NC, S>) -> f64 {
+        let (q, x, iterations, residual) = p.fixed_point();
+        self.nc = NC;
+        self.stations = S;
+        self.q.clear();
+        self.q.extend(q.iter().flatten());
+        self.x.clear();
+        self.x.extend_from_slice(&x);
+        self.iterations = iterations;
+        residual
     }
 
     /// Validate the problem, size the buffers and seed the fixed point.
@@ -275,15 +355,9 @@ impl AmvaScratch {
         residual
     }
 
-    /// The scalar loop's post-exit convergence test, verbatim.
+    /// The scalar loop's post-exit convergence test.
     fn convergence_err(&self, residual: f64) -> Result<(), SimError> {
-        if residual >= TOL * 10.0 && residual.is_finite() && residual > 1e-3 {
-            return Err(SimError::NoConvergence {
-                iterations: self.iterations,
-                residual,
-            });
-        }
-        Ok(())
+        convergence_check(self.iterations, residual)
     }
 
     /// Derive the per-station utilisation/queue figures from the converged
@@ -354,6 +428,9 @@ impl AmvaScratch {
 /// class must provide exactly that many demands.
 ///
 /// Classes with zero population are carried through with zero throughput.
+/// Runs the runtime-shape loop ([`AmvaScratch::solve_runtime_shape`]) for
+/// every shape, so callers that serve as an oracle for the fixed-shape
+/// kernel (the frozen reference executor) stay on an independent path.
 ///
 /// ```
 /// use ecost_sim::amva::{solve, ClassDemand};
@@ -372,8 +449,210 @@ impl AmvaScratch {
 /// ```
 pub fn solve(classes: &[ClassDemand], stations: usize) -> Result<AmvaSolution, SimError> {
     let mut scratch = AmvaScratch::new();
-    scratch.solve(classes, stations)?;
+    scratch.solve_runtime_shape(classes, stations)?;
     Ok(scratch.to_solution())
+}
+
+/// An AMVA problem of fixed shape — `NC` classes over `S` shared stations —
+/// held by value, so the whole Bard–Schweitzer fixed point can live in
+/// registers.
+///
+/// Outside k-way co-location the executor builds only two shapes: one job
+/// (1 class × its I/O path + the NIC) and two co-located jobs (2 × 3). On
+/// those the
+/// runtime-shape loop's slice walks, per-class row hoisting and heap
+/// round-trips cost as much as the arithmetic, which is one dependent
+/// divide chain per iteration (DESIGN.md §11). With the shape a compile-
+/// time constant every loop unrolls and every queue, residence time and
+/// throughput stays in a register across iterations.
+///
+/// The kernel executes exactly the floating-point operations of the
+/// runtime-shape loop, in the same order — same seed, same
+/// `(q·(n-1))/n` association, same accumulation order, same damping and
+/// convergence test; Rust never contracts to FMA or reassociates — so
+/// every result and iteration count is bit-identical
+/// (`crates/sim/tests/amva_props.rs` pins this, also under
+/// `-Ctarget-cpu=native`).
+///
+/// ```
+/// use ecost_sim::amva::{solve, ClassDemand, FixedClasses};
+///
+/// let job = FixedClasses::<1, 2> {
+///     population: [2.0],
+///     think_time_s: [3.0],
+///     demands_s: [[1.0, 0.25]],
+/// };
+/// let fixed = job.solve().unwrap();
+/// let oracle = solve(
+///     &[ClassDemand { population: 2.0, think_time_s: 3.0, demands_s: vec![1.0, 0.25] }],
+///     2,
+/// )
+/// .unwrap();
+/// assert_eq!(fixed.throughput[0].to_bits(), oracle.throughput[0].to_bits());
+/// assert_eq!(fixed.iterations, oracle.iterations);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FixedClasses<const NC: usize, const S: usize> {
+    /// Customer population `N_j` per class.
+    pub population: [f64; NC],
+    /// Think time `Z_j` per class (seconds per cycle).
+    pub think_time_s: [f64; NC],
+    /// Service demand of class `j` at station `s`, `demands_s[j][s]`.
+    pub demands_s: [[f64; S]; NC],
+}
+
+/// Converged solution of a [`FixedClasses`] problem — the fields of
+/// [`AmvaSolution`], by value.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FixedSolution<const NC: usize, const S: usize> {
+    /// Per-class cycle throughput `X_j` (cycles/second).
+    pub throughput: [f64; NC],
+    /// Per-class, per-station mean queue length `Q[j][s]`.
+    pub queue: [[f64; S]; NC],
+    /// Per-station utilisation, clamped to `[0, 1]`.
+    pub station_util: [f64; S],
+    /// Per-station total mean queue length.
+    pub station_queue: [f64; S],
+    /// Fixed-point iterations used.
+    pub iterations: usize,
+}
+
+impl<const NC: usize, const S: usize> FixedClasses<NC, S> {
+    /// All-zero problem: every class empty (population, think time and
+    /// demands 0), ready to be filled in place.
+    pub fn zeroed() -> FixedClasses<NC, S> {
+        FixedClasses {
+            population: [0.0; NC],
+            think_time_s: [0.0; NC],
+            demands_s: [[0.0; S]; NC],
+        }
+    }
+
+    /// Validate `classes` against `stations` (the same checks, in the same
+    /// order, as [`AmvaScratch::solve_runtime_shape`]) and copy them in.
+    /// The caller guarantees the shape: `NC` classes over `S == stations`.
+    fn from_classes(
+        classes: &[ClassDemand],
+        stations: usize,
+    ) -> Result<FixedClasses<NC, S>, SimError> {
+        let mut p = FixedClasses::zeroed();
+        for (j, c) in classes.iter().enumerate().take(NC) {
+            c.validate(stations)?;
+            p.population[j] = c.population;
+            p.think_time_s[j] = c.think_time_s;
+            p.demands_s[j].copy_from_slice(&c.demands_s[..S]);
+        }
+        Ok(p)
+    }
+
+    /// Validate and solve. Errors, results and iteration counts are
+    /// bit-identical to [`AmvaScratch::solve_runtime_shape`] on the
+    /// equivalent [`ClassDemand`] slice.
+    pub fn solve(&self) -> Result<FixedSolution<NC, S>, SimError> {
+        for j in 0..NC {
+            validate_class(
+                self.population[j],
+                self.think_time_s[j],
+                &self.demands_s[j],
+                S,
+            )?;
+        }
+        let (queue, throughput, iterations, residual) = self.fixed_point();
+        convergence_check(iterations, residual)?;
+        // `AmvaScratch::finish`, by value: class-order sums from +0.0.
+        let mut station_util = [0.0_f64; S];
+        let mut station_queue = [0.0_f64; S];
+        for j in 0..NC {
+            for s in 0..S {
+                station_util[s] += throughput[j] * self.demands_s[j][s];
+                station_queue[s] += queue[j][s];
+            }
+        }
+        for u in &mut station_util {
+            *u = u.clamp(0.0, 1.0);
+        }
+        Ok(FixedSolution {
+            throughput,
+            queue,
+            station_util,
+            station_queue,
+            iterations,
+        })
+    }
+
+    /// The Bard–Schweitzer fixed point on a validated problem: `begin`'s
+    /// seed, then [`AmvaScratch::iterate`] to convergence or the
+    /// iteration budget, operation for operation. Returns
+    /// `(queues, throughputs, iterations, last residual)`.
+    #[inline]
+    fn fixed_point(&self) -> ([[f64; S]; NC], [f64; NC], usize, f64) {
+        let FixedClasses {
+            population: pop,
+            think_time_s: think,
+            demands_s: dem,
+        } = *self;
+        let mut q = [[0.0_f64; S]; NC];
+        for j in 0..NC {
+            if pop[j] <= 0.0 {
+                continue;
+            }
+            let share = pop[j] / (S as f64 + 1.0);
+            for s in 0..S {
+                q[j][s] = if dem[j][s] > 0.0 { share } else { 0.0 };
+            }
+        }
+        let mut x = [0.0_f64; NC];
+        let mut iterations = 0;
+        let mut residual = f64::INFINITY;
+        for _ in 0..MAX_ITER {
+            iterations += 1;
+            let mut qtot = [0.0_f64; S];
+            for row in &q {
+                for s in 0..S {
+                    qtot[s] += row[s];
+                }
+            }
+            let mut res = 0.0_f64;
+            for j in 0..NC {
+                let n = pop[j];
+                if n <= 0.0 {
+                    x[j] = 0.0;
+                    continue;
+                }
+                let mut r = [0.0_f64; S];
+                let mut r_total = 0.0;
+                // `if d > 0.0` rather than the runtime loop's `continue` on
+                // `d <= 0.0` (the same test: demands are validated finite):
+                // same operations, but with `continue` LLVM keeps this loop
+                // rolled and `q`/`r` on the stack (DESIGN.md §11).
+                for s in 0..S {
+                    let d = dem[j][s];
+                    if d > 0.0 {
+                        let others = qtot[s] - q[j][s];
+                        let own = if n > 1.0 {
+                            q[j][s] * (n - 1.0) / n
+                        } else {
+                            0.0
+                        };
+                        r[s] = d * (1.0 + others + own);
+                        r_total += r[s];
+                    }
+                }
+                let xj = n / (think[j] + r_total);
+                x[j] = xj;
+                for s in 0..S {
+                    let delta = xj * r[s] - q[j][s];
+                    res = res.max(delta.abs());
+                    q[j][s] += DAMPING * delta;
+                }
+            }
+            residual = res;
+            if residual < TOL {
+                break;
+            }
+        }
+        (q, x, iterations, residual)
+    }
 }
 
 /// Lane-interleaved batch of *independent* AMVA solves.
@@ -967,6 +1246,11 @@ impl AmvaBatch {
         let k = problems.len();
         while self.lanes.len() < k {
             self.lanes.push(AmvaScratch::new());
+        }
+        // A single problem has nothing to interleave with: solve it on the
+        // scalar path, which takes the fixed-shape kernel where it fits.
+        if let [(classes, stations)] = problems {
+            return self.lanes[0].solve(classes, *stations);
         }
         self.done.clear();
         self.done.resize(k, false);

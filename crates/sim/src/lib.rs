@@ -43,7 +43,9 @@ pub mod rng;
 pub mod simd;
 pub mod trace;
 
-pub use amva::{AmvaBatch, AmvaScratch, AmvaSolution, ClassDemand, SharedStation};
+pub use amva::{
+    AmvaBatch, AmvaScratch, AmvaSolution, ClassDemand, FixedClasses, FixedSolution, SharedStation,
+};
 pub use arrivals::{ArrivalPhase, TraceArrival, TraceSpec, TraceStream};
 pub use cluster::ClusterSpec;
 pub use dvfs::Frequency;
