@@ -17,47 +17,39 @@
 //! kernel and the runtime-shape loop timed interleaved on the same
 //! problems, so their paired ratio comes from one run (`amva_kernel`).
 //!
-//! Every kernel is timed in up to three arms of identical shape: the
+//! The sweep kernels are timed in up to three arms of identical shape: the
 //! *baseline* arm drives the frozen pre-refactor executor
 //! (`ecost_mapreduce::reference`: fresh allocating simulator per point),
-//! the *optimized* arm drives the pooled [`EvalEngine`] with scalar rate
-//! solves (lane width 1 — the pre-batching committed configuration), and
-//! the *batched* arm drives the same engine at the full lane width
-//! (lane-interleaved AMVA windows, `MAX_BATCH_LANES` sweep points per
-//! solve). All arms are bit-identical in results (enforced by the
-//! `refactor_equivalence` proptests and the engine's batched-equivalence
-//! tests), so "events" counted on one arm apply to every arm: an event is
-//! one per-job execution segment — one span per active job per event-loop
-//! step (sweeps count stage completions, the closest deterministic proxy
-//! the outcome record keeps).
+//! the *optimized* arm drives the pooled [`EvalEngine`] one point at a
+//! time (`solo_outcome` / `pair_metrics`, the single-point path), and the
+//! *batched* arm drives the engine's sweep path (`sweep_solo` /
+//! `pair_sweep`: lane-interleaved AMVA windows of `MAX_BATCH_LANES` sweep
+//! points, resident across their outer fixed points). All arms are
+//! bit-identical in results (enforced by the `refactor_equivalence`
+//! proptests and the engine's sweep-equivalence tests), so "events"
+//! counted on one arm apply to every arm: an event is one per-job
+//! execution segment — one span per active job per event-loop step
+//! (sweeps count stage completions, the closest deterministic proxy the
+//! outcome record keeps). The scheduler is timed in one arm, through the
+//! engine's default paths.
 //!
 //! The batched arms run the explicit `f64x4` AMVA kernel (auto-detected
-//! backend); alongside them the default run times the same batched
-//! sweeps with the kernel pinned scalar, so the SIMD delta is tracked
-//! (`*_simd_off` keys in the trend row).
-//!
-//! On top of the frozen *batched* comparator (the pre-resident per-lane
-//! drivers, pinned via [`EvalEngine::set_batch_resident`]), the default
-//! run times two more pair arms: *batch_resident* — the engine default,
-//! with pooled window checkout, resident outer fixed points and bulk memo
-//! traffic — and *warm_start* — the same plus warm-started outer fixed
-//! points (results within tolerance, so it gets its own trend key and
-//! never gates the bit-identical arms). A separate single-threaded
-//! instrumented pass ([`EvalEngine::set_phase_timing`]) reports the
-//! measured phase breakdown (solve / outer / submit+reset / memo /
-//! event-loop) for the legacy and resident drivers in the `phases`
-//! section.
+//! backend); alongside them the default run times the same sweeps with
+//! the kernel pinned scalar, so the SIMD delta is tracked (`*_simd_off`
+//! keys in the trend row). A separate single-threaded instrumented pass
+//! ([`EvalEngine::set_phase_timing`]) reports the measured phase
+//! breakdown of the sweep path (solve / outer / submit+reset / memo /
+//! event-loop) in the `phases` section.
 //!
 //! Flags: `--baseline` runs the baseline arms only (for A/B against an
-//! older build); `--no-batch` skips the batched arms (the pre-batching
-//! report shape); `--batch` is the explicit form of the default (all
-//! arms); `--no-simd` pins the scalar AMVA kernel on every batched arm
-//! (rows get `"simd":"off"`, and the simd-off shadow arms are skipped);
-//! `--threads N` sets the worker count for the rayon-sharded arms (the
-//! row's `threads` context field reports it); `--lane-sweep`
-//! additionally measures the pair kernel at lane widths 1/2/4/6/8/12/16
-//! (the DESIGN.md §11 scaling curve); `--quick` (or `ECOST_QUICK=1`)
-//! shrinks every dimension for CI smoke runs.
+//! older build); `--no-batch` runs only the single-point and baseline
+//! arms; `--batch` is the explicit form of the default (all arms);
+//! `--no-simd` pins the scalar AMVA kernel on every batched arm (rows get
+//! `"simd":"off"`, and the simd-off shadow arms are skipped); `--threads
+//! N` sets the worker count for the rayon-sharded arms (the row's
+//! `threads` context field reports it); `--quick` (or `ECOST_QUICK=1`)
+//! shrinks every dimension for CI smoke runs. Any other argument is an
+//! error (exit 1), reported before the first measurement.
 //!
 //! Besides `BENCH_sim.json`, every run appends one compact row to the
 //! `BENCH_trend.jsonl` trend store (path override: `ECOST_TREND_OUT`;
@@ -88,7 +80,7 @@ use std::time::Instant;
 /// Report schema version. Bump when the `BENCH_sim.json` shape changes
 /// (new sections or renamed keys), never for additive arm entries inside
 /// an existing section; the pinned unit test makes bumps deliberate.
-const SCHEMA: &str = "ecost-bench-sim/4";
+const SCHEMA: &str = "ecost-bench-sim/5";
 
 /// One timed measurement arm.
 #[derive(Debug, Clone, Copy)]
@@ -130,11 +122,10 @@ impl Arm {
 }
 
 /// Which arms this invocation measures.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Arms {
     optimized: bool,
     batched: bool,
-    lane_sweep: bool,
     /// `false` pins the scalar AMVA kernel on every batched arm.
     simd: bool,
 }
@@ -192,16 +183,16 @@ fn faster(best: Option<Arm>, cur: Arm) -> Option<Arm> {
     }
 }
 
-/// Optimized solo sweep: pooled engine with scalar solves, one fresh memo
-/// (every point is a miss, so every point simulates — the kernel, not the
-/// cache, is timed).
+/// Optimized solo sweep: the pooled engine's single-point path, one fresh
+/// memo (every point is a miss, so every point simulates — the kernel, not
+/// the cache, is timed).
 fn solo_optimized(
     apps: &[App],
     mb: f64,
     configs: &[TuningConfig],
     pool: &mut PoolTotals,
 ) -> Result<Arm, BenchError> {
-    let eng = EvalEngine::atom().with_batch_lanes(1);
+    let eng = EvalEngine::atom();
     let t0 = Instant::now();
     let mut events = 0u64;
     for app in apps {
@@ -220,20 +211,17 @@ fn solo_optimized(
     })
 }
 
-/// Batched solo sweep: the engine's lane-interleaved sweep driver at full
-/// lane width, pinned to the pre-resident per-lane drivers so the
-/// `solo_batched` trend key keeps measuring the frozen comparator. Same
-/// 160-point space per app as the other arms; events are not observable
-/// through sweep metrics, the caller patches them in from the baseline
-/// arm (bit-identical timelines).
+/// Batched solo sweep: the engine's sweep path. Same 160-point space per
+/// app as the other arms; events are not observable through sweep
+/// metrics, the caller patches them in from the baseline arm
+/// (bit-identical timelines).
 fn solo_batched(
     apps: &[App],
     mb: f64,
     simd: bool,
     pool: &mut PoolTotals,
 ) -> Result<Arm, BenchError> {
-    let mut eng = EvalEngine::atom().with_simd(simd);
-    eng.set_batch_resident(false);
+    let eng = EvalEngine::atom().with_simd(simd);
     let t0 = Instant::now();
     for app in apps {
         eng.sweep_solo(app.profile(), mb)?;
@@ -275,9 +263,9 @@ fn solo_baseline(apps: &[App], mb: f64, configs: &[TuningConfig]) -> Result<Arm,
     })
 }
 
-/// Optimized pair sweep over `pcs` with scalar solves. Events are not
-/// observable through the engine's pair metrics; the caller patches them
-/// in from the baseline arm (bit-identical timelines).
+/// Optimized pair sweep over `pcs` through the single-point path. Events
+/// are not observable through the engine's pair metrics; the caller
+/// patches them in from the baseline arm (bit-identical timelines).
 fn pair_optimized(
     a: App,
     b: App,
@@ -285,7 +273,7 @@ fn pair_optimized(
     pcs: &[PairConfig],
     pool: &mut PoolTotals,
 ) -> Result<Arm, BenchError> {
-    let eng = EvalEngine::atom().with_batch_lanes(1);
+    let eng = EvalEngine::atom();
     let t0 = Instant::now();
     let _: Vec<_> = pcs
         .par_iter()
@@ -300,36 +288,19 @@ fn pair_optimized(
     })
 }
 
-/// Which window-execution path a batched pair arm drives.
-#[derive(Debug, Clone, Copy)]
-enum PairArm {
-    /// The frozen pre-resident per-lane drivers — what the `pair_batched`
-    /// trend key has always measured.
-    Legacy,
-    /// Batch-resident window execution (the engine default).
-    Resident,
-    /// Batch-resident plus warm-started outer fixed points (results
-    /// within tolerance, never compared against the bit-identical arms).
-    WarmStart,
-}
-
-/// Batched pair sweep at lane width `lanes`: the engine's full-space
-/// sweep driver (the batched windows only exist under the sweep, so this
-/// arm always covers the whole space — in quick mode that is more points
-/// than the stride-sampled scalar arms, which is why arms compare on
-/// `sims_per_s`, not wall). `arm` selects the window-execution path.
+/// Batched pair sweep: the engine's full-space sweep path (the lane
+/// windows only exist under the sweep, so this arm always covers the whole
+/// space — in quick mode that is more points than the stride-sampled
+/// single-point arms, which is why arms compare on `sims_per_s`, not
+/// wall).
 fn pair_batched(
     a: App,
     b: App,
     mb: f64,
-    lanes: usize,
     simd: bool,
-    arm: PairArm,
     pool: &mut PoolTotals,
 ) -> Result<Arm, BenchError> {
-    let mut eng = EvalEngine::atom().with_batch_lanes(lanes).with_simd(simd);
-    eng.set_batch_resident(!matches!(arm, PairArm::Legacy));
-    eng.set_warm_start(matches!(arm, PairArm::WarmStart));
+    let eng = EvalEngine::atom().with_simd(simd);
     let t0 = Instant::now();
     eng.pair_sweep(a.profile(), mb, b.profile(), mb)?;
     let wall_s = t0.elapsed().as_secs_f64();
@@ -390,9 +361,8 @@ fn scheduler_setup() -> FaultSetup {
 }
 
 /// Event count of the scheduler run: one span per per-job execution
-/// segment, counted on a recording pass. The run is deterministic and
-/// bit-identical across arms, so the count transfers to the separately
-/// timed no-op-recorder passes.
+/// segment, counted on a recording pass. The run is deterministic, so the
+/// count transfers to the separately timed no-op-recorder passes.
 fn scheduler_events(quick: bool) -> Result<u64, BenchError> {
     let (nodes, wl) = scheduler_load(quick);
     let counting = EvalEngine::with_recorder(Testbed::atom(), Recorder::recording());
@@ -405,35 +375,15 @@ fn scheduler_events(quick: bool) -> Result<u64, BenchError> {
         .count() as u64)
 }
 
-/// Scheduler arm selector: which executor the engine routes runs through.
-#[derive(Debug, Clone, Copy)]
-enum SchedArm {
-    Baseline,
-    Optimized,
-    Batched,
-}
-
 /// One timed pass of the streaming scheduler (wait queue, paired
 /// placement, per-node event loops) under the untuned policy, fault-free.
-fn scheduler_timed(
-    quick: bool,
-    arm: SchedArm,
-    simd: bool,
-    pool: &mut PoolTotals,
-) -> Result<Arm, BenchError> {
+fn scheduler_timed(quick: bool, simd: bool, pool: &mut PoolTotals) -> Result<Arm, BenchError> {
     let (nodes, wl) = scheduler_load(quick);
-    let mut eng = EvalEngine::atom();
-    match arm {
-        SchedArm::Baseline => eng.set_reference_executor(true),
-        SchedArm::Optimized => eng.set_batch_lanes(1),
-        SchedArm::Batched => eng.set_simd(simd),
-    }
+    let eng = EvalEngine::atom().with_simd(simd);
     let t0 = Instant::now();
     run_untuned_faulted(&eng, nodes, &wl, None, &scheduler_setup())?;
     let wall_s = t0.elapsed().as_secs_f64();
-    if !matches!(arm, SchedArm::Baseline) {
-        pool.absorb(&eng);
-    }
+    pool.absorb(&eng);
     Ok(Arm {
         wall_s,
         sims: eng.stats().runs_simulated,
@@ -560,12 +510,9 @@ fn amva_kernel(problems: &[Vec<ClassDemand>], rounds: usize) -> Result<KernelTim
 
 /// One instrumented pass over a fresh engine — the full solo sweep plus
 /// the full pair sweep, every point a miss — with phase timing on.
-/// Returns the pass's wall nanoseconds and the drained breakdown. The
-/// caller pins `RAYON_NUM_THREADS=1` so the summed per-thread buckets are
-/// directly comparable to the wall.
-fn phase_pass(simd: bool, resident: bool, mb: f64) -> Result<(u64, PhaseBreakdown), BenchError> {
+/// Returns the pass's wall nanoseconds and the drained breakdown.
+fn phase_pass(simd: bool, mb: f64) -> Result<(u64, PhaseBreakdown), BenchError> {
     let mut eng = EvalEngine::atom().with_simd(simd);
-    eng.set_batch_resident(resident);
     eng.set_phase_timing(true);
     let t0 = Instant::now();
     eng.sweep_solo(App::Gp.profile(), mb)?;
@@ -575,8 +522,7 @@ fn phase_pass(simd: bool, resident: bool, mb: f64) -> Result<(u64, PhaseBreakdow
 }
 
 /// Fraction of a pass's wall spent in simulator checkout/submit/reset and
-/// memo traffic — the overhead the batch-resident path fuses into the
-/// window.
+/// memo traffic — the overhead the sweep path fuses into the lane window.
 fn submit_reset_memo_share(wall_ns: u64, p: &PhaseBreakdown) -> f64 {
     if wall_ns == 0 {
         return 0.0;
@@ -584,63 +530,31 @@ fn submit_reset_memo_share(wall_ns: u64, p: &PhaseBreakdown) -> f64 {
     (p.submit_reset_ns + p.memo_ns) as f64 / wall_ns as f64
 }
 
-/// JSON object for one instrumented pass.
-fn phase_json(wall_ns: u64, p: &PhaseBreakdown) -> String {
-    format!(
-        "{{\n      \"wall_s\": {:.4},\n      \"solve_ns\": {},\n      \
-         \"outer_ns\": {},\n      \"submit_reset_ns\": {},\n      \
-         \"memo_ns\": {},\n      \"event_loop_ns\": {},\n      \
-         \"submit_reset_memo_share\": {:.4}\n    }}",
+/// Measure the sweep path's phase breakdown on one thread (restoring the
+/// caller's `RAYON_NUM_THREADS`, so the summed per-thread buckets are
+/// directly comparable to the wall), and emit the `phases` section.
+fn measure_phases(out: &mut String, simd: bool, mb: f64) -> Result<(), BenchError> {
+    let prev = std::env::var("RAYON_NUM_THREADS").ok();
+    std::env::set_var("RAYON_NUM_THREADS", "1");
+    let pass = phase_pass(simd, mb);
+    match prev {
+        Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
+        None => std::env::remove_var("RAYON_NUM_THREADS"),
+    }
+    let (wall_ns, p) = pass?;
+    let _ = writeln!(
+        out,
+        "  \"phases\": {{\n    \"wall_s\": {:.4},\n    \"solve_ns\": {},\n    \
+         \"outer_ns\": {},\n    \"submit_reset_ns\": {},\n    \"memo_ns\": {},\n    \
+         \"event_loop_ns\": {},\n    \"submit_reset_memo_share\": {:.4}\n  }},",
         wall_ns as f64 * 1e-9,
         p.solve_ns,
         p.outer_ns,
         p.submit_reset_ns,
         p.memo_ns,
         p.event_loop_ns,
-        submit_reset_memo_share(wall_ns, p)
-    )
-}
-
-/// Measure the phase breakdown of the legacy and batch-resident drivers
-/// on one thread (restoring the caller's `RAYON_NUM_THREADS`), and emit
-/// the `phases` section. The legacy drivers only instrument the
-/// engine-side buckets (submit/reset and memo) — their kernel keeps no
-/// timestamps — so shares are computed against the pass wall, which both
-/// drivers report the same way.
-fn measure_phases(out: &mut String, simd: bool, mb: f64) -> Result<(), BenchError> {
-    let prev = std::env::var("RAYON_NUM_THREADS").ok();
-    std::env::set_var("RAYON_NUM_THREADS", "1");
-    let legacy = phase_pass(simd, false, mb);
-    let resident = phase_pass(simd, true, mb);
-    match prev {
-        Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
-        None => std::env::remove_var("RAYON_NUM_THREADS"),
-    }
-    let (legacy_wall, legacy_p) = legacy?;
-    let (res_wall, res_p) = resident?;
-    let legacy_share = submit_reset_memo_share(legacy_wall, &legacy_p);
-    let res_share = submit_reset_memo_share(res_wall, &res_p);
-    let reduction = if res_share > 0.0 {
-        legacy_share / res_share
-    } else {
-        0.0
-    };
-    let _ = writeln!(out, "  \"phases\": {{");
-    let _ = writeln!(
-        out,
-        "    \"legacy\": {},",
-        phase_json(legacy_wall, &legacy_p)
+        submit_reset_memo_share(wall_ns, &p)
     );
-    let _ = writeln!(
-        out,
-        "    \"batch_resident\": {},",
-        phase_json(res_wall, &res_p)
-    );
-    let _ = writeln!(
-        out,
-        "    \"submit_reset_memo_share_reduction\": {reduction:.2}"
-    );
-    let _ = writeln!(out, "  }},");
     Ok(())
 }
 
@@ -766,19 +680,64 @@ fn append_trend_row(
     Ok(path)
 }
 
+/// A parsed command line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Options {
+    arms: Arms,
+    quick: bool,
+    threads: Option<usize>,
+}
+
+/// Parse the arguments after the program name. Every argument must be a
+/// known flag (or the value after `--threads`): a typo or a retired flag
+/// is an error, never a silently different report.
+fn parse_args(args: &[String]) -> Result<Options, BenchError> {
+    let (mut baseline_only, mut no_batch, mut no_simd, mut quick) = (false, false, false, false);
+    let mut threads = None;
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--baseline" => baseline_only = true,
+            "--no-batch" => no_batch = true,
+            "--batch" => {}
+            "--no-simd" => no_simd = true,
+            "--quick" => quick = true,
+            "--threads" => {
+                let n = it
+                    .next()
+                    .and_then(|v| v.parse::<usize>().ok())
+                    .filter(|&n| n >= 1)
+                    .ok_or_else(|| {
+                        BenchError::Invalid("--threads needs a positive integer".into())
+                    })?;
+                threads = Some(n);
+            }
+            other => {
+                return Err(BenchError::Invalid(format!(
+                    "unknown argument `{other}` (flags: --baseline, --no-batch, --batch, \
+                     --no-simd, --threads N, --quick)"
+                )))
+            }
+        }
+    }
+    Ok(Options {
+        arms: Arms {
+            optimized: !baseline_only,
+            batched: !baseline_only && !no_batch,
+            simd: !no_simd,
+        },
+        quick,
+        threads,
+    })
+}
+
 #[allow(clippy::too_many_lines)]
-fn run(arms: Arms) -> Result<(), BenchError> {
-    let args: Vec<String> = std::env::args().collect();
-    let quick =
-        std::env::var("ECOST_QUICK").is_ok_and(|v| v == "1") || args.iter().any(|a| a == "--quick");
+fn run(opts: Options) -> Result<(), BenchError> {
+    let arms = opts.arms;
+    let quick = opts.quick || std::env::var("ECOST_QUICK").is_ok_and(|v| v == "1");
     // The vendored rayon shim sizes its scope per call from this
     // variable, so setting it up front covers every parallel arm.
-    if let Some(i) = args.iter().position(|a| a == "--threads") {
-        let n = args
-            .get(i + 1)
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .ok_or_else(|| BenchError::Invalid("--threads needs a positive integer".into()))?;
+    if let Some(n) = opts.threads {
         std::env::set_var("RAYON_NUM_THREADS", n.to_string());
     }
     let tb = Testbed::atom();
@@ -839,8 +798,6 @@ fn run(arms: Arms) -> Result<(), BenchError> {
     let mut pair_opt: Option<Arm> = None;
     let mut pair_bat: Option<Arm> = None;
     let mut pair_off: Option<Arm> = None;
-    let mut pair_res: Option<Arm> = None;
-    let mut pair_warm: Option<Arm> = None;
     for _ in 0..rounds {
         pair_base = faster(pair_base, pair_baseline(App::Gp, App::St, mb, &pcs)?);
         if arms.optimized {
@@ -852,149 +809,48 @@ fn run(arms: Arms) -> Result<(), BenchError> {
         if arms.batched {
             pair_bat = faster(
                 pair_bat,
-                pair_batched(
-                    App::Gp,
-                    App::St,
-                    mb,
-                    MAX_BATCH_LANES,
-                    arms.simd,
-                    PairArm::Legacy,
-                    &mut pool,
-                )?,
-            );
-            // Interleaved with the frozen comparator above, so the
-            // resident-vs-batched ratio comes from the same run.
-            pair_res = faster(
-                pair_res,
-                pair_batched(
-                    App::Gp,
-                    App::St,
-                    mb,
-                    MAX_BATCH_LANES,
-                    arms.simd,
-                    PairArm::Resident,
-                    &mut pool,
-                )?,
-            );
-            pair_warm = faster(
-                pair_warm,
-                pair_batched(
-                    App::Gp,
-                    App::St,
-                    mb,
-                    MAX_BATCH_LANES,
-                    arms.simd,
-                    PairArm::WarmStart,
-                    &mut pool,
-                )?,
+                pair_batched(App::Gp, App::St, mb, arms.simd, &mut pool)?,
             );
         }
         if arms.batched && arms.simd {
             pair_off = faster(
                 pair_off,
-                pair_batched(
-                    App::Gp,
-                    App::St,
-                    mb,
-                    MAX_BATCH_LANES,
-                    false,
-                    PairArm::Legacy,
-                    &mut pool,
-                )?,
+                pair_batched(App::Gp, App::St, mb, false, &mut pool)?,
             );
         }
     }
     let pair_base = pair_base.ok_or(BenchError::Invalid("no pair rounds ran".into()))?;
     // Bit-identical arms: the baseline's event count is the event count
     // (the engine's pair memo keeps metrics, not timelines). The batched
-    // arm's count transfers only when it covered the same point set.
+    // arms' count transfers only when they covered the same point set.
     let pair_opt = pair_opt.map(|mut arm| {
         arm.events = pair_base.events;
         arm
     });
-    let pair_bat = pair_bat.map(|mut arm| {
-        if arm.sims == pair_base.sims {
-            arm.events = pair_base.events;
-        }
-        arm
-    });
-    let pair_off = pair_off.map(|mut arm| {
-        if arm.sims == pair_base.sims {
-            arm.events = pair_base.events;
-        }
-        arm
-    });
-    let pair_res = pair_res.map(|mut arm| {
-        if arm.sims == pair_base.sims {
-            arm.events = pair_base.events;
-        }
-        arm
-    });
-    // The warm-start arm's results are within-tolerance, not
-    // bit-identical, so the baseline's event count does not transfer.
-
-    // Lane-width scaling curve for the pair kernel (DESIGN.md §11).
-    let mut lane_curve: Vec<(usize, Option<Arm>)> = Vec::new();
-    if arms.lane_sweep {
-        let widths = [1usize, 2, 4, 6, 8, 12, 16];
-        eprintln!("[bench_report] lane sweep: widths {widths:?}, {rounds} rounds…");
-        lane_curve = widths.iter().map(|&w| (w, None)).collect();
-        for _ in 0..rounds {
-            for (w, best) in &mut lane_curve {
-                *best = faster(
-                    *best,
-                    pair_batched(
-                        App::Gp,
-                        App::St,
-                        mb,
-                        *w,
-                        arms.simd,
-                        PairArm::Resident,
-                        &mut pool,
-                    )?,
-                );
-            }
-        }
-    }
-
-    eprintln!("[bench_report] scheduler run, {rounds} rounds…");
-    let (nodes, wl) = scheduler_load(quick);
-    let jobs = wl.jobs.len();
-    let sched_events = scheduler_events(quick)?;
-    let mut sched_base: Option<Arm> = None;
-    let mut sched_opt: Option<Arm> = None;
-    let mut sched_bat: Option<Arm> = None;
-    for _ in 0..rounds {
-        sched_base = faster(
-            sched_base,
-            scheduler_timed(quick, SchedArm::Baseline, arms.simd, &mut pool)?,
-        );
-        if arms.optimized {
-            sched_opt = faster(
-                sched_opt,
-                scheduler_timed(quick, SchedArm::Optimized, arms.simd, &mut pool)?,
-            );
-        }
-        if arms.batched {
-            sched_bat = faster(
-                sched_bat,
-                scheduler_timed(quick, SchedArm::Batched, arms.simd, &mut pool)?,
-            );
-        }
-    }
-    let sched_base = sched_base.ok_or(BenchError::Invalid("no scheduler rounds ran".into()))?;
-    let patch = |arm: Option<Arm>| {
+    let same_points = |arm: Option<Arm>| {
         arm.map(|mut a| {
-            a.events = sched_events;
+            if a.sims == pair_base.sims {
+                a.events = pair_base.events;
+            }
             a
         })
     };
-    let sched_base = {
-        let mut a = sched_base;
-        a.events = sched_events;
-        a
-    };
-    let (sched_opt, sched_bat) = (patch(sched_opt), patch(sched_bat));
+    let (pair_bat, pair_off) = (same_points(pair_bat), same_points(pair_off));
+
+    let (nodes, wl) = scheduler_load(quick);
+    let jobs = wl.jobs.len();
+    let mut sched: Option<Arm> = None;
+    if arms.batched {
+        eprintln!("[bench_report] scheduler run, {rounds} rounds…");
+        let sched_events = scheduler_events(quick)?;
+        for _ in 0..rounds {
+            sched = faster(sched, scheduler_timed(quick, arms.simd, &mut pool)?);
+        }
+        sched = sched.map(|mut a| {
+            a.events = sched_events;
+            a
+        });
+    }
 
     let kernel_count = if quick { 2_000 } else { 20_000 };
     eprintln!(
@@ -1050,58 +906,30 @@ fn run(arms: Arms) -> Result<(), BenchError> {
         &[
             ("optimized", pair_opt),
             ("batched", pair_bat),
-            ("batch_resident", pair_res),
-            ("warm_start", pair_warm),
             ("batched_no_simd", pair_off),
             ("baseline", Some(pair_base)),
         ],
         &[
             ("speedup", wall_speedup(pair_opt, Some(pair_base))),
             ("speedup_batched", rate_ratio(pair_bat, pair_opt)),
-            ("speedup_resident", rate_ratio(pair_res, pair_bat)),
-            ("speedup_warm", rate_ratio(pair_warm, pair_res)),
             ("speedup_simd", rate_ratio(pair_bat, pair_off)),
         ],
     );
-    if !lane_curve.is_empty() {
-        let _ = writeln!(out, "  \"lane_sweep\": [");
-        let rows: Vec<String> = lane_curve
-            .iter()
-            .filter_map(|&(w, arm)| {
-                arm.map(|a| {
-                    format!(
-                        "    {{\"lanes\": {w}, \"sims\": {}, \"wall_s\": {:.4}, \
-                         \"sims_per_s\": {:.1}}}",
-                        a.sims,
-                        a.wall_s,
-                        a.sims_per_s()
-                    )
-                })
-            })
-            .collect();
-        let _ = writeln!(out, "{}", rows.join(",\n"));
-        let _ = writeln!(out, "  ],");
+    if sched.is_some() {
+        section(
+            &mut out,
+            "scheduler",
+            &[("nodes", nodes.to_string()), ("jobs", jobs.to_string())],
+            &[("batched", sched)],
+            &[],
+        );
     }
-    section(
-        &mut out,
-        "scheduler",
-        &[("nodes", nodes.to_string()), ("jobs", jobs.to_string())],
-        &[
-            ("optimized", sched_opt),
-            ("batched", sched_bat),
-            ("baseline", Some(sched_base)),
-        ],
-        &[
-            ("speedup", wall_speedup(sched_opt, Some(sched_base))),
-            ("speedup_batched", rate_ratio(sched_bat, sched_opt)),
-        ],
-    );
     let _ = writeln!(out, "  \"amva_kernel\": {{");
     let _ = writeln!(out, "    \"one_class\": {},", one_class.json());
     let _ = writeln!(out, "    \"two_class\": {}", two_class.json());
     let _ = writeln!(out, "  }},");
     if arms.batched {
-        eprintln!("[bench_report] phase breakdown: legacy vs batch-resident, 1 thread…");
+        eprintln!("[bench_report] phase breakdown: sweep path, 1 thread…");
         measure_phases(&mut out, arms.simd, mb)?;
     }
     let _ = writeln!(out, "  \"pool\": {{");
@@ -1132,12 +960,8 @@ fn run(arms: Arms) -> Result<(), BenchError> {
             ("pair_baseline", Some(pair_base)),
             ("pair_optimized", pair_opt),
             ("pair_batched", pair_bat),
-            ("pair_batch_resident", pair_res),
-            ("pair_warm_start", pair_warm),
             ("pair_simd_off", pair_off),
-            ("sched_baseline", Some(sched_base)),
-            ("sched_optimized", sched_opt),
-            ("sched_batched", sched_bat),
+            ("sched_batched", sched),
         ],
         &[
             ("amva_1c_fixed_ns_per_iter", one_class.fixed_ns),
@@ -1153,17 +977,8 @@ fn run(arms: Arms) -> Result<(), BenchError> {
 }
 
 fn main() -> ExitCode {
-    let baseline_only = std::env::args().any(|a| a == "--baseline");
-    let no_batch = std::env::args().any(|a| a == "--no-batch");
-    let lane_sweep = std::env::args().any(|a| a == "--lane-sweep");
-    let no_simd = std::env::args().any(|a| a == "--no-simd");
-    let arms = Arms {
-        optimized: !baseline_only,
-        batched: !baseline_only && !no_batch,
-        lane_sweep: lane_sweep && !baseline_only && !no_batch,
-        simd: !no_simd,
-    };
-    ecost_bench::run_main("bench_report", || run(arms))
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    ecost_bench::run_main("bench_report", || run(parse_args(&args)?))
 }
 
 #[cfg(test)]
@@ -1175,7 +990,7 @@ mod tests {
         // Consumers (CI smoke, DESIGN.md §11, external dashboards) key on
         // this exact string; a shape change must bump it here on purpose,
         // in the same commit that documents the new shape.
-        assert_eq!(SCHEMA, "ecost-bench-sim/4");
+        assert_eq!(SCHEMA, "ecost-bench-sim/5");
     }
 
     #[test]
@@ -1185,6 +1000,54 @@ mod tests {
         let (commit, _dirty) = commit_context();
         assert!(!commit.is_empty());
         assert!(!commit.contains('"') && !commit.contains('\\'), "{commit}");
+    }
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn known_flags_select_arms() {
+        let all = parse_args(&args(&["--quick", "--batch", "--threads", "2"])).unwrap();
+        assert_eq!(
+            all,
+            Options {
+                arms: Arms {
+                    optimized: true,
+                    batched: true,
+                    simd: true
+                },
+                quick: true,
+                threads: Some(2),
+            }
+        );
+        assert_eq!(all.arms.label(), "all");
+        let no_batch = parse_args(&args(&["--no-batch", "--no-simd"])).unwrap();
+        assert_eq!(no_batch.arms.label(), "no-batch");
+        assert_eq!(no_batch.arms.simd_label(), "off");
+        assert_eq!(
+            parse_args(&args(&["--baseline"])).unwrap().arms.label(),
+            "baseline-only"
+        );
+    }
+
+    #[test]
+    fn unknown_and_malformed_arguments_are_rejected() {
+        for bad in [
+            &["--lane-sweep"][..],
+            &["--quick", "--frobnicate"],
+            &["--threads"],
+            &["--threads", "0"],
+            &["quick"],
+        ] {
+            match parse_args(&args(bad)) {
+                Err(BenchError::Invalid(msg)) => {
+                    let named = bad.iter().any(|a| msg.contains(a));
+                    assert!(named, "{bad:?}: {msg}");
+                }
+                other => panic!("{bad:?}: expected Invalid, got {other:?}"),
+            }
+        }
     }
 
     #[test]

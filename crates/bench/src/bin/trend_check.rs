@@ -34,8 +34,11 @@ use std::process::ExitCode;
 
 /// Headline keys a row may carry (absent arms are skipped): throughputs
 /// and ratios, where higher is better, and `*_ns_per_iter` kernel
-/// latencies, where lower is better.
-const METRICS: [&str; 22] = [
+/// latencies, where lower is better. Keys of retired arms
+/// (`pair_batch_resident`, `pair_warm_start`, `sched_baseline`,
+/// `sched_optimized`) may linger in older rows; they are not listed, so
+/// they never gate.
+const METRICS: [&str; 18] = [
     "solo_baseline_sims_per_s",
     "solo_optimized_sims_per_s",
     "solo_batched_sims_per_s",
@@ -43,11 +46,7 @@ const METRICS: [&str; 22] = [
     "pair_baseline_sims_per_s",
     "pair_optimized_sims_per_s",
     "pair_batched_sims_per_s",
-    "pair_batch_resident_sims_per_s",
-    "pair_warm_start_sims_per_s",
     "pair_simd_off_sims_per_s",
-    "sched_baseline_sims_per_s",
-    "sched_optimized_sims_per_s",
     "sched_batched_sims_per_s",
     "scale_decisions_per_s",
     "service_decisions_per_s",
@@ -373,47 +372,34 @@ mod tests {
     }
 
     #[test]
-    fn resident_keys_are_additive_and_old_rows_never_gate_them() {
-        // A pre-resident row (no pair_batch_resident / pair_warm_start
-        // keys) shares its context AND its pair_batched key with the first
-        // resident-era row. The shared key still gates; the new keys are
-        // simply skipped (no prior sample), so an old store can never
-        // flag — or hide — a change in the new arms.
-        let old = r#"{"schema":"ecost-bench-trend/1","commit":"a","mode":"full","arms":"all","threads":1,"simd":"on","pair_batched_sims_per_s":100.0}"#;
-        let new = r#"{"schema":"ecost-bench-trend/1","commit":"b","mode":"full","arms":"all","threads":1,"simd":"on","pair_batched_sims_per_s":98.0,"pair_batch_resident_sims_per_s":150.0,"pair_warm_start_sims_per_s":170.0}"#;
-        let path = write_store("resident_additive_ok.jsonl", &[old, new]);
+    fn retired_keys_in_old_rows_never_gate() {
+        // Rows written before the lockstep, warm-start and reference
+        // scheduler arms were retired still carry their keys. The shared
+        // key keeps gating; the retired keys are ignored on both sides, so
+        // an old store can neither flag nor hide anything through them. A
+        // listed key the old row lacks has no prior sample and is skipped.
+        let old = r#"{"schema":"ecost-bench-trend/1","commit":"a","dirty":false,"mode":"full","arms":"all","threads":1,"simd":"on","pair_batched_sims_per_s":100.0,"pair_batch_resident_sims_per_s":150.0,"pair_warm_start_sims_per_s":170.0,"sched_baseline_sims_per_s":30.0,"sched_optimized_sims_per_s":35.0}"#;
+        let new = r#"{"schema":"ecost-bench-trend/1","commit":"b","dirty":true,"mode":"full","arms":"all","threads":1,"simd":"on","pair_batched_sims_per_s":150.0,"sched_batched_sims_per_s":1.0}"#;
+        let path = write_store("retired_keys_ok.jsonl", &[old, new]);
         assert!(check(&path, 0.10).is_ok());
-        // Same store, but the shared legacy key regressed: still caught,
-        // and the complaint names only the key with a prior sample.
-        let bad = r#"{"schema":"ecost-bench-trend/1","commit":"c","mode":"full","arms":"all","threads":1,"simd":"on","pair_batched_sims_per_s":50.0,"pair_batch_resident_sims_per_s":1.0,"pair_warm_start_sims_per_s":1.0}"#;
-        let path = write_store("resident_additive_bad.jsonl", &[old, bad]);
+        // A newest row that still carries collapsed retired keys is judged
+        // on the listed keys alone.
+        let stale = r#"{"schema":"ecost-bench-trend/1","commit":"c","dirty":false,"mode":"full","arms":"all","threads":1,"simd":"on","pair_batched_sims_per_s":50.0,"pair_batch_resident_sims_per_s":1.0,"sched_baseline_sims_per_s":1.0}"#;
+        let path = write_store("retired_keys_bad.jsonl", &[old, stale]);
         match check(&path, 0.10) {
             Err(BenchError::Invalid(msg)) => {
                 assert!(msg.contains("pair_batched_sims_per_s"), "{msg}");
                 assert!(!msg.contains("pair_batch_resident_sims_per_s"), "{msg}");
-                assert!(!msg.contains("pair_warm_start_sims_per_s"), "{msg}");
+                assert!(!msg.contains("sched_baseline_sims_per_s"), "{msg}");
             }
             other => panic!("expected Invalid regression, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn resident_rows_gate_each_other_and_tolerate_dirty_field() {
-        // Two resident-era rows (with the new `dirty` context field the
-        // writer now emits): the new keys now have prior samples, so a
-        // drop in pair_batch_resident alone fails the gate.
-        let prior = r#"{"schema":"ecost-bench-trend/1","commit":"a","dirty":false,"mode":"full","arms":"all","threads":1,"simd":"on","pair_batched_sims_per_s":100.0,"pair_batch_resident_sims_per_s":150.0,"pair_warm_start_sims_per_s":170.0}"#;
-        let held = r#"{"schema":"ecost-bench-trend/1","commit":"b","dirty":true,"mode":"full","arms":"all","threads":1,"simd":"on","pair_batched_sims_per_s":100.0,"pair_batch_resident_sims_per_s":145.0,"pair_warm_start_sims_per_s":165.0}"#;
-        let path = write_store("resident_gate_ok.jsonl", &[prior, held]);
-        assert!(check(&path, 0.10).is_ok());
-        let dropped = r#"{"schema":"ecost-bench-trend/1","commit":"c","dirty":false,"mode":"full","arms":"all","threads":1,"simd":"on","pair_batched_sims_per_s":100.0,"pair_batch_resident_sims_per_s":90.0,"pair_warm_start_sims_per_s":165.0}"#;
-        let path = write_store("resident_gate_bad.jsonl", &[prior, dropped]);
+        // Only retired keys in common: nothing to gate.
+        let retired_only = r#"{"schema":"ecost-bench-trend/1","commit":"d","mode":"full","arms":"all","threads":1,"simd":"on","pair_warm_start_sims_per_s":1.0}"#;
+        let path = write_store("retired_keys_only.jsonl", &[old, retired_only]);
         match check(&path, 0.10) {
-            Err(BenchError::Invalid(msg)) => {
-                assert!(msg.contains("pair_batch_resident_sims_per_s"), "{msg}");
-                assert!(!msg.contains("pair_warm_start_sims_per_s"), "{msg}");
-            }
-            other => panic!("expected Invalid regression, got {other:?}"),
+            Err(BenchError::NoData(msg)) => assert!(msg.contains("no metric key"), "{msg}"),
+            other => panic!("expected NoData, got {other:?}"),
         }
     }
 

@@ -30,10 +30,9 @@ use crate::features::Testbed;
 use cache::ShardedCache;
 use ecost_apps::AppProfile;
 use ecost_mapreduce::executor::JobOutcome;
-use ecost_mapreduce::reference::ReferenceNodeSim;
 use ecost_mapreduce::{
-    run_batch_to_completion, JobMetrics, JobSpec, PairConfig, PairMetrics, TuningConfig,
-    MAX_BATCH_LANES,
+    run_batch_to_completion, BatchScratch, JobMetrics, JobSpec, NodeSim, PairConfig, PairMetrics,
+    TuningConfig, MAX_BATCH_LANES,
 };
 use ecost_sim::{SimError, SimdBackend};
 use ecost_telemetry::{Counter, Event, Recorder, Registry};
@@ -43,17 +42,19 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Lane windows one batch-resident span drives between pool checkouts.
+/// Lane windows one sweep span drives between pool checkouts.
 ///
-/// The resident sweeps hold a whole span's simulators (and one batch
-/// scratch) checked out across consecutive windows, resetting lane state in
-/// place between windows, so the pool's lock and the multi-KB per-simulator
-/// moves are paid once per span instead of once per window. Kept small
-/// enough that a full sweep still splits into plenty of spans for the
-/// rayon workers.
-const FUSED_WINDOWS_PER_SPAN: usize = 8;
+/// A sweep holds a whole span's simulators (and one batch scratch) checked
+/// out across consecutive windows, resetting lane state in place between
+/// windows, so the pool's lock and the multi-KB per-simulator moves are
+/// paid once per span instead of once per window. Kept small enough that a
+/// full sweep still splits into plenty of spans for the rayon workers.
+const WINDOWS_PER_SPAN: usize = 8;
 
-/// Wall-clock cost breakdown of the engine's batched miss path, measured
+/// Sweep points one span covers: [`WINDOWS_PER_SPAN`] full lane windows.
+const SPAN_POINTS: usize = MAX_BATCH_LANES * WINDOWS_PER_SPAN;
+
+/// Wall-clock cost breakdown of the engine's sweep miss path, measured
 /// (not estimated) when phase timing is on ([`EvalEngine::set_phase_timing`])
 /// and drained with [`EvalEngine::take_phase_breakdown`]. All buckets are
 /// nanoseconds summed across windows and worker threads; buckets overlap
@@ -462,24 +463,9 @@ pub struct EvalEngine {
     recorder: Recorder,
     counters: EngineCounters,
     budget: CacheBudget,
-    /// Lane width for batched sweep windows (1 = scalar solves). Clamped
-    /// to `1..=MAX_BATCH_LANES`; every lane is bit-identical to a scalar
-    /// solve, so this is purely a throughput knob.
-    batch_lanes: usize,
-    /// Route miss-path runs through the frozen `ReferenceNodeSim` instead
-    /// of the optimized pooled executor (benchmark baseline arm).
-    reference: bool,
-    /// AMVA vector backend for batched sweep windows, detected at
-    /// construction ([`Self::set_simd`] pins the scalar kernel instead).
+    /// AMVA vector backend for sweep windows, detected at construction
+    /// ([`Self::set_simd`] pins the scalar kernel instead).
     simd: SimdBackend,
-    /// Batch-resident window execution (on by default): pooled window
-    /// checkout, resident outer fixed points, bulk memo traffic. Off pins
-    /// the pre-resident per-lane drivers — bit-identical results, kept as
-    /// the frozen benchmark comparator.
-    batch_resident: bool,
-    /// Warm-started outer fixed points (off by default; results change
-    /// within tolerance, so goldens pin this off).
-    warm_start: bool,
     /// Collect the [`PhaseBreakdown`] buckets (off by default: the hot
     /// path takes no timestamps unless asked).
     phase_timing: bool,
@@ -519,11 +505,7 @@ impl EvalEngine {
             recorder,
             counters,
             budget: CacheBudget::unbounded(),
-            batch_lanes: MAX_BATCH_LANES,
-            reference: false,
             simd: SimdBackend::detect(),
-            batch_resident: true,
-            warm_start: false,
             phase_timing: false,
             phases: PhaseNs::default(),
         }
@@ -553,50 +535,17 @@ impl EvalEngine {
         self.budget
     }
 
-    /// Builder form of [`Self::set_batch_lanes`].
-    pub fn with_batch_lanes(mut self, lanes: usize) -> EvalEngine {
-        self.set_batch_lanes(lanes);
-        self
-    }
-
-    /// Set the lane width for batched sweep windows. Clamped to
-    /// `1..=MAX_BATCH_LANES`; 1 selects the scalar per-point path. Every
-    /// lane of a batched window is bit-identical to a scalar solve of the
-    /// same point, so this knob changes throughput, never results.
-    pub fn set_batch_lanes(&mut self, lanes: usize) {
-        self.batch_lanes = lanes.clamp(1, MAX_BATCH_LANES);
-    }
-
-    /// Current lane width for batched sweep windows.
-    pub fn batch_lanes(&self) -> usize {
-        self.batch_lanes
-    }
-
-    /// Route every miss-path run through the frozen `ReferenceNodeSim`
-    /// instead of the optimized pooled executor. This is the benchmark
-    /// baseline arm: reference runs construct a fresh simulator per point
-    /// (counted under `sims_created`) and never touch the pool or the
-    /// batched windows; the memo layers still apply.
-    pub fn set_reference_executor(&mut self, on: bool) {
-        self.reference = on;
-    }
-
-    /// True when miss-path runs use the frozen reference executor.
-    pub fn reference_executor(&self) -> bool {
-        self.reference
-    }
-
     /// Builder form of [`Self::set_simd`].
     pub fn with_simd(mut self, on: bool) -> EvalEngine {
         self.set_simd(on);
         self
     }
 
-    /// Toggle the explicit `f64x4` AMVA kernel for batched sweep windows.
-    /// `false` pins the always-available scalar lane loop (the bench
-    /// `--no-simd` arm); `true` re-detects the best backend for this CPU.
-    /// Every backend is bit-identical to a scalar solve, so this knob
-    /// changes throughput, never results.
+    /// Toggle the explicit `f64x4` AMVA kernel for sweep windows. `false`
+    /// pins the always-available scalar lane loop (the bench `--no-simd`
+    /// arm); `true` re-detects the best backend for this CPU. Every
+    /// backend is bit-identical to a scalar solve, so this knob changes
+    /// throughput, never results.
     pub fn set_simd(&mut self, on: bool) {
         self.simd = if on {
             SimdBackend::detect()
@@ -605,44 +554,9 @@ impl EvalEngine {
         };
     }
 
-    /// The AMVA vector backend batched sweep windows will use.
+    /// The AMVA vector backend sweep windows will use.
     pub fn simd_backend(&self) -> SimdBackend {
         self.simd
-    }
-
-    /// Toggle batch-resident window execution (on by default). Off pins
-    /// the pre-resident per-lane sweep drivers — per-point submit/reset,
-    /// per-point memo probes, per-round outer bookkeeping — which are
-    /// bit-identical in results and kept as the frozen benchmark
-    /// comparator arm.
-    pub fn set_batch_resident(&mut self, on: bool) {
-        self.batch_resident = on;
-    }
-
-    /// True when batched sweep windows run batch-resident.
-    pub fn batch_resident(&self) -> bool {
-        self.batch_resident
-    }
-
-    /// Builder form of [`Self::set_warm_start`].
-    pub fn with_warm_start(mut self, on: bool) -> EvalEngine {
-        self.set_warm_start(on);
-        self
-    }
-
-    /// Toggle warm-started outer fixed points (off by default). When on,
-    /// batch-resident re-solves within a window seed their (θ, slow)
-    /// iterations from the previous converged fixed point instead of
-    /// (1, 1): the same solution within tolerance (property-tested), in
-    /// fewer outer rounds. Off is bit-identical to the scalar path, which
-    /// is why the golden results pin it off.
-    pub fn set_warm_start(&mut self, on: bool) {
-        self.warm_start = on;
-    }
-
-    /// True when warm-started outer fixed points are enabled.
-    pub fn warm_start(&self) -> bool {
-        self.warm_start
     }
 
     /// Toggle [`PhaseBreakdown`] collection (off by default; timing never
@@ -654,11 +568,6 @@ impl EvalEngine {
     /// Drain the accumulated phase breakdown, resetting all buckets.
     pub fn take_phase_breakdown(&self) -> PhaseBreakdown {
         self.phases.take()
-    }
-
-    /// True when sweeps should solve cache misses in lane-wide batches.
-    fn batched(&self) -> bool {
-        self.batch_lanes > 1 && !self.reference
     }
 
     /// The telemetry recorder this engine (and every run driven through
@@ -750,22 +659,19 @@ impl EvalEngine {
         self.counters.wall_ns.add(elapsed_ns);
     }
 
-    /// Run `jobs` co-located on a pooled simulator degraded by `slowdown`.
-    /// Semantically identical to the executor's
-    /// `run_colocated_degraded` convenience (same submit order, same event
-    /// loop), but the simulator comes from — and, on success, returns to —
-    /// the engine's pool instead of being constructed per run. This is the
-    /// kernel under every sweep: a rayon worker grinding through thousands
-    /// of configurations reuses one warm simulator and its grown solver
-    /// scratch instead of allocating a fresh `NodeSim` per point.
+    /// Run `jobs` co-located on a pooled simulator degraded by `slowdown` —
+    /// the single-point path behind every `solo_outcome*` and
+    /// `pair_metrics*` miss, degraded evaluations included. Semantically
+    /// identical to the executor's `run_colocated_degraded` convenience
+    /// (same submit order, same event loop), but the simulator comes from —
+    /// and, on success, returns to — the engine's pool instead of being
+    /// constructed per run, so a long run of point misses reuses one warm
+    /// simulator and its grown solver scratch.
     fn run_pooled(
         &self,
         jobs: impl IntoIterator<Item = JobSpec>,
         slowdown: f64,
     ) -> Result<(Vec<JobOutcome>, f64), EvalError> {
-        if self.reference {
-            return self.run_reference(jobs, slowdown);
-        }
         let (mut sim, reused) = self.pool.acquire(&self.tb.node, &self.tb.fw);
         if reused {
             self.counters.sims_reused.inc();
@@ -792,108 +698,11 @@ impl EvalEngine {
         }
     }
 
-    /// [`Self::run_pooled`]'s baseline twin: a fresh, frozen
-    /// `ReferenceNodeSim` per run (one `sims_created` each, nothing
-    /// pooled). Semantics are pinned to the optimized executor by the
-    /// mapreduce crate's equivalence property tests.
-    fn run_reference(
-        &self,
-        jobs: impl IntoIterator<Item = JobSpec>,
-        slowdown: f64,
-    ) -> Result<(Vec<JobOutcome>, f64), EvalError> {
-        let mut sim = ReferenceNodeSim::new(self.tb.node.clone(), self.tb.fw.clone());
-        self.counters.sims_created.inc();
-        sim.set_slowdown(slowdown)?;
-        for j in jobs {
-            sim.submit(j)?;
-        }
-        sim.run_to_completion()?;
-        let makespan = sim.now();
-        Ok((sim.take_finished(), makespan))
-    }
-
-    /// Solve one window of cache-missed solo points in a single batched
-    /// rate solve. One pooled simulator per lane (accounted exactly like
-    /// the scalar path), one pooled [`BatchScratch`] per window; on any
-    /// failure the window's simulators are dropped, mirroring
-    /// [`Self::run_pooled`]'s error policy. Returns `(sweep index,
-    /// outcome)` per lane.
-    fn simulate_solo_window(
-        &self,
-        profile: &AppProfile,
-        input_mb: f64,
-        window: &[(usize, TuningConfig)],
-    ) -> Result<Vec<(usize, JobOutcome)>, EvalError> {
-        // Phase timing covers the same checkout/submit and return work the
-        // fused driver buckets, so the bench can compare shares per arm.
-        let t0 = self.phase_timing.then(Instant::now);
-        let mut sims = Vec::with_capacity(window.len());
-        // One template spec per window: the points differ only in their
-        // tuning config, so cloning the template skips re-deriving the
-        // label (a float format) for every lane.
-        let template = JobSpec::from_profile(profile.clone(), input_mb, window[0].1);
-        for &(_, cfg) in window {
-            let (mut sim, reused) = self.pool.acquire(&self.tb.node, &self.tb.fw);
-            if reused {
-                self.counters.sims_reused.inc();
-            } else {
-                self.counters.sims_created.inc();
-            }
-            let mut spec = template.clone();
-            spec.config = cfg;
-            sim.submit(spec)?;
-            sims.push(sim);
-        }
-        if let Some(t) = t0 {
-            self.phases
-                .submit_reset
-                .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        }
-        let mut scratch = self.pool.acquire_scratch();
-        scratch.set_simd_backend(self.simd);
-        // Pooled scratches remember their last flags; the legacy driver
-        // pins the pre-resident path so it stays an honest comparator.
-        scratch.set_batch_resident(false);
-        scratch.set_warm_start(false);
-        scratch.set_phase_timing(false);
-        let run = run_batch_to_completion(&mut sims, &mut scratch);
-        self.pool.release_scratch(scratch);
-        run?;
-        let t1 = self.phase_timing.then(Instant::now);
-        let mut out = Vec::with_capacity(window.len());
-        for (&(i, _), mut sim) in window.iter().zip(sims) {
-            let outcome = sim
-                .take_finished()
-                .pop()
-                .ok_or(SimError::Internal("one job submitted, none finished"))?;
-            self.pool.release(sim);
-            out.push((i, outcome));
-        }
-        if let Some(t) = t1 {
-            self.phases
-                .submit_reset
-                .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        }
-        Ok(out)
-    }
-
-    /// Batch-resident twin of [`Self::simulate_solo_window`], driving a
-    /// *span* of consecutive lane windows: the span's simulators and batch
-    /// scratch are checked out once, every window submits into the resident
-    /// lanes, runs to completion, and resets lane state in place — so the
-    /// pool's lock and the multi-KB per-simulator moves are paid once per
-    /// span instead of once per window. Per-lane results are bit-identical
-    /// to the legacy driver (warm starts, when enabled, change results only
-    /// within tolerance).
-    fn simulate_solo_span_fused(
-        &self,
-        profile: &AppProfile,
-        input_mb: f64,
-        span: &[(usize, TuningConfig)],
-    ) -> Result<Vec<(usize, JobOutcome)>, EvalError> {
-        let mut sr_ns = 0u64;
-        let t0 = self.phase_timing.then(Instant::now);
-        let width = span.len().min(self.batch_lanes);
+    /// Check out the simulators for one sweep span of `points` points: one
+    /// lane window's worth (at most [`MAX_BATCH_LANES`]) under one pool
+    /// lock, with the pool accounting for every run the span will serve.
+    fn acquire_span(&self, points: usize) -> Vec<NodeSim> {
+        let width = points.min(MAX_BATCH_LANES);
         let mut sims = Vec::with_capacity(width);
         let (reused, built) =
             self.pool
@@ -904,22 +713,64 @@ impl EvalEngine {
         // Every lane run past the first window reuses a resident simulator;
         // count those too, so pool accounting keeps meaning "runs served by
         // a warm simulator".
-        let reused_runs = reused + (span.len() as u64).saturating_sub(width as u64);
+        let reused_runs = reused + (points as u64).saturating_sub(width as u64);
         if reused_runs > 0 {
             self.counters.sims_reused.add(reused_runs);
         }
+        sims
+    }
+
+    /// A warm batch scratch configured for this engine's sweeps.
+    fn acquire_batch_scratch(&self) -> BatchScratch {
+        let mut scratch = self.pool.acquire_scratch();
+        scratch.set_simd_backend(self.simd);
+        scratch.set_phase_timing(self.phase_timing);
+        scratch
+    }
+
+    /// Fold a span's kernel-side phase buckets into the engine's and shelve
+    /// its scratch.
+    fn release_batch_scratch(&self, mut scratch: BatchScratch) {
+        if self.phase_timing {
+            let p = scratch.take_phases();
+            self.phases.solve.fetch_add(p.solve_ns, Ordering::Relaxed);
+            self.phases.outer.fetch_add(p.outer_ns, Ordering::Relaxed);
+            self.phases
+                .event_loop
+                .fetch_add(p.event_ns, Ordering::Relaxed);
+        }
+        self.pool.release_scratch(scratch);
+    }
+
+    /// Solve a *span* of consecutive cache-missed solo points in lane
+    /// windows of [`MAX_BATCH_LANES`]: the span's simulators and batch
+    /// scratch are checked out once, every window submits into the resident
+    /// lanes, runs to completion, and resets lane state in place — so the
+    /// pool's lock and the multi-KB per-simulator moves are paid once per
+    /// span instead of once per window. Every lane is bit-identical to a
+    /// scalar run of the same point. On any failure the span's simulators
+    /// are dropped, mirroring [`Self::run_pooled`]'s error policy. Returns
+    /// `(sweep index, outcome)` per point.
+    fn simulate_solo_span(
+        &self,
+        profile: &AppProfile,
+        input_mb: f64,
+        span: &[(usize, TuningConfig)],
+    ) -> Result<Vec<(usize, JobOutcome)>, EvalError> {
+        let mut sr_ns = 0u64;
+        let t0 = self.phase_timing.then(Instant::now);
+        let mut sims = self.acquire_span(span.len());
+        // One template spec per span: the points differ only in their
+        // tuning config, so cloning the template skips re-deriving the
+        // label (a float format) for every lane.
         let template = JobSpec::from_profile(profile.clone(), input_mb, span[0].1);
         if let Some(t) = t0 {
             sr_ns += t.elapsed().as_nanos() as u64;
         }
-        let mut scratch = self.pool.acquire_scratch();
-        scratch.set_simd_backend(self.simd);
-        scratch.set_batch_resident(true);
-        scratch.set_warm_start(self.warm_start);
-        scratch.set_phase_timing(self.phase_timing);
+        let mut scratch = self.acquire_batch_scratch();
         let mut out = Vec::with_capacity(span.len());
         let mut failed: Option<EvalError> = None;
-        'span: for window in span.chunks(self.batch_lanes) {
+        'span: for window in span.chunks(MAX_BATCH_LANES) {
             let w = window.len();
             let t = self.phase_timing.then(Instant::now);
             for (sim, &(_, cfg)) in sims[..w].iter_mut().zip(window) {
@@ -957,15 +808,7 @@ impl EvalEngine {
                 sr_ns += t.elapsed().as_nanos() as u64;
             }
         }
-        if self.phase_timing {
-            let p = scratch.take_phases();
-            self.phases.solve.fetch_add(p.solve_ns, Ordering::Relaxed);
-            self.phases.outer.fetch_add(p.outer_ns, Ordering::Relaxed);
-            self.phases
-                .event_loop
-                .fetch_add(p.event_ns, Ordering::Relaxed);
-        }
-        self.pool.release_scratch(scratch);
+        self.release_batch_scratch(scratch);
         if let Some(e) = failed {
             // Simulators from a failed span are dropped, never shelved —
             // the pool's half-advanced-state policy.
@@ -982,79 +825,10 @@ impl EvalEngine {
         Ok(out)
     }
 
-    /// Solve one window of pair-sweep points in a single batched rate
-    /// solve — the pair twin of [`Self::simulate_solo_window`], with each
-    /// lane carrying one co-located pair.
-    fn simulate_pair_window(
-        &self,
-        a: &AppProfile,
-        input_a_mb: f64,
-        b: &AppProfile,
-        input_b_mb: f64,
-        window: &[PairConfig],
-    ) -> Result<Vec<PairRun>, EvalError> {
-        // Engine-side phase timing mirrors `simulate_solo_window`'s.
-        let t0 = self.phase_timing.then(Instant::now);
-        let mut sims = Vec::with_capacity(window.len());
-        // Template specs per window (see `simulate_solo_window`): lanes
-        // differ only in their tuning configs.
-        let ta = JobSpec::from_profile(a.clone(), input_a_mb, window[0].a);
-        let tb = JobSpec::from_profile(b.clone(), input_b_mb, window[0].b);
-        for &pc in window {
-            let (mut sim, reused) = self.pool.acquire(&self.tb.node, &self.tb.fw);
-            if reused {
-                self.counters.sims_reused.inc();
-            } else {
-                self.counters.sims_created.inc();
-            }
-            let (mut sa, mut sb) = (ta.clone(), tb.clone());
-            sa.config = pc.a;
-            sb.config = pc.b;
-            sim.submit(sa)?;
-            sim.submit(sb)?;
-            sims.push(sim);
-        }
-        if let Some(t) = t0 {
-            self.phases
-                .submit_reset
-                .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        }
-        let mut scratch = self.pool.acquire_scratch();
-        scratch.set_simd_backend(self.simd);
-        // Pin the pre-resident comparator path (see `simulate_solo_window`).
-        scratch.set_batch_resident(false);
-        scratch.set_warm_start(false);
-        scratch.set_phase_timing(false);
-        let run = run_batch_to_completion(&mut sims, &mut scratch);
-        self.pool.release_scratch(scratch);
-        run?;
-        let t1 = self.phase_timing.then(Instant::now);
-        let mut out = Vec::with_capacity(window.len());
-        for (&config, mut sim) in window.iter().zip(sims) {
-            let makespan_s = sim.now();
-            let outs = sim.take_finished();
-            self.pool.release(sim);
-            out.push(PairRun {
-                config,
-                metrics: PairMetrics {
-                    makespan_s,
-                    energy_j: outs.iter().map(|o| o.metrics.energy_j).sum(),
-                },
-            });
-        }
-        if let Some(t) = t1 {
-            self.phases
-                .submit_reset
-                .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        }
-        Ok(out)
-    }
-
-    /// Batch-resident twin of [`Self::simulate_pair_window`], driving a
-    /// span of consecutive lane windows with one co-located pair per lane.
-    /// See [`Self::simulate_solo_span_fused`] for the span structure (one
-    /// pool checkout per span, in-place lane resets between windows).
-    fn simulate_pair_span_fused(
+    /// The pair twin of [`Self::simulate_solo_span`]: one co-located pair
+    /// per lane, same span structure (one pool checkout per span, in-place
+    /// lane resets between windows).
+    fn simulate_pair_span(
         &self,
         a: &AppProfile,
         input_a_mb: f64,
@@ -1064,18 +838,7 @@ impl EvalEngine {
     ) -> Result<Vec<PairRun>, EvalError> {
         let mut sr_ns = 0u64;
         let t0 = self.phase_timing.then(Instant::now);
-        let width = span.len().min(self.batch_lanes);
-        let mut sims = Vec::with_capacity(width);
-        let (reused, built) =
-            self.pool
-                .acquire_window(&self.tb.node, &self.tb.fw, width, &mut sims);
-        if built > 0 {
-            self.counters.sims_created.add(built);
-        }
-        let reused_runs = reused + (span.len() as u64).saturating_sub(width as u64);
-        if reused_runs > 0 {
-            self.counters.sims_reused.add(reused_runs);
-        }
+        let mut sims = self.acquire_span(span.len());
         // Templates are window-invariant (the label depends only on profile
         // and input share; the config is overwritten per lane), so one pair
         // per span serves every window.
@@ -1084,14 +847,10 @@ impl EvalEngine {
         if let Some(t) = t0 {
             sr_ns += t.elapsed().as_nanos() as u64;
         }
-        let mut scratch = self.pool.acquire_scratch();
-        scratch.set_simd_backend(self.simd);
-        scratch.set_batch_resident(true);
-        scratch.set_warm_start(self.warm_start);
-        scratch.set_phase_timing(self.phase_timing);
+        let mut scratch = self.acquire_batch_scratch();
         let mut out = Vec::with_capacity(span.len());
         let mut failed: Option<EvalError> = None;
-        'span: for window in span.chunks(self.batch_lanes) {
+        'span: for window in span.chunks(MAX_BATCH_LANES) {
             let w = window.len();
             let t = self.phase_timing.then(Instant::now);
             for (sim, &pc) in sims[..w].iter_mut().zip(window) {
@@ -1115,8 +874,8 @@ impl EvalEngine {
                 let makespan_s = sim.now();
                 // Pair points only need the aggregate: the drain recycles
                 // the outcome buffers into the resident simulator instead
-                // of freeing them, summing energy in the same completion
-                // order as the legacy driver's caller-side sum; the reset
+                // of freeing them, summing energy in completion order (the
+                // order a point run's caller-side sum uses); the reset
                 // readies the lane for the next window in place.
                 out.push(PairRun {
                     config,
@@ -1131,15 +890,7 @@ impl EvalEngine {
                 sr_ns += t.elapsed().as_nanos() as u64;
             }
         }
-        if self.phase_timing {
-            let p = scratch.take_phases();
-            self.phases.solve.fetch_add(p.solve_ns, Ordering::Relaxed);
-            self.phases.outer.fetch_add(p.outer_ns, Ordering::Relaxed);
-            self.phases
-                .event_loop
-                .fetch_add(p.event_ns, Ordering::Relaxed);
-        }
-        self.pool.release_scratch(scratch);
+        self.release_batch_scratch(scratch);
         if let Some(e) = failed {
             return Err(e);
         }
@@ -1272,9 +1023,9 @@ impl EvalEngine {
     /// Sweep the full standalone space (160 points on the 8-core node);
     /// runs are returned in sweep order. Every point is individually
     /// memoized, so repeated sweeps re-simulate nothing; cache misses are
-    /// solved in lane-wide batched windows (see [`Self::set_batch_lanes`])
-    /// spread across rayon workers, each lane bit-identical to the scalar
-    /// per-point path.
+    /// solved in lane windows of [`MAX_BATCH_LANES`] spread across rayon
+    /// workers, each lane bit-identical to [`Self::solo_outcome`] on the
+    /// same point.
     pub fn sweep_solo(
         &self,
         profile: &AppProfile,
@@ -1282,132 +1033,76 @@ impl EvalEngine {
     ) -> Result<Vec<SoloRun>, EvalError> {
         check_input_mb(input_mb)?;
         let configs: Vec<TuningConfig> = TuningConfig::space(self.tb.node.cores).collect();
-        if !self.batched() {
-            return configs
-                .into_par_iter()
-                .map(|config| {
-                    self.solo_metrics(profile, input_mb, config)
-                        .map(|metrics| SoloRun { config, metrics })
-                })
-                .collect();
-        }
-        // Batched miss path. Probe the memo first — identical hit/miss
-        // accounting and keying to the scalar path — then solve only the
-        // misses, chunked into lane-wide windows. Batch-resident engines
-        // probe and insert the whole sweep in bulk (grouped shard lookups,
-        // one counter delta per sweep); the legacy comparator keeps the
-        // per-point traffic.
+        // Probe the whole sweep in bulk (grouped shard lookups, one counter
+        // delta per sweep) — the same hit/miss totals and keys as point
+        // probes — then solve only the misses.
         let fp = fingerprint(profile);
-        let key_of = |cfg: TuningConfig| SoloKey {
-            fp,
-            mb: input_mb.to_bits(),
-            cfg,
-            slow: 1.0_f64.to_bits(),
-        };
+        let keys: Vec<SoloKey> = configs
+            .iter()
+            .map(|&cfg| SoloKey {
+                fp,
+                mb: input_mb.to_bits(),
+                cfg,
+                slow: 1.0_f64.to_bits(),
+            })
+            .collect();
         let mut metrics: Vec<Option<JobMetrics>> = vec![None; configs.len()];
         let mut missing: Vec<(usize, TuningConfig)> = Vec::new();
-        let keys: Vec<SoloKey> = configs.iter().map(|&cfg| key_of(cfg)).collect();
-        if self.batch_resident {
-            let t_memo = self.phase_timing.then(Instant::now);
-            let mut probed: Vec<Option<Arc<JobOutcome>>> = Vec::new();
-            self.solo.get_many(&keys, &mut probed);
-            let mut nh = 0u64;
-            for (i, cached) in probed.into_iter().enumerate() {
-                match cached {
-                    Some(out) => {
-                        nh += 1;
-                        self.recorder
-                            .emit(0.0, None, None, || Event::CacheHit { cache: "solo" });
-                        metrics[i] = Some(out.metrics);
-                    }
-                    None => {
-                        self.recorder
-                            .emit(0.0, None, None, || Event::CacheMiss { cache: "solo" });
-                        missing.push((i, configs[i]));
-                    }
+        let t_memo = self.phase_timing.then(Instant::now);
+        let mut probed: Vec<Option<Arc<JobOutcome>>> = Vec::new();
+        self.solo.get_many(&keys, &mut probed);
+        let mut nh = 0u64;
+        for (i, cached) in probed.into_iter().enumerate() {
+            match cached {
+                Some(out) => {
+                    nh += 1;
+                    self.recorder
+                        .emit(0.0, None, None, || Event::CacheHit { cache: "solo" });
+                    metrics[i] = Some(out.metrics);
+                }
+                None => {
+                    self.recorder
+                        .emit(0.0, None, None, || Event::CacheMiss { cache: "solo" });
+                    missing.push((i, configs[i]));
                 }
             }
-            // One delta per sweep; totals match the per-point path.
-            self.counters.hits.add(nh);
-            self.counters.misses.add(missing.len() as u64);
-            if let Some(t) = t_memo {
-                self.phases
-                    .memo
-                    .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            }
-        } else {
-            let t_memo = self.phase_timing.then(Instant::now);
-            for (i, &config) in configs.iter().enumerate() {
-                if let Some(cached) = self.solo.get(&keys[i]) {
-                    self.hit("solo");
-                    metrics[i] = Some(cached.metrics);
-                } else {
-                    self.miss("solo");
-                    missing.push((i, config));
-                }
-            }
-            if let Some(t) = t_memo {
-                self.phases
-                    .memo
-                    .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            }
+        }
+        self.counters.hits.add(nh);
+        self.counters.misses.add(missing.len() as u64);
+        if let Some(t) = t_memo {
+            self.phases
+                .memo
+                .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
         }
         if !missing.is_empty() {
             let t0 = Instant::now();
-            // Resident engines chunk the misses into multi-window spans
-            // (one pool checkout per span); the legacy comparator keeps
-            // per-window checkouts. Both chunkings are order-preserving
-            // over the same consecutive windows, so the flattened solve
-            // order — and every lane's window composition — is identical.
-            let chunk = if self.batch_resident {
-                self.batch_lanes * FUSED_WINDOWS_PER_SPAN
-            } else {
-                self.batch_lanes
-            };
-            let windows: Vec<Vec<(usize, TuningConfig)>> =
-                missing.chunks(chunk).map(<[_]>::to_vec).collect();
-            let solved: Vec<Vec<(usize, JobOutcome)>> = windows
+            // Consecutive misses form the lane windows, grouped into spans
+            // (one pool checkout each); the shim's map is order-preserving.
+            let spans: Vec<Vec<(usize, TuningConfig)>> =
+                missing.chunks(SPAN_POINTS).map(<[_]>::to_vec).collect();
+            let solved: Vec<Vec<(usize, JobOutcome)>> = spans
                 .into_par_iter()
-                .map(|window| {
-                    if self.batch_resident {
-                        self.simulate_solo_span_fused(profile, input_mb, &window)
-                    } else {
-                        self.simulate_solo_window(profile, input_mb, &window)
-                    }
-                })
+                .map(|span| self.simulate_solo_span(profile, input_mb, &span))
                 .collect::<Result<_, EvalError>>()?;
             self.charge(missing.len() as u64, t0.elapsed().as_nanos() as u64);
-            if self.batch_resident {
-                let t_memo = self.phase_timing.then(Instant::now);
-                let mut idxs: Vec<usize> = Vec::new();
-                let mut entries: Vec<(SoloKey, Arc<JobOutcome>)> = Vec::new();
-                for (i, out) in solved.into_iter().flatten() {
-                    idxs.push(i);
-                    entries.push((keys[i], Arc::new(out)));
-                }
-                // Bulk insert under one lock acquisition per touched shard;
-                // first-insert-wins exactly like `insert_or_keep`.
-                let mut stored: Vec<Arc<JobOutcome>> = Vec::new();
-                self.solo.insert_many(&entries, &mut stored);
-                for (&i, out) in idxs.iter().zip(&stored) {
-                    metrics[i] = Some(out.metrics);
-                }
-                if let Some(t) = t_memo {
-                    self.phases
-                        .memo
-                        .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                }
-            } else {
-                let t_memo = self.phase_timing.then(Instant::now);
-                for (i, out) in solved.into_iter().flatten() {
-                    let out = self.solo.insert_or_keep(keys[i], Arc::new(out));
-                    metrics[i] = Some(out.metrics);
-                }
-                if let Some(t) = t_memo {
-                    self.phases
-                        .memo
-                        .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                }
+            let t_memo = self.phase_timing.then(Instant::now);
+            let mut idxs: Vec<usize> = Vec::new();
+            let mut entries: Vec<(SoloKey, Arc<JobOutcome>)> = Vec::new();
+            for (i, out) in solved.into_iter().flatten() {
+                idxs.push(i);
+                entries.push((keys[i], Arc::new(out)));
+            }
+            // Bulk insert under one lock acquisition per touched shard;
+            // first-insert-wins exactly like `insert_or_keep`.
+            let mut stored: Vec<Arc<JobOutcome>> = Vec::new();
+            self.solo.insert_many(&entries, &mut stored);
+            for (&i, out) in idxs.iter().zip(&stored) {
+                metrics[i] = Some(out.metrics);
+            }
+            if let Some(t) = t_memo {
+                self.phases
+                    .memo
+                    .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
             }
         }
         configs
@@ -1415,7 +1110,7 @@ impl EvalEngine {
             .zip(metrics)
             .map(|(config, m)| {
                 m.map(|metrics| SoloRun { config, metrics })
-                    .ok_or_else(|| SimError::Internal("batched sweep left a point unsolved").into())
+                    .ok_or_else(|| SimError::Internal("sweep left a point unsolved").into())
             })
             .collect()
     }
@@ -1572,44 +1267,21 @@ impl EvalEngine {
         let t0 = Instant::now();
         let configs = PairConfig::space(self.tb.node.cores);
         let n = configs.len() as u64;
-        let runs: Vec<PairRun> = if self.batched() {
-            // Partition the space into lane-wide windows (grouped into
-            // multi-window spans on the resident path — same consecutive
-            // windows, one pool checkout per span); the shim's map is
-            // order-preserving, so flattening restores sweep order.
-            let chunk = if self.batch_resident {
-                self.batch_lanes * FUSED_WINDOWS_PER_SPAN
-            } else {
-                self.batch_lanes
-            };
-            let windows: Vec<Vec<PairConfig>> = configs.chunks(chunk).map(<[_]>::to_vec).collect();
-            let spans = windows
-                .into_par_iter()
-                .map(|window| {
-                    if self.batch_resident {
-                        self.simulate_pair_span_fused(sa, sa_mb, sb, sb_mb, &window)
-                    } else {
-                        self.simulate_pair_window(sa, sa_mb, sb, sb_mb, &window)
-                    }
-                })
-                .collect::<Result<Vec<Vec<PairRun>>, EvalError>>()?;
-            // The sweep lives in the memo for the engine's lifetime, so
-            // size it exactly: collecting the flattened spans grows by
-            // doubling, to 16 384 slots for 11 200 runs.
-            let mut runs = Vec::with_capacity(configs.len());
-            for span in spans {
-                runs.extend(span);
-            }
-            runs
-        } else {
-            configs
-                .into_par_iter()
-                .map(|config| {
-                    self.simulate_pair(sa, sa_mb, sb, sb_mb, config, 1.0)
-                        .map(|metrics| PairRun { config, metrics })
-                })
-                .collect::<Result<_, EvalError>>()?
-        };
+        // Lane windows grouped into spans (one pool checkout each); the
+        // shim's map is order-preserving, so flattening restores sweep
+        // order.
+        let spans: Vec<Vec<PairConfig>> = configs.chunks(SPAN_POINTS).map(<[_]>::to_vec).collect();
+        let spans = spans
+            .into_par_iter()
+            .map(|span| self.simulate_pair_span(sa, sa_mb, sb, sb_mb, &span))
+            .collect::<Result<Vec<Vec<PairRun>>, EvalError>>()?;
+        // The sweep lives in the memo for the engine's lifetime, so size it
+        // exactly: collecting the flattened spans grows by doubling, to
+        // 16 384 slots for 11 200 runs.
+        let mut runs = Vec::with_capacity(configs.len());
+        for span in spans {
+            runs.extend(span);
+        }
         self.charge(n, t0.elapsed().as_nanos() as u64);
         let runs = self.sweeps.insert_or_keep(key, Arc::new(runs));
         Ok(PairSweep {
@@ -2038,93 +1710,82 @@ mod tests {
     }
 
     #[test]
-    fn batched_solo_sweep_is_bit_identical_to_scalar_at_every_lane_width() {
-        let scalar = EvalEngine::atom().with_batch_lanes(1);
+    fn solo_sweep_over_scattered_misses_matches_point_runs() {
+        let eng = EvalEngine::atom();
         let p = App::Gp.profile();
         let mb = InputSize::Small.per_node_mb();
-        let want = scalar.sweep_solo(p, mb).unwrap();
-        for lanes in [2, 3, 8] {
-            let eng = EvalEngine::atom().with_batch_lanes(lanes);
-            assert_eq!(eng.batch_lanes(), lanes);
-            let got = eng.sweep_solo(p, mb).unwrap();
-            assert_eq!(got.len(), want.len());
-            for (g, w) in got.iter().zip(&want) {
-                assert_eq!(g.config, w.config);
-                assert_eq!(
-                    g.metrics.exec_time_s.to_bits(),
-                    w.metrics.exec_time_s.to_bits()
-                );
-                assert_eq!(g.metrics.energy_j.to_bits(), w.metrics.energy_j.to_bits());
-            }
-            // Same memo/telemetry contract as the scalar sweep: one miss
-            // per point, every point charged, all hits on a re-sweep.
-            let s = eng.stats();
-            assert_eq!(s.misses as usize, want.len());
-            assert_eq!(s.runs_simulated as usize, want.len());
-            assert_eq!(s.sims_created + s.sims_reused, s.runs_simulated);
-            assert_eq!(eng.pooled_sims() as u64, s.sims_created);
-            eng.sweep_solo(p, mb).unwrap();
-            let s2 = eng.stats();
-            assert_eq!(s2.runs_simulated, s.runs_simulated);
-            assert_eq!(s2.hits as usize, s.hits as usize + want.len());
+        let configs: Vec<TuningConfig> = TuningConfig::space(8).collect();
+        // Warm every 7th point through the point path: the sweep's 137
+        // misses then fill eight full 16-lane windows and one 9-lane
+        // window (two f64x4 chunks plus a scalar tail), with hits
+        // scattered between the points of every window.
+        let warmed: Vec<TuningConfig> = configs.iter().copied().step_by(7).collect();
+        for &cfg in &warmed {
+            eng.solo_outcome(p, mb, cfg).unwrap();
         }
+        let before = eng.stats();
+        let got = eng.sweep_solo(p, mb).unwrap();
+        let s = eng.stats();
+        assert_eq!(got.len(), configs.len());
+        assert_eq!(
+            (s.misses - before.misses) as usize,
+            configs.len() - warmed.len()
+        );
+        assert_eq!((s.hits - before.hits) as usize, warmed.len());
+        assert_eq!(s.runs_simulated as usize, configs.len());
+        assert_eq!(s.sims_created + s.sims_reused, s.runs_simulated);
+        assert_eq!(eng.pooled_sims() as u64, s.sims_created);
+        // Every point, warmed or swept, is bit-identical to a point run on
+        // a fresh engine.
+        let fresh = EvalEngine::atom();
+        for (g, &cfg) in got.iter().zip(&configs) {
+            assert_eq!(g.config, cfg);
+            let want = fresh.solo_outcome(p, mb, cfg).unwrap();
+            assert_eq!(
+                g.metrics.exec_time_s.to_bits(),
+                want.metrics.exec_time_s.to_bits()
+            );
+            assert_eq!(
+                g.metrics.energy_j.to_bits(),
+                want.metrics.energy_j.to_bits()
+            );
+            assert_eq!(
+                g.metrics.avg_power_w.to_bits(),
+                want.metrics.avg_power_w.to_bits()
+            );
+        }
+        // A second sweep is all hits and simulates nothing.
+        eng.sweep_solo(p, mb).unwrap();
+        let s2 = eng.stats();
+        assert_eq!(s2.hits - s.hits, configs.len() as u64);
+        assert_eq!(s2.misses, s.misses);
+        assert_eq!(s2.runs_simulated, s.runs_simulated);
     }
 
     #[test]
-    fn batched_pair_sweep_is_bit_identical_to_scalar() {
-        let scalar = EvalEngine::atom().with_batch_lanes(1);
-        let batched = EvalEngine::atom();
-        assert_eq!(batched.batch_lanes(), ecost_mapreduce::MAX_BATCH_LANES);
+    fn pair_sweep_matches_point_runs_on_a_strided_sample() {
+        let eng = EvalEngine::atom();
         let a = App::Wc.profile();
         let b = App::St.profile();
         let mb = InputSize::Small.per_node_mb();
-        let want = scalar.pair_sweep(a, mb, b, mb).unwrap();
-        let got = batched.pair_sweep(a, mb, b, mb).unwrap();
-        assert_eq!(got.len(), want.len());
-        for (g, w) in got.runs().iter().zip(want.runs().iter()) {
-            assert_eq!(g.config, w.config);
-            assert_eq!(
-                g.metrics.makespan_s.to_bits(),
-                w.metrics.makespan_s.to_bits()
-            );
-            assert_eq!(g.metrics.energy_j.to_bits(), w.metrics.energy_j.to_bits());
-        }
-        let s = batched.stats();
-        assert_eq!(s.runs_simulated as usize, want.len());
+        let sweep = eng.pair_sweep(a, mb, b, mb).unwrap();
+        let s = eng.stats();
+        assert_eq!(s.runs_simulated as usize, sweep.len());
         assert_eq!(s.sims_created + s.sims_reused, s.runs_simulated);
-        assert_eq!(batched.pooled_sims() as u64, s.sims_created);
-    }
-
-    #[test]
-    fn reference_executor_matches_optimized_results_without_pooling() {
-        let mut reference = EvalEngine::atom();
-        reference.set_reference_executor(true);
-        assert!(reference.reference_executor());
-        let optimized = EvalEngine::atom();
-        let p = App::Wc.profile();
-        let mb = InputSize::Small.per_node_mb();
-        let cfg = TuningConfig::hadoop_default(8);
-        let r = reference.solo_outcome(p, mb, cfg).unwrap();
-        let o = optimized.solo_outcome(p, mb, cfg).unwrap();
-        assert_eq!(
-            r.metrics.exec_time_s.to_bits(),
-            o.metrics.exec_time_s.to_bits()
-        );
-        assert_eq!(r.metrics.energy_j.to_bits(), o.metrics.energy_j.to_bits());
-        // Reference runs construct fresh simulators and never pool them.
-        let s = reference.stats();
-        assert_eq!(s.sims_created, 1);
-        assert_eq!(s.sims_reused, 0);
-        assert_eq!(reference.pooled_sims(), 0);
-    }
-
-    #[test]
-    fn batch_lane_width_is_clamped() {
-        let mut eng = EvalEngine::atom();
-        eng.set_batch_lanes(0);
-        assert_eq!(eng.batch_lanes(), 1);
-        eng.set_batch_lanes(usize::MAX);
-        assert_eq!(eng.batch_lanes(), ecost_mapreduce::MAX_BATCH_LANES);
+        assert_eq!(eng.pooled_sims() as u64, s.sims_created);
+        // Point runs on a fresh engine (the swept engine would serve them
+        // from its sweep), in the sweep's stored orientation; a stride
+        // coprime to the window width lands on every lane position.
+        let (sa, sb) = if sweep.swapped() { (b, a) } else { (a, b) };
+        let fresh = EvalEngine::atom();
+        let space = PairConfig::space(8);
+        assert_eq!(sweep.len(), space.len());
+        for (run, &pc) in sweep.runs().iter().zip(&space).step_by(97) {
+            assert_eq!(run.config, pc);
+            let want = fresh.pair_metrics(sa, mb, sb, mb, pc).unwrap();
+            assert_eq!(run.metrics.makespan_s.to_bits(), want.makespan_s.to_bits());
+            assert_eq!(run.metrics.energy_j.to_bits(), want.energy_j.to_bits());
+        }
     }
 
     #[test]

@@ -1268,13 +1268,11 @@ pub const MAX_BATCH_LANES: usize = 16;
 
 /// Per-lane working state of a batched solve window, reused across rounds.
 ///
-/// The big buffers are never cleared between solves — a lane is "reset" by
-/// the window's generation stamp (`epoch`) moving past it, the same pooled
-/// discipline [`crate::NodeSim`] uses. Everything the next solve reads is
-/// assign-before-read: `prep`/`classes`/`think` are rebuilt by
-/// [`prepare`]/[`build_classes`], and `x`/`q_io`/`nic_util` are overwritten
-/// from the AMVA readback every outer round before [`couple`] or
-/// [`finalize`] can observe them.
+/// The big buffers are never cleared between solves: everything a solve
+/// reads is assign-before-read. `prep`/`classes`/`think` are rebuilt by
+/// [`prepare`]/[`build_classes`], `(θ, slow)` restart at `(1, 1)`, and
+/// `x`/`q_io`/`nic_util` are overwritten from the AMVA readback every outer
+/// round before [`couple`] or [`finalize`] can observe them.
 struct LaneScratch {
     prep: SolvePrep,
     classes: Vec<ClassDemand>,
@@ -1284,13 +1282,6 @@ struct LaneScratch {
     nic_util: f64,
     theta: f64,
     slow: f64,
-    done: bool,
-    /// Generation stamp of the last window that stashed a converged fixed
-    /// point in `warm_theta`/`warm_slow`; warm starts apply only when it
-    /// matches the scratch's current epoch (same window).
-    epoch: u64,
-    warm_theta: f64,
-    warm_slow: f64,
 }
 
 impl LaneScratch {
@@ -1304,10 +1295,6 @@ impl LaneScratch {
             nic_util: 0.0,
             theta: 1.0,
             slow: 1.0,
-            done: false,
-            epoch: 0,
-            warm_theta: 1.0,
-            warm_slow: 1.0,
         }
     }
 }
@@ -1319,7 +1306,7 @@ impl LaneScratch {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchPhases {
     /// Inside the lane-interleaved AMVA kernel
-    /// ([`ecost_sim::AmvaBatch::solve_window`] / `solve`).
+    /// ([`ecost_sim::AmvaBatch::solve_window`]).
     pub solve_ns: u64,
     /// Outer contention fixed-point bookkeeping around the kernel: class
     /// rebuilds, θ/slow coupling, convergence masking, finalize.
@@ -1347,13 +1334,6 @@ impl BatchPhases {
 pub struct BatchScratch {
     amva: AmvaBatch,
     lanes: Vec<LaneScratch>,
-    /// Window generation stamp: bumped once per [`run_batch_to_completion`]
-    /// call. Lane state older than the current epoch is dead by definition
-    /// (never cleared), and warm starts only cross solves that share an
-    /// epoch.
-    epoch: u64,
-    resident: bool,
-    warm: bool,
     timing: bool,
     phases: BatchPhases,
 }
@@ -1364,9 +1344,6 @@ impl BatchScratch {
         BatchScratch {
             amva: AmvaBatch::new(),
             lanes: Vec::new(),
-            epoch: 0,
-            resident: true,
-            warm: false,
             timing: false,
             phases: BatchPhases::default(),
         }
@@ -1382,32 +1359,6 @@ impl BatchScratch {
     /// The AMVA vector backend the next batched solve will use.
     pub fn simd_backend(&self) -> SimdBackend {
         self.amva.simd_backend()
-    }
-
-    /// Toggle the batch-resident window driver (on by default). Off pins
-    /// the pre-resident per-round lockstep path — bit-identical results,
-    /// kept as the frozen benchmark comparator.
-    pub fn set_batch_resident(&mut self, resident: bool) {
-        self.resident = resident;
-    }
-
-    /// Whether the next [`run_batch_to_completion`] uses the resident driver.
-    pub fn batch_resident(&self) -> bool {
-        self.resident
-    }
-
-    /// Toggle warm-started outer fixed points (off by default). When on,
-    /// a re-solve within the same window seeds its (θ, slow) iteration
-    /// from the previous converged fixed point instead of (1, 1) — same
-    /// solution within tolerance (property-tested), fewer outer rounds;
-    /// off is bit-identical to the scalar path.
-    pub fn set_warm_start(&mut self, warm: bool) {
-        self.warm = warm;
-    }
-
-    /// Whether warm-started outer fixed points are enabled.
-    pub fn warm_start(&self) -> bool {
-        self.warm
     }
 
     /// Enable wall-clock phase accounting ([`BatchPhases`]). Off by
@@ -1428,153 +1379,23 @@ impl Default for BatchScratch {
     }
 }
 
-/// Solve the contention model for several independent simulators at once,
-/// advancing their AMVA fixed points in lockstep ([`AmvaBatch`]).
-///
-/// Each lane runs the exact scalar [`solve_into`] sequence — same
-/// [`prepare`], same per-round [`build_classes`], same θ/slow [`couple`]
-/// step and residual test — with only the *interleaving* changed, so each
-/// simulator's rate solution is bit-identical to what its own
-/// `ensure_solution` would have produced. `lane_ids` indexes into `sims`;
-/// each selected simulator gets its back buffer refreshed and flipped.
-///
-/// This is the pre-resident per-round driver, kept verbatim as the frozen
-/// benchmark comparator ([`BatchScratch::set_batch_resident`] off).
-fn solve_batch_lockstep(
-    sims: &mut [NodeSim],
-    lane_ids: &[usize],
-    scratch: &mut BatchScratch,
-) -> Result<(), SimError> {
-    let k = lane_ids.len();
-    if k > MAX_BATCH_LANES {
-        return Err(SimError::Internal(
-            "batched window wider than MAX_BATCH_LANES",
-        ));
-    }
-    while scratch.lanes.len() < k {
-        scratch.lanes.push(LaneScratch::new());
-    }
-    let BatchScratch { amva, lanes, .. } = scratch;
-    for (ls, &i) in lanes.iter_mut().zip(lane_ids) {
-        let sim = &sims[i];
-        prepare(&sim.spec, &sim.fw, sim.slowdown, &sim.active, &mut ls.prep);
-        ls.theta = 1.0;
-        ls.slow = 1.0;
-        ls.x = [0.0; MAX_COLOCATED];
-        ls.q_io = [0.0; MAX_COLOCATED];
-        ls.nic_util = 0.0;
-        ls.done = false;
-    }
-
-    // Outer fixed point, lockstep: every round rebuilds the live lanes'
-    // classes at their own (θ, slow), advances all their AMVA solves
-    // lane-interleaved, then applies each lane's coupling step. A lane
-    // whose residual drops below the scalar threshold is masked out.
-    for _outer in 0..200 {
-        let mut live = 0usize;
-        for (slot, ls) in lanes.iter_mut().take(k).enumerate() {
-            if ls.done {
-                continue;
-            }
-            build_classes(
-                &ls.prep,
-                sims[lane_ids[slot]].nic_bw_mbps,
-                ls.theta,
-                ls.slow,
-                &mut ls.classes,
-                &mut ls.think,
-            );
-            live += 1;
-        }
-        if live == 0 {
-            break;
-        }
-
-        let empty: &[ClassDemand] = &[];
-        let mut probs: [(&[ClassDemand], usize); MAX_BATCH_LANES] = [(empty, 0); MAX_BATCH_LANES];
-        let mut slot_of: [usize; MAX_BATCH_LANES] = [0; MAX_BATCH_LANES];
-        let mut b = 0usize;
-        for (slot, ls) in lanes.iter().take(k).enumerate() {
-            if ls.done {
-                continue;
-            }
-            let n = ls.prep.n;
-            probs[b] = (&ls.classes[..n], n + 1);
-            slot_of[b] = slot;
-            b += 1;
-        }
-        amva.solve(&probs[..b])?;
-
-        for (bi, &slot) in slot_of[..b].iter().enumerate() {
-            let lane = amva.lane(bi);
-            let ls = &mut lanes[slot];
-            let n = ls.prep.n;
-            ls.x[..n].copy_from_slice(lane.throughput());
-            for (j, q) in ls.q_io[..n].iter_mut().enumerate() {
-                *q = lane.queue(j, j);
-            }
-            ls.nic_util = lane.station_util()[n];
-
-            let (slow_next, theta_next, resid) = couple(
-                &ls.prep,
-                &sims[lane_ids[slot]].spec,
-                &ls.x,
-                &ls.q_io,
-                &ls.think,
-                ls.slow,
-                ls.theta,
-            );
-            ls.slow = slow_next;
-            ls.theta = theta_next;
-            if resid < 1e-5 {
-                ls.done = true;
-            }
-        }
-    }
-
-    for (ls, &i) in lanes.iter().zip(lane_ids) {
-        let sim = &mut sims[i];
-        let back = 1 - sim.front;
-        let NodeSim {
-            spec,
-            power,
-            nic_power_w,
-            active,
-            bufs,
-            ..
-        } = sim;
-        finalize(
-            &ls.prep,
-            spec,
-            power,
-            *nic_power_w,
-            active,
-            &ls.x,
-            &ls.q_io,
-            ls.nic_util,
-            ls.slow,
-            &mut bufs[back],
-        );
-        sim.front = back;
-        sim.sol_valid = true;
-    }
-    Ok(())
-}
-
 /// One *resident-window* batched solve over a shape-uniform group of lanes
 /// (same co-located job count ⇒ same AMVA class/station shape; caller
 /// guarantees `lane_ids.len() >= 2`).
 ///
-/// Same per-lane arithmetic and operation order as
-/// [`solve_batch_lockstep`], with the per-round bookkeeping hoisted out of
-/// the outer fixed point: class validation runs once per window
-/// ([`AmvaBatch::begin_window`]), each subsequent round rewrites only the
-/// (θ, slow)-dependent class cells ([`update_classes`]), and the SoA
-/// window is re-packed without zero-fill — seed included, recomputed
-/// bit-identically from the window-invariant populations and demand signs
-/// ([`AmvaBatch::solve_window`]). Converged lanes are compacted out of the
-/// live list order-preservingly, so the remaining lanes see exactly the
-/// scalar iteration sequence.
+/// Each lane runs the exact scalar [`solve_into`] sequence — same
+/// [`prepare`], same classes, same θ/slow [`couple`] step and residual
+/// test, starting from `(θ, slow) = (1, 1)` — with only the
+/// *interleaving* changed, so each simulator's rate solution is
+/// bit-identical to what its own `ensure_solution` would have produced.
+/// The per-round bookkeeping is hoisted out of the outer fixed point:
+/// class validation runs once per window ([`AmvaBatch::begin_window`]),
+/// each subsequent round rewrites only the (θ, slow)-dependent class cells
+/// ([`update_classes`]), and the SoA window is re-packed without zero-fill
+/// — seed included, recomputed bit-identically from the window-invariant
+/// populations and demand signs ([`AmvaBatch::solve_window`]). Converged
+/// lanes are compacted out of the live list order-preservingly, so the
+/// remaining lanes see exactly the scalar iteration sequence.
 fn solve_group(
     sims: &mut [NodeSim],
     lane_ids: &[usize],
@@ -1587,8 +1408,6 @@ fn solve_group(
     let timing = scratch.timing;
     let t_all = timing.then(Instant::now);
     let mut solve_ns = 0u64;
-    let epoch = scratch.epoch;
-    let warm = scratch.warm;
     let BatchScratch {
         amva,
         lanes,
@@ -1599,17 +1418,8 @@ fn solve_group(
     for (ls, &i) in lanes.iter_mut().zip(lane_ids) {
         let sim = &sims[i];
         prepare(&sim.spec, &sim.fw, sim.slowdown, &sim.active, &mut ls.prep);
-        if warm && ls.epoch == epoch {
-            ls.theta = ls.warm_theta;
-            ls.slow = ls.warm_slow;
-        } else {
-            ls.theta = 1.0;
-            ls.slow = 1.0;
-        }
-        // `x`/`q_io`/`nic_util` are epoch-reset, not cleared: every outer
-        // round overwrites them from the AMVA readback before `couple` or
-        // `finalize` reads them.
-        ls.done = false;
+        ls.theta = 1.0;
+        ls.slow = 1.0;
         build_classes(
             &ls.prep,
             sim.nic_bw_mbps,
@@ -1691,7 +1501,7 @@ fn solve_group(
         nlive = w;
     }
 
-    for (ls, &i) in lanes.iter_mut().zip(lane_ids) {
+    for (ls, &i) in lanes.iter().zip(lane_ids) {
         let sim = &mut sims[i];
         let back = 1 - sim.front;
         let NodeSim {
@@ -1716,9 +1526,6 @@ fn solve_group(
         );
         sim.front = back;
         sim.sol_valid = true;
-        ls.warm_theta = ls.theta;
-        ls.warm_slow = ls.slow;
-        ls.epoch = epoch;
     }
 
     if let Some(t) = t_all {
@@ -1736,8 +1543,8 @@ fn solve_group(
 /// ([`solve_group`]); a singleton group has nothing to interleave with and
 /// takes the simulator's own scalar solve (`solve_into`, whose one- and
 /// two-job shapes run on the stack). Per-lane results are bit-identical to
-/// the lockstep driver either way.
-fn solve_batch_resident(
+/// the scalar solve either way.
+fn solve_batch(
     sims: &mut [NodeSim],
     lane_ids: &[usize],
     scratch: &mut BatchScratch,
@@ -1775,14 +1582,16 @@ fn solve_batch_resident(
 }
 
 /// Run every simulator in `sims` to completion, solving their rate models
-/// in lockstep batches ([`AmvaBatch`]) instead of one at a time.
+/// in lane-interleaved batches ([`AmvaBatch`]) instead of one at a time.
 ///
 /// Equivalent to calling [`NodeSim::run_to_completion`] on each simulator
 /// in sequence — same per-simulator event order and budgets, bit-identical
 /// outcomes (each lane's rate solutions match its own scalar solves) — but
-/// the independent AMVA fixed points of simulators that need a re-solve in
-/// the same round advance together, overlapping their dependent divide
-/// chains for instruction-level parallelism.
+/// the independent contention fixed points of simulators that need a
+/// re-solve in the same round advance together ([`solve_batch`]),
+/// overlapping their dependent divide chains for instruction-level
+/// parallelism. The event-loop bookkeeping runs over a compacted live-lane
+/// list rather than re-scanning every simulator per round.
 ///
 /// Fails fast on the first lane error, matching a scalar sweep abandoning
 /// the failing window. At most [`MAX_BATCH_LANES`] simulators per call.
@@ -1795,70 +1604,13 @@ pub fn run_batch_to_completion(
             "batched window wider than MAX_BATCH_LANES",
         ));
     }
-    // New window: invalidate (by generation, not by clearing) all lane
-    // state of previous windows, including warm-start stashes.
-    scratch.epoch = scratch.epoch.wrapping_add(1);
-    if scratch.resident {
-        return run_window_resident(sims, scratch);
-    }
-    let mut budget = [0u64; MAX_BATCH_LANES];
-    let mut events = [0u64; MAX_BATCH_LANES];
-    for (b, sim) in budget.iter_mut().zip(sims.iter()) {
-        *b = (64 + 16 * sim.active.iter().map(|j| j.stages.len()).sum::<usize>()) as u64;
-    }
-    loop {
-        // Lanes whose job mix changed since the last solve get re-solved
-        // together, lane-interleaved.
-        let mut need = [0usize; MAX_BATCH_LANES];
-        let mut k = 0usize;
-        for (i, sim) in sims.iter().enumerate() {
-            if !sim.active.is_empty() && !sim.sol_valid {
-                need[k] = i;
-                k += 1;
-            }
-        }
-        if k > 0 {
-            solve_batch_lockstep(sims, &need[..k], scratch)?;
-        }
-        // One event step per still-active lane; the solutions were just
-        // refreshed, so `step` never falls back to a scalar solve.
-        let mut any = false;
-        for (i, sim) in sims.iter_mut().enumerate() {
-            if sim.active.is_empty() {
-                continue;
-            }
-            any = true;
-            sim.step()?;
-            events[i] += 1;
-            if events[i] >= budget[i] {
-                return Err(SimError::EventLoopRunaway {
-                    events: events[i],
-                    budget: budget[i],
-                });
-            }
-        }
-        if !any {
-            break;
-        }
-    }
-    Ok(())
-}
-
-/// The batch-resident window driver behind [`run_batch_to_completion`]:
-/// same per-simulator event order and budgets as the legacy loop (each
-/// lane's event sequence is bit-identical), but the event-loop bookkeeping
-/// runs over a compacted live-lane list instead of re-scanning every
-/// simulator per round, and re-solves go through [`solve_batch_resident`]
-/// so shape-uniform lanes keep an AMVA window resident across their outer
-/// fixed points.
-fn run_window_resident(sims: &mut [NodeSim], scratch: &mut BatchScratch) -> Result<(), SimError> {
     let mut budget = [0u64; MAX_BATCH_LANES];
     let mut events = [0u64; MAX_BATCH_LANES];
     for (b, sim) in budget.iter_mut().zip(sims.iter()) {
         *b = (64 + 16 * sim.active.iter().map(|j| j.stages.len()).sum::<usize>()) as u64;
     }
     // Live-lane list, compacted order-preservingly as simulators drain so
-    // the per-simulator step order matches the legacy full-scan loop.
+    // each simulator steps in the order a full scan would visit it.
     let mut live: [usize; MAX_BATCH_LANES] = [0; MAX_BATCH_LANES];
     let mut nlive = 0usize;
     for (i, sim) in sims.iter().enumerate() {
@@ -1883,8 +1635,10 @@ fn run_window_resident(sims: &mut [NodeSim], scratch: &mut BatchScratch) -> Resu
             scratch.phases.event_ns += t.elapsed().as_nanos() as u64;
         }
         if k > 0 {
-            solve_batch_resident(sims, &need[..k], scratch)?;
+            solve_batch(sims, &need[..k], scratch)?;
         }
+        // One event step per still-active lane; the solutions were just
+        // refreshed, so `step` never falls back to a scalar solve.
         let t1 = scratch.timing.then(Instant::now);
         let mut w = 0usize;
         for r in 0..nlive {

@@ -8,7 +8,7 @@
 //! test allocates concurrently.
 //!
 //! Covers the SIMD batch path: after one warm-up at the widest window
-//! (`MAX_BATCH_LANES` = 16 lanes), pack/round/compact must stay
+//! (`MAX_BATCH_LANES` = 16 lanes), pack_window/round/compact must stay
 //! allocation-free at *every* width 1..=16 — full vector windows, odd
 //! scalar tails, and the mid-run compaction in between — on both the
 //! detected vector backend and the pinned-scalar kernel.

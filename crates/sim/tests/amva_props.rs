@@ -3,9 +3,7 @@
 //! and the bit-identity of the fixed-shape AMVA kernel to the
 //! runtime-shape loop.
 
-use ecost_sim::{
-    amva, AmvaBatch, AmvaScratch, ClassDemand, FixedClasses, FixedSolution, NodeSpec, SimError,
-};
+use ecost_sim::{amva, AmvaScratch, ClassDemand, FixedClasses, FixedSolution, NodeSpec, SimError};
 use proptest::prelude::*;
 
 fn arb_class() -> impl Strategy<Value = ClassDemand> {
@@ -203,8 +201,7 @@ fn solve_by_value(classes: &[ClassDemand]) -> Observed {
 
 /// Assert that every kernel entry point agrees to the bit on `classes`
 /// (one job over 2 stations, or two over 3): the runtime-shape loop (the
-/// oracle), the dispatching scalar solve, the by-value fixed kernel, and
-/// a single-problem batch.
+/// oracle), the dispatching scalar solve and the by-value fixed kernel.
 fn assert_kernels_agree(classes: &[ClassDemand]) -> Observed {
     let (nc, st) = (classes.len(), classes.len() + 1);
     let mut oracle = AmvaScratch::new();
@@ -214,13 +211,6 @@ fn assert_kernels_agree(classes: &[ClassDemand]) -> Observed {
     let r = fixed.solve(classes, st);
     assert_eq!(observe_scratch(&fixed, r, nc, st), want, "{classes:?}");
     assert_eq!(solve_by_value(classes), want, "{classes:?}");
-    let mut batch = AmvaBatch::new();
-    let r = batch.solve(&[(classes, st)]);
-    assert_eq!(
-        observe_scratch(batch.lane(0), r, nc, st),
-        want,
-        "{classes:?}"
-    );
     want
 }
 
