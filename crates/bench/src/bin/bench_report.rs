@@ -9,7 +9,10 @@
 //! 2. **pair sweep** — the co-located pair configuration space, the kernel
 //!    under COLAO, the §6.2 database and the training set;
 //! 3. **scheduler** — a full cluster run (queueing, placement, per-node
-//!    event loops) under the untuned SNM policy.
+//!    event loops) of the untuned baseline on the event calendar
+//!    (`run_stream` with `Decisions::Untuned`). Its pass is well under a
+//!    millisecond, so it is reported in `BENCH_sim.json` for information
+//!    only and carries no trend key.
 //!
 //! Below those sits the **scalar AMVA kernel** ledger: ns per fixed-point
 //! iteration on the two shapes the executor produces (one job over 2
@@ -66,7 +69,7 @@ use ecost_apps::{App, InputSize, WorkloadScenario};
 use ecost_bench::BenchError;
 use ecost_core::engine::{EvalEngine, PhaseBreakdown, RetryPolicy};
 use ecost_core::features::Testbed;
-use ecost_core::mapping::{run_untuned_faulted, FaultSetup};
+use ecost_core::mapping::{run_stream, Decisions, FaultSetup, OpenArrival, OpenOptions};
 use ecost_mapreduce::reference::{run_colocated_reference, run_standalone_reference};
 use ecost_mapreduce::{JobSpec, PairConfig, TuningConfig, MAX_BATCH_LANES};
 use ecost_sim::{AmvaScratch, ClassDemand, FaultPlan};
@@ -353,11 +356,15 @@ fn scheduler_load(quick: bool) -> (usize, ecost_apps::Workload) {
     (nodes, WorkloadScenario::Ws1.workload(size))
 }
 
-fn scheduler_setup() -> FaultSetup {
-    FaultSetup {
+/// One untuned, fault-free pass of the scheduler workload on `eng`.
+fn scheduler_run(eng: &EvalEngine, nodes: usize, stream: &[OpenArrival]) -> Result<(), BenchError> {
+    let setup = FaultSetup {
         plan: FaultPlan::none(),
         retry: RetryPolicy::none(),
-    }
+    };
+    let opts = OpenOptions::default();
+    run_stream(eng, nodes, stream, Decisions::Untuned, opts, &setup)?;
+    Ok(())
 }
 
 /// Event count of the scheduler run: one span per per-job execution
@@ -365,8 +372,9 @@ fn scheduler_setup() -> FaultSetup {
 /// count transfers to the separately timed no-op-recorder passes.
 fn scheduler_events(quick: bool) -> Result<u64, BenchError> {
     let (nodes, wl) = scheduler_load(quick);
+    let stream = OpenArrival::from_workload(&wl, nodes, None)?;
     let counting = EvalEngine::with_recorder(Testbed::atom(), Recorder::recording());
-    run_untuned_faulted(&counting, nodes, &wl, None, &scheduler_setup())?;
+    scheduler_run(&counting, nodes, &stream)?;
     Ok(counting
         .recorder()
         .events()
@@ -379,9 +387,10 @@ fn scheduler_events(quick: bool) -> Result<u64, BenchError> {
 /// placement, per-node event loops) under the untuned policy, fault-free.
 fn scheduler_timed(quick: bool, simd: bool, pool: &mut PoolTotals) -> Result<Arm, BenchError> {
     let (nodes, wl) = scheduler_load(quick);
+    let stream = OpenArrival::from_workload(&wl, nodes, None)?;
     let eng = EvalEngine::atom().with_simd(simd);
     let t0 = Instant::now();
-    run_untuned_faulted(&eng, nodes, &wl, None, &scheduler_setup())?;
+    scheduler_run(&eng, nodes, &stream)?;
     let wall_s = t0.elapsed().as_secs_f64();
     pool.absorb(&eng);
     Ok(Arm {
@@ -961,7 +970,6 @@ fn run(opts: Options) -> Result<(), BenchError> {
             ("pair_optimized", pair_opt),
             ("pair_batched", pair_bat),
             ("pair_simd_off", pair_off),
-            ("sched_batched", sched),
         ],
         &[
             ("amva_1c_fixed_ns_per_iter", one_class.fixed_ns),

@@ -41,7 +41,7 @@ use ecost_core::classify::RuleClassifier;
 use ecost_core::database::ConfigDatabase;
 use ecost_core::engine::EvalEngine;
 use ecost_core::fleet::{run_fleet, FleetConfig, FleetRun, RoutePolicy};
-use ecost_core::mapping::{run_ecost_open_stream, FaultSetup, OpenArrival, OpenOptions};
+use ecost_core::mapping::{run_stream, Decisions, FaultSetup, OpenArrival, OpenOptions};
 use ecost_core::pairing::{PairingMode, PairingPolicy};
 use ecost_core::stp::LktStp;
 use ecost_core::{CacheBudget, EcostContext, Testbed};
@@ -224,19 +224,19 @@ fn run() -> Result<(), BenchError> {
     };
 
     // Single-shard identity prologue: a 1-shard fleet on a trace prefix
-    // must be bit-identical to the monolithic calendar driver.
+    // must be bit-identical to `run_stream` on the same prefix.
     eprintln!("[fleet_scale] asserting single-shard identity on {IDENTITY_ARRIVALS} arrivals…");
     let prefix: Vec<OpenArrival> = TraceStream::new(&spec)?
         .take(IDENTITY_ARRIVALS)
         .map(to_open)
         .collect();
     let mono_engine = EvalEngine::atom();
-    let mono = run_ecost_open_stream(
+    let mono = run_stream(
         &mono_engine,
         IDENTITY_NODES,
         &prefix,
+        Decisions::Ecost(&cx),
         OpenOptions::default(),
-        &cx,
         &FaultSetup::default(),
     )?;
     let one = run_fleet(

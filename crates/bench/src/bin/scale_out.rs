@@ -35,13 +35,10 @@ use ecost_bench::BenchError;
 use ecost_core::classify::RuleClassifier;
 use ecost_core::database::ConfigDatabase;
 use ecost_core::engine::{EngineStats, EvalEngine};
-use ecost_core::mapping::{
-    run_ecost_open_stream, run_ecost_open_stream_serviced, run_untuned_open_stream, FaultSetup,
-    FaultedRun, OpenArrival, OpenOptions,
-};
+use ecost_core::mapping::{run_stream, Decisions, FaultSetup, OpenArrival, OpenOptions, StreamRun};
 use ecost_core::pairing::{PairingMode, PairingPolicy};
 use ecost_core::stp::LktStp;
-use ecost_core::{CacheBudget, EcostContext, ServiceConfig, ServiceReport};
+use ecost_core::{CacheBudget, EcostContext, ServiceConfig};
 use ecost_sim::arrivals::generate;
 use ecost_sim::ServiceFaultSpec;
 use ecost_sim::TraceSpec;
@@ -86,11 +83,10 @@ const CATALOG: [App; 4] = [App::Wc, App::St, App::Gp, App::Fp];
 /// One measured arm of the replay.
 struct ArmOut {
     name: &'static str,
-    run: FaultedRun,
+    run: StreamRun,
     stats: EngineStats,
     entries: usize,
     wall_s: f64,
-    service: Option<ServiceReport>,
 }
 
 impl ArmOut {
@@ -119,7 +115,7 @@ impl ArmOut {
             "      \"faults_injected\": {}",
             self.stats.faults_injected
         );
-        if let Some(svc) = &self.service {
+        if let Some(svc) = &self.run.service {
             let _ = writeln!(s, "    }},");
             let _ = writeln!(s, "    \"service\": {{");
             let _ = writeln!(s, "      \"decided\": {},", svc.decided);
@@ -238,26 +234,31 @@ fn run() -> Result<(), BenchError> {
     );
     let eng_u = EvalEngine::atom().with_cache_budget(budget);
     let t0 = Instant::now();
-    let untuned =
-        run_untuned_open_stream(&eng_u, scale.nodes, &stream, OpenOptions::default(), &setup)?;
+    let untuned = run_stream(
+        &eng_u,
+        scale.nodes,
+        &stream,
+        Decisions::Untuned,
+        OpenOptions::default(),
+        &setup,
+    )?;
     let untuned = ArmOut {
         name: "untuned",
         run: untuned,
         stats: eng_u.stats(),
         entries: eng_u.cached_entries(),
         wall_s: t0.elapsed().as_secs_f64(),
-        service: None,
     };
 
     eprintln!("[scale_out] ecost arm…");
     let eng_e = EvalEngine::atom().with_cache_budget(budget);
     let t0 = Instant::now();
-    let ecost = run_ecost_open_stream(
+    let ecost = run_stream(
         &eng_e,
         scale.nodes,
         &stream,
+        Decisions::Ecost(&cx),
         OpenOptions::default(),
-        &cx,
         &setup,
     )?;
     let ecost = ArmOut {
@@ -266,7 +267,6 @@ fn run() -> Result<(), BenchError> {
         stats: eng_e.stats(),
         entries: eng_e.cached_entries(),
         wall_s: t0.elapsed().as_secs_f64(),
-        service: None,
     };
 
     // Optional third arm (`--serviced`): the same ECoST pipeline behind
@@ -277,15 +277,18 @@ fn run() -> Result<(), BenchError> {
         eprintln!("[scale_out] serviced arm…");
         let eng_s = EvalEngine::atom().with_cache_budget(budget);
         let t0 = Instant::now();
-        let (run, svc) = run_ecost_open_stream_serviced(
+        let decisions = Decisions::Serviced {
+            ctx: &cx,
+            config: ServiceConfig::default(),
+            faults: ServiceFaultSpec::healthy(SEED),
+        };
+        let run = run_stream(
             &eng_s,
             scale.nodes,
             &stream,
+            decisions,
             OpenOptions::default(),
-            &cx,
             &setup,
-            ServiceConfig::default(),
-            ServiceFaultSpec::healthy(SEED),
         )?;
         Some(ArmOut {
             name: "serviced",
@@ -293,7 +296,6 @@ fn run() -> Result<(), BenchError> {
             stats: eng_s.stats(),
             entries: eng_s.cached_entries(),
             wall_s: t0.elapsed().as_secs_f64(),
-            service: Some(svc),
         })
     } else {
         None
@@ -363,7 +365,7 @@ fn run() -> Result<(), BenchError> {
         scale.budget
     );
     if let Some(arm) = &serviced_arm {
-        if let Some(svc) = &arm.service {
+        if let Some(svc) = &arm.run.service {
             println!(
                 "scale_out[serviced]: {} decided / {} shed / {} deadline-exceeded, \
                  queue peak {}, wall {:.2}s (plain ecost wall {:.2}s)",

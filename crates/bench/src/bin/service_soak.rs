@@ -11,11 +11,11 @@
 //! * **Bounded concurrency** — the observed peak of in-flight real
 //!   engine evaluations never exceeds the configured limit (the bin
 //!   fails otherwise).
-//! * **Service ≡ direct** — a zero-fault, no-limit serviced streaming
-//!   run ([`run_ecost_open_stream_serviced`] with
+//! * **Service ≡ direct** — a zero-fault, no-limit serviced stream run
+//!   ([`run_stream`] with [`Decisions::Serviced`] and
 //!   [`ServiceConfig::unlimited`]) is bit-identical to the direct
-//!   [`run_ecost_open_stream`] driver, and an eligible-window sweep
-//!   exercises the [`OpenOptions`] runtime knob.
+//!   [`Decisions::Ecost`] run, and an eligible-window sweep exercises the
+//!   [`OpenOptions`] runtime knob.
 //!
 //! Outputs:
 //!
@@ -33,10 +33,7 @@ use ecost_bench::BenchError;
 use ecost_core::classify::RuleClassifier;
 use ecost_core::database::ConfigDatabase;
 use ecost_core::engine::EvalEngine;
-use ecost_core::mapping::{
-    run_ecost_open_stream, run_ecost_open_stream_serviced, FaultSetup, FaultedRun, OpenArrival,
-    OpenOptions,
-};
+use ecost_core::mapping::{run_stream, Decisions, FaultSetup, OpenArrival, OpenOptions, StreamRun};
 use ecost_core::pairing::{PairingMode, PairingPolicy};
 use ecost_core::stp::LktStp;
 use ecost_core::{
@@ -428,25 +425,31 @@ fn run() -> Result<(), BenchError> {
     let stream = arrival_stream(n_stream);
 
     let eng_direct = EvalEngine::atom();
-    let direct = run_ecost_open_stream(
+    let direct = run_stream(
         &eng_direct,
         nodes,
         &stream,
+        Decisions::Ecost(&cx),
         OpenOptions::default(),
-        &cx,
         &setup,
     )?;
     let eng_serviced = EvalEngine::atom();
-    let (serviced, svc_report) = run_ecost_open_stream_serviced(
+    let decisions = Decisions::Serviced {
+        ctx: &cx,
+        config: ServiceConfig::unlimited(),
+        faults: ServiceFaultSpec::healthy(SEED),
+    };
+    let serviced = run_stream(
         &eng_serviced,
         nodes,
         &stream,
+        decisions,
         OpenOptions::default(),
-        &cx,
         &setup,
-        ServiceConfig::unlimited(),
-        ServiceFaultSpec::healthy(SEED),
     )?;
+    let svc_report = serviced.service.clone().ok_or_else(|| {
+        BenchError::Invalid("serviced stream run returned no service report".into())
+    })?;
     let identical = bit_identical(&direct, &serviced);
     if !identical {
         return Err(BenchError::Invalid(format!(
@@ -471,7 +474,7 @@ fn run() -> Result<(), BenchError> {
             max_head_skips: 2,
             eligible_window: window,
         };
-        let out = run_ecost_open_stream(&eng, nodes, &stream, opts, &cx, &setup)?;
+        let out = run_stream(&eng, nodes, &stream, Decisions::Ecost(&cx), opts, &setup)?;
         window_arms.push((window, out));
     }
 
@@ -539,9 +542,9 @@ fn run() -> Result<(), BenchError> {
     Ok(())
 }
 
-/// Bit-level equality of two faulted runs (float fields compared by
-/// their bit patterns, not `==`).
-fn bit_identical(a: &FaultedRun, b: &FaultedRun) -> bool {
+/// Bit-level equality of two stream runs' schedules and fault reports
+/// (float fields compared by their bit patterns, not `==`).
+fn bit_identical(a: &StreamRun, b: &StreamRun) -> bool {
     a.run.makespan_s.to_bits() == b.run.makespan_s.to_bits()
         && a.run.energy_dyn_j.to_bits() == b.run.energy_dyn_j.to_bits()
         && a.run.nodes == b.run.nodes

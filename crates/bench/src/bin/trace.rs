@@ -12,7 +12,7 @@ use ecost_bench::harness::{Ctx, NOISE, SEED};
 use ecost_bench::BenchError;
 use ecost_core::engine::{EvalEngine, RetryPolicy};
 use ecost_core::features::Testbed;
-use ecost_core::mapping::{run_ecost_faulted, FaultSetup};
+use ecost_core::mapping::{run_stream, Decisions, FaultSetup, OpenArrival, OpenOptions};
 use ecost_core::EcostContext;
 use ecost_sim::{ClusterSpec, FaultPlan, FaultSpec};
 use ecost_telemetry::{chrome_trace_json, occupancy_summary, text_report, Recorder};
@@ -92,7 +92,9 @@ fn record(
     dir: &std::path::Path,
 ) -> Result<(f64, usize), BenchError> {
     let eng = EvalEngine::with_recorder(Testbed::atom(), Recorder::recording());
-    let out = run_ecost_faulted(&eng, NODES, workload, None, 2, ecx, setup)?;
+    let stream = OpenArrival::from_workload(workload, NODES, None)?;
+    let opts = OpenOptions::default();
+    let out = run_stream(&eng, NODES, &stream, Decisions::Ecost(ecx), opts, setup)?;
     let events = eng.recorder().events();
     std::fs::write(
         dir.join(format!("trace_{name}.json")),

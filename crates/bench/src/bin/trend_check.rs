@@ -36,9 +36,9 @@ use std::process::ExitCode;
 /// and ratios, where higher is better, and `*_ns_per_iter` kernel
 /// latencies, where lower is better. Keys of retired arms
 /// (`pair_batch_resident`, `pair_warm_start`, `sched_baseline`,
-/// `sched_optimized`) may linger in older rows; they are not listed, so
-/// they never gate.
-const METRICS: [&str; 18] = [
+/// `sched_optimized`, `sched_batched`) may linger in older rows; they are
+/// not listed, so they never gate.
+const METRICS: [&str; 17] = [
     "solo_baseline_sims_per_s",
     "solo_optimized_sims_per_s",
     "solo_batched_sims_per_s",
@@ -47,7 +47,6 @@ const METRICS: [&str; 18] = [
     "pair_optimized_sims_per_s",
     "pair_batched_sims_per_s",
     "pair_simd_off_sims_per_s",
-    "sched_batched_sims_per_s",
     "scale_decisions_per_s",
     "service_decisions_per_s",
     "fleet_decisions_per_s",
@@ -373,29 +372,31 @@ mod tests {
 
     #[test]
     fn retired_keys_in_old_rows_never_gate() {
-        // Rows written before the lockstep, warm-start and reference
-        // scheduler arms were retired still carry their keys. The shared
-        // key keeps gating; the retired keys are ignored on both sides, so
-        // an old store can neither flag nor hide anything through them. A
-        // listed key the old row lacks has no prior sample and is skipped.
-        let old = r#"{"schema":"ecost-bench-trend/1","commit":"a","dirty":false,"mode":"full","arms":"all","threads":1,"simd":"on","pair_batched_sims_per_s":100.0,"pair_batch_resident_sims_per_s":150.0,"pair_warm_start_sims_per_s":170.0,"sched_baseline_sims_per_s":30.0,"sched_optimized_sims_per_s":35.0}"#;
-        let new = r#"{"schema":"ecost-bench-trend/1","commit":"b","dirty":true,"mode":"full","arms":"all","threads":1,"simd":"on","pair_batched_sims_per_s":150.0,"sched_batched_sims_per_s":1.0}"#;
+        // Rows written before the lockstep, warm-start, reference and
+        // lockstep-scheduler arms were retired still carry their keys. The
+        // shared key keeps gating; the retired keys are ignored on both
+        // sides, so an old store can neither flag nor hide anything
+        // through them (`sched_batched` fell 30×). A listed key the old
+        // row lacks has no prior sample and is skipped.
+        let old = r#"{"schema":"ecost-bench-trend/1","commit":"a","dirty":false,"mode":"full","arms":"all","threads":1,"simd":"on","pair_batched_sims_per_s":100.0,"pair_batch_resident_sims_per_s":150.0,"pair_warm_start_sims_per_s":170.0,"sched_baseline_sims_per_s":30.0,"sched_optimized_sims_per_s":35.0,"sched_batched_sims_per_s":30.0}"#;
+        let new = r#"{"schema":"ecost-bench-trend/1","commit":"b","dirty":true,"mode":"full","arms":"all","threads":1,"simd":"on","pair_batched_sims_per_s":150.0,"sched_batched_sims_per_s":1.0,"fleet_decisions_per_s":1.0}"#;
         let path = write_store("retired_keys_ok.jsonl", &[old, new]);
         assert!(check(&path, 0.10).is_ok());
         // A newest row that still carries collapsed retired keys is judged
         // on the listed keys alone.
-        let stale = r#"{"schema":"ecost-bench-trend/1","commit":"c","dirty":false,"mode":"full","arms":"all","threads":1,"simd":"on","pair_batched_sims_per_s":50.0,"pair_batch_resident_sims_per_s":1.0,"sched_baseline_sims_per_s":1.0}"#;
+        let stale = r#"{"schema":"ecost-bench-trend/1","commit":"c","dirty":false,"mode":"full","arms":"all","threads":1,"simd":"on","pair_batched_sims_per_s":50.0,"pair_batch_resident_sims_per_s":1.0,"sched_baseline_sims_per_s":1.0,"sched_batched_sims_per_s":1.0}"#;
         let path = write_store("retired_keys_bad.jsonl", &[old, stale]);
         match check(&path, 0.10) {
             Err(BenchError::Invalid(msg)) => {
                 assert!(msg.contains("pair_batched_sims_per_s"), "{msg}");
                 assert!(!msg.contains("pair_batch_resident_sims_per_s"), "{msg}");
                 assert!(!msg.contains("sched_baseline_sims_per_s"), "{msg}");
+                assert!(!msg.contains("sched_batched_sims_per_s"), "{msg}");
             }
             other => panic!("expected Invalid regression, got {other:?}"),
         }
         // Only retired keys in common: nothing to gate.
-        let retired_only = r#"{"schema":"ecost-bench-trend/1","commit":"d","mode":"full","arms":"all","threads":1,"simd":"on","pair_warm_start_sims_per_s":1.0}"#;
+        let retired_only = r#"{"schema":"ecost-bench-trend/1","commit":"d","mode":"full","arms":"all","threads":1,"simd":"on","pair_warm_start_sims_per_s":1.0,"sched_batched_sims_per_s":1.0}"#;
         let path = write_store("retired_keys_only.jsonl", &[old, retired_only]);
         match check(&path, 0.10) {
             Err(BenchError::NoData(msg)) => assert!(msg.contains("no metric key"), "{msg}"),

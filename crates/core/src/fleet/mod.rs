@@ -37,13 +37,14 @@
 //! * merging reads shard outcomes in shard-index order.
 //!
 //! A single-shard fleet is **bit-identical** to
-//! [`crate::mapping::run_ecost_open_stream`] on the same stream — same
-//! makespan/energy bits, same fault report ([`FleetRun::assert_single_shard_identity`]
-//! checks this at runtime, the way `ServiceConfig::unlimited` pins the
-//! serviced driver). Engine cache *activity* (hit/miss/eviction counts)
-//! is not part of that contract: the fleet profiles arrivals epoch by
-//! epoch while the monolithic driver profiles the whole stream up front,
-//! which reorders memo probes without changing any value.
+//! [`crate::mapping::run_stream`] with [`Decisions::Ecost`] on the same
+//! stream — same makespan/energy bits, same fault report
+//! ([`FleetRun::assert_single_shard_identity`] checks this at runtime,
+//! the way `ServiceConfig::unlimited` pins the serviced decisions).
+//! Engine cache *activity* (hit/miss/eviction counts) is not part of that
+//! contract: the fleet profiles arrivals epoch by epoch while
+//! `run_stream` profiles the whole stream up front, which reorders memo
+//! probes without changing any value.
 //!
 //! With a recording (non-noop) recorder, trace-event *order* across
 //! shards follows thread interleaving; metrics and results stay exact.
@@ -55,12 +56,12 @@ pub use router::RoutePolicy;
 use crate::engine::{CacheBudget, EngineStats, EvalEngine, EvalError};
 use crate::features::Testbed;
 use crate::mapping::{
-    prepare_one, ClusterRun, EcostContext, EcostPolicy, FaultReport, FaultSetup, FaultedRun,
-    OpenArrival, OpenOptions, ServicedPolicy,
+    prepare_one, validate_arrival, ClusterRun, Decider, Decisions, EcostContext, FaultReport,
+    FaultSetup, OpenArrival, OpenOptions, StreamRun,
 };
 use crate::scheduler::calendar::TIE_EPS;
-use crate::scheduler::{CalendarShard, StreamPolicy};
-use crate::service::{ServiceConfig, ServiceCore, ServiceReport};
+use crate::scheduler::CalendarShard;
+use crate::service::{ServiceConfig, ServiceReport};
 use ecost_sim::ServiceFaultSpec;
 use ecost_telemetry::{Gauge, Recorder};
 use rayon::prelude::*;
@@ -185,14 +186,14 @@ pub struct FleetRun {
 impl FleetRun {
     /// Runtime assertion of the single-shard identity contract: a
     /// 1-shard fleet's outcome must be bit-identical (makespan, energy,
-    /// node count, every fault counter) to the monolithic calendar
-    /// driver's [`FaultedRun`] on the same stream. Call it from benches
-    /// the way [`ServiceConfig::unlimited`] callers assert serviced
-    /// identity; returns an [`EvalError::Internal`] on any divergence so
-    /// CI fails loudly instead of publishing drifted numbers.
-    pub fn assert_single_shard_identity(&self, mono: &FaultedRun) -> Result<(), EvalError> {
+    /// node count, every fault counter) to [`crate::mapping::run_stream`]'s
+    /// [`StreamRun`] on the same stream. Call it from benches the way
+    /// [`ServiceConfig::unlimited`] callers assert serviced identity;
+    /// returns an [`EvalError::Internal`] on any divergence so CI fails
+    /// loudly instead of publishing drifted numbers.
+    pub fn assert_single_shard_identity(&self, mono: &StreamRun) -> Result<(), EvalError> {
         let drift = EvalError::Internal {
-            what: "single-shard fleet diverged from the monolithic calendar driver",
+            what: "single-shard fleet diverged from run_stream",
         };
         if self.shards.len() != 1 {
             return Err(EvalError::InvalidInput {
@@ -212,44 +213,12 @@ impl FleetRun {
     }
 }
 
-/// A shard's policy: plain ECoST decisions, or the same decisions behind
-/// a per-shard service core.
-enum LanePolicy<'a, 'b> {
-    Plain(EcostPolicy<'a, 'b>),
-    // Boxed: the service core is an order of magnitude larger than the
-    // plain policy, and a fleet holds one LanePolicy per shard.
-    Serviced(Box<ServicedPolicy<'a, 'b>>),
-}
-
-impl LanePolicy<'_, '_> {
-    fn as_stream(&self) -> &dyn StreamPolicy {
-        match self {
-            LanePolicy::Plain(p) => p,
-            LanePolicy::Serviced(p) => p.as_ref(),
-        }
-    }
-
-    fn config_fallbacks(&self) -> u64 {
-        match self {
-            LanePolicy::Plain(p) => p.config_fallbacks(),
-            LanePolicy::Serviced(p) => p.config_fallbacks(),
-        }
-    }
-
-    fn into_service_report(self) -> Option<ServiceReport> {
-        match self {
-            LanePolicy::Plain(_) => None,
-            LanePolicy::Serviced(p) => Some(p.into_service_report()),
-        }
-    }
-}
-
 /// One shard's working state: its event loop, policy, this epoch's inbox
 /// and a sticky error (the parallel map cannot short-circuit, so a failed
 /// shard goes inert and the barrier surfaces the error afterwards).
 struct Lane<'e, 'c> {
     shard: CalendarShard<'e>,
-    policy: LanePolicy<'e, 'c>,
+    policy: Decider<'e, 'c>,
     engine: &'e EvalEngine,
     inbox: Vec<OpenArrival>,
     backlog_gauge: Gauge,
@@ -260,13 +229,13 @@ struct Lane<'e, 'c> {
 impl Lane<'_, '_> {
     /// Prepare and push this epoch's inbox (in arrival order), then
     /// advance the event loop to the epoch horizon.
-    fn step(&mut self, ctx: &EcostContext<'_>, horizon: f64) {
+    fn step(&mut self, horizon: f64) {
         let inbox = std::mem::take(&mut self.inbox);
         if self.err.is_some() {
             return;
         }
         for a in &inbox {
-            let pushed = prepare_one(self.engine, a, ctx)
+            let pushed = prepare_one(self.engine, a, self.policy.ctx())
                 .and_then(|job| self.shard.push_arrival(a.at_s, job));
             if let Err(e) = pushed {
                 self.err = Some(e);
@@ -292,8 +261,7 @@ impl Lane<'_, '_> {
             return Err(e);
         }
         let (run, mut report) = shard.finish(policy.as_stream())?;
-        report.config_fallbacks += policy.config_fallbacks();
-        let service = policy.into_service_report();
+        let service = policy.finish(&mut report);
         Ok(ShardReport {
             arrivals,
             run,
@@ -308,16 +276,7 @@ impl Lane<'_, '_> {
 /// holds more than one epoch of the trace, so validation is streaming
 /// too.
 fn validated(a: OpenArrival, last_at: &mut f64) -> Result<OpenArrival, EvalError> {
-    if !(a.input_mb.is_finite() && a.input_mb > 0.0) {
-        return Err(EvalError::InvalidInput {
-            what: "arrival input sizes must be finite and positive",
-        });
-    }
-    if !(a.at_s.is_finite() && a.at_s >= 0.0) {
-        return Err(EvalError::InvalidInput {
-            what: "arrival times must be finite and non-negative",
-        });
-    }
+    validate_arrival(&a)?;
     if a.at_s < *last_at {
         return Err(EvalError::InvalidInput {
             what: "fleet arrivals must be in non-decreasing time order",
@@ -365,25 +324,19 @@ where
 
     let mut lanes: Vec<Lane<'_, '_>> = Vec::with_capacity(shards);
     for (i, engine) in engines.iter().enumerate() {
-        let policy = match &cfg.service {
-            None => LanePolicy::Plain(EcostPolicy::new(engine, ctx)),
-            Some(svc) => {
-                let spec = if svc.faults.len() == 1 {
+        let decisions = match &cfg.service {
+            None => Decisions::Ecost(ctx),
+            Some(svc) => Decisions::Serviced {
+                ctx,
+                config: svc.config.clone(),
+                faults: if svc.faults.len() == 1 {
                     svc.faults[0]
                 } else {
                     svc.faults[i]
-                };
-                let core = ServiceCore::new(svc.config.clone(), spec).map_err(|e| match e {
-                    crate::service::ServiceError::InvalidConfig { what } => {
-                        EvalError::InvalidInput { what }
-                    }
-                    _ => EvalError::Internal {
-                        what: "fleet service core construction failed",
-                    },
-                })?;
-                LanePolicy::Serviced(Box::new(ServicedPolicy::new(engine, ctx, core)))
-            }
+                },
+            },
         };
+        let policy = Decider::new(engine, decisions)?;
         lanes.push(Lane {
             shard: CalendarShard::new(
                 engine,
@@ -456,7 +409,7 @@ where
         lanes = lanes
             .into_par_iter()
             .map(|mut lane| {
-                lane.step(ctx, horizon);
+                lane.step(horizon);
                 lane
             })
             .collect();

@@ -23,15 +23,17 @@
 //! * [`queue`] — the FIFO wait queue with head reservation and small-job
 //!   leap-forward;
 //! * [`strategies`] — ILAO and COLAO (§4.2);
-//! * [`scheduler`] — the streaming cluster schedulers: the lockstep
-//!   discrete-event driver behind the §8 policies and the event-calendar
-//!   driver for open arrival streams (binary-heap of per-node completion
-//!   events, per-event cost scaling with live jobs);
+//! * [`scheduler`] — the streaming cluster scheduler: one event-calendar
+//!   driver (binary heap of per-node completion events, per-event cost
+//!   scaling with live jobs) behind every stream run, the closed ECoST
+//!   and UB schedules and each fleet shard;
 //! * [`fleet`] — N independent calendar-scheduler shards (own node sets,
 //!   bounded engines, optional service fronts) behind a deterministic
 //!   arrival router with a virtual-time epoch barrier;
-//! * [`mapping`] — the §8 cluster mapping policies (SM, MNM1, MNM2, SNM,
-//!   CBM, PTM, ECoST, UB) over a discrete-event cluster of `NodeSim`s;
+//! * [`mapping`] — the two run entry points: [`mapping::run_policy`] for
+//!   the §8 cluster mapping policies (SM, MNM1, MNM2, SNM, CBM, PTM,
+//!   ECoST, UB) on a closed workload, and [`mapping::run_stream`] for an
+//!   arrival stream under ECoST, serviced or untuned decisions;
 //! * [`report`] — plain-text table rendering for the experiment binaries.
 
 #![forbid(unsafe_code)]
@@ -58,8 +60,8 @@ pub use engine::{CacheBudget, EngineStats, EvalEngine, EvalError, PhaseBreakdown
 pub use features::{profile_app, AppSignature, Testbed, REFERENCE_CONFIG};
 pub use fleet::{run_fleet, FleetConfig, FleetRun, FleetService, RoutePolicy, ShardReport};
 pub use mapping::{
-    ConfiguredPolicy, EcostContext, FaultReport, FaultSetup, FaultedRun, MappingPolicy,
-    OpenArrival, OpenOptions,
+    ConfiguredPolicy, Decisions, EcostContext, FaultReport, FaultSetup, MappingPolicy, OpenArrival,
+    OpenOptions, StreamRun,
 };
 pub use pairing::PairingPolicy;
 pub use queue::WaitQueue;

@@ -32,22 +32,25 @@
 //! time. All pair/solo oracle evaluations go through the shared
 //! [`EvalEngine`], so the upper bound reuses the sweeps the database build
 //! already paid for.
+//!
+//! Jobs that arrive over time — the §5 "new jobs are arriving" operation,
+//! chaos runs, trace replays — run through the other entry point,
+//! [`run_stream`], with [`Decisions`] choosing ECoST, serviced or untuned
+//! decisions. ECoST's and UB's closed schedules take the same stream core
+//! on the event-calendar scheduler ([`crate::scheduler`]).
 
 use crate::classify::RuleClassifier;
 use crate::database::ConfigDatabase;
 use crate::engine::{EvalEngine, EvalError, PairRun, RetryPolicy};
 use crate::features::profile_app;
 use crate::pairing::PairingPolicy;
-use crate::scheduler::{
-    collect, run_stream, run_stream_calendar, run_stream_open, Prepared, StreamPolicy,
-    OPEN_ELIGIBLE_WINDOW,
-};
-use crate::service::{ServiceConfig, ServiceCore, ServiceReport};
+use crate::scheduler::{collect, CalendarShard, Prepared, StreamPolicy, OPEN_ELIGIBLE_WINDOW};
+use crate::service::{ServiceConfig, ServiceCore, ServiceError, ServiceReport};
 use crate::stp::Stp;
 use ecost_apps::{App, AppClass, Workload};
 use ecost_mapreduce::executor::NodeSim;
 use ecost_mapreduce::{BlockSize, JobSpec, TuningConfig};
-use ecost_sim::{FaultPlan, Frequency};
+use ecost_sim::{FaultPlan, Frequency, ServiceFaultSpec};
 use std::fmt;
 
 /// One of the §8 mapping policies.
@@ -262,14 +265,17 @@ pub struct FaultSetup {
     pub retry: RetryPolicy,
 }
 
-/// A fault-injected cluster run: the schedule's outcome (retry backoff
-/// already folded into the makespan) plus the fault/degradation counters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultedRun {
-    /// Makespan/energy outcome of the degraded schedule.
+/// Outcome of a [`run_stream`] run.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StreamRun {
+    /// Makespan/energy outcome of the schedule, retry backoff already
+    /// folded into the makespan.
     pub run: ClusterRun,
-    /// What the fault machinery did along the way.
+    /// What the fault machinery and the policy's fallbacks did along the
+    /// way.
     pub report: FaultReport,
+    /// The service's outcome counters, for [`Decisions::Serviced`] runs.
+    pub service: Option<ServiceReport>,
 }
 
 /// Everything the tuned policies need, built once from the training set.
@@ -310,7 +316,12 @@ pub fn run_policy(
         ConfiguredPolicy::Ptm(ctx) => {
             run_per_node(engine, n, workload, PerNodeMode::Predicted(ctx))
         }
-        ConfiguredPolicy::Ecost(ctx) => run_ecost(engine, n, workload, ctx),
+        ConfiguredPolicy::Ecost(ctx) => run_closed(
+            engine,
+            n,
+            workload,
+            Decider::Ecost(EcostPolicy::new(engine, ctx)),
+        ),
         ConfiguredPolicy::Ub(ctx) => run_ub(engine, n, workload, ctx),
     }
 }
@@ -513,7 +524,7 @@ pub(crate) struct EcostPolicy<'a, 'b> {
 }
 
 impl<'a, 'b> EcostPolicy<'a, 'b> {
-    pub(crate) fn new(engine: &'a EvalEngine, ctx: &'a EcostContext<'b>) -> EcostPolicy<'a, 'b> {
+    fn new(engine: &'a EvalEngine, ctx: &'a EcostContext<'b>) -> EcostPolicy<'a, 'b> {
         EcostPolicy {
             engine,
             ctx,
@@ -522,8 +533,8 @@ impl<'a, 'b> EcostPolicy<'a, 'b> {
     }
 
     /// Tuning decisions degraded to class defaults so far; the stream
-    /// entry points fold this into [`FaultReport::config_fallbacks`].
-    pub(crate) fn config_fallbacks(&self) -> u64 {
+    /// core folds this into [`FaultReport::config_fallbacks`].
+    fn config_fallbacks(&self) -> u64 {
         self.config_fallbacks.get()
     }
 
@@ -600,7 +611,7 @@ impl StreamPolicy for EcostPolicy<'_, '_> {
 
 /// Perfect decisions (upper bound): partner and knobs from the brute-force
 /// pair oracle, served by the shared engine memo.
-struct OraclePolicy<'a> {
+pub(crate) struct OraclePolicy<'a> {
     engine: &'a EvalEngine,
 }
 
@@ -651,111 +662,6 @@ impl StreamPolicy for OraclePolicy<'_> {
     }
 }
 
-/// Open-queue ECoST: jobs arrive over time (the §5 "new jobs are arriving
-/// to the datacenter" operation), with a configurable head-reservation
-/// allowance. Used by the open-queue extension experiment.
-pub fn run_ecost_open(
-    engine: &EvalEngine,
-    n: usize,
-    workload: &Workload,
-    arrivals: &[f64],
-    max_head_skips: u32,
-    ctx: &EcostContext<'_>,
-) -> Result<ClusterRun, EvalError> {
-    validate_cluster_input(n, workload)?;
-    let prepared = prepare_jobs(engine, n, workload, ctx)?;
-    let setup = FaultSetup {
-        plan: FaultPlan::none(),
-        retry: RetryPolicy::none(),
-    };
-    run_stream_open(
-        engine,
-        n,
-        prepared,
-        Some(arrivals),
-        max_head_skips,
-        &EcostPolicy::new(engine, ctx),
-        &setup,
-    )
-    .map(|(run, _)| run)
-}
-
-/// ECoST under fault injection: the §5 controller driven through the
-/// events of `setup.plan`, with transient evaluation failures retried
-/// under `setup.retry` and predictor gaps degraded to class-default knobs
-/// or solo placement instead of aborting the schedule. Crashed nodes'
-/// in-flight jobs are re-queued (their work so far is lost, their energy
-/// is not) onto the surviving nodes; the run fails with
-/// [`EvalError::Degraded`] only when every node has crashed with jobs
-/// still queued.
-///
-/// With a fault-free [`FaultSetup`] this is numerically identical to
-/// [`run_ecost_open`] (asserted by a regression test).
-pub fn run_ecost_faulted(
-    engine: &EvalEngine,
-    n: usize,
-    workload: &Workload,
-    arrivals: Option<&[f64]>,
-    max_head_skips: u32,
-    ctx: &EcostContext<'_>,
-    setup: &FaultSetup,
-) -> Result<FaultedRun, EvalError> {
-    validate_cluster_input(n, workload)?;
-    let prepared = prepare_jobs(engine, n, workload, ctx)?;
-    let policy = EcostPolicy::new(engine, ctx);
-    let (run, mut report) = run_stream_open(
-        engine,
-        n,
-        prepared,
-        arrivals,
-        max_head_skips,
-        &policy,
-        setup,
-    )?;
-    report.config_fallbacks += policy.config_fallbacks.get();
-    Ok(FaultedRun { run, report })
-}
-
-/// The untuned streaming baseline (two half-node jobs per node at Hadoop
-/// defaults, FIFO partners) driven through the same fault machinery, for
-/// chaos-sweep comparisons against [`run_ecost_faulted`].
-pub fn run_untuned_faulted(
-    engine: &EvalEngine,
-    n: usize,
-    workload: &Workload,
-    arrivals: Option<&[f64]>,
-    setup: &FaultSetup,
-) -> Result<FaultedRun, EvalError> {
-    validate_cluster_input(n, workload)?;
-    let tb = engine.testbed();
-    let cores = tb.node.cores;
-    let half_cfg = TuningConfig {
-        mappers: (cores / 2).max(1),
-        ..TuningConfig::hadoop_default(cores)
-    };
-    let prepared: Vec<Prepared> = workload
-        .jobs
-        .iter()
-        .map(|(app, size)| {
-            let input = share_mb(size.per_node_mb(), n, 1);
-            let sig = profile_app(engine, app.profile(), input, 0.0, 0)?;
-            Ok(Prepared {
-                sig,
-                class: app.class(),
-            })
-        })
-        .collect::<Result<_, EvalError>>()?;
-    let policy = FixedPolicy {
-        pair: ecost_mapreduce::PairConfig {
-            a: half_cfg,
-            b: half_cfg,
-        },
-        solo: TuningConfig::hadoop_default(cores),
-    };
-    let (run, report) = run_stream_open(engine, n, prepared, arrivals, 2, &policy, setup)?;
-    Ok(FaultedRun { run, report })
-}
-
 /// One job of an open arrival stream: which catalog application it runs,
 /// how much input it brings, and when it reaches the datacenter. Unlike a
 /// [`Workload`] job, the input size is given directly (trace-driven), not
@@ -770,7 +676,38 @@ pub struct OpenArrival {
     pub at_s: f64,
 }
 
-/// Knobs of the open-stream calendar drivers, previously hardcoded.
+impl OpenArrival {
+    /// The stream twin of a closed `workload` on an `n`-node cluster: job
+    /// `i` arrives at `arrivals[i]` (every job at t = 0 when `None`) and
+    /// brings the per-node share `size·n` of its input, since a workload's
+    /// input scales with the cluster (§2.3) and a stream job runs on one
+    /// node. A wrong-length `arrivals` slice is an
+    /// [`EvalError::InvalidInput`]; [`run_stream`] checks the times
+    /// themselves, as for any stream.
+    pub fn from_workload(
+        workload: &Workload,
+        n: usize,
+        arrivals: Option<&[f64]>,
+    ) -> Result<Vec<OpenArrival>, EvalError> {
+        if arrivals.is_some_and(|t| t.len() != workload.jobs.len()) {
+            return Err(EvalError::InvalidInput {
+                what: "need one arrival time per job",
+            });
+        }
+        Ok(workload
+            .jobs
+            .iter()
+            .enumerate()
+            .map(|(i, (app, size))| OpenArrival {
+                app: *app,
+                input_mb: share_mb(size.per_node_mb(), n, 1),
+                at_s: arrivals.map_or(0.0, |t| t[i]),
+            })
+            .collect())
+    }
+}
+
+/// Knobs of the stream driver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpenOptions {
     /// Head-reservation skips a queued head job tolerates before it
@@ -804,8 +741,100 @@ impl OpenOptions {
     }
 }
 
-/// `n ≥ 1` / non-empty / finite-fields validation for open-stream runs.
-fn validate_stream_input(n: usize, stream: &[OpenArrival]) -> Result<(), EvalError> {
+/// Who decides partners and knobs in a [`run_stream`] run.
+#[derive(Clone)]
+pub enum Decisions<'a, 'b> {
+    /// ECoST's §5 controller: each arrival is profiled and classified
+    /// with the context, partners come from the Fig 4 decision tree and
+    /// knobs from the STP, degrading to class-default knobs (counted in
+    /// [`FaultReport::config_fallbacks`]) when a predictor cannot answer.
+    Ecost(&'a EcostContext<'b>),
+    /// The same decisions behind the service front door
+    /// ([`crate::service`]): each one first passes admission → deadline →
+    /// tier ladder → breaker on the simulated clock, and the granted tier
+    /// bounds how much of the ECoST logic runs. Refused decisions degrade
+    /// to FIFO partners on class-default knobs; the schedule always
+    /// proceeds. Decision latency is accounted in
+    /// [`ServiceReport::decision_time_s`], not in the makespan: the
+    /// service models a tuning control plane beside the cluster. With
+    /// [`ServiceConfig::unlimited`] and a healthy fault spec every
+    /// decision is granted a free full sweep and the run is bit-identical
+    /// to [`Decisions::Ecost`].
+    Serviced {
+        /// The trained context behind the service.
+        ctx: &'a EcostContext<'b>,
+        /// Service knobs; an invalid config is an
+        /// [`EvalError::InvalidInput`].
+        config: ServiceConfig,
+        /// Injected service faults.
+        faults: ServiceFaultSpec,
+    },
+    /// The untuned baseline: FIFO partners, two half-node jobs per node
+    /// at Hadoop defaults, a lone job on the whole node at Hadoop
+    /// defaults. Arrivals are profiled noise-free and keep their catalog
+    /// class.
+    Untuned,
+}
+
+/// Run an arrival stream on an `n`-node cluster (the §5 "new jobs are
+/// arriving to the datacenter" operation), with `decisions` choosing
+/// partners and knobs. This is the one stream entry point; a closed
+/// workload runs through [`OpenArrival::from_workload`].
+///
+/// Arrivals join the wait queue in time order (FIFO among ties) on the
+/// event-calendar driver ([`crate::scheduler::calendar`]), whose
+/// per-event cost scales with the jobs that changed, not with cluster
+/// size or arrival history. Partner scans see the first
+/// `opts.eligible_window` queue positions. `setup` schedules node faults
+/// and prices transient evaluation failures: crashed nodes' in-flight
+/// jobs are re-queued (their work so far is lost, their energy is not)
+/// onto the survivors, and the run fails with [`EvalError::Degraded`]
+/// only when every node has crashed with jobs still queued.
+///
+/// Zero nodes, an empty stream, a non-finite or non-positive input size,
+/// a non-finite or negative arrival time, a zero scan window and an
+/// invalid service config are [`EvalError::InvalidInput`]s, returned
+/// before any simulation.
+pub fn run_stream(
+    engine: &EvalEngine,
+    n: usize,
+    stream: &[OpenArrival],
+    decisions: Decisions<'_, '_>,
+    opts: OpenOptions,
+    setup: &FaultSetup,
+) -> Result<StreamRun, EvalError> {
+    let decider = Decider::new(engine, decisions)?;
+    drive(engine, n, stream, decider, opts, setup)
+}
+
+/// A closed workload through the stream core: every job at t = 0, no
+/// faults, no retry, default options.
+fn run_closed(
+    engine: &EvalEngine,
+    n: usize,
+    workload: &Workload,
+    decider: Decider<'_, '_>,
+) -> Result<ClusterRun, EvalError> {
+    let stream = OpenArrival::from_workload(workload, n, None)?;
+    let setup = FaultSetup {
+        plan: FaultPlan::none(),
+        retry: RetryPolicy::none(),
+    };
+    Ok(drive(engine, n, &stream, decider, OpenOptions::default(), &setup)?.run)
+}
+
+/// The stream core behind [`run_stream`], ECoST's closed schedule and
+/// UB's oracle-streamed candidate: validate, prepare every arrival in
+/// stream order, feed the calendar in time order (a stable sort, so FIFO
+/// among ties) and drain it.
+fn drive(
+    engine: &EvalEngine,
+    n: usize,
+    stream: &[OpenArrival],
+    decider: Decider<'_, '_>,
+    opts: OpenOptions,
+    setup: &FaultSetup,
+) -> Result<StreamRun, EvalError> {
     if n < 1 {
         return Err(EvalError::InvalidInput {
             what: "need at least one node",
@@ -816,18 +845,38 @@ fn validate_stream_input(n: usize, stream: &[OpenArrival]) -> Result<(), EvalErr
             what: "empty arrival stream",
         });
     }
-    if stream
+    opts.validate()?;
+    for a in stream {
+        validate_arrival(a)?;
+    }
+    let mut pending = stream
         .iter()
-        .any(|a| !(a.input_mb.is_finite() && a.input_mb > 0.0))
-    {
+        .map(|a| Ok((a.at_s, prepare_one(engine, a, decider.ctx())?)))
+        .collect::<Result<Vec<_>, EvalError>>()?;
+    pending.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let mut shard = CalendarShard::new(engine, n, opts.max_head_skips, setup, opts.eligible_window);
+    for (at, job) in pending {
+        shard.push_arrival(at, job)?;
+    }
+    let (run, mut report) = shard.finish(decider.as_stream())?;
+    let service = decider.finish(&mut report);
+    Ok(StreamRun {
+        run,
+        report,
+        service,
+    })
+}
+
+/// One arrival's boundary check, shared by [`run_stream`] and the fleet:
+/// a finite, positive input size and a finite, non-negative submission
+/// time.
+pub(crate) fn validate_arrival(a: &OpenArrival) -> Result<(), EvalError> {
+    if !(a.input_mb.is_finite() && a.input_mb > 0.0) {
         return Err(EvalError::InvalidInput {
             what: "arrival input sizes must be finite and positive",
         });
     }
-    if stream
-        .iter()
-        .any(|a| !(a.at_s.is_finite() && a.at_s >= 0.0))
-    {
+    if !(a.at_s.is_finite() && a.at_s >= 0.0) {
         return Err(EvalError::InvalidInput {
             what: "arrival times must be finite and non-negative",
         });
@@ -835,150 +884,125 @@ fn validate_stream_input(n: usize, stream: &[OpenArrival]) -> Result<(), EvalErr
     Ok(())
 }
 
-/// Open-cluster ECoST over an arrival stream, driven by the event-calendar
-/// scheduler ([`crate::scheduler::calendar`]): per-event cost scales with
-/// the jobs that actually changed, not with cluster size or arrival
-/// history, so 100k-arrival traces on hundreds of nodes are tractable.
-/// Partner scans are bounded to the first `opts.eligible_window` queue
-/// positions. Decision-equivalent to [`run_ecost_faulted`] on the same
-/// stream (asserted by equivalence tests), though not bit-identical — the
-/// per-node float accumulation order differs.
-pub fn run_ecost_open_stream(
-    engine: &EvalEngine,
-    n: usize,
-    stream: &[OpenArrival],
-    opts: OpenOptions,
-    ctx: &EcostContext<'_>,
-    setup: &FaultSetup,
-) -> Result<FaultedRun, EvalError> {
-    validate_stream_input(n, stream)?;
-    opts.validate()?;
-    let prepared = prepare_stream(engine, stream, ctx)?;
-    let arrivals: Vec<f64> = stream.iter().map(|a| a.at_s).collect();
-    let policy = EcostPolicy::new(engine, ctx);
-    let (run, mut report) = run_stream_calendar(
-        engine,
-        n,
-        prepared,
-        Some(&arrivals),
-        opts.max_head_skips,
-        &policy,
-        setup,
-        opts.eligible_window,
-    )?;
-    report.config_fallbacks += policy.config_fallbacks.get();
-    Ok(FaultedRun { run, report })
-}
-
-/// Profile + classify one open-stream arrival. Deterministic in the
-/// arrival alone (the engine memo only changes hit/miss counts, never
-/// values), so shards of a fleet can prepare their arrivals in any
-/// interleaving and still produce identical `Prepared` jobs.
+/// Profile and classify one arrival: with the trained context when the
+/// decisions have one, noise-free with the catalog class otherwise.
+/// Deterministic in the arrival alone (the engine memo only changes
+/// hit/miss counts, never values), so shards of a fleet can prepare their
+/// arrivals in any interleaving and still produce identical jobs.
 pub(crate) fn prepare_one(
     engine: &EvalEngine,
     a: &OpenArrival,
-    ctx: &EcostContext<'_>,
+    ctx: Option<&EcostContext<'_>>,
 ) -> Result<Prepared, EvalError> {
-    let sig = profile_app(engine, a.app.profile(), a.input_mb, ctx.noise, ctx.seed)?;
-    let class = ctx.classifier.classify(&sig.features);
-    Ok(Prepared { sig, class })
+    match ctx {
+        Some(ctx) => {
+            let sig = profile_app(engine, a.app.profile(), a.input_mb, ctx.noise, ctx.seed)?;
+            let class = ctx.classifier.classify(&sig.features);
+            Ok(Prepared { sig, class })
+        }
+        None => Ok(Prepared {
+            sig: profile_app(engine, a.app.profile(), a.input_mb, 0.0, 0)?,
+            class: a.app.class(),
+        }),
+    }
 }
 
-/// Profile + classify every arrival of an open stream.
-fn prepare_stream(
-    engine: &EvalEngine,
-    stream: &[OpenArrival],
-    ctx: &EcostContext<'_>,
-) -> Result<Vec<Prepared>, EvalError> {
-    stream.iter().map(|a| prepare_one(engine, a, ctx)).collect()
+/// The policy behind one calendar run (a [`run_stream`] call, a closed
+/// ECoST or UB schedule, or one fleet shard) together with the state its
+/// decisions accumulate.
+pub(crate) enum Decider<'a, 'b> {
+    Ecost(EcostPolicy<'a, 'b>),
+    // Boxed: the service core is an order of magnitude larger than the
+    // other policies, and a fleet holds one decider per shard.
+    Serviced(Box<ServicedPolicy<'a, 'b>>),
+    /// UB's perfect decisions, over jobs prepared with the context.
+    Oracle(OraclePolicy<'a>, &'a EcostContext<'b>),
+    Fixed(FixedPolicy),
 }
 
-/// [`run_ecost_open_stream`] with every tuning decision routed through
-/// the service layer ([`crate::service`]): admission control, deadlines,
-/// the degradation tier ladder and the circuit breaker all apply, per
-/// decision, on the simulated clock. Returns the schedule outcome plus
-/// the service's outcome counters.
-///
-/// Decision latency is accounted in
-/// [`ServiceReport::decision_time_s`], *not* folded into the schedule's
-/// makespan — the service models a tuning control plane beside the
-/// cluster, not inside it. With [`ServiceConfig::unlimited`] and a
-/// healthy fault spec every decision is granted a free full sweep and
-/// the run is bit-identical to [`run_ecost_open_stream`] (asserted by
-/// an integration test).
-#[allow(clippy::too_many_arguments)]
-pub fn run_ecost_open_stream_serviced(
-    engine: &EvalEngine,
-    n: usize,
-    stream: &[OpenArrival],
-    opts: OpenOptions,
-    ctx: &EcostContext<'_>,
-    setup: &FaultSetup,
-    svc_cfg: ServiceConfig,
-    svc_faults: ecost_sim::ServiceFaultSpec,
-) -> Result<(FaultedRun, ServiceReport), EvalError> {
-    validate_stream_input(n, stream)?;
-    opts.validate()?;
-    let core = ServiceCore::new(svc_cfg, svc_faults).map_err(|e| match e {
-        crate::service::ServiceError::InvalidConfig { what } => EvalError::InvalidInput { what },
-        _ => EvalError::Internal {
-            what: "service core construction failed",
-        },
-    })?;
-    let prepared = prepare_stream(engine, stream, ctx)?;
-    let arrivals: Vec<f64> = stream.iter().map(|a| a.at_s).collect();
-    let policy = ServicedPolicy::new(engine, ctx, core);
-    let (run, mut report) = run_stream_calendar(
-        engine,
-        n,
-        prepared,
-        Some(&arrivals),
-        opts.max_head_skips,
-        &policy,
-        setup,
-        opts.eligible_window,
-    )?;
-    report.config_fallbacks += policy.config_fallbacks();
-    let svc_report = policy.into_service_report();
-    Ok((FaultedRun { run, report }, svc_report))
+impl<'a, 'b> Decider<'a, 'b> {
+    pub(crate) fn new(
+        engine: &'a EvalEngine,
+        decisions: Decisions<'a, 'b>,
+    ) -> Result<Decider<'a, 'b>, EvalError> {
+        Ok(match decisions {
+            Decisions::Ecost(ctx) => Decider::Ecost(EcostPolicy::new(engine, ctx)),
+            Decisions::Serviced {
+                ctx,
+                config,
+                faults,
+            } => {
+                let core = ServiceCore::new(config, faults).map_err(|e| match e {
+                    ServiceError::InvalidConfig { what } => EvalError::InvalidInput { what },
+                    _ => EvalError::Internal {
+                        what: "service core construction failed",
+                    },
+                })?;
+                Decider::Serviced(Box::new(ServicedPolicy {
+                    inner: EcostPolicy::new(engine, ctx),
+                    core: std::cell::RefCell::new(core),
+                    seq: std::cell::Cell::new(0),
+                }))
+            }
+            Decisions::Untuned => {
+                let cores = engine.testbed().node.cores;
+                let half = TuningConfig {
+                    mappers: (cores / 2).max(1),
+                    ..TuningConfig::hadoop_default(cores)
+                };
+                Decider::Fixed(FixedPolicy {
+                    pair: ecost_mapreduce::PairConfig { a: half, b: half },
+                    solo: TuningConfig::hadoop_default(cores),
+                })
+            }
+        })
+    }
+
+    /// The context arrivals are profiled and classified with (see
+    /// [`prepare_one`]).
+    pub(crate) fn ctx(&self) -> Option<&EcostContext<'b>> {
+        match self {
+            Decider::Ecost(p) => Some(p.ctx),
+            Decider::Serviced(p) => Some(p.inner.ctx),
+            Decider::Oracle(_, ctx) => Some(ctx),
+            Decider::Fixed(_) => None,
+        }
+    }
+
+    pub(crate) fn as_stream(&self) -> &dyn StreamPolicy {
+        match self {
+            Decider::Ecost(p) => p,
+            Decider::Serviced(p) => p.as_ref(),
+            Decider::Oracle(p, _) => p,
+            Decider::Fixed(p) => p,
+        }
+    }
+
+    /// Fold the policy's own class-default fallbacks into `report` and
+    /// yield the service's counters when the decisions were serviced.
+    pub(crate) fn finish(self, report: &mut FaultReport) -> Option<ServiceReport> {
+        match self {
+            Decider::Ecost(p) => {
+                report.config_fallbacks += p.config_fallbacks();
+                None
+            }
+            Decider::Serviced(p) => {
+                report.config_fallbacks += p.inner.config_fallbacks();
+                Some(p.core.into_inner().report().clone())
+            }
+            Decider::Oracle(..) | Decider::Fixed(_) => None,
+        }
+    }
 }
 
-/// [`EcostPolicy`] behind the service front door: every pick/solo
-/// decision first passes admission → deadline → tier ladder → breaker on
-/// the simulated clock, then the granted tier bounds how much of the
-/// normal decision logic runs. Rejected decisions (shed, deadline blown)
-/// degrade to FIFO partners on class-default knobs — the schedule always
-/// proceeds; the rejection is visible in the [`ServiceReport`].
+/// [`EcostPolicy`] behind the service front door (see
+/// [`Decisions::Serviced`]).
 pub(crate) struct ServicedPolicy<'a, 'b> {
     inner: EcostPolicy<'a, 'b>,
     /// Interior mutability: [`StreamPolicy`] methods take `&self`, and
     /// the calendar driver is single-threaded.
     core: std::cell::RefCell<ServiceCore>,
     seq: std::cell::Cell<u64>,
-}
-
-impl<'a, 'b> ServicedPolicy<'a, 'b> {
-    pub(crate) fn new(
-        engine: &'a EvalEngine,
-        ctx: &'a EcostContext<'b>,
-        core: ServiceCore,
-    ) -> ServicedPolicy<'a, 'b> {
-        ServicedPolicy {
-            inner: EcostPolicy::new(engine, ctx),
-            core: std::cell::RefCell::new(core),
-            seq: std::cell::Cell::new(0),
-        }
-    }
-
-    /// See [`EcostPolicy::config_fallbacks`].
-    pub(crate) fn config_fallbacks(&self) -> u64 {
-        self.inner.config_fallbacks()
-    }
-
-    /// Consume the policy, yielding the service's outcome counters.
-    pub(crate) fn into_service_report(self) -> ServiceReport {
-        self.core.into_inner().report().clone()
-    }
 }
 
 impl ServicedPolicy<'_, '_> {
@@ -990,10 +1014,9 @@ impl ServicedPolicy<'_, '_> {
         let deadline = core.deadline_s();
         match core.admit(seq, now, deadline, None) {
             Ok(grant) => Ok(Some(grant.tier)),
-            Err(
-                crate::service::ServiceError::Overloaded { .. }
-                | crate::service::ServiceError::DeadlineExceeded { .. },
-            ) => Ok(None),
+            Err(ServiceError::Overloaded { .. } | ServiceError::DeadlineExceeded { .. }) => {
+                Ok(None)
+            }
             Err(_) => Err(EvalError::Internal {
                 what: "service rejected a streaming decision",
             }),
@@ -1055,57 +1078,8 @@ impl StreamPolicy for ServicedPolicy<'_, '_> {
     }
 }
 
-/// The untuned streaming baseline over an arrival stream (two half-node
-/// jobs per node at Hadoop defaults, FIFO partners), on the same
-/// event-calendar driver as [`run_ecost_open_stream`] — the "EDP vs
-/// untuned" arm of the scale-out bench.
-pub fn run_untuned_open_stream(
-    engine: &EvalEngine,
-    n: usize,
-    stream: &[OpenArrival],
-    opts: OpenOptions,
-    setup: &FaultSetup,
-) -> Result<FaultedRun, EvalError> {
-    validate_stream_input(n, stream)?;
-    opts.validate()?;
-    let cores = engine.testbed().node.cores;
-    let half_cfg = TuningConfig {
-        mappers: (cores / 2).max(1),
-        ..TuningConfig::hadoop_default(cores)
-    };
-    let prepared = stream
-        .iter()
-        .map(|a| {
-            let sig = profile_app(engine, a.app.profile(), a.input_mb, 0.0, 0)?;
-            Ok(Prepared {
-                sig,
-                class: a.app.class(),
-            })
-        })
-        .collect::<Result<Vec<_>, EvalError>>()?;
-    let arrivals: Vec<f64> = stream.iter().map(|a| a.at_s).collect();
-    let policy = FixedPolicy {
-        pair: ecost_mapreduce::PairConfig {
-            a: half_cfg,
-            b: half_cfg,
-        },
-        solo: TuningConfig::hadoop_default(cores),
-    };
-    let (run, report) = run_stream_calendar(
-        engine,
-        n,
-        prepared,
-        Some(&arrivals),
-        opts.max_head_skips,
-        &policy,
-        setup,
-        opts.eligible_window,
-    )?;
-    Ok(FaultedRun { run, report })
-}
-
 /// Fixed, untuned decisions: FIFO partner, half-node Hadoop defaults.
-struct FixedPolicy {
+pub(crate) struct FixedPolicy {
     pair: ecost_mapreduce::PairConfig,
     solo: TuningConfig,
 }
@@ -1131,36 +1105,6 @@ impl StreamPolicy for FixedPolicy {
     }
 }
 
-/// Learning period + classification for every workload job.
-fn prepare_jobs(
-    engine: &EvalEngine,
-    n: usize,
-    workload: &Workload,
-    ctx: &EcostContext<'_>,
-) -> Result<Vec<Prepared>, EvalError> {
-    workload
-        .jobs
-        .iter()
-        .map(|(app, size)| {
-            let input = share_mb(size.per_node_mb(), n, 1);
-            let sig = profile_app(engine, app.profile(), input, ctx.noise, ctx.seed)?;
-            let class = ctx.classifier.classify(&sig.features);
-            Ok(Prepared { sig, class })
-        })
-        .collect()
-}
-
-/// ECoST: the full classify → enqueue → pair → tune loop of §5.
-fn run_ecost(
-    engine: &EvalEngine,
-    n: usize,
-    workload: &Workload,
-    ctx: &EcostContext<'_>,
-) -> Result<ClusterRun, EvalError> {
-    let prepared = prepare_jobs(engine, n, workload, ctx)?;
-    run_stream(engine, n, prepared, &EcostPolicy::new(engine, ctx))
-}
-
 /// UB: the better of two brute-force schedules —
 ///
 /// 1. **oracle-streamed**: the same streaming scheduler ECoST uses, but with
@@ -1178,10 +1122,12 @@ fn run_ub(
     workload: &Workload,
     ctx: &EcostContext<'_>,
 ) -> Result<ClusterRun, EvalError> {
-    let streamed = {
-        let prepared = prepare_jobs(engine, n, workload, ctx)?;
-        run_stream(engine, n, prepared, &OraclePolicy { engine })?
-    };
+    let streamed = run_closed(
+        engine,
+        n,
+        workload,
+        Decider::Oracle(OraclePolicy { engine }, ctx),
+    )?;
     let matched = run_ub_matched(engine, n, workload)?;
     let idle = engine.idle_w();
     Ok(if streamed.edp_wall(idle) <= matched.edp_wall(idle) {
@@ -1436,12 +1382,8 @@ mod tests {
 
     #[test]
     fn open_queue_respects_arrivals() {
-        // Without a tuned context we can't run ECoST here, but the arrival
-        // machinery is policy-independent: jobs that arrive late must finish
-        // later than the same jobs arriving at t=0 under CBM-style packing.
-        // Exercise it through run_stream_open with a trivial policy via the
-        // public open API using a minimal context… the cheap path: verify
-        // the Poisson plumbing with a two-job workload and big gaps.
+        // Jobs that arrive late must finish later than the same jobs
+        // arriving at t = 0: a two-job workload with a big gap, on one node.
         let eng = EvalEngine::atom();
         let mut w = WorkloadScenario::Ws3.workload(InputSize::Small);
         w.jobs.truncate(2);
@@ -1459,8 +1401,19 @@ mod tests {
             seed: 1,
             pairing_mode: crate::pairing::PairingMode::DecisionTree,
         };
-        let closed = run_ecost_open(&eng, 1, &w, &[0.0, 0.0], 2, &ctx).expect("closed run");
-        let open = run_ecost_open(&eng, 1, &w, &[0.0, 400.0], 2, &ctx).expect("open run");
+        let run = |arrivals: &[f64]| {
+            let stream = OpenArrival::from_workload(&w, 1, Some(arrivals)).expect("stream");
+            let setup = FaultSetup {
+                plan: FaultPlan::none(),
+                retry: RetryPolicy::none(),
+            };
+            let opts = OpenOptions::default();
+            run_stream(&eng, 1, &stream, Decisions::Ecost(&ctx), opts, &setup)
+                .expect("stream run")
+                .run
+        };
+        let closed = run(&[0.0, 0.0]);
+        let open = run(&[0.0, 400.0]);
         assert!(
             open.makespan_s > closed.makespan_s + 100.0,
             "open {} closed {}",

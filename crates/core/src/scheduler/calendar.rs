@@ -1,12 +1,10 @@
-//! Event-calendar streaming driver for open arrival streams.
+//! The event-calendar streaming driver: the one production scheduler
+//! loop.
 //!
-//! The lockstep driver advances *every* node by the global minimum
-//! time-to-next-event, so each event costs O(nodes) and each node's float
-//! accumulators are chopped at every other node's stage boundaries. That
-//! is exactly what the closed-workload goldens pin — and exactly what does
-//! not scale to 100k arrivals on hundreds of nodes.
-//!
-//! This driver keeps a calendar instead:
+//! Advancing *every* node by the global minimum time-to-next-event costs
+//! O(nodes) per event and chops each node's float accumulators at every
+//! other node's stage boundaries; that does not scale to 100k arrivals
+//! on hundreds of nodes. This driver keeps a calendar instead:
 //!
 //! * a min-heap of **per-node next internal event** times (stage boundary
 //!   or job completion), with a per-node generation stamp so a rescheduled
@@ -24,20 +22,24 @@
 //! outcomes are drained as they are observed, keeping resident state
 //! proportional to live work.
 //!
-//! Results match the lockstep driver decision-for-decision on the same
-//! stream (asserted by equivalence tests) but not bit-for-bit: the float
-//! accumulation order differs, which is why the goldens stay on lockstep.
+//! Tests check it against the lockstep oracle (`super::lockstep`); see
+//! the [`super`] docs for where the two differ.
 
-use super::{collect, sorted_pending, Prepared, StreamPolicy, StreamSim};
+use super::{collect, Prepared, StreamPolicy, StreamSim};
 use crate::engine::{EvalEngine, EvalError};
 use crate::mapping::{ClusterRun, FaultReport, FaultSetup};
 use ecost_sim::FaultPlan;
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 
-/// Tie window for "due at the same instant", matching the lockstep
-/// driver's arrival/fault comparisons. The fleet's epoch barrier reuses
-/// it for its arrival-drain rule (see [`CalendarShard`]).
+/// Tie window, in seconds, for "due at the same instant": arrivals,
+/// faults and node events within `TIE_EPS` of a step's time are handled
+/// in that step. The simulator's own completion tolerance (`WORK_EPS`)
+/// is in work units, not seconds, so two jobs finishing a nanosecond or
+/// so apart on different nodes can be one step for a driver that
+/// advances all nodes together and two steps here (see the [`super`]
+/// docs). The fleet's epoch barrier reuses the window for its
+/// arrival-drain rule (see [`CalendarShard`]).
 pub(crate) const TIE_EPS: f64 = 1e-9;
 
 /// Total-ordered event time for the calendar heap. The driver never
@@ -105,8 +107,8 @@ impl Calendar {
 
 /// Advance node `i` from its own clock up to `t`, stepping through every
 /// internal event (stage boundary / completion) on the way so the rate
-/// solution is re-solved exactly where the lockstep driver would re-solve
-/// it. A node with no active jobs just fast-forwards its clock.
+/// solution is re-solved at each of them. A node with no active jobs just
+/// fast-forwards its clock.
 fn sync_node(sim: &mut StreamSim<'_>, i: usize, t: f64) -> Result<(), EvalError> {
     loop {
         let dt_target = t - sim.nodes[i].now();
@@ -156,27 +158,27 @@ fn reschedule(sim: &mut StreamSim<'_>, cal: &mut Calendar, i: usize) -> Result<(
     Ok(())
 }
 
-/// A resumable event-calendar scheduler over one node set: the state of
-/// [`run_stream_calendar`]'s event loop, factored out so a driver can
+/// A resumable event-calendar scheduler over one node set. A driver can
 /// interleave *pushing arrivals* and *advancing the clock* instead of
-/// providing the whole trace up front. This is what the fleet layer
-/// shards: each shard owns one `CalendarShard` and advances it epoch by
-/// epoch under a virtual-time barrier.
+/// providing the whole trace up front: `mapping::run_stream` pushes a
+/// whole stream and calls [`Self::finish`]; each fleet shard owns one
+/// `CalendarShard` and advances it epoch by epoch under a virtual-time
+/// barrier.
 ///
-/// Contract (what keeps a single shard bit-identical to the monolithic
-/// driver on the same arrival sequence):
+/// Contract (what keeps a single fleet shard bit-identical to
+/// `run_stream` on the same arrival sequence):
 ///
 /// * arrivals must be pushed in non-decreasing time order, and every
 ///   arrival with `at_s < horizon + TIE_EPS` must be pushed before
 ///   `advance(policy, horizon)` — the tie window matters: an event just
 ///   inside the horizon admits arrivals up to `TIE_EPS` past itself,
-///   exactly like the monolithic loop;
+///   exactly like a single `finish` over the whole stream;
 /// * `advance` processes every event *strictly before* `horizon` and
 ///   stops; an event at exactly the horizon belongs to the next epoch
 ///   (by which time that epoch's arrivals are present);
 /// * the t = 0 prologue (admit, fault, dispatch) runs lazily at the first
 ///   `advance`, so arrivals pushed before any advance are admitted the
-///   way the monolithic prologue admits them;
+///   way a single `finish` admits them;
 /// * `finish` drains the remaining events (`horizon = ∞`), applies the
 ///   stranded-queue check, and fast-forwards idle nodes to the final
 ///   event time — deferring that check to `finish` is what lets a shard
@@ -211,13 +213,7 @@ impl<'e> CalendarShard<'e> {
     ) -> CalendarShard<'e> {
         setup.plan.record_schedule(engine.recorder());
         CalendarShard {
-            sim: StreamSim::new(
-                engine,
-                n,
-                setup.retry,
-                max_head_skips,
-                Some(eligible_window),
-            ),
+            sim: StreamSim::new(engine, n, setup.retry, max_head_skips, eligible_window),
             cal: Calendar::new(n),
             caps: (0..n).collect(),
             touched: BTreeSet::new(),
@@ -256,7 +252,7 @@ impl<'e> CalendarShard<'e> {
             + self.sim.running.iter().map(Vec::len).sum::<usize>()
     }
 
-    /// t = 0: admit, fault, dispatch — mirroring the lockstep prologue.
+    /// t = 0: admit, fault, dispatch.
     fn prime(&mut self, policy: &dyn StreamPolicy) -> Result<(), EvalError> {
         self.primed = true;
         self.sim.admit_due(0.0, &mut self.pending);
@@ -292,10 +288,9 @@ impl<'e> CalendarShard<'e> {
             self.prime(policy)?;
         }
         loop {
-            // Earliest event across the three calendars. Faults, like in
-            // the lockstep driver, cannot keep a finished cluster alive:
-            // they are only considered while a node event or an arrival is
-            // still due.
+            // Earliest event across the three calendars. Faults cannot
+            // keep a finished cluster alive: they are only considered
+            // while a node event or an arrival is still due.
             let t_node = self.cal.peek();
             let t_arr = self.pending.front().map(|(at, _)| *at);
             let mut t_next = f64::INFINITY;
@@ -401,8 +396,8 @@ impl<'e> CalendarShard<'e> {
             });
         }
         // Fast-forward every node's clock to the final event time so the
-        // makespan (max node clock) matches the lockstep driver; idle
-        // advancement integrates no energy.
+        // makespan is the max node clock; idle advancement integrates no
+        // energy.
         for i in 0..self.n {
             sync_node(&mut self.sim, i, self.t)?;
         }
@@ -410,29 +405,4 @@ impl<'e> CalendarShard<'e> {
         run.makespan_s += self.sim.report.retry_backoff_s;
         Ok((run, self.sim.report))
     }
-}
-
-/// Event-calendar counterpart of [`super::run_stream_open`]: same state
-/// machine, same policies, same fault semantics, but per-event work
-/// proportional to the touched nodes. `eligible_window` bounds the
-/// partner scan (see [`super::OPEN_ELIGIBLE_WINDOW`]). One
-/// [`CalendarShard`] fed the whole stream up front and drained in a
-/// single `finish`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_stream_calendar(
-    engine: &EvalEngine,
-    n: usize,
-    prepared: Vec<Prepared>,
-    arrivals: Option<&[f64]>,
-    max_head_skips: u32,
-    policy: &dyn StreamPolicy,
-    setup: &FaultSetup,
-    eligible_window: usize,
-) -> Result<(ClusterRun, FaultReport), EvalError> {
-    let pending = sorted_pending(prepared, arrivals)?;
-    let mut shard = CalendarShard::new(engine, n, max_head_skips, setup, eligible_window);
-    for (at, job) in pending {
-        shard.push_arrival(at, job)?;
-    }
-    shard.finish(policy)
 }

@@ -1,41 +1,47 @@
-//! The streaming cluster schedulers: shared state machine plus two drivers.
+//! The streaming cluster scheduler: the shared state machine and the
+//! event-calendar driver that moves it through time.
 //!
 //! The §5 controller is a *streaming* scheduler: jobs enter a wait queue,
 //! every node hosts up to two co-located jobs, and a policy
 //! ([`StreamPolicy`]) decides partners and knob settings at each dispatch
 //! point. This module owns that machinery, extracted from `mapping` so the
 //! policies (what to run) and the event loop (when to run it) evolve
-//! independently. Two drivers share the [`StreamSim`] state machine:
-//!
-//! * **lockstep** ([`run_stream_open`]) — the original closed-workload
-//!   driver: every global step advances *all* nodes by the minimum
-//!   time-to-next-event. Per-event cost is O(nodes), and the floating-point
-//!   accumulation order (each node integrates usage/energy over exactly the
-//!   same `dt` chunks) is part of the `results/` golden contract. All §8
-//!   policy entry points use this driver; it must stay bit-identical.
-//! * **event calendar** ([`calendar`]) — the open-cluster driver: per-node
-//!   completion events live in a binary-heap calendar, arrivals and faults
-//!   in sorted lists, and each event syncs *only the touched nodes* to the
-//!   event time. Per-event cost scales with live jobs, not with cluster
-//!   size or arrival history, which is what makes 100k-arrival traces on
-//!   hundreds of nodes tractable. Nodes integrate over per-node `dt`
-//!   chunks, so results agree with lockstep to float accumulation order
-//!   (equivalence tests pin the decisions and tight tolerances), but not
-//!   bit-for-bit — which is exactly why the lockstep driver survives.
+//! independently. [`StreamSim`] holds the state; the [`calendar`] driver
+//! keeps per-node completion events in a binary-heap calendar, arrivals
+//! and faults in sorted lists, and syncs only the touched nodes to each
+//! event's time. Per-event cost scales with live jobs, not with cluster
+//! size or arrival history. Every stream run, the closed §8 ECoST and UB
+//! schedules and every fleet shard use this one driver.
 //!
 //! The wait-queue fairness rules (head reservation, small-job
-//! leap-forward) are identical under both drivers; the calendar driver
-//! additionally bounds each partner scan to the first
-//! [`OPEN_ELIGIBLE_WINDOW`] queue positions so a deep backlog cannot make
-//! a single dispatch O(queue length).
+//! leap-forward) apply within each dispatch's partner-scan window
+//! ([`OPEN_ELIGIBLE_WINDOW`] positions by default), so a deep backlog
+//! cannot make a single dispatch O(queue length).
+//!
+//! A lockstep driver, which advances every node by the global minimum
+//! time-to-next-event at each step, remains only under `#[cfg(test)]`
+//! (`lockstep.rs`), as the oracle the calendar is checked against: on the
+//! tested streams the two make the same decisions and agree on makespan
+//! and energy to 1e-6 relative. They define "simultaneous" differently,
+//! though. Lockstep completes, in the same step, every job whose remaining
+//! work falls within the simulator's work tolerance (`WORK_EPS`, in work
+//! units), then dispatches in node-index order; the calendar treats node
+//! events more than [`calendar::TIE_EPS`] seconds apart as separate
+//! events, in time order. On Fig 9's WS4 at 4 nodes, nodes 2 and 0 finish
+//! 1.048 ns apart at t ≈ 185.44 s: lockstep serves node 0 first, the
+//! calendar node 2, and ECoST's normalised EDP in that cell is 1.86 × UB
+//! under lockstep against 1.20 under the calendar, which the goldens
+//! pin.
 
 pub mod calendar;
+#[cfg(test)]
+mod lockstep;
 
-pub(crate) use calendar::{run_stream_calendar, CalendarShard};
+pub(crate) use calendar::CalendarShard;
 
 use crate::engine::{EvalEngine, EvalError, RetryPolicy};
 use crate::features::AppSignature;
-use crate::mapping::{ClusterRun, FaultReport, FaultSetup};
+use crate::mapping::{ClusterRun, FaultReport};
 use crate::queue::WaitQueue;
 use ecost_apps::AppClass;
 use ecost_mapreduce::executor::NodeSim;
@@ -44,11 +50,10 @@ use ecost_sim::{FaultKind, FaultPlan};
 use ecost_telemetry::{Event, Gauge};
 use std::collections::VecDeque;
 
-/// Partner-scan window for the calendar driver: dispatch considers at most
-/// this many queue positions (head first). Deep backlogs keep O(1) dispatch
-/// cost; the head reservation and leap-forward rules apply unchanged within
-/// the window. The lockstep driver scans the whole queue (window = ∞), as
-/// the closed workloads are small and the goldens pin that behaviour.
+/// Default partner-scan window: dispatch considers at most this many
+/// queue positions (head first). Deep backlogs keep O(1) dispatch cost;
+/// the head reservation and leap-forward rules apply unchanged within the
+/// window. Table 3's 16-job workloads fit inside it whole.
 pub const OPEN_ELIGIBLE_WINDOW: usize = 64;
 
 /// A workload job prepared for cluster scheduling: its learning-period
@@ -60,8 +65,9 @@ pub(crate) struct Prepared {
 }
 
 /// How a streaming scheduler picks partners and configurations. Implemented
-/// by ECoST (classifier + decision tree + STP) and by the oracle-streamed
-/// upper bound (perfect pairing + perfect tuning).
+/// by ECoST (classifier + decision tree + STP), its serviced twin, the
+/// untuned baseline and the oracle-streamed upper bound (perfect pairing +
+/// perfect tuning).
 pub(crate) trait StreamPolicy {
     /// Given the job that anchors the node (already running or just taken
     /// from the head) and the eligible queue candidates, return the position
@@ -83,7 +89,7 @@ pub(crate) trait StreamPolicy {
 
 /// Mutable state of one streaming-scheduler run: the nodes, what runs
 /// where, which nodes are still alive, the wait queue and the fault /
-/// degradation counters. Shared by both drivers.
+/// degradation counters.
 pub(crate) struct StreamSim<'e> {
     pub(crate) engine: &'e EvalEngine,
     pub(crate) cores: u32,
@@ -99,9 +105,8 @@ pub(crate) struct StreamSim<'e> {
     pub(crate) alive: Vec<bool>,
     pub(crate) queue: WaitQueue<Prepared>,
     pub(crate) report: FaultReport,
-    /// Partner-scan window: `None` scans the whole queue (lockstep),
-    /// `Some(w)` the first `w` positions (calendar).
-    pub(crate) eligible_window: Option<usize>,
+    /// Partner scans consider the first `eligible_window` queue positions.
+    pub(crate) eligible_window: usize,
 }
 
 impl<'e> StreamSim<'e> {
@@ -111,7 +116,7 @@ impl<'e> StreamSim<'e> {
         n: usize,
         retry: RetryPolicy,
         max_head_skips: u32,
-        eligible_window: Option<usize>,
+        eligible_window: usize,
     ) -> StreamSim<'e> {
         let tb = engine.testbed();
         StreamSim {
@@ -135,12 +140,9 @@ impl<'e> StreamSim<'e> {
         }
     }
 
-    /// The eligible partner candidates under this driver's scan window.
+    /// The eligible partner candidates within the scan window.
     fn eligible_slice(&self) -> Vec<(usize, AppClass)> {
-        match self.eligible_window {
-            None => self.queue.eligible(),
-            Some(w) => self.queue.eligible_windowed(w),
-        }
+        self.queue.eligible_windowed(self.eligible_window)
     }
 
     /// Admit every pending job that has arrived by `now` into the wait
@@ -433,141 +435,4 @@ pub(crate) fn collect(nodes: Vec<NodeSim>, n: usize) -> ClusterRun {
         energy_dyn_j: nodes.iter().map(NodeSim::energy_j).sum(),
         nodes: n,
     }
-}
-
-/// Sort `prepared` by arrival time into the pending list (stable, so FIFO
-/// order survives among simultaneous arrivals). `None` arrivals submit
-/// everything at t = 0.
-pub(crate) fn sorted_pending(
-    prepared: Vec<Prepared>,
-    arrivals: Option<&[f64]>,
-) -> Result<VecDeque<(f64, Prepared)>, EvalError> {
-    let times: Vec<f64> = match arrivals {
-        Some(t) => {
-            if t.len() != prepared.len() {
-                return Err(EvalError::InvalidInput {
-                    what: "need one arrival time per job",
-                });
-            }
-            t.to_vec()
-        }
-        None => vec![0.0; prepared.len()],
-    };
-    let mut v: Vec<(f64, Prepared)> = times.into_iter().zip(prepared).collect();
-    v.sort_by(|a, b| a.0.total_cmp(&b.0));
-    Ok(v.into())
-}
-
-/// Shared streaming driver: two jobs per node, replacements admitted the
-/// moment a slot frees, decisions delegated to `policy`. Fault-free.
-pub(crate) fn run_stream(
-    engine: &EvalEngine,
-    n: usize,
-    prepared: Vec<Prepared>,
-    policy: &dyn StreamPolicy,
-) -> Result<ClusterRun, EvalError> {
-    let setup = FaultSetup {
-        plan: FaultPlan::none(),
-        retry: RetryPolicy::none(),
-    };
-    run_stream_open(engine, n, prepared, None, 2, policy, &setup).map(|(run, _)| run)
-}
-
-/// As [`run_stream`] but with explicit arrival times (open-queue
-/// operation), a configurable head-reservation allowance and an injected
-/// [`FaultSetup`]. `arrivals[i]` is the submission time of `prepared[i]`;
-/// `None` submits everything at t = 0.
-///
-/// This is the **lockstep** driver: every step advances all nodes by the
-/// global minimum time-to-next-event, which fixes the floating-point
-/// accumulation order the `results/` goldens are pinned to. Keep changes
-/// here bit-preserving; open-cluster scale work belongs in [`calendar`].
-///
-/// With [`FaultPlan::none`] and [`RetryPolicy::none`] the event loop is
-/// bit-identical to the fault-free scheduler: no fault event ever caps a
-/// time step, and the accrued retry backoff added to the makespan is
-/// exactly `0.0`.
-pub(crate) fn run_stream_open(
-    engine: &EvalEngine,
-    n: usize,
-    prepared: Vec<Prepared>,
-    arrivals: Option<&[f64]>,
-    max_head_skips: u32,
-    policy: &dyn StreamPolicy,
-    setup: &FaultSetup,
-) -> Result<(ClusterRun, FaultReport), EvalError> {
-    let faults = &setup.plan;
-    // Jobs not yet arrived, soonest first.
-    let mut pending = sorted_pending(prepared, arrivals)?;
-
-    setup.plan.record_schedule(engine.recorder());
-    let mut sim = StreamSim::new(engine, n, setup.retry, max_head_skips, None);
-    let mut next_fault = 0_usize;
-    let mut now = 0.0_f64;
-
-    sim.admit_due(now, &mut pending);
-    sim.apply_due_faults(now, &mut next_fault, faults)?;
-    for i in 0..n {
-        if sim.alive[i] {
-            sim.dispatch(i, policy)?;
-        }
-    }
-    loop {
-        let mut any_active = false;
-        let mut dt = f64::INFINITY;
-        for node in &mut sim.nodes {
-            if let Some(t) = node.time_to_next_event()? {
-                any_active = true;
-                dt = dt.min(t);
-            }
-        }
-        // Next arrival can preempt the next completion; an idle cluster
-        // fast-forwards to it.
-        if let Some((t_arrive, _)) = pending.front() {
-            dt = dt.min((t_arrive - now).max(0.0));
-            any_active = true;
-        }
-        // A pending fault interrupts the step — but cannot keep a finished
-        // cluster alive: faults against an idle cluster are no-ops.
-        if any_active {
-            if let Some(ev) = faults.events().get(next_fault) {
-                dt = dt.min((ev.at_s - now).max(0.0));
-            }
-        }
-        if !any_active {
-            if !sim.queue.is_empty() {
-                return Err(if sim.alive.iter().any(|a| *a) {
-                    EvalError::Internal {
-                        what: "jobs stranded in the scheduler queue",
-                    }
-                } else {
-                    EvalError::Degraded {
-                        what: "all nodes failed with jobs still queued",
-                    }
-                });
-            }
-            break;
-        }
-        debug_assert!(dt.is_finite());
-        for node in &mut sim.nodes {
-            node.advance(dt)?;
-        }
-        now += dt;
-        sim.now = now;
-        sim.admit_due(now, &mut pending);
-        sim.apply_due_faults(now, &mut next_fault, faults)?;
-        for i in 0..n {
-            let finished: Vec<ecost_mapreduce::JobHandle> =
-                sim.nodes[i].finished().iter().map(|o| o.id).collect();
-            sim.running[i].retain(|(h, _, _)| !finished.contains(h));
-            if sim.alive[i] {
-                sim.dispatch(i, policy)?;
-            }
-        }
-    }
-    // Retries cost simulated seconds: the accrued backoff lengthens the
-    // makespan (exactly 0.0 on the fault-free path).
-    let mut run = collect(sim.nodes, n);
-    run.makespan_s += sim.report.retry_backoff_s;
-    Ok((run, sim.report))
 }

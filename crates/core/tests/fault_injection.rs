@@ -6,7 +6,7 @@ use ecost_apps::{App, InputSize, Workload};
 use ecost_core::classify::RuleClassifier;
 use ecost_core::database::ConfigDatabase;
 use ecost_core::engine::{EvalEngine, EvalError, RetryPolicy};
-use ecost_core::mapping::{run_ecost_faulted, run_ecost_open, run_untuned_faulted, FaultSetup};
+use ecost_core::mapping::{run_stream, Decisions, FaultSetup, OpenArrival, OpenOptions, StreamRun};
 use ecost_core::pairing::PairingPolicy;
 use ecost_core::stp::LktStp;
 use ecost_core::{EcostContext, FaultReport};
@@ -36,6 +36,19 @@ fn fixture(eng: &EvalEngine) -> (ConfigDatabase, RuleClassifier, LktStp, Pairing
     (db, classifier, lkt, PairingPolicy::default())
 }
 
+/// `w` on `n` nodes, arriving at `arrivals` (all at t = 0 when `None`).
+fn run(
+    eng: &EvalEngine,
+    n: usize,
+    w: &Workload,
+    arrivals: Option<&[f64]>,
+    decisions: Decisions<'_, '_>,
+    setup: &FaultSetup,
+) -> Result<StreamRun, EvalError> {
+    let stream = OpenArrival::from_workload(w, n, arrivals)?;
+    run_stream(eng, n, &stream, decisions, OpenOptions::default(), setup)
+}
+
 fn ctx<'a>(
     db: &'a ConfigDatabase,
     classifier: &'a RuleClassifier,
@@ -53,8 +66,9 @@ fn ctx<'a>(
     }
 }
 
-/// The acceptance criterion of the PR: a fault-free [`FaultSetup`] must be
-/// **bit-identical** to the plain scheduler, and its report all-zero.
+/// A fault-free [`FaultSetup`] with the default bounded retry must be
+/// **bit-identical** to the plain scheduler (no faults, no retry), and
+/// both reports all-zero: a retry policy that never fires changes nothing.
 #[test]
 fn fault_free_setup_is_identical_to_the_plain_scheduler() {
     let eng = EvalEngine::atom();
@@ -63,24 +77,37 @@ fn fault_free_setup_is_identical_to_the_plain_scheduler() {
     let w = small_workload();
     let arrivals = [0.0, 0.0, 120.0, 240.0];
 
-    let plain = run_ecost_open(&eng, 2, &w, &arrivals, 2, &cx).expect("plain run");
-    let setup = FaultSetup {
+    let plain_setup = FaultSetup {
         plan: FaultPlan::none(),
         retry: RetryPolicy::none(),
     };
+    let plain = run(
+        &eng,
+        2,
+        &w,
+        Some(&arrivals),
+        Decisions::Ecost(&cx),
+        &plain_setup,
+    )
+    .expect("plain run");
+    let setup = FaultSetup {
+        plan: FaultPlan::none(),
+        retry: RetryPolicy::default(),
+    };
     let faulted =
-        run_ecost_faulted(&eng, 2, &w, Some(&arrivals), 2, &cx, &setup).expect("faulted run");
+        run(&eng, 2, &w, Some(&arrivals), Decisions::Ecost(&cx), &setup).expect("faulted run");
 
     assert_eq!(
-        plain.makespan_s.to_bits(),
+        plain.run.makespan_s.to_bits(),
         faulted.run.makespan_s.to_bits(),
         "makespan must be bit-identical without faults"
     );
     assert_eq!(
-        plain.energy_dyn_j.to_bits(),
+        plain.run.energy_dyn_j.to_bits(),
         faulted.run.energy_dyn_j.to_bits(),
         "energy must be bit-identical without faults"
     );
+    assert_eq!(plain.report, FaultReport::default());
     assert_eq!(faulted.report, FaultReport::default());
 }
 
@@ -94,8 +121,15 @@ fn node_crash_requeues_jobs_onto_survivors() {
     let cx = ctx(&db, &cl, &lkt, &pp);
     let w = small_workload();
 
-    let healthy =
-        run_ecost_faulted(&eng, 2, &w, None, 2, &cx, &FaultSetup::default()).expect("healthy run");
+    let healthy = run(
+        &eng,
+        2,
+        &w,
+        None,
+        Decisions::Ecost(&cx),
+        &FaultSetup::default(),
+    )
+    .expect("healthy run");
     assert_eq!(healthy.report.crashes, 0);
 
     let faults_before = eng.stats().faults_injected;
@@ -103,7 +137,7 @@ fn node_crash_requeues_jobs_onto_survivors() {
         plan: FaultPlan::none().with_event(10.0, 1, FaultKind::NodeCrash),
         retry: RetryPolicy::default(),
     };
-    let crashed = run_ecost_faulted(&eng, 2, &w, None, 2, &cx, &setup).expect("crashed run");
+    let crashed = run(&eng, 2, &w, None, Decisions::Ecost(&cx), &setup).expect("crashed run");
 
     assert_eq!(crashed.report.crashes, 1);
     assert!(
@@ -129,15 +163,22 @@ fn slowdown_and_straggler_events_degrade_gracefully() {
     let cx = ctx(&db, &cl, &lkt, &pp);
     let w = small_workload();
 
-    let healthy =
-        run_ecost_faulted(&eng, 2, &w, None, 2, &cx, &FaultSetup::default()).expect("healthy");
+    let healthy = run(
+        &eng,
+        2,
+        &w,
+        None,
+        Decisions::Ecost(&cx),
+        &FaultSetup::default(),
+    )
+    .expect("healthy");
     let setup = FaultSetup {
         plan: FaultPlan::none()
             .with_event(5.0, 0, FaultKind::NodeSlowdown { factor: 2.0 })
             .with_event(5.0, 1, FaultKind::Straggler { multiplier: 3.0 }),
         retry: RetryPolicy::default(),
     };
-    let degraded = run_ecost_faulted(&eng, 2, &w, None, 2, &cx, &setup).expect("degraded");
+    let degraded = run(&eng, 2, &w, None, Decisions::Ecost(&cx), &setup).expect("degraded");
     assert_eq!(degraded.report.slowdowns, 1);
     assert_eq!(degraded.report.stragglers, 1);
     assert!(
@@ -163,14 +204,21 @@ fn empty_lookup_table_degrades_to_class_defaults() {
     let w = small_workload();
 
     let fallbacks_before = eng.stats().fallbacks;
-    let run = run_ecost_faulted(&eng, 2, &w, None, 2, &cx, &FaultSetup::default())
-        .expect("degraded run completes");
+    let out = run(
+        &eng,
+        2,
+        &w,
+        None,
+        Decisions::Ecost(&cx),
+        &FaultSetup::default(),
+    )
+    .expect("degraded run completes");
     assert!(
-        run.report.config_fallbacks > 0,
+        out.report.config_fallbacks > 0,
         "every pairing must have fallen back to class defaults: {}",
-        run.report
+        out.report
     );
-    assert!(run.run.makespan_s > 0.0);
+    assert!(out.run.makespan_s > 0.0);
     assert!(
         eng.stats().fallbacks > fallbacks_before,
         "fallbacks must surface in EngineStats"
@@ -190,7 +238,7 @@ fn losing_every_node_is_a_typed_degradation() {
         plan: FaultPlan::none().with_event(5.0, 0, FaultKind::NodeCrash),
         retry: RetryPolicy::default(),
     };
-    let err = run_ecost_faulted(&eng, 1, &w, None, 2, &cx, &setup)
+    let err = run(&eng, 1, &w, None, Decisions::Ecost(&cx), &setup)
         .expect_err("one node, one crash, jobs left: must fail");
     assert!(
         matches!(err, EvalError::Degraded { .. }),
@@ -208,7 +256,7 @@ fn untuned_baseline_survives_crashes_too() {
         plan: FaultPlan::none().with_event(10.0, 0, FaultKind::NodeCrash),
         retry: RetryPolicy::default(),
     };
-    let run = run_untuned_faulted(&eng, 2, &w, None, &setup).expect("untuned chaos run");
-    assert_eq!(run.report.crashes, 1);
-    assert!(run.run.makespan_s > 0.0);
+    let out = run(&eng, 2, &w, None, Decisions::Untuned, &setup).expect("untuned chaos run");
+    assert_eq!(out.report.crashes, 1);
+    assert!(out.run.makespan_s > 0.0);
 }

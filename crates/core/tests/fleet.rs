@@ -1,5 +1,5 @@
 //! Acceptance tests for the fleet layer: single-shard bit-identity with
-//! the monolithic calendar driver, arrival conservation across shard
+//! `run_stream`, arrival conservation across shard
 //! counts, worker-thread interleaving invariance, and router behaviour
 //! when one shard's circuit breaker opens.
 
@@ -8,7 +8,7 @@ use ecost_core::classify::RuleClassifier;
 use ecost_core::database::ConfigDatabase;
 use ecost_core::engine::EvalEngine;
 use ecost_core::fleet::{run_fleet, FleetConfig, FleetRun, FleetService, RoutePolicy};
-use ecost_core::mapping::{run_ecost_open_stream, FaultSetup, OpenArrival, OpenOptions};
+use ecost_core::mapping::{run_stream, Decisions, FaultSetup, OpenArrival, OpenOptions};
 use ecost_core::pairing::PairingPolicy;
 use ecost_core::stp::LktStp;
 use ecost_core::{EcostContext, EvalError, ServiceConfig, Testbed};
@@ -89,8 +89,9 @@ fn single_shard_fleet_is_bit_identical_to_the_calendar_driver() {
     let setup = FaultSetup::default();
 
     let eng = EvalEngine::atom();
-    let mono = run_ecost_open_stream(&eng, 3, &arrivals, OpenOptions::default(), &cx, &setup)
-        .expect("monolithic driver");
+    let opts = OpenOptions::default();
+    let mono =
+        run_stream(&eng, 3, &arrivals, Decisions::Ecost(&cx), opts, &setup).expect("run_stream");
 
     let cfg = FleetConfig {
         nodes_per_shard: 3,

@@ -1,24 +1,18 @@
-//! Equivalence and edge tests for the event-calendar open-cluster driver.
-//!
-//! The calendar driver must make the *same scheduling decisions* as the
-//! lockstep driver on the same stream: same placements, same fault
-//! handling, same degradations — so makespan and energy agree to float
-//! accumulation order (the per-node integration spans differ, so results
-//! are equal to a tight relative tolerance rather than bit-identical;
-//! the closed-workload goldens stay pinned to the lockstep driver).
+//! Edge and boundary tests for `run_stream`, the one open-stream entry
+//! point. (The equivalence cases against the lockstep oracle sit beside
+//! that oracle, inside the crate.)
 
 use ecost_apps::{App, InputSize, Workload};
 use ecost_core::classify::RuleClassifier;
 use ecost_core::database::ConfigDatabase;
 use ecost_core::engine::{EvalEngine, EvalError};
-use ecost_core::mapping::{
-    run_ecost_faulted, run_ecost_open_stream, run_untuned_faulted, run_untuned_open_stream,
-    FaultSetup, FaultedRun, OpenArrival, OpenOptions,
-};
+use ecost_core::mapping::{run_stream, Decisions, FaultSetup, OpenArrival, OpenOptions, StreamRun};
 use ecost_core::pairing::PairingPolicy;
 use ecost_core::stp::LktStp;
-use ecost_core::EcostContext;
-use ecost_sim::{FaultKind, FaultPlan};
+use ecost_core::{EcostContext, ServiceConfig};
+use ecost_sim::{FaultKind, FaultPlan, ServiceFaultSpec};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::Duration;
 
 const SEED: u64 = 7;
 
@@ -68,207 +62,57 @@ fn mixed_workload() -> Workload {
     }
 }
 
-/// The stream twin of a closed workload on an `n`-node cluster: the same
-/// per-node input share the lockstep entry points compute internally.
-fn stream_of(w: &Workload, n: usize, arrivals: &[f64]) -> Vec<OpenArrival> {
-    w.jobs
-        .iter()
-        .zip(arrivals)
-        .map(|((app, size), at)| OpenArrival {
-            app: *app,
-            input_mb: size.per_node_mb() * n as f64,
-            at_s: *at,
-        })
-        .collect()
+fn ecost_run(
+    eng: &EvalEngine,
+    n: usize,
+    stream: &[OpenArrival],
+    cx: &EcostContext<'_>,
+    setup: &FaultSetup,
+) -> Result<StreamRun, EvalError> {
+    run_stream(
+        eng,
+        n,
+        stream,
+        Decisions::Ecost(cx),
+        OpenOptions::default(),
+        setup,
+    )
 }
 
-/// Equal to float accumulation order: the two drivers chop each node's
-/// integration into different spans, so demand tight relative agreement,
-/// not bit identity.
 fn assert_close(label: &str, a: f64, b: f64) {
     let scale = a.abs().max(b.abs()).max(1.0);
-    assert!(
-        (a - b).abs() <= 1e-6 * scale,
-        "{label}: lockstep {a} vs calendar {b}"
-    );
-}
-
-fn assert_equivalent(lockstep: &FaultedRun, calendar: &FaultedRun) {
-    assert_close("makespan", lockstep.run.makespan_s, calendar.run.makespan_s);
-    assert_close(
-        "energy",
-        lockstep.run.energy_dyn_j,
-        calendar.run.energy_dyn_j,
-    );
-    // Decisions must be identical, so every counter matches exactly.
-    assert_eq!(lockstep.report, calendar.report);
-}
-
-#[test]
-fn calendar_matches_lockstep_on_simultaneous_arrivals() {
-    let eng = EvalEngine::atom();
-    let fx = Fixture::build(&eng, &[App::Wc, App::St]);
-    let cx = fx.ctx();
-    let w = mixed_workload();
-    let arrivals = [0.0; 4];
-    let setup = FaultSetup::default();
-
-    let lockstep =
-        run_ecost_faulted(&eng, 2, &w, Some(&arrivals), 2, &cx, &setup).expect("lockstep");
-    let calendar = run_ecost_open_stream(
-        &eng,
-        2,
-        &stream_of(&w, 2, &arrivals),
-        OpenOptions::default(),
-        &cx,
-        &setup,
-    )
-    .expect("calendar");
-    assert_equivalent(&lockstep, &calendar);
-}
-
-#[test]
-fn calendar_matches_lockstep_on_staggered_and_tied_arrivals() {
-    let eng = EvalEngine::atom();
-    let fx = Fixture::build(&eng, &[App::Wc, App::St]);
-    let cx = fx.ctx();
-    let w = mixed_workload();
-    let setup = FaultSetup::default();
-
-    for arrivals in [[0.0, 40.0, 80.0, 120.0], [0.0, 0.0, 100.0, 100.0]] {
-        let lockstep =
-            run_ecost_faulted(&eng, 2, &w, Some(&arrivals), 2, &cx, &setup).expect("lockstep");
-        let calendar = run_ecost_open_stream(
-            &eng,
-            2,
-            &stream_of(&w, 2, &arrivals),
-            OpenOptions::default(),
-            &cx,
-            &setup,
-        )
-        .expect("calendar");
-        assert_equivalent(&lockstep, &calendar);
-    }
-}
-
-#[test]
-fn calendar_matches_lockstep_under_faults() {
-    let eng = EvalEngine::atom();
-    let fx = Fixture::build(&eng, &[App::Wc, App::St]);
-    let cx = fx.ctx();
-    let w = mixed_workload();
-    let arrivals = [0.0, 0.0, 60.0, 90.0];
-    // One of everything: a crash displacing in-flight work, a slowdown,
-    // a straggler — the tie case included (fault at an arrival instant).
-    let setup = FaultSetup {
-        plan: FaultPlan::none()
-            .with_event(10.0, 1, FaultKind::NodeCrash)
-            .with_event(60.0, 0, FaultKind::NodeSlowdown { factor: 1.3 })
-            .with_event(90.0, 0, FaultKind::Straggler { multiplier: 2.0 }),
-        ..FaultSetup::default()
-    };
-
-    let lockstep =
-        run_ecost_faulted(&eng, 2, &w, Some(&arrivals), 2, &cx, &setup).expect("lockstep");
-    let calendar = run_ecost_open_stream(
-        &eng,
-        2,
-        &stream_of(&w, 2, &arrivals),
-        OpenOptions::default(),
-        &cx,
-        &setup,
-    )
-    .expect("calendar");
-    assert!(calendar.report.crashes == 1);
-    assert_equivalent(&lockstep, &calendar);
-}
-
-#[test]
-fn untuned_calendar_matches_untuned_lockstep() {
-    let eng = EvalEngine::atom();
-    let w = mixed_workload();
-    let arrivals = [0.0, 25.0, 50.0, 75.0];
-    let setup = FaultSetup::default();
-
-    let lockstep = run_untuned_faulted(&eng, 2, &w, Some(&arrivals), &setup).expect("lockstep");
-    let calendar = run_untuned_open_stream(
-        &eng,
-        2,
-        &stream_of(&w, 2, &arrivals),
-        OpenOptions::default(),
-        &setup,
-    )
-    .expect("calendar");
-    assert_equivalent(&lockstep, &calendar);
-}
-
-/// Single-node cluster: every pair co-locates on the one node and the
-/// calendar degenerates to a serial schedule — it must still match the
-/// lockstep driver, on both the tuned and untuned paths.
-#[test]
-fn single_node_cluster_matches_lockstep() {
-    let eng = EvalEngine::atom();
-    let fx = Fixture::build(&eng, &[App::Wc, App::St]);
-    let cx = fx.ctx();
-    let w = mixed_workload();
-    let arrivals = [0.0, 30.0, 60.0, 90.0];
-    let setup = FaultSetup::default();
-
-    let lockstep =
-        run_ecost_faulted(&eng, 1, &w, Some(&arrivals), 2, &cx, &setup).expect("lockstep n=1");
-    let calendar = run_ecost_open_stream(
-        &eng,
-        1,
-        &stream_of(&w, 1, &arrivals),
-        OpenOptions::default(),
-        &cx,
-        &setup,
-    )
-    .expect("calendar n=1");
-    assert!(calendar.run.makespan_s.is_finite() && calendar.run.makespan_s > 0.0);
-    assert_equivalent(&lockstep, &calendar);
-
-    let lockstep_u = run_untuned_faulted(&eng, 1, &w, Some(&arrivals), &setup).expect("lockstep");
-    let calendar_u = run_untuned_open_stream(
-        &eng,
-        1,
-        &stream_of(&w, 1, &arrivals),
-        OpenOptions::default(),
-        &setup,
-    )
-    .expect("calendar");
-    assert_equivalent(&lockstep_u, &calendar_u);
+    assert!((a - b).abs() <= 1e-6 * scale, "{label}: {a} vs {b}");
 }
 
 /// A burst of simultaneous arrivals hitting a long-idle cluster: the
 /// calendar must fast-forward cleanly (no event before the burst) and
-/// drain everything after it.
+/// drain everything after it, making the same decisions as for the burst
+/// at t = 0, shifted by the idle gap.
 #[test]
 fn empty_cluster_arrival_burst_drains() {
     let eng = EvalEngine::atom();
     let fx = Fixture::build(&eng, &[App::Wc, App::St]);
     let cx = fx.ctx();
     let w = mixed_workload();
-    let arrivals = [500.0; 4];
     let setup = FaultSetup::default();
+    let burst_at = |at: f64| {
+        let stream = OpenArrival::from_workload(&w, 2, Some(&[at; 4])).expect("stream");
+        ecost_run(&eng, 2, &stream, &cx, &setup).expect("burst run")
+    };
 
-    let lockstep =
-        run_ecost_faulted(&eng, 2, &w, Some(&arrivals), 2, &cx, &setup).expect("lockstep");
-    let calendar = run_ecost_open_stream(
-        &eng,
-        2,
-        &stream_of(&w, 2, &arrivals),
-        OpenOptions::default(),
-        &cx,
-        &setup,
-    )
-    .expect("calendar");
-    assert!(calendar.run.makespan_s > 500.0);
-    assert_equivalent(&lockstep, &calendar);
+    let early = burst_at(0.0);
+    let late = burst_at(500.0);
+    assert!(late.run.makespan_s > 500.0);
+    assert_close(
+        "makespan",
+        late.run.makespan_s - 500.0,
+        early.run.makespan_s,
+    );
+    assert_close("energy", late.run.energy_dyn_j, early.run.energy_dyn_j);
+    assert_eq!(late.report, early.report);
 }
 
-/// Every node crashing with jobs still queued is a typed degradation on
-/// the calendar path, exactly as on the lockstep path.
+/// Every node crashing with jobs still queued is a typed degradation.
 #[test]
 fn all_crash_is_a_typed_degradation() {
     let eng = EvalEngine::atom();
@@ -278,61 +122,157 @@ fn all_crash_is_a_typed_degradation() {
         name: "overload".into(),
         jobs: vec![(App::Wc, InputSize::Small); 6],
     };
-    let arrivals = [0.0; 6];
+    let stream = OpenArrival::from_workload(&w, 2, None).expect("stream");
     let setup = FaultSetup {
         plan: FaultPlan::none()
             .with_event(5.0, 0, FaultKind::NodeCrash)
             .with_event(6.0, 1, FaultKind::NodeCrash),
         ..FaultSetup::default()
     };
-    let err = run_ecost_open_stream(
-        &eng,
-        2,
-        &stream_of(&w, 2, &arrivals),
-        OpenOptions::default(),
-        &cx,
-        &setup,
-    )
-    .expect_err("must degrade");
+    let err = ecost_run(&eng, 2, &stream, &cx, &setup).expect_err("must degrade");
     assert!(matches!(err, EvalError::Degraded { .. }), "{err}");
 }
 
-#[test]
-fn invalid_streams_are_typed_errors() {
-    let eng = EvalEngine::atom();
-    let fx = Fixture::build(&eng, &[App::Wc]);
-    let cx = fx.ctx();
-    let setup = FaultSetup::default();
+/// One malformed input: the cluster size, the stream (or the error the
+/// closed-workload helper returned building it) and the driver options.
+struct Case {
+    label: String,
+    n: usize,
+    stream: Result<Vec<OpenArrival>, EvalError>,
+    opts: OpenOptions,
+}
+
+fn boundary_cases() -> Vec<Case> {
     let ok = OpenArrival {
         app: App::Wc,
         input_mb: 100.0,
         at_s: 0.0,
     };
-
-    let cases: Vec<Vec<OpenArrival>> = vec![
-        Vec::new(),
-        vec![OpenArrival {
-            input_mb: -5.0,
-            ..ok
-        }],
-        vec![OpenArrival {
-            input_mb: f64::NAN,
-            ..ok
-        }],
-        vec![OpenArrival { at_s: -1.0, ..ok }],
-        vec![OpenArrival {
-            at_s: f64::INFINITY,
-            ..ok
-        }],
+    let case = |label: String, n: usize, stream: Vec<OpenArrival>| Case {
+        label,
+        n,
+        stream: Ok(stream),
+        opts: OpenOptions::default(),
+    };
+    let mut cases = vec![
+        case("empty stream".into(), 2, Vec::new()),
+        case("zero nodes".into(), 0, vec![ok]),
+        Case {
+            opts: OpenOptions {
+                eligible_window: 0,
+                ..OpenOptions::default()
+            },
+            ..case("eligible_window = 0".into(), 2, vec![ok])
+        },
     ];
-    for stream in &cases {
-        assert!(matches!(
-            run_ecost_open_stream(&eng, 2, stream, OpenOptions::default(), &cx, &setup),
-            Err(EvalError::InvalidInput { .. })
-        ));
+    for mb in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -5.0] {
+        let bad = OpenArrival { input_mb: mb, ..ok };
+        cases.push(case(format!("input_mb = {mb}"), 2, vec![ok, bad]));
     }
-    assert!(matches!(
-        run_ecost_open_stream(&eng, 0, &[ok], OpenOptions::default(), &cx, &setup),
-        Err(EvalError::InvalidInput { .. })
-    ));
+    let pair = Workload {
+        name: "pair".into(),
+        jobs: vec![(App::Wc, InputSize::Small); 2],
+    };
+    for at in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -50.0] {
+        let bad = OpenArrival { at_s: at, ..ok };
+        cases.push(case(format!("at_s = {at}"), 2, vec![ok, bad]));
+        cases.push(Case {
+            label: format!("closed workload arriving at [0, {at}]"),
+            n: 2,
+            stream: OpenArrival::from_workload(&pair, 2, Some(&[0.0, at])),
+            opts: OpenOptions::default(),
+        });
+    }
+    cases.push(Case {
+        label: "closed workload with one arrival time for two jobs".into(),
+        n: 2,
+        stream: OpenArrival::from_workload(&pair, 2, Some(&[0.0])),
+        opts: OpenOptions::default(),
+    });
+    cases
+}
+
+/// Every malformed input to `run_stream`, under every [`Decisions`]
+/// variant, plus an invalid service config, is a typed
+/// [`EvalError::InvalidInput`] — never a panic, and never a hang (a NaN
+/// arrival time once pinned the event loop's step at zero). The cases run
+/// on a worker thread that reports each verdict as it lands, so a hang
+/// fails here at the deadline instead of stalling the suite.
+#[test]
+fn invalid_streams_are_typed_errors() {
+    let (tx, rx) = mpsc::channel::<Option<(String, Result<(), EvalError>)>>();
+    let worker = std::thread::spawn(move || {
+        let eng = EvalEngine::atom();
+        let fx = Fixture::build(&eng, &[App::Wc]);
+        let cx = fx.ctx();
+        let setup = FaultSetup::default();
+        let variants = [
+            ("ecost", Decisions::Ecost(&cx)),
+            (
+                "serviced",
+                Decisions::Serviced {
+                    ctx: &cx,
+                    config: ServiceConfig::unlimited(),
+                    faults: ServiceFaultSpec::healthy(SEED),
+                },
+            ),
+            ("untuned", Decisions::Untuned),
+        ];
+        for case in boundary_cases() {
+            for (name, decisions) in &variants {
+                let verdict = match &case.stream {
+                    Err(e) => Err(e.clone()),
+                    Ok(stream) => {
+                        run_stream(&eng, case.n, stream, decisions.clone(), case.opts, &setup)
+                            .map(|_| ())
+                    }
+                };
+                let label = format!("{name}: {}", case.label);
+                if tx.send(Some((label, verdict))).is_err() {
+                    return;
+                }
+            }
+        }
+        let ok = [OpenArrival {
+            app: App::Wc,
+            input_mb: 100.0,
+            at_s: 0.0,
+        }];
+        let bad_config = Decisions::Serviced {
+            ctx: &cx,
+            config: ServiceConfig {
+                max_inflight: Some(0),
+                ..ServiceConfig::default()
+            },
+            faults: ServiceFaultSpec::healthy(SEED),
+        };
+        let verdict = run_stream(&eng, 2, &ok, bad_config, OpenOptions::default(), &setup);
+        let _ = tx.send(Some((
+            "serviced: max_inflight = 0".into(),
+            verdict.map(|_| ()),
+        )));
+        let _ = tx.send(None);
+    });
+
+    let expected = boundary_cases().len() * 3 + 1;
+    let mut last = String::from("(fixture build)");
+    let mut seen = 0;
+    loop {
+        match rx.recv_timeout(Duration::from_secs(300)) {
+            Ok(Some((label, verdict))) => {
+                assert!(
+                    matches!(verdict, Err(EvalError::InvalidInput { .. })),
+                    "{label}: expected InvalidInput, got {verdict:?}"
+                );
+                last = label;
+                seen += 1;
+            }
+            Ok(None) => break,
+            // A hung worker cannot be joined; the test binary reaps it.
+            Err(RecvTimeoutError::Timeout) => panic!("the case after `{last}` hung"),
+            Err(RecvTimeoutError::Disconnected) => break,
+        }
+    }
+    assert!(worker.join().is_ok(), "the case after `{last}` panicked");
+    assert_eq!(seen, expected);
 }

@@ -1,15 +1,19 @@
-//! Edge cases of the open-queue scheduler entry point
-//! (`run_ecost_open`): degenerate inputs, simultaneous arrivals,
+//! Edge cases of the open-queue scheduler (`run_stream` over a closed
+//! workload's arrival stream): degenerate inputs, simultaneous arrivals,
 //! single-class workloads and a disabled head-skip allowance.
 
 use ecost_apps::{App, InputSize, Workload};
 use ecost_core::classify::RuleClassifier;
 use ecost_core::database::ConfigDatabase;
-use ecost_core::engine::{EvalEngine, EvalError};
-use ecost_core::mapping::{run_ecost_open, run_policy, ConfiguredPolicy, MappingPolicy};
+use ecost_core::engine::{EvalEngine, EvalError, RetryPolicy};
+use ecost_core::mapping::{
+    run_policy, run_stream, ClusterRun, ConfiguredPolicy, Decisions, FaultSetup, MappingPolicy,
+    OpenArrival, OpenOptions,
+};
 use ecost_core::pairing::PairingPolicy;
 use ecost_core::stp::LktStp;
 use ecost_core::EcostContext;
+use ecost_sim::FaultPlan;
 
 const SEED: u64 = 7;
 
@@ -59,27 +63,46 @@ fn mixed_workload() -> Workload {
     }
 }
 
+/// ECoST on `w` arriving at `arrivals`, fault-free and without retry.
+fn run_open(
+    eng: &EvalEngine,
+    n: usize,
+    w: &Workload,
+    arrivals: &[f64],
+    max_head_skips: u32,
+    cx: &EcostContext<'_>,
+) -> Result<ClusterRun, EvalError> {
+    let stream = OpenArrival::from_workload(w, n, Some(arrivals))?;
+    let opts = OpenOptions {
+        max_head_skips,
+        ..OpenOptions::default()
+    };
+    let setup = FaultSetup {
+        plan: FaultPlan::none(),
+        retry: RetryPolicy::none(),
+    };
+    Ok(run_stream(eng, n, &stream, Decisions::Ecost(cx), opts, &setup)?.run)
+}
+
+/// The closed-workload door: ECoST through `run_policy` rejects an empty
+/// workload and a zero-node cluster up front. (The stream door's
+/// boundaries are `open_cluster::invalid_streams_are_typed_errors`.)
 #[test]
 fn empty_workload_and_zero_nodes_are_typed_errors() {
     let eng = EvalEngine::atom();
     let fx = Fixture::build(&eng, &[App::Wc, App::St]);
     let cx = fx.ctx();
+    let ecost = ConfiguredPolicy::new(MappingPolicy::Ecost, Some(&cx)).expect("tuned policy");
     let empty = Workload {
         name: "empty".into(),
         jobs: Vec::new(),
     };
     assert!(matches!(
-        run_ecost_open(&eng, 2, &empty, &[], 2, &cx),
+        run_policy(&eng, 2, &empty, &ecost),
         Err(EvalError::InvalidInput { .. })
     ));
-    let w = mixed_workload();
     assert!(matches!(
-        run_ecost_open(&eng, 0, &w, &[0.0; 4], 2, &cx),
-        Err(EvalError::InvalidInput { .. })
-    ));
-    // One arrival time per job, or the call is rejected up front.
-    assert!(matches!(
-        run_ecost_open(&eng, 2, &w, &[0.0, 1.0], 2, &cx),
+        run_policy(&eng, 0, &mixed_workload(), &ecost),
         Err(EvalError::InvalidInput { .. })
     ));
 }
@@ -93,7 +116,7 @@ fn simultaneous_arrivals_match_the_closed_queue() {
     let cx = fx.ctx();
     let w = mixed_workload();
 
-    let open = run_ecost_open(&eng, 2, &w, &[0.0; 4], 2, &cx).expect("open run");
+    let open = run_open(&eng, 2, &w, &[0.0; 4], 2, &cx).expect("open run");
     let closed = {
         let p = ConfiguredPolicy::new(MappingPolicy::Ecost, Some(&cx)).expect("tuned policy");
         run_policy(&eng, 2, &w, &p).expect("closed run")
@@ -114,7 +137,7 @@ fn all_memory_bound_workload_completes() {
         name: "all-m".into(),
         jobs: vec![(App::Fp, InputSize::Small); 4],
     };
-    let run = run_ecost_open(&eng, 2, &w, &[0.0; 4], 2, &cx).expect("all-M run");
+    let run = run_open(&eng, 2, &w, &[0.0; 4], 2, &cx).expect("all-M run");
     assert!(run.makespan_s > 0.0 && run.energy_dyn_j > 0.0);
 }
 
@@ -126,10 +149,10 @@ fn zero_head_skips_is_strict_fifo_and_still_drains() {
     let fx = Fixture::build(&eng, &[App::Wc, App::St]);
     let cx = fx.ctx();
     let w = mixed_workload();
-    let strict = run_ecost_open(&eng, 1, &w, &[0.0; 4], 0, &cx).expect("strict FIFO run");
+    let strict = run_open(&eng, 1, &w, &[0.0; 4], 0, &cx).expect("strict FIFO run");
     assert!(strict.makespan_s > 0.0);
     // Staggered arrivals behind a strict head must also drain.
     let staggered =
-        run_ecost_open(&eng, 1, &w, &[0.0, 50.0, 100.0, 150.0], 0, &cx).expect("staggered run");
+        run_open(&eng, 1, &w, &[0.0, 50.0, 100.0, 150.0], 0, &cx).expect("staggered run");
     assert!(staggered.makespan_s >= strict.makespan_s * 0.5);
 }

@@ -1,15 +1,13 @@
 //! Integration tests for the concurrent tuning service: typed failure
 //! paths (shed / deadline / retry / breaker), bounded real concurrency,
-//! determinism under multi-threaded drive, and the serviced streaming
-//! driver's bit-identity with the direct calendar driver.
+//! determinism under multi-threaded drive, and serviced stream runs'
+//! bit-identity with direct ECoST decisions.
 
 use ecost_apps::{App, InputSize};
 use ecost_core::classify::RuleClassifier;
 use ecost_core::database::ConfigDatabase;
 use ecost_core::engine::EvalEngine;
-use ecost_core::mapping::{
-    run_ecost_open_stream, run_ecost_open_stream_serviced, FaultSetup, OpenArrival, OpenOptions,
-};
+use ecost_core::mapping::{run_stream, Decisions, FaultSetup, OpenArrival, OpenOptions};
 use ecost_core::pairing::PairingPolicy;
 use ecost_core::stp::LktStp;
 use ecost_core::{
@@ -323,7 +321,7 @@ fn multithreaded_soak_is_bounded_and_deterministic() {
 }
 
 /// A zero-fault, no-limit serviced streaming run answers every decision
-/// with a free full sweep — bit-identical to the direct calendar driver.
+/// with a free full sweep — bit-identical to direct ECoST decisions.
 #[test]
 fn unlimited_serviced_stream_is_bit_identical_to_direct() {
     let eng = EvalEngine::atom();
@@ -350,19 +348,16 @@ fn unlimited_serviced_stream_is_bit_identical_to_direct() {
         })
         .collect();
     let setup = FaultSetup::default();
-    let direct = run_ecost_open_stream(&eng, 2, &stream, OpenOptions::default(), &cx, &setup)
-        .expect("direct");
-    let (serviced, svc_report) = run_ecost_open_stream_serviced(
-        &eng,
-        2,
-        &stream,
-        OpenOptions::default(),
-        &cx,
-        &setup,
-        ServiceConfig::unlimited(),
-        ServiceFaultSpec::healthy(SEED),
-    )
-    .expect("serviced");
+    let opts = OpenOptions::default();
+    let direct = run_stream(&eng, 2, &stream, Decisions::Ecost(&cx), opts, &setup).expect("direct");
+    assert_eq!(direct.service, None);
+    let decisions = Decisions::Serviced {
+        ctx: &cx,
+        config: ServiceConfig::unlimited(),
+        faults: ServiceFaultSpec::healthy(SEED),
+    };
+    let serviced = run_stream(&eng, 2, &stream, decisions, opts, &setup).expect("serviced");
+    let svc_report = serviced.service.clone().expect("service report");
     assert_eq!(
         direct.run.makespan_s.to_bits(),
         serviced.run.makespan_s.to_bits(),
@@ -415,17 +410,14 @@ fn constrained_serviced_stream_completes_with_degradations() {
         deadline_s: 12.0,
         ..ServiceConfig::default()
     };
-    let (run, svc_report) = run_ecost_open_stream_serviced(
-        &eng,
-        2,
-        &stream,
-        OpenOptions::default(),
-        &cx,
-        &setup,
-        svc_cfg,
-        ServiceFaultSpec::healthy(SEED),
-    )
-    .expect("serviced");
+    let decisions = Decisions::Serviced {
+        ctx: &cx,
+        config: svc_cfg,
+        faults: ServiceFaultSpec::healthy(SEED),
+    };
+    let run =
+        run_stream(&eng, 2, &stream, decisions, OpenOptions::default(), &setup).expect("serviced");
+    let svc_report = run.service.clone().expect("service report");
     assert!(run.run.makespan_s.is_finite() && run.run.makespan_s > 0.0);
     assert!(
         svc_report.shed > 0 || svc_report.deadline_exceeded > 0 || svc_report.tier_fallback > 0,

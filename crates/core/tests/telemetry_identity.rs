@@ -7,7 +7,7 @@ use ecost_core::classify::RuleClassifier;
 use ecost_core::database::ConfigDatabase;
 use ecost_core::engine::{EvalEngine, RetryPolicy};
 use ecost_core::features::Testbed;
-use ecost_core::mapping::{run_ecost_faulted, run_ecost_open, FaultSetup};
+use ecost_core::mapping::{run_stream, Decisions, FaultSetup, OpenArrival, OpenOptions, StreamRun};
 use ecost_core::pairing::PairingPolicy;
 use ecost_core::stp::LktStp;
 use ecost_core::EcostContext;
@@ -34,6 +34,20 @@ fn fixture(eng: &EvalEngine) -> (ConfigDatabase, RuleClassifier, LktStp, Pairing
     let classifier = RuleClassifier::fit(&db.signatures);
     let lkt = LktStp::from_database(&db);
     (db, classifier, lkt, PairingPolicy::default())
+}
+
+/// ECoST on `w` over 2 nodes, arriving at `arrivals` (all at t = 0 when
+/// `None`).
+fn run(
+    eng: &EvalEngine,
+    w: &Workload,
+    arrivals: Option<&[f64]>,
+    cx: &EcostContext<'_>,
+    setup: &FaultSetup,
+) -> StreamRun {
+    let stream = OpenArrival::from_workload(w, 2, arrivals).expect("stream");
+    let opts = OpenOptions::default();
+    run_stream(eng, 2, &stream, Decisions::Ecost(cx), opts, setup).expect("stream run")
 }
 
 fn ctx<'a>(
@@ -67,10 +81,14 @@ fn recording_is_bit_identical_to_noop() {
     let recording = EvalEngine::with_recorder(Testbed::atom(), Recorder::recording());
 
     // Healthy open-queue schedule.
-    let a = run_ecost_open(&noop, 2, &w, &arrivals, 2, &cx).expect("noop run");
-    let b = run_ecost_open(&recording, 2, &w, &arrivals, 2, &cx).expect("recording run");
-    assert_eq!(a.makespan_s.to_bits(), b.makespan_s.to_bits());
-    assert_eq!(a.energy_dyn_j.to_bits(), b.energy_dyn_j.to_bits());
+    let healthy = FaultSetup {
+        plan: FaultPlan::none(),
+        retry: RetryPolicy::none(),
+    };
+    let a = run(&noop, &w, Some(&arrivals), &cx, &healthy);
+    let b = run(&recording, &w, Some(&arrivals), &cx, &healthy);
+    assert_eq!(a.run.makespan_s.to_bits(), b.run.makespan_s.to_bits());
+    assert_eq!(a.run.energy_dyn_j.to_bits(), b.run.energy_dyn_j.to_bits());
 
     // Chaos schedule under the same fault plan.
     let setup = FaultSetup {
@@ -79,9 +97,8 @@ fn recording_is_bit_identical_to_noop() {
             .with_event(5.0, 0, FaultKind::Straggler { multiplier: 4.0 }),
         retry: RetryPolicy::default(),
     };
-    let fa = run_ecost_faulted(&noop, 2, &w, Some(&arrivals), 2, &cx, &setup).expect("noop chaos");
-    let fb = run_ecost_faulted(&recording, 2, &w, Some(&arrivals), 2, &cx, &setup)
-        .expect("recording chaos");
+    let fa = run(&noop, &w, Some(&arrivals), &cx, &setup);
+    let fb = run(&recording, &w, Some(&arrivals), &cx, &setup);
     assert_eq!(fa.run.makespan_s.to_bits(), fb.run.makespan_s.to_bits());
     assert_eq!(fa.run.energy_dyn_j.to_bits(), fb.run.energy_dyn_j.to_bits());
     assert_eq!(fa.report, fb.report);
@@ -107,8 +124,7 @@ fn chaos_trace_event_counts_match_engine_stats() {
             .with_event(15.0, 0, FaultKind::NodeSlowdown { factor: 2.0 }),
         retry: RetryPolicy::default(),
     };
-    let out =
-        run_ecost_faulted(&recording, 2, &w, None, 2, &cx, &setup).expect("recorded chaos run");
+    let out = run(&recording, &w, None, &cx, &setup);
     assert_eq!(out.report.crashes, 1);
 
     let events = recording.recorder().events();
