@@ -14,11 +14,13 @@
 //!    millisecond, so it is reported in `BENCH_sim.json` for information
 //!    only and carries no trend key.
 //!
-//! Below those sits the **scalar AMVA kernel** ledger: ns per fixed-point
+//! Below those sits the **AMVA kernel** ledger: ns per fixed-point
 //! iteration on the two shapes the executor produces (one job over 2
 //! stations, two jobs over 3), with the register-resident fixed-shape
-//! kernel and the runtime-shape loop timed interleaved on the same
-//! problems, so their paired ratio comes from one run (`amva_kernel`).
+//! kernel, the runtime-shape loop and the lane kernel (ns per lane-
+//! iteration, 16 problems per call as the sweep path batches them) timed
+//! interleaved on the same problems, so their paired ratios come from
+//! one run (`amva_kernel`).
 //!
 //! The sweep kernels are timed in up to three arms of identical shape: the
 //! *baseline* arm drives the frozen pre-refactor executor
@@ -26,8 +28,8 @@
 //! the *optimized* arm drives the pooled [`EvalEngine`] one point at a
 //! time (`solo_outcome` / `pair_metrics`, the single-point path), and the
 //! *batched* arm drives the engine's sweep path (`sweep_solo` /
-//! `pair_sweep`: lane-interleaved AMVA windows of `MAX_BATCH_LANES` sweep
-//! points, resident across their outer fixed points). All arms are
+//! `pair_sweep`: windows of `MAX_BATCH_LANES` sweep points whose rate
+//! solves run on the AMVA lane kernel). All arms are
 //! bit-identical in results (enforced by the `refactor_equivalence`
 //! proptests and the engine's sweep-equivalence tests), so "events"
 //! counted on one arm apply to every arm: an event is one per-job
@@ -36,10 +38,10 @@
 //! outcome record keeps). The scheduler is timed in one arm, through the
 //! engine's default paths.
 //!
-//! The batched arms run the explicit `f64x4` AMVA kernel (auto-detected
-//! backend); alongside them the default run times the same sweeps with
-//! the kernel pinned scalar, so the SIMD delta is tracked (`*_simd_off`
-//! keys in the trend row). A separate single-threaded instrumented pass
+//! The batched arms and the lane-kernel ledger run the explicit `f64x4`
+//! AMVA lane kernel (auto-detected backend); alongside them the default
+//! run times the same sweeps with the kernel pinned scalar, so the SIMD
+//! delta is tracked (`*_simd_off` keys in the trend row). A separate single-threaded instrumented pass
 //! ([`EvalEngine::set_phase_timing`]) reports the measured phase
 //! breakdown of the sweep path (solve / outer / submit+reset / memo /
 //! event-loop) in the `phases` section.
@@ -47,11 +49,12 @@
 //! Flags: `--baseline` runs the baseline arms only (for A/B against an
 //! older build); `--no-batch` runs only the single-point and baseline
 //! arms; `--batch` is the explicit form of the default (all arms);
-//! `--no-simd` pins the scalar AMVA kernel on every batched arm (rows get
-//! `"simd":"off"`, and the simd-off shadow arms are skipped); `--threads
-//! N` sets the worker count for the rayon-sharded arms (the row's
-//! `threads` context field reports it); `--quick` (or `ECOST_QUICK=1`)
-//! shrinks every dimension for CI smoke runs. Any other argument is an
+//! `--no-simd` pins the scalar AMVA kernel on every batched arm and on the
+//! lane-kernel ledger (rows get `"simd":"off"`, and the simd-off shadow
+//! arms are skipped); `--threads N` sets the worker count for the
+//! rayon-sharded arms (the row's `threads` context field reports it);
+//! `--quick` (or `ECOST_QUICK=1`) shrinks every dimension for CI smoke
+//! runs. Any other argument, or an unknown `ECOST_SIMD` value, is an
 //! error (exit 1), reported before the first measurement.
 //!
 //! Besides `BENCH_sim.json`, every run appends one compact row to the
@@ -72,7 +75,7 @@ use ecost_core::features::Testbed;
 use ecost_core::mapping::{run_stream, Decisions, FaultSetup, OpenArrival, OpenOptions};
 use ecost_mapreduce::reference::{run_colocated_reference, run_standalone_reference};
 use ecost_mapreduce::{JobSpec, PairConfig, TuningConfig, MAX_BATCH_LANES};
-use ecost_sim::{AmvaScratch, ClassDemand, FaultPlan};
+use ecost_sim::{solve_lanes, AmvaScratch, ClassDemand, FaultPlan, FixedClasses, SimdBackend};
 use ecost_telemetry::{Recorder, TraceEvent};
 use rayon::prelude::*;
 use std::fmt::Write as _;
@@ -83,7 +86,7 @@ use std::time::Instant;
 /// Report schema version. Bump when the `BENCH_sim.json` shape changes
 /// (new sections or renamed keys), never for additive arm entries inside
 /// an existing section; the pinned unit test makes bumps deliberate.
-const SCHEMA: &str = "ecost-bench-sim/5";
+const SCHEMA: &str = "ecost-bench-sim/6";
 
 /// One timed measurement arm.
 #[derive(Debug, Clone, Copy)]
@@ -400,20 +403,25 @@ fn scheduler_timed(quick: bool, simd: bool, pool: &mut PoolTotals) -> Result<Arm
     })
 }
 
-/// The scalar AMVA kernel on one shape: the fixed-shape kernel
-/// ([`AmvaScratch::solve`]) against the runtime-shape loop
-/// ([`AmvaScratch::solve_runtime_shape`]) on the same problems.
+/// The AMVA kernels on one shape, timed on the same problems: the
+/// fixed-shape scalar kernel ([`AmvaScratch::solve`]), the runtime-shape
+/// loop ([`AmvaScratch::solve_runtime_shape`]) and the lane kernel
+/// ([`solve_lanes`], [`MAX_BATCH_LANES`] problems per call, as the sweep
+/// path calls it).
 #[derive(Debug, Clone, Copy)]
 struct KernelTiming {
     problems: usize,
-    /// Fixed-point iterations per pass — the same on both kernels, which
+    /// Fixed-point iterations per pass — the same on every kernel, which
     /// are bit-identical.
     iterations: u64,
-    /// Fastest round, ns per iteration.
+    /// Fastest round, ns per iteration (per lane-iteration for the lanes).
     fixed_ns: f64,
     runtime_ns: f64,
+    lanes_ns: f64,
     /// Median over rounds of the same-round ratio `runtime_ns / fixed_ns`.
     speedup: f64,
+    /// Median over rounds of the same-round ratio `fixed_ns / lanes_ns`.
+    lanes_speedup: f64,
 }
 
 impl KernelTiming {
@@ -421,8 +429,15 @@ impl KernelTiming {
         format!(
             "{{\n      \"problems\": {},\n      \"iterations\": {},\n      \
              \"fixed_ns_per_iter\": {:.2},\n      \"runtime_ns_per_iter\": {:.2},\n      \
-             \"speedup\": {:.2}\n    }}",
-            self.problems, self.iterations, self.fixed_ns, self.runtime_ns, self.speedup
+             \"speedup\": {:.2},\n      \"lanes_ns_per_iter\": {:.2},\n      \
+             \"lanes_speedup\": {:.2}\n    }}",
+            self.problems,
+            self.iterations,
+            self.fixed_ns,
+            self.runtime_ns,
+            self.speedup,
+            self.lanes_ns,
+            self.lanes_speedup
         )
     }
 }
@@ -458,62 +473,116 @@ fn kernel_problems(nc: usize, count: usize) -> Vec<Vec<ClassDemand>> {
         .collect()
 }
 
-/// Time both scalar kernels over `problems` for `rounds` rounds. Each
-/// round runs the two back to back, alternating which goes first, so
-/// host drift within a round hits both alike; the ratio is taken per
-/// round and its median reported.
-fn amva_kernel(problems: &[Vec<ClassDemand>], rounds: usize) -> Result<KernelTiming, BenchError> {
-    let stations = problems.first().map_or(0, |p| p.len() + 1);
+/// Median of a non-empty sample of per-round ratios.
+fn median_ratio(mut ratios: Vec<f64>) -> Result<f64, BenchError> {
+    ratios.sort_by(f64::total_cmp);
+    ratios
+        .get(ratios.len() / 2)
+        .copied()
+        .ok_or(BenchError::Invalid("no AMVA kernel rounds ran".into()))
+}
+
+/// Time the three kernels over `problems` (`NC` jobs over `S = NC + 1`
+/// stations) for `rounds` rounds, the lane kernel on `backend`. Each
+/// round runs the three back to back, rotating which goes first, so host
+/// drift within a round hits all alike; the ratios are taken per round
+/// and their medians reported.
+fn amva_kernel<const NC: usize, const S: usize>(
+    problems: &[Vec<ClassDemand>],
+    rounds: usize,
+    backend: SimdBackend,
+) -> Result<KernelTiming, BenchError> {
+    let packed: Vec<FixedClasses<NC, S>> = problems
+        .iter()
+        .map(|classes| {
+            let mut p = FixedClasses::zeroed();
+            for (j, c) in classes.iter().enumerate() {
+                p.population[j] = c.population;
+                p.think_time_s[j] = c.think_time_s;
+                p.demands_s[j].copy_from_slice(&c.demands_s);
+            }
+            p
+        })
+        .collect();
     let mut scratch = AmvaScratch::new();
-    let mut pass = |fixed: bool| -> Result<(f64, u64), BenchError> {
+    let mut scalar_pass = |fixed: bool| -> Result<(f64, u64), BenchError> {
         let t0 = Instant::now();
         let mut iterations = 0u64;
         for p in problems {
             let p = std::hint::black_box(p.as_slice());
             if fixed {
-                scratch.solve(p, stations)?;
+                scratch.solve(p, S)?;
             } else {
-                scratch.solve_runtime_shape(p, stations)?;
+                scratch.solve_runtime_shape(p, S)?;
             }
             std::hint::black_box(scratch.throughput());
             iterations += scratch.iterations() as u64;
         }
         Ok((t0.elapsed().as_nanos() as f64, iterations))
     };
-    let mut fixed_ns = f64::INFINITY;
-    let mut runtime_ns = f64::INFINITY;
+    let lanes_pass = || -> Result<(f64, u64), BenchError> {
+        let t0 = Instant::now();
+        let mut iterations = 0u64;
+        let mut failed = None;
+        for chunk in packed.chunks(MAX_BATCH_LANES) {
+            solve_lanes(backend, std::hint::black_box(chunk), |_, r| match r {
+                Ok(sol) => {
+                    std::hint::black_box(sol.throughput);
+                    iterations += sol.iterations as u64;
+                }
+                Err(e) => failed = Some(e),
+            });
+        }
+        if let Some(e) = failed {
+            return Err(e.into());
+        }
+        Ok((t0.elapsed().as_nanos() as f64, iterations))
+    };
+    let (mut fixed_ns, mut runtime_ns, mut lanes_ns) =
+        (f64::INFINITY, f64::INFINITY, f64::INFINITY);
     let mut iterations = 0;
-    let mut ratios = Vec::with_capacity(rounds);
+    let (mut ratios, mut lane_ratios) = (Vec::with_capacity(rounds), Vec::with_capacity(rounds));
     for round in 0..rounds {
-        let (fixed, runtime) = if round % 2 == 0 {
-            let fixed = pass(true)?;
-            (fixed, pass(false)?)
-        } else {
-            let runtime = pass(false)?;
-            (pass(true)?, runtime)
+        let (fixed, runtime, lanes) = match round % 3 {
+            0 => {
+                let f = scalar_pass(true)?;
+                let r = scalar_pass(false)?;
+                (f, r, lanes_pass()?)
+            }
+            1 => {
+                let r = scalar_pass(false)?;
+                let l = lanes_pass()?;
+                (scalar_pass(true)?, r, l)
+            }
+            _ => {
+                let l = lanes_pass()?;
+                let f = scalar_pass(true)?;
+                (f, scalar_pass(false)?, l)
+            }
         };
-        if fixed.1 != runtime.1 || fixed.1 == 0 {
+        if fixed.1 != runtime.1 || fixed.1 != lanes.1 || fixed.1 == 0 {
             return Err(BenchError::Invalid(format!(
-                "AMVA kernels ran {} vs {} iterations on the same problems",
-                fixed.1, runtime.1
+                "AMVA kernels ran {} / {} / {} iterations on the same problems",
+                fixed.1, runtime.1, lanes.1
             )));
         }
         iterations = fixed.1;
-        let (f, r) = (fixed.0 / fixed.1 as f64, runtime.0 / runtime.1 as f64);
+        let n = fixed.1 as f64;
+        let (f, r, l) = (fixed.0 / n, runtime.0 / n, lanes.0 / n);
         fixed_ns = fixed_ns.min(f);
         runtime_ns = runtime_ns.min(r);
+        lanes_ns = lanes_ns.min(l);
         ratios.push(r / f);
+        lane_ratios.push(f / l);
     }
-    ratios.sort_by(f64::total_cmp);
-    let speedup = *ratios
-        .get(ratios.len() / 2)
-        .ok_or(BenchError::Invalid("no AMVA kernel rounds ran".into()))?;
     Ok(KernelTiming {
         problems: problems.len(),
         iterations,
         fixed_ns,
         runtime_ns,
-        speedup,
+        lanes_ns,
+        speedup: median_ratio(ratios)?,
+        lanes_speedup: median_ratio(lane_ratios)?,
     })
 }
 
@@ -862,11 +931,18 @@ fn run(opts: Options) -> Result<(), BenchError> {
     }
 
     let kernel_count = if quick { 2_000 } else { 20_000 };
+    let lane_backend = if arms.simd {
+        SimdBackend::detect()
+    } else {
+        SimdBackend::Scalar
+    };
     eprintln!(
-        "[bench_report] scalar AMVA kernel: {kernel_count} problems per shape, {rounds} rounds…"
+        "[bench_report] AMVA kernels: {kernel_count} problems per shape, {rounds} rounds, \
+         lanes on {}…",
+        lane_backend.name()
     );
-    let one_class = amva_kernel(&kernel_problems(1, kernel_count), rounds)?;
-    let two_class = amva_kernel(&kernel_problems(2, kernel_count), rounds)?;
+    let one_class = amva_kernel::<1, 2>(&kernel_problems(1, kernel_count), rounds, lane_backend)?;
+    let two_class = amva_kernel::<2, 3>(&kernel_problems(2, kernel_count), rounds, lane_backend)?;
 
     let mut out = String::new();
     out.push_str("{\n");
@@ -880,15 +956,7 @@ fn run(opts: Options) -> Result<(), BenchError> {
     let _ = writeln!(out, "  \"threads\": {},", rayon::current_num_threads());
     let _ = writeln!(out, "  \"batch_lanes\": {MAX_BATCH_LANES},");
     let _ = writeln!(out, "  \"simd\": \"{}\",", arms.simd_label());
-    let _ = writeln!(
-        out,
-        "  \"simd_backend\": \"{}\",",
-        if arms.simd {
-            ecost_sim::SimdBackend::detect().name()
-        } else {
-            "scalar"
-        }
-    );
+    let _ = writeln!(out, "  \"simd_backend\": \"{}\",", lane_backend.name());
     section(
         &mut out,
         "solo_sweep",
@@ -978,6 +1046,10 @@ fn run(opts: Options) -> Result<(), BenchError> {
             ("amva_2c_fixed_ns_per_iter", two_class.fixed_ns),
             ("amva_2c_runtime_ns_per_iter", two_class.runtime_ns),
             ("amva_2c_speedup", two_class.speedup),
+            ("amva_1c_lanes_ns_per_iter", one_class.lanes_ns),
+            ("amva_1c_lanes_speedup", one_class.lanes_speedup),
+            ("amva_2c_lanes_ns_per_iter", two_class.lanes_ns),
+            ("amva_2c_lanes_speedup", two_class.lanes_speedup),
         ],
     )?;
     eprintln!("[bench_report] appended trend row to {trend_path}");
@@ -998,7 +1070,7 @@ mod tests {
         // Consumers (CI smoke, DESIGN.md §11, external dashboards) key on
         // this exact string; a shape change must bump it here on purpose,
         // in the same commit that documents the new shape.
-        assert_eq!(SCHEMA, "ecost-bench-sim/5");
+        assert_eq!(SCHEMA, "ecost-bench-sim/6");
     }
 
     #[test]

@@ -32,13 +32,14 @@
 use ecost_bench::BenchError;
 use std::process::ExitCode;
 
-/// Headline keys a row may carry (absent arms are skipped): throughputs
-/// and ratios, where higher is better, and `*_ns_per_iter` kernel
-/// latencies, where lower is better. Keys of retired arms
+/// Headline keys a row may carry (absent arms and keys are skipped):
+/// throughputs and ratios, where higher is better, and `*_ns_per_iter`
+/// kernel latencies (the scalar AMVA kernels and the lane kernel), where
+/// lower is better. Keys of retired arms
 /// (`pair_batch_resident`, `pair_warm_start`, `sched_baseline`,
 /// `sched_optimized`, `sched_batched`) may linger in older rows; they are
 /// not listed, so they never gate.
-const METRICS: [&str; 17] = [
+const METRICS: [&str; 21] = [
     "solo_baseline_sims_per_s",
     "solo_optimized_sims_per_s",
     "solo_batched_sims_per_s",
@@ -56,6 +57,10 @@ const METRICS: [&str; 17] = [
     "amva_2c_fixed_ns_per_iter",
     "amva_2c_runtime_ns_per_iter",
     "amva_2c_speedup",
+    "amva_1c_lanes_ns_per_iter",
+    "amva_1c_lanes_speedup",
+    "amva_2c_lanes_ns_per_iter",
+    "amva_2c_lanes_speedup",
 ];
 
 /// Whether a rise (rather than a drop) in `key` is the regression.

@@ -73,11 +73,18 @@ impl From<SimError> for BenchError {
 /// Run an experiment body, mapping `Err` to a one-line diagnostic on
 /// stderr and a non-zero exit code. Every `src/bin/*` main delegates here.
 ///
+/// An `ECOST_SIMD` value the kernel does not accept is rejected before
+/// the body runs (exit 1, naming the accepted values): a typo must not
+/// silently measure or regenerate on the detected backend.
+///
 /// Exit codes: `0` success, `2` for [`BenchError::NoData`] ("nothing to
 /// check" — e.g. `trend_check` on a missing trend store or one with no
 /// comparable rows), `1` for every other error.
 pub fn run_main(name: &str, body: impl FnOnce() -> Result<(), BenchError>) -> ExitCode {
-    match body() {
+    let checked = ecost_sim::SimdBackend::env_override()
+        .map_err(BenchError::Invalid)
+        .and_then(|_| body());
+    match checked {
         Ok(()) => ExitCode::SUCCESS,
         Err(e @ BenchError::NoData(_)) => {
             eprintln!("{name}: {e} (exit 2: nothing to gate, not a failure)");

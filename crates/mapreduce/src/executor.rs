@@ -28,8 +28,8 @@ use crate::job::JobSpec;
 use crate::metrics::JobMetrics;
 use crate::stage::Stage;
 use ecost_sim::{
-    AmvaBatch, AmvaScratch, ClassDemand, EnergyMeter, FixedClasses, NodeSpec, PowerModel, SimError,
-    SimdBackend,
+    solve_lanes, AmvaScratch, ClassDemand, EnergyMeter, FixedClasses, FixedSolution, NodeSpec,
+    PowerModel, SimError, SimdBackend,
 };
 use ecost_telemetry::{Event, Recorder, SpanKey};
 use std::time::Instant;
@@ -786,8 +786,8 @@ impl NodeSim {
 /// Free function (rather than a method) so `ensure_solution` can hand it
 /// disjoint borrows of the simulator's fields: `active` is read, `scratch`
 /// and the back buffer are written. All working state lives either on the
-/// stack (fixed [`MAX_COLOCATED`]-sized arrays) or in `scratch` (grown once,
-/// then reused), so a warm solve performs zero heap allocations.
+/// stack (fixed arrays sized to the job count) or in `scratch` (grown
+/// once, then reused), so a warm solve performs zero heap allocations.
 ///
 /// One job and two co-located jobs — every solve outside k-way
 /// co-location — run the whole outer fixed point on the stack
@@ -808,71 +808,111 @@ fn solve_into(
     scratch: &mut SolveScratch,
     out: &mut RateSolution,
 ) -> Result<(), SimError> {
-    let mut prep = SolvePrep::empty();
-    prepare(spec, fw, slowdown, active, &mut prep);
-    let prep = &prep;
-    let st = match prep.n {
-        1 => outer_fixed_point(prep, spec, |st| fixed_round::<1, 2>(prep, nic_bw_mbps, st)),
-        2 => outer_fixed_point(prep, spec, |st| fixed_round::<2, 3>(prep, nic_bw_mbps, st)),
-        _ => outer_fixed_point(prep, spec, |st| {
-            runtime_round(prep, nic_bw_mbps, scratch, st)
-        }),
-    }?;
-    finalize(
-        prep,
-        spec,
-        power,
-        nic_power_w,
-        active,
-        &st.x,
-        &st.q_io,
-        st.nic_util,
-        st.slow,
-        out,
-    );
+    match active.len() {
+        1 => {
+            let (prep, st) = solve_outer::<1>(spec, fw, slowdown, active, |prep, st| {
+                fixed_round::<1, 2>(prep, nic_bw_mbps, st)
+            })?;
+            finalize(&prep, spec, power, nic_power_w, active, &st, out);
+        }
+        2 => {
+            let (prep, st) = solve_outer::<2>(spec, fw, slowdown, active, |prep, st| {
+                fixed_round::<2, 3>(prep, nic_bw_mbps, st)
+            })?;
+            finalize(&prep, spec, power, nic_power_w, active, &st, out);
+        }
+        _ => {
+            let (prep, st) =
+                solve_outer::<MAX_COLOCATED>(spec, fw, slowdown, active, |prep, st| {
+                    runtime_round(prep, nic_bw_mbps, scratch, st)
+                })?;
+            finalize(&prep, spec, power, nic_power_w, active, &st, out);
+        }
+    }
     Ok(())
 }
 
-/// State of one node's outer contention fixed point: the current
-/// `(θ, slow)` and the AMVA readback the coupling step consumes.
-struct OuterState {
+/// [`prepare`] a node of at most `N` jobs, then run its outer fixed point
+/// with `round` as the per-round network solve.
+fn solve_outer<const N: usize>(
+    spec: &NodeSpec,
+    fw: &FrameworkSpec,
+    slowdown: f64,
+    active: &[ActiveJob],
+    mut round: impl FnMut(&SolvePrep<N>, &mut OuterState<N>) -> Result<(), SimError>,
+) -> Result<(SolvePrep<N>, OuterState<N>), SimError> {
+    let mut prep = SolvePrep::empty();
+    prepare(spec, fw, slowdown, active, &mut prep);
+    let st = outer_fixed_point(&prep, spec, |st| round(&prep, st))?;
+    Ok((prep, st))
+}
+
+/// State of one node's outer contention fixed point for at most `N`
+/// jobs: the current `(θ, slow)` and the AMVA readback the coupling step
+/// consumes.
+#[derive(Clone, Copy)]
+struct OuterState<const N: usize> {
     theta: f64,
     slow: f64,
-    think: [f64; MAX_COLOCATED],
-    x: [f64; MAX_COLOCATED],
-    q_io: [f64; MAX_COLOCATED],
+    think: [f64; N],
+    x: [f64; N],
+    q_io: [f64; N],
     nic_util: f64,
+}
+
+impl<const N: usize> OuterState<N> {
+    /// The starting point of every solve: `(θ, slow) = (1, 1)`, empty
+    /// readback.
+    fn start() -> OuterState<N> {
+        OuterState {
+            theta: 1.0,
+            slow: 1.0,
+            think: [0.0; N],
+            x: [0.0; N],
+            q_io: [0.0; N],
+            nic_util: 0.0,
+        }
+    }
+
+    /// Apply one [`couple`] step; returns whether the outer fixed point
+    /// goes on (its residual is still at or above `1e-5`).
+    fn couple(&mut self, prep: &SolvePrep<N>, spec: &NodeSpec) -> bool {
+        let (slow_next, theta_next, resid) = couple(
+            prep,
+            spec,
+            &self.x,
+            &self.q_io,
+            &self.think,
+            self.slow,
+            self.theta,
+        );
+        self.slow = slow_next;
+        self.theta = theta_next;
+        resid >= 1e-5
+    }
 }
 
 /// Outer fixed point over θ (disk scale) and slow (memory): each round
 /// re-solves the queueing network at the current `(θ, slow)` through
 /// `round`, then applies the [`couple`] step until its residual drops
-/// below `1e-5` or 200 rounds pass.
-fn outer_fixed_point(
-    prep: &SolvePrep,
+/// below `1e-5` or [`OUTER_ROUNDS`] rounds pass.
+fn outer_fixed_point<const N: usize>(
+    prep: &SolvePrep<N>,
     spec: &NodeSpec,
-    mut round: impl FnMut(&mut OuterState) -> Result<(), SimError>,
-) -> Result<OuterState, SimError> {
-    let mut st = OuterState {
-        theta: 1.0,
-        slow: 1.0,
-        think: [0.0; MAX_COLOCATED],
-        x: [0.0; MAX_COLOCATED],
-        q_io: [0.0; MAX_COLOCATED],
-        nic_util: 0.0,
-    };
-    for _outer in 0..200 {
+    mut round: impl FnMut(&mut OuterState<N>) -> Result<(), SimError>,
+) -> Result<OuterState<N>, SimError> {
+    let mut st = OuterState::start();
+    for _outer in 0..OUTER_ROUNDS {
         round(&mut st)?;
-        let (slow_next, theta_next, resid) =
-            couple(prep, spec, &st.x, &st.q_io, &st.think, st.slow, st.theta);
-        st.slow = slow_next;
-        st.theta = theta_next;
-        if resid < 1e-5 {
+        if !st.couple(prep, spec) {
             break;
         }
     }
     Ok(st)
 }
+
+/// Round budget of the outer contention fixed point.
+const OUTER_ROUNDS: usize = 200;
 
 /// One outer round for any job count: rebuild the class vectors in
 /// `scratch`, solve, read back.
@@ -880,7 +920,7 @@ fn runtime_round(
     prep: &SolvePrep,
     nic_bw_mbps: f64,
     scratch: &mut SolveScratch,
-    st: &mut OuterState,
+    st: &mut OuterState<MAX_COLOCATED>,
 ) -> Result<(), SimError> {
     let n = prep.n;
     build_classes(
@@ -905,10 +945,23 @@ fn runtime_round(
 /// register-resident [`FixedClasses`] kernel, which validates every round
 /// exactly as the runtime-shape solve does.
 fn fixed_round<const NC: usize, const S: usize>(
-    prep: &SolvePrep,
+    prep: &SolvePrep<NC>,
     nic_bw_mbps: f64,
-    st: &mut OuterState,
+    st: &mut OuterState<NC>,
 ) -> Result<(), SimError> {
+    let sol = fixed_classes::<NC, S>(prep, nic_bw_mbps, st).solve()?;
+    read_back(&sol, st);
+    Ok(())
+}
+
+/// The classes of one outer round at the state's `(θ, slow)`, by value:
+/// [`build_classes`]' arithmetic for exactly `NC` jobs. Each fluid job's
+/// think time is also recorded in `st.think` for the coupling step.
+fn fixed_classes<const NC: usize, const S: usize>(
+    prep: &SolvePrep<NC>,
+    nic_bw_mbps: f64,
+    st: &mut OuterState<NC>,
+) -> FixedClasses<NC, S> {
     let mut p = FixedClasses::<NC, S>::zeroed();
     for j in 0..NC {
         if !prep.fluid[j] {
@@ -920,22 +973,29 @@ fn fixed_round<const NC: usize, const S: usize>(
         p.population[j] = prep.eff_slots[j];
         p.think_time_s[j] = st.think[j];
     }
-    let sol = p.solve()?;
-    st.x[..NC].copy_from_slice(&sol.throughput);
+    p
+}
+
+/// Copy the AMVA readback the coupling step and [`finalize`] use — each
+/// job's throughput and own I/O queue, and the NIC utilisation — into
+/// the outer state.
+fn read_back<const NC: usize, const S: usize>(sol: &FixedSolution<NC, S>, st: &mut OuterState<NC>) {
+    st.x = sol.throughput;
     for j in 0..NC {
         st.q_io[j] = sol.queue[j][j];
     }
     st.nic_util = sol.station_util[NC];
-    Ok(())
 }
 
-/// Loop-invariant inputs of one node's contention fixed point, hoisted to
-/// fixed stack arrays once per solve ([`prepare`]) so the outer iterations
-/// never re-chase the job → stage indirection. Splitting this out of
-/// `solve_into` is what lets [`solve_batch`] keep several nodes' fixed
-/// points in flight at once with per-lane state that is plain `Copy` data.
+/// Loop-invariant inputs of one node's contention fixed point for at most
+/// `N` jobs, hoisted to fixed stack arrays once per solve ([`prepare`]) so
+/// the outer iterations never re-chase the job → stage indirection.
+/// Splitting this out of `solve_into` is what lets [`solve_batch`] keep
+/// several nodes' fixed points in flight at once with per-lane state that
+/// is plain `Copy` data; sizing it to the job count keeps that state small
+/// for the one- and two-job shapes.
 #[derive(Clone, Copy)]
-struct SolvePrep {
+struct SolvePrep<const N: usize = MAX_COLOCATED> {
     n: usize,
     slowdown: f64,
     spill: f64,
@@ -944,46 +1004,46 @@ struct SolvePrep {
     /// On a healthy node these are exactly 1.0 / the configured slots, so
     /// every expression below reduces bit-identically to the undegraded
     /// model.
-    stragglers: [f64; MAX_COLOCATED],
-    eff_slots: [f64; MAX_COLOCATED],
+    stragglers: [f64; N],
+    eff_slots: [f64; N],
     /// Static per-job grant ceiling: job pipeline cap ∧ slot stream rates.
-    static_cap: [f64; MAX_COLOCATED],
-    fluid: [bool; MAX_COLOCATED],
-    think0: [f64; MAX_COLOCATED],
-    stall: [f64; MAX_COLOCATED],
-    io_mb: [f64; MAX_COLOCATED],
-    nic_mb: [f64; MAX_COLOCATED],
-    bw_core: [f64; MAX_COLOCATED],
+    static_cap: [f64; N],
+    fluid: [bool; N],
+    think0: [f64; N],
+    stall: [f64; N],
+    io_mb: [f64; N],
+    nic_mb: [f64; N],
+    bw_core: [f64; N],
 }
 
-impl SolvePrep {
-    fn empty() -> SolvePrep {
+impl<const N: usize> SolvePrep<N> {
+    fn empty() -> SolvePrep<N> {
         SolvePrep {
             n: 0,
             slowdown: 1.0,
             spill: 1.0,
             footprint_mb: 0.0,
-            stragglers: [0.0; MAX_COLOCATED],
-            eff_slots: [0.0; MAX_COLOCATED],
-            static_cap: [0.0; MAX_COLOCATED],
-            fluid: [false; MAX_COLOCATED],
-            think0: [0.0; MAX_COLOCATED],
-            stall: [0.0; MAX_COLOCATED],
-            io_mb: [0.0; MAX_COLOCATED],
-            nic_mb: [0.0; MAX_COLOCATED],
-            bw_core: [0.0; MAX_COLOCATED],
+            stragglers: [0.0; N],
+            eff_slots: [0.0; N],
+            static_cap: [0.0; N],
+            fluid: [false; N],
+            think0: [0.0; N],
+            stall: [0.0; N],
+            io_mb: [0.0; N],
+            nic_mb: [0.0; N],
+            bw_core: [0.0; N],
         }
     }
 }
 
 /// Hoist the loop-invariant part of the contention solve — the pre-loop
 /// prelude of the original `solve_into`, arithmetic verbatim.
-fn prepare(
+fn prepare<const N: usize>(
     spec: &NodeSpec,
     fw: &FrameworkSpec,
     slowdown: f64,
     active: &[ActiveJob],
-    prep: &mut SolvePrep,
+    prep: &mut SolvePrep<N>,
 ) {
     prep.n = active.len();
     prep.slowdown = slowdown;
@@ -1025,7 +1085,7 @@ fn prepare(
 
 /// Fluid job `j`'s think time at memory-stall dilation `slow`.
 #[inline]
-fn think_at(prep: &SolvePrep, j: usize, slow: f64) -> f64 {
+fn think_at<const N: usize>(prep: &SolvePrep<N>, j: usize, slow: f64) -> f64 {
     prep.think0[j]
         * (1.0 - prep.stall[j] + prep.stall[j] * slow)
         * prep.slowdown
@@ -1035,7 +1095,7 @@ fn think_at(prep: &SolvePrep, j: usize, slow: f64) -> f64 {
 /// Fluid job `j`'s demand at its private I/O path under disk scale
 /// `theta` (0 for a job without disk traffic).
 #[inline]
-fn io_demand_at(prep: &SolvePrep, j: usize, theta: f64) -> f64 {
+fn io_demand_at<const N: usize>(prep: &SolvePrep<N>, j: usize, theta: f64) -> f64 {
     if prep.io_mb[j] > 0.0 && prep.static_cap[j] > 0.0 {
         prep.io_mb[j] * prep.spill / (theta * prep.static_cap[j]).max(1e-9)
     } else {
@@ -1046,7 +1106,7 @@ fn io_demand_at(prep: &SolvePrep, j: usize, theta: f64) -> f64 {
 /// Fluid job `j`'s demand at the shared NIC (0 without remote shuffle or
 /// on an unbounded NIC).
 #[inline]
-fn nic_demand(prep: &SolvePrep, j: usize, nic_bw_mbps: f64) -> f64 {
+fn nic_demand<const N: usize>(prep: &SolvePrep<N>, j: usize, nic_bw_mbps: f64) -> f64 {
     if prep.nic_mb[j] > 0.0 && nic_bw_mbps.is_finite() {
         prep.nic_mb[j] / nic_bw_mbps
     } else {
@@ -1095,40 +1155,15 @@ fn build_classes(
     }
 }
 
-/// Refresh only the `(θ, slow)`-dependent class entries for the next outer
-/// round — the resident-window counterpart of [`build_classes`]. Class
-/// population, the shared-NIC demand row, and every non-fluid class are
-/// outer-round-invariant, so a lane that already ran [`build_classes`] once
-/// keeps them in place; this rewrites exactly the cells the coupling step
-/// moved — each fluid class's own I/O demand (scales with 1/θ) and think
-/// time (scales with slow) — with the original expressions and operation
-/// order, so every round stays bit-identical to a fresh rebuild.
-fn update_classes(
-    prep: &SolvePrep,
-    theta: f64,
-    slow: f64,
-    classes: &mut [ClassDemand],
-    think: &mut [f64; MAX_COLOCATED],
-) {
-    for j in 0..prep.n {
-        if !prep.fluid[j] {
-            continue;
-        }
-        think[j] = think_at(prep, j, slow);
-        classes[j].demands_s[j] = io_demand_at(prep, j, theta);
-        classes[j].think_time_s = think[j];
-    }
-}
-
 /// One θ/slow coupling step from the AMVA readback — the outer-loop body
 /// suffix of the original `solve_into`, arithmetic verbatim. Returns
 /// `(slow_next, theta_next, resid)`.
-fn couple(
-    prep: &SolvePrep,
+fn couple<const N: usize>(
+    prep: &SolvePrep<N>,
     spec: &NodeSpec,
-    x: &[f64; MAX_COLOCATED],
-    q_io: &[f64; MAX_COLOCATED],
-    think: &[f64; MAX_COLOCATED],
+    x: &[f64; N],
+    q_io: &[f64; N],
+    think: &[f64; N],
     slow: f64,
     theta: f64,
 ) -> (f64, f64, f64) {
@@ -1159,19 +1194,23 @@ fn couple(
 
 /// Derive the final consistent quantities of a converged solve into `out` —
 /// the post-loop tail of the original `solve_into`, arithmetic verbatim.
-#[allow(clippy::too_many_arguments)]
-fn finalize(
-    prep: &SolvePrep,
+fn finalize<const N: usize>(
+    prep: &SolvePrep<N>,
     spec: &NodeSpec,
     power: &PowerModel,
     nic_power_w: f64,
     active: &[ActiveJob],
-    x: &[f64; MAX_COLOCATED],
-    q_io: &[f64; MAX_COLOCATED],
-    nic_util: f64,
-    slow: f64,
+    st: &OuterState<N>,
     out: &mut RateSolution,
 ) {
+    let OuterState {
+        x,
+        q_io,
+        nic_util,
+        slow,
+        ..
+    } = st;
+    let (nic_util, slow) = (*nic_util, *slow);
     let n = prep.n;
     let slowdown = prep.slowdown;
     let spill = prep.spill;
@@ -1257,47 +1296,12 @@ fn finalize(
 
 /// Hard cap on simulators per batched window ([`run_batch_to_completion`]).
 ///
-/// Sixteen lanes: with the explicit `f64x4` AMVA kernel each vector step
-/// advances four adjacent lanes, so sixteen keeps four full vector chunks
-/// in flight and still has whole chunks left as converged lanes drain —
-/// at eight, half the window is gone after the first chunk retires. The
-/// re-measured lane curve (DESIGN.md §11) has the end-to-end sweet spot
-/// at the full sixteen now that the kernel amortises wider windows; the
-/// per-round bookkeeping below stays in small fixed stack arrays.
+/// Sixteen lanes: the AMVA lane kernel solves four problems per `f64x4`
+/// vector, so a full window is four vector chunks per outer round, and
+/// it still fills whole chunks as lanes whose coupling converged drop
+/// out. The per-round bookkeeping below stays in small fixed stack
+/// arrays.
 pub const MAX_BATCH_LANES: usize = 16;
-
-/// Per-lane working state of a batched solve window, reused across rounds.
-///
-/// The big buffers are never cleared between solves: everything a solve
-/// reads is assign-before-read. `prep`/`classes`/`think` are rebuilt by
-/// [`prepare`]/[`build_classes`], `(θ, slow)` restart at `(1, 1)`, and
-/// `x`/`q_io`/`nic_util` are overwritten from the AMVA readback every outer
-/// round before [`couple`] or [`finalize`] can observe them.
-struct LaneScratch {
-    prep: SolvePrep,
-    classes: Vec<ClassDemand>,
-    think: [f64; MAX_COLOCATED],
-    x: [f64; MAX_COLOCATED],
-    q_io: [f64; MAX_COLOCATED],
-    nic_util: f64,
-    theta: f64,
-    slow: f64,
-}
-
-impl LaneScratch {
-    fn new() -> LaneScratch {
-        LaneScratch {
-            prep: SolvePrep::empty(),
-            classes: Vec::new(),
-            think: [0.0; MAX_COLOCATED],
-            x: [0.0; MAX_COLOCATED],
-            q_io: [0.0; MAX_COLOCATED],
-            nic_util: 0.0,
-            theta: 1.0,
-            slow: 1.0,
-        }
-    }
-}
 
 /// Wall-clock breakdown of batched window execution, accumulated while
 /// phase timing is enabled ([`BatchScratch::set_phase_timing`]) and drained
@@ -1305,11 +1309,10 @@ impl LaneScratch {
 /// never changes any simulated quantity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchPhases {
-    /// Inside the lane-interleaved AMVA kernel
-    /// ([`ecost_sim::AmvaBatch::solve_window`]).
+    /// Inside the AMVA lane kernel ([`ecost_sim::amva::solve_lanes`]).
     pub solve_ns: u64,
     /// Outer contention fixed-point bookkeeping around the kernel: class
-    /// rebuilds, θ/slow coupling, convergence masking, finalize.
+    /// builds, θ/slow coupling, convergence masking, finalize.
     pub outer_ns: u64,
     /// Event-loop bookkeeping between solves: re-solve detection, event
     /// stepping, budgets, live-lane compaction.
@@ -1325,40 +1328,37 @@ impl BatchPhases {
     }
 }
 
-/// Reusable scratch for a batched run window ([`run_batch_to_completion`]):
-/// one lane-interleaved [`AmvaBatch`] plus per-lane outer fixed-point state.
-///
-/// Acquire once (e.g. from a pool) and reuse: lane buffers grow on first
-/// use, so a warm scratch allocates nothing per solve. Every solve fully
-/// re-initialises the lanes it uses — no state leaks between windows.
+/// Settings and phase timers for batched run windows
+/// ([`run_batch_to_completion`]): the AMVA lane kernel's backend and the
+/// optional phase breakdown. All per-lane solve state lives on the stack,
+/// so a scratch holds no buffers and a batched run allocates nothing.
 pub struct BatchScratch {
-    amva: AmvaBatch,
-    lanes: Vec<LaneScratch>,
+    backend: SimdBackend,
     timing: bool,
     phases: BatchPhases,
 }
 
 impl BatchScratch {
-    /// Empty scratch; lane buffers are created on first use.
+    /// A scratch on the detected backend ([`SimdBackend::detect`]), phase
+    /// timing off.
     pub fn new() -> BatchScratch {
         BatchScratch {
-            amva: AmvaBatch::new(),
-            lanes: Vec::new(),
+            backend: SimdBackend::detect(),
             timing: false,
             phases: BatchPhases::default(),
         }
     }
 
-    /// Select the AMVA vector backend for this scratch's batched solves
-    /// (validated against the running CPU). Every backend is bit-identical
-    /// to the scalar path, so this only moves throughput.
+    /// Select the AMVA lane kernel's backend for this scratch's batched
+    /// solves (validated against the running CPU). Every backend is
+    /// bit-identical to the scalar path, so this only moves throughput.
     pub fn set_simd_backend(&mut self, backend: SimdBackend) {
-        self.amva.set_simd_backend(backend);
+        self.backend = backend.validated();
     }
 
-    /// The AMVA vector backend the next batched solve will use.
+    /// The AMVA lane kernel's backend for the next batched solve.
     pub fn simd_backend(&self) -> SimdBackend {
-        self.amva.simd_backend()
+        self.backend
     }
 
     /// Enable wall-clock phase accounting ([`BatchPhases`]). Off by
@@ -1379,121 +1379,67 @@ impl Default for BatchScratch {
     }
 }
 
-/// One *resident-window* batched solve over a shape-uniform group of lanes
-/// (same co-located job count ⇒ same AMVA class/station shape; caller
-/// guarantees `lane_ids.len() >= 2`).
+/// Solve a group of two or more simulators that all run `NC` jobs (one
+/// or two — `S = NC + 1` stations) with the AMVA lane kernel.
 ///
-/// Each lane runs the exact scalar [`solve_into`] sequence — same
-/// [`prepare`], same classes, same θ/slow [`couple`] step and residual
-/// test, starting from `(θ, slow) = (1, 1)` — with only the
-/// *interleaving* changed, so each simulator's rate solution is
-/// bit-identical to what its own `ensure_solution` would have produced.
-/// The per-round bookkeeping is hoisted out of the outer fixed point:
-/// class validation runs once per window ([`AmvaBatch::begin_window`]),
-/// each subsequent round rewrites only the (θ, slow)-dependent class cells
-/// ([`update_classes`]), and the SoA window is re-packed without zero-fill
-/// — seed included, recomputed bit-identically from the window-invariant
-/// populations and demand signs ([`AmvaBatch::solve_window`]). Converged
-/// lanes are compacted out of the live list order-preservingly, so the
-/// remaining lanes see exactly the scalar iteration sequence.
-fn solve_group(
+/// Each lane runs exactly [`outer_fixed_point`] + [`fixed_round`] — same
+/// [`prepare`], same classes built by value through [`think_at`],
+/// [`io_demand_at`] and [`nic_demand`], same θ/slow [`couple`] step and
+/// residual test, starting from `(θ, slow) = (1, 1)` — and then the same
+/// [`finalize`]; only the schedule differs. Every outer round solves all
+/// still-coupling lanes in one [`solve_lanes`] call, then drops the lanes
+/// whose coupling converged (order-preserving), so each simulator's rate
+/// solution is bit-identical to what its own `ensure_solution` would
+/// have produced. A round in which any lane fails fails the group with
+/// the lowest failing lane's error. Per-lane state is on the stack.
+fn solve_fixed_group<const NC: usize, const S: usize>(
     sims: &mut [NodeSim],
     lane_ids: &[usize],
     scratch: &mut BatchScratch,
 ) -> Result<(), SimError> {
     let k = lane_ids.len();
-    while scratch.lanes.len() < k {
-        scratch.lanes.push(LaneScratch::new());
-    }
-    let timing = scratch.timing;
-    let t_all = timing.then(Instant::now);
+    let t_all = scratch.timing.then(Instant::now);
     let mut solve_ns = 0u64;
-    let BatchScratch {
-        amva,
-        lanes,
-        phases,
-        ..
-    } = scratch;
-
-    for (ls, &i) in lanes.iter_mut().zip(lane_ids) {
+    let mut preps = [SolvePrep::<NC>::empty(); MAX_BATCH_LANES];
+    let mut states = [OuterState::<NC>::start(); MAX_BATCH_LANES];
+    for (prep, &i) in preps.iter_mut().zip(lane_ids) {
         let sim = &sims[i];
-        prepare(&sim.spec, &sim.fw, sim.slowdown, &sim.active, &mut ls.prep);
-        ls.theta = 1.0;
-        ls.slow = 1.0;
-        build_classes(
-            &ls.prep,
-            sim.nic_bw_mbps,
-            ls.theta,
-            ls.slow,
-            &mut ls.classes,
-            &mut ls.think,
-        );
+        prepare(&sim.spec, &sim.fw, sim.slowdown, &sim.active, prep);
     }
-
-    let empty: &[ClassDemand] = &[];
-    {
-        let mut probs: [(&[ClassDemand], usize); MAX_BATCH_LANES] = [(empty, 0); MAX_BATCH_LANES];
-        for (slot, ls) in lanes.iter().take(k).enumerate() {
-            let n = ls.prep.n;
-            probs[slot] = (&ls.classes[..n], n + 1);
-        }
-        if !amva.begin_window(&probs[..k])? {
-            return Err(SimError::Internal(
-                "shape-uniform group rejected by begin_window",
-            ));
-        }
-    }
-
-    let mut live: [usize; MAX_BATCH_LANES] = [0; MAX_BATCH_LANES];
-    for (slot, l) in live.iter_mut().take(k).enumerate() {
-        *l = slot;
-    }
+    let mut live: [usize; MAX_BATCH_LANES] = std::array::from_fn(|slot| slot);
     let mut nlive = k;
-    for outer in 0..200 {
+    let mut problems = [FixedClasses::<NC, S>::zeroed(); MAX_BATCH_LANES];
+    for _outer in 0..OUTER_ROUNDS {
         if nlive == 0 {
             break;
         }
-        if outer > 0 {
-            for &slot in &live[..nlive] {
-                let ls = &mut lanes[slot];
-                update_classes(&ls.prep, ls.theta, ls.slow, &mut ls.classes, &mut ls.think);
+        for (p, &slot) in problems.iter_mut().zip(&live[..nlive]) {
+            let nic_bw_mbps = sims[lane_ids[slot]].nic_bw_mbps;
+            *p = fixed_classes(&preps[slot], nic_bw_mbps, &mut states[slot]);
+        }
+        let mut failed: Option<(usize, SimError)> = None;
+        let t_solve = scratch.timing.then(Instant::now);
+        solve_lanes(scratch.backend, &problems[..nlive], |r, sol| {
+            let slot = live[r];
+            match sol {
+                Ok(sol) => read_back(&sol, &mut states[slot]),
+                Err(e) => {
+                    if failed.as_ref().is_none_or(|&(f, _)| slot < f) {
+                        failed = Some((slot, e));
+                    }
+                }
             }
-        }
-        let mut probs: [(&[ClassDemand], usize); MAX_BATCH_LANES] = [(empty, 0); MAX_BATCH_LANES];
-        for (slot, ls) in lanes.iter().take(k).enumerate() {
-            let n = ls.prep.n;
-            probs[slot] = (&ls.classes[..n], n + 1);
-        }
-        let t_solve = timing.then(Instant::now);
-        amva.solve_window(&probs[..k], &live[..nlive])?;
+        });
         if let Some(t) = t_solve {
             solve_ns += t.elapsed().as_nanos() as u64;
         }
-
+        if let Some((_, e)) = failed {
+            return Err(e);
+        }
         let mut w = 0usize;
         for r in 0..nlive {
             let slot = live[r];
-            let lane = amva.lane(slot);
-            let ls = &mut lanes[slot];
-            let n = ls.prep.n;
-            ls.x[..n].copy_from_slice(lane.throughput());
-            for (j, q) in ls.q_io[..n].iter_mut().enumerate() {
-                *q = lane.queue(j, j);
-            }
-            ls.nic_util = lane.station_util()[n];
-
-            let (slow_next, theta_next, resid) = couple(
-                &ls.prep,
-                &sims[lane_ids[slot]].spec,
-                &ls.x,
-                &ls.q_io,
-                &ls.think,
-                ls.slow,
-                ls.theta,
-            );
-            ls.slow = slow_next;
-            ls.theta = theta_next;
-            if resid >= 1e-5 {
+            if states[slot].couple(&preps[slot], &sims[lane_ids[slot]].spec) {
                 live[w] = slot;
                 w += 1;
             }
@@ -1501,7 +1447,7 @@ fn solve_group(
         nlive = w;
     }
 
-    for (ls, &i) in lanes.iter().zip(lane_ids) {
+    for ((prep, st), &i) in preps.iter().zip(&states).zip(lane_ids) {
         let sim = &mut sims[i];
         let back = 1 - sim.front;
         let NodeSim {
@@ -1512,38 +1458,27 @@ fn solve_group(
             bufs,
             ..
         } = sim;
-        finalize(
-            &ls.prep,
-            spec,
-            power,
-            *nic_power_w,
-            active,
-            &ls.x,
-            &ls.q_io,
-            ls.nic_util,
-            ls.slow,
-            &mut bufs[back],
-        );
+        finalize(prep, spec, power, *nic_power_w, active, st, &mut bufs[back]);
         sim.front = back;
         sim.sol_valid = true;
     }
 
     if let Some(t) = t_all {
         let total = t.elapsed().as_nanos() as u64;
-        phases.solve_ns += solve_ns;
-        phases.outer_ns += total.saturating_sub(solve_ns);
+        scratch.phases.solve_ns += solve_ns;
+        scratch.phases.outer_ns += total.saturating_sub(solve_ns);
     }
     Ok(())
 }
 
-/// Solve several independent simulators' contention models at once with
-/// resident windows: `lane_ids` is stably partitioned into shape-uniform
-/// groups (same co-located job count), each group of two or more holds one
-/// [`AmvaBatch`] window open across its whole outer fixed point
-/// ([`solve_group`]); a singleton group has nothing to interleave with and
-/// takes the simulator's own scalar solve (`solve_into`, whose one- and
-/// two-job shapes run on the stack). Per-lane results are bit-identical to
-/// the scalar solve either way.
+/// Solve several independent simulators' contention models at once:
+/// `lane_ids` is stably partitioned into shape-uniform groups (same
+/// co-located job count). A group of two or more one-job or two-job
+/// simulators — every sweep solve outside k-way co-location — runs on the
+/// AMVA lane kernel ([`solve_fixed_group`]); a singleton has nothing to
+/// batch with, and a group of three or more jobs has no fixed-shape
+/// kernel, so those take each simulator's own `ensure_solution`. Per-lane
+/// results are bit-identical to the scalar solve either way.
 fn solve_batch(
     sims: &mut [NodeSim],
     lane_ids: &[usize],
@@ -1572,17 +1507,22 @@ fn solve_batch(
                 g += 1;
             }
         }
-        if g >= 2 {
-            solve_group(sims, &group[..g], scratch)?;
-        } else {
-            sims[group[0]].ensure_solution()?;
+        match (n, g) {
+            (1, 2..) => solve_fixed_group::<1, 2>(sims, &group[..g], scratch)?,
+            (2, 2..) => solve_fixed_group::<2, 3>(sims, &group[..g], scratch)?,
+            _ => {
+                for &lane in &group[..g] {
+                    sims[lane].ensure_solution()?;
+                }
+            }
         }
     }
     Ok(())
 }
 
 /// Run every simulator in `sims` to completion, solving their rate models
-/// in lane-interleaved batches ([`AmvaBatch`]) instead of one at a time.
+/// in batches on the AMVA lane kernel ([`solve_lanes`]) instead of one at
+/// a time.
 ///
 /// Equivalent to calling [`NodeSim::run_to_completion`] on each simulator
 /// in sequence — same per-simulator event order and budgets, bit-identical

@@ -13,7 +13,10 @@ use ecost_mapreduce::reference::ReferenceNodeSim;
 use ecost_mapreduce::{
     run_batch_to_completion, BatchScratch, BlockSize, FrameworkSpec, JobSpec, TuningConfig,
 };
-use ecost_sim::{AmvaBatch, AmvaScratch, ClassDemand, Frequency, NodeSpec, SimError, SimdBackend};
+use ecost_sim::{
+    solve_lanes, ClassDemand, FixedClasses, FixedSolution, Frequency, NodeSpec, SimError,
+    SimdBackend,
+};
 use proptest::prelude::*;
 
 fn arb_app() -> impl Strategy<Value = App> {
@@ -289,13 +292,13 @@ proptest! {
     }
 }
 
-/// A *shape-uniform* batch of 2–16 lanes: one (stations, class-count)
-/// pair per case, shared by every lane — the resident windows `AmvaBatch`
-/// solves and the f64x4 backends vectorize. Each class's first demand is
-/// forced positive, so every generated problem passes validation whatever
-/// its population.
-fn arb_uniform_batch() -> impl Strategy<Value = (Vec<Vec<ClassDemand>>, usize)> {
-    (1usize..=4, 1usize..=3).prop_flat_map(|(stations, nc)| {
+/// A batch of 1–16 lanes in one of the two shapes the AMVA lane kernel
+/// serves: one job over 2 stations or two over 3, every lane the same
+/// shape. Each class's first demand is forced positive, so every
+/// generated problem passes validation whatever its population.
+fn arb_lane_batch() -> impl Strategy<Value = Vec<Vec<ClassDemand>>> {
+    (1usize..=2).prop_flat_map(|nc| {
+        let stations = nc + 1;
         let lane = prop::collection::vec(
             (
                 0.0f64..8.0,
@@ -305,7 +308,7 @@ fn arb_uniform_batch() -> impl Strategy<Value = (Vec<Vec<ClassDemand>>, usize)> 
             ),
             nc,
         )
-        .prop_map(move |raw| {
+        .prop_map(|raw| {
             raw.into_iter()
                 .map(|(population, think_time_s, mut demands_s, d0)| {
                     demands_s[0] = d0;
@@ -317,155 +320,104 @@ fn arb_uniform_batch() -> impl Strategy<Value = (Vec<Vec<ClassDemand>>, usize)> 
                 })
                 .collect::<Vec<ClassDemand>>()
         });
-        (prop::collection::vec(lane, 2..=16), Just(stations))
+        prop::collection::vec(lane, 1..=16)
     })
 }
 
-/// Open a resident window over `probs` and solve every lane once.
-/// `Ok(false)` when the window is not resident-eligible (one lane).
-fn solve_resident(
-    batch: &mut AmvaBatch,
-    probs: &[(&[ClassDemand], usize)],
-) -> Result<bool, SimError> {
-    if !batch.begin_window(probs)? {
-        return Ok(false);
+fn pack<const NC: usize, const S: usize>(classes: &[ClassDemand]) -> FixedClasses<NC, S> {
+    let mut p = FixedClasses::zeroed();
+    for (j, c) in classes.iter().enumerate() {
+        p.population[j] = c.population;
+        p.think_time_s[j] = c.think_time_s;
+        p.demands_s[j].copy_from_slice(&c.demands_s);
     }
-    let live: Vec<usize> = (0..probs.len()).collect();
-    batch.solve_window(probs, &live)?;
-    Ok(true)
+    p
+}
+
+/// A lane result as bit patterns: throughputs, queues, station figures
+/// and the iteration count, or the error.
+fn solution_bits<const NC: usize, const S: usize>(
+    r: Result<FixedSolution<NC, S>, SimError>,
+) -> Result<(Vec<u64>, usize), SimError> {
+    r.map(|sol| {
+        let mut v: Vec<u64> = sol.throughput.iter().map(|x| x.to_bits()).collect();
+        v.extend(sol.queue.iter().flatten().map(|x| x.to_bits()));
+        v.extend(sol.station_util.iter().map(|x| x.to_bits()));
+        v.extend(sol.station_queue.iter().map(|x| x.to_bits()));
+        (v, sol.iterations)
+    })
+}
+
+/// Every window of every width 1..=16 through [`solve_lanes`] on the
+/// detected backend: each lane reported once, bit-equal to a scalar
+/// [`FixedClasses::solve`] of that problem alone.
+fn lanes_match_scalar<const NC: usize, const S: usize>(lanes: &[Vec<ClassDemand>]) {
+    let problems: Vec<FixedClasses<NC, S>> = lanes.iter().map(|c| pack(c)).collect();
+    for width in 1..=16usize {
+        for window in problems.chunks(width) {
+            let mut got = vec![None; window.len()];
+            solve_lanes(SimdBackend::detect(), window, |i, r| {
+                got[i] = Some(solution_bits(r));
+            });
+            for (i, p) in window.iter().enumerate() {
+                assert_eq!(
+                    got[i],
+                    Some(solution_bits(p.solve())),
+                    "width {width} lane {i}"
+                );
+            }
+        }
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random shape-uniform point sets through resident `AmvaBatch`
-    /// windows at every lane width 2..=16: throughputs, queues,
+    /// Random one-job and two-job point sets through the AMVA lane
+    /// kernel at every lane width 1..=16: throughputs, queues,
     /// per-station figures and iteration counts are bit-equal to a scalar
-    /// `AmvaScratch::solve` of each point alone, and a window that fails
-    /// reports its lowest failing lane's error. Widths 2..=16 cover full
-    /// f64x4 vector windows and every scalar-tail residue (1, 2, 3 mod 4);
-    /// width 1 is the scalar kernel itself.
+    /// solve of each point alone. Widths 1..=16 cover full four-lane
+    /// chunks and every padded last chunk (1, 2, 3 real lanes).
     #[test]
-    fn amva_batch_matches_scalar_at_every_lane_width(
-        (problems, stations) in arb_uniform_batch()
-    ) {
-        for width in 2..=16usize {
-            let mut batch = AmvaBatch::new();
-            for window in problems.chunks(width) {
-                let probs: Vec<(&[ClassDemand], usize)> = window
-                    .iter()
-                    .map(|c| (c.as_slice(), stations))
-                    .collect();
-                let batch_res = solve_resident(&mut batch, &probs);
-                if window.len() == 1 {
-                    prop_assert_eq!(batch_res, Ok(false));
-                    continue;
-                }
-                let mut first_err = None;
-                for (i, classes) in window.iter().enumerate() {
-                    let mut scalar = AmvaScratch::new();
-                    match scalar.solve(classes, stations) {
-                        Ok(()) => {
-                            let lane = batch.lane(i);
-                            prop_assert_eq!(
-                                lane.iterations(), scalar.iterations(),
-                                "width {}", width
-                            );
-                            for j in 0..classes.len() {
-                                prop_assert_eq!(
-                                    lane.throughput()[j].to_bits(),
-                                    scalar.throughput()[j].to_bits()
-                                );
-                                for s in 0..stations {
-                                    prop_assert_eq!(
-                                        lane.queue(j, s).to_bits(),
-                                        scalar.queue(j, s).to_bits()
-                                    );
-                                }
-                            }
-                            for s in 0..stations {
-                                prop_assert_eq!(
-                                    lane.station_util()[s].to_bits(),
-                                    scalar.station_util()[s].to_bits()
-                                );
-                                prop_assert_eq!(
-                                    lane.station_queue()[s].to_bits(),
-                                    scalar.station_queue()[s].to_bits()
-                                );
-                            }
-                        }
-                        Err(e) => {
-                            first_err.get_or_insert(e);
-                        }
-                    }
-                }
-                match first_err {
-                    // A failing point fails the whole window (fail-fast)
-                    // with the lowest failing lane's error.
-                    Some(e) => prop_assert_eq!(batch_res, Err(e)),
-                    None => prop_assert_eq!(batch_res, Ok(true)),
-                }
-            }
+    fn lane_kernel_matches_scalar_at_every_lane_width(lanes in arb_lane_batch()) {
+        match lanes[0].len() {
+            1 => lanes_match_scalar::<1, 2>(&lanes),
+            _ => lanes_match_scalar::<2, 3>(&lanes),
         }
     }
+}
 
+/// Set up `plans` on fresh simulators and run them as one batched window
+/// on `backend`.
+fn run_batched(plans: &[Plan], backend: SimdBackend) -> Result<Vec<Fingerprint>, SimError> {
+    let mut sims = Vec::new();
+    for plan in plans {
+        let mut sim = NodeSim::new(NodeSpec::atom_c2758(), FrameworkSpec::default());
+        setup_new(&mut sim, plan)?;
+        sims.push(sim);
+    }
+    let mut scratch = BatchScratch::new();
+    scratch.set_simd_backend(backend);
+    run_batch_to_completion(&mut sims, &mut scratch)?;
+    Ok(sims.iter_mut().map(fingerprint_of).collect())
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The detected SIMD backend is bit-identical to the pinned-scalar
-    /// backend on resident shape-uniform windows of every width 2..=16 —
-    /// the DESIGN.md §11 contract the vector kernel must uphold: same
-    /// Result, same iteration counts, same bits in every throughput, queue
-    /// and per-station figure.
+    /// backend on random batched windows of 1–16 co-located plans — the
+    /// DESIGN.md §11 contract the lane kernel must uphold end to end:
+    /// same Result, and the same bits in every time, energy, usage
+    /// integral and timeline.
     #[test]
     fn simd_backend_is_bit_identical_to_scalar_backend(
-        (lanes, stations) in arb_uniform_batch()
+        plans in prop::collection::vec(arb_plan(), 1..=16)
     ) {
-        let probs: Vec<(&[ClassDemand], usize)> = lanes
-            .iter()
-            .map(|c| (c.as_slice(), stations))
-            .collect();
-
-        let mut vec_batch = AmvaBatch::new();
-        vec_batch.set_simd_backend(SimdBackend::detect());
-        let mut sc_batch = AmvaBatch::new();
-        sc_batch.set_simd_backend(SimdBackend::Scalar);
-
-        let vr = solve_resident(&mut vec_batch, &probs);
-        let sr = solve_resident(&mut sc_batch, &probs);
-        prop_assert_eq!(&vr, &sr, "Result divergence");
-
-        if vr.is_ok() {
-            for (i, classes) in lanes.iter().enumerate() {
-                let vl = vec_batch.lane(i);
-                let sl = sc_batch.lane(i);
-                prop_assert_eq!(vl.iterations(), sl.iterations(), "lane {}", i);
-                for j in 0..classes.len() {
-                    prop_assert_eq!(
-                        vl.throughput()[j].to_bits(),
-                        sl.throughput()[j].to_bits()
-                    );
-                    for s in 0..stations {
-                        prop_assert_eq!(
-                            vl.queue(j, s).to_bits(),
-                            sl.queue(j, s).to_bits()
-                        );
-                    }
-                }
-                for s in 0..stations {
-                    prop_assert_eq!(
-                        vl.station_util()[s].to_bits(),
-                        sl.station_util()[s].to_bits()
-                    );
-                    prop_assert_eq!(
-                        vl.station_queue()[s].to_bits(),
-                        sl.station_queue()[s].to_bits()
-                    );
-                }
-            }
-        }
+        prop_assert_eq!(
+            run_batched(&plans, SimdBackend::detect()),
+            run_batched(&plans, SimdBackend::Scalar)
+        );
     }
 }
 

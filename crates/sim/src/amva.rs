@@ -206,9 +206,7 @@ impl AmvaScratch {
     ///
     /// The fixed point is decomposed into [`Self::begin`] (validate + seed),
     /// [`Self::iterate`] (one Bard–Schweitzer step) and [`Self::finish`]
-    /// (derived per-station figures); [`AmvaBatch`] shares the validation,
-    /// convergence test and `finish` with it, and its SoA round runs
-    /// `iterate`'s arithmetic across independent lanes.
+    /// (derived per-station figures).
     pub fn solve_runtime_shape(
         &mut self,
         classes: &[ClassDemand],
@@ -253,30 +251,6 @@ impl AmvaScratch {
 
     /// Validate the problem, size the buffers and seed the fixed point.
     fn begin(&mut self, classes: &[ClassDemand], stations: usize) -> Result<(), SimError> {
-        self.begin_sized(classes, stations)?;
-        // Seed: spread each population across stations + think.
-        for (j, c) in classes.iter().enumerate() {
-            if c.population <= 0.0 {
-                continue;
-            }
-            let share = c.population / (stations as f64 + 1.0);
-            for (qv, d) in self.q[j * stations..(j + 1) * stations]
-                .iter_mut()
-                .zip(&c.demands_s)
-            {
-                *qv = if *d > 0.0 { share } else { 0.0 };
-            }
-        }
-        Ok(())
-    }
-
-    /// The validation/sizing half of [`AmvaScratch::begin`], without the
-    /// queue seed. Resident windows start here: their seed is recomputed
-    /// inside [`Soa::pack_window`] every round (same expression, same
-    /// bits), so spreading it into the scalar scratch as well would be
-    /// dead work — nothing reads `q` before [`Soa::retire`] writes the
-    /// converged queues back.
-    fn begin_sized(&mut self, classes: &[ClassDemand], stations: usize) -> Result<(), SimError> {
         for c in classes {
             c.validate(stations)?;
         }
@@ -292,6 +266,19 @@ impl AmvaScratch {
         self.qtot.clear();
         self.qtot.resize(stations, 0.0);
         self.iterations = 0;
+        // Seed: spread each population across stations + think.
+        for (j, c) in classes.iter().enumerate() {
+            if c.population <= 0.0 {
+                continue;
+            }
+            let share = c.population / (stations as f64 + 1.0);
+            for (qv, d) in self.q[j * stations..(j + 1) * stations]
+                .iter_mut()
+                .zip(&c.demands_s)
+            {
+                *qv = if *d > 0.0 { share } else { 0.0 };
+            }
+        }
         Ok(())
     }
 
@@ -550,6 +537,14 @@ impl<const NC: usize, const S: usize> FixedClasses<NC, S> {
     /// bit-identical to [`AmvaScratch::solve_runtime_shape`] on the
     /// equivalent [`ClassDemand`] slice.
     pub fn solve(&self) -> Result<FixedSolution<NC, S>, SimError> {
+        self.validate()?;
+        let (queue, throughput, iterations, residual) = self.fixed_point();
+        self.finish(queue, throughput, iterations, residual)
+    }
+
+    /// The per-class input checks of [`AmvaScratch::solve_runtime_shape`],
+    /// class by class.
+    fn validate(&self) -> Result<(), SimError> {
         for j in 0..NC {
             validate_class(
                 self.population[j],
@@ -558,9 +553,20 @@ impl<const NC: usize, const S: usize> FixedClasses<NC, S> {
                 S,
             )?;
         }
-        let (queue, throughput, iterations, residual) = self.fixed_point();
+        Ok(())
+    }
+
+    /// The post-loop half of a solve: the shared convergence test, then
+    /// [`AmvaScratch::finish`]'s station figures, by value (class-order
+    /// sums from +0.0).
+    fn finish(
+        &self,
+        queue: [[f64; S]; NC],
+        throughput: [f64; NC],
+        iterations: usize,
+        residual: f64,
+    ) -> Result<FixedSolution<NC, S>, SimError> {
         convergence_check(iterations, residual)?;
-        // `AmvaScratch::finish`, by value: class-order sums from +0.0.
         let mut station_util = [0.0_f64; S];
         let mut station_queue = [0.0_f64; S];
         for j in 0..NC {
@@ -656,652 +662,237 @@ impl<const NC: usize, const S: usize> FixedClasses<NC, S> {
     }
 }
 
-/// Lane-interleaved batch of *independent* AMVA solves.
-///
-/// `K` unrelated fixed points advance in lockstep: each global round runs
-/// one Bard–Schweitzer iteration in every still-unconverged lane. A lane's
-/// loop-carried dependency — next iteration's queues feed on this one's —
-/// is what caps the scalar solver (DESIGN.md §11: a dependent divide chain),
-/// but *across* lanes the rounds are independent, so interleaving them lets
-/// out-of-order execution overlap the chains.
-///
-/// Each lane runs the exact scalar [`AmvaScratch::solve`] sequence: same
-/// seed, same per-iteration arithmetic order, same damping, same
-/// convergence test and iteration count. Converged lanes are compacted out
-/// of later rounds and never re-touched. Every lane is therefore
-/// bit-identical to a scalar solve of the same problem.
-///
-/// A batch solves *resident windows* of two or more shape-uniform lanes
-/// ([`AmvaBatch::begin_window`], then one [`AmvaBatch::solve_window`] per
-/// outer round); a single problem has nothing to interleave with and
-/// belongs on the scalar [`AmvaScratch::solve`].
-///
-/// Lane buffers grow on first use and are reused afterwards; a warm batch
-/// allocates nothing as long as problem sizes do not grow.
-///
-/// The lane loop runs on an explicit `f64x4` vector backend
-/// ([`SimdBackend`], auto-detected; see `crate::simd`): four adjacent
-/// columns advance per vector step, with the odd tail (live width ≢ 0
-/// mod 4) taking the scalar lane loop. Backends are bit-identical by
-/// construction, so the choice never shows up in results — only in
-/// throughput.
-#[derive(Debug)]
-pub struct AmvaBatch {
-    lanes: Vec<AmvaScratch>,
-    residual: Vec<f64>,
-    errs: Vec<Option<SimError>>,
-    soa: Soa,
-    backend: SimdBackend,
-    win: WindowState,
+/// Problems the lane kernel packs into one `f64x4` vector.
+const LANES: usize = 4;
+
+/// The lane kernel's exit state for four problems: queues, throughputs,
+/// iteration counts and last residuals, problem `l` in element `l` of
+/// every vector.
+pub(crate) struct LaneFixedPoint<const NC: usize, const S: usize> {
+    q: [[[f64; LANES]; S]; NC],
+    x: [[f64; LANES]; NC],
+    iterations: [f64; LANES],
+    residual: [f64; LANES],
 }
 
-impl Default for AmvaBatch {
-    fn default() -> AmvaBatch {
-        AmvaBatch {
-            lanes: Vec::new(),
-            residual: Vec::new(),
-            errs: Vec::new(),
-            soa: Soa::default(),
-            backend: SimdBackend::detect(),
-            win: WindowState::default(),
-        }
+impl<const NC: usize, const S: usize> LaneFixedPoint<NC, S> {
+    /// Problem `l`'s `(queues, throughputs, iterations, last residual)`,
+    /// as [`FixedClasses::fixed_point`] returns them.
+    fn lane(&self, l: usize) -> ([[f64; S]; NC], [f64; NC], usize, f64) {
+        (
+            self.q.map(|row| row.map(|v| v[l])),
+            self.x.map(|v| v[l]),
+            self.iterations[l] as usize,
+            self.residual[l],
+        )
     }
 }
 
-/// Resident-window state for [`AmvaBatch::begin_window`] /
-/// [`AmvaBatch::solve_window`]: the shape of the open shape-uniform
-/// window, validated once so re-solves of the same window skip
-/// per-round validation entirely.
+/// [`FixedClasses::fixed_point`] on four validated problems at once, one
+/// per lane of the `f64x4` backend `V`. Queues, throughputs, residuals
+/// and iteration counts stay in vectors for the whole fixed point.
 ///
-/// No queue seed is stored: `begin`'s population spread depends only on
-/// each class's population and the *signs* of its demands — both
-/// outer-invariant for the contention fixed point driving this API — so
-/// [`Soa::pack_window`] recomputes it in place each round with the same
-/// expression (and therefore the same bits), even after [`Soa::retire`]
-/// scrambles the working columns.
-#[derive(Debug, Default)]
-struct WindowState {
-    /// `(classes, stations, width)` of the open window; `None` when no
-    /// window is open.
-    shape: Option<(usize, usize, usize)>,
-}
-
-/// Structure-of-arrays state for shape-uniform windows: every per-lane
-/// quantity is stored lane-contiguous (`[... logical index ...][lane]`
-/// with a fixed column stride), so the lane loop — the innermost loop of
-/// every round phase — walks unit-stride memory with no per-lane pointer
-/// chasing. That contiguity is what actually buys the interleaving win:
-/// each lane's loop-carried chain (queues → residence → throughput →
-/// queues, through a divide) stalls a scalar solve, and K adjacent
-/// independent lanes give out-of-order execution real work to overlap
-/// into those stalls.
+/// Per lane this is exactly the scalar floating-point sequence — same
+/// seed, same `(q·(n-1))/n` association, same class and station order,
+/// same damping and convergence test. The differences are structural and
+/// bit-neutral:
 ///
-/// Converged lanes are *compacted out*: the last live column is swapped
-/// into the retiring column's slot (a handful of moves), so live width
-/// shrinks as lanes finish and dead lanes are never re-touched — which
-/// both preserves bit-identity and keeps late rounds from paying for
-/// drained lanes.
-#[derive(Debug, Default)]
-struct Soa {
-    /// Column stride (the window's initial live width).
-    stride: usize,
-    /// Queue lengths, `[class × station][lane]`.
-    q: Vec<f64>,
-    /// Per-class throughput, `[class][lane]`.
-    x: Vec<f64>,
-    /// Station demands, `[class × station][lane]`.
-    dem: Vec<f64>,
-    /// Population, `[class][lane]`.
-    pop: Vec<f64>,
-    /// Precomputed `population - 1.0` (bit-identical hoist), `[class][lane]`.
-    nm1: Vec<f64>,
-    /// Think time, `[class][lane]`.
-    think: Vec<f64>,
-    /// Total queue per station, `[station][lane]` (per-round scratch).
-    qtot: Vec<f64>,
-    /// Residence times, `[station][lane]` (per-class scratch).
-    r: Vec<f64>,
-    /// Residence-time accumulator, `[lane]` (per-class scratch).
-    rtot: Vec<f64>,
-    /// This round's residual, `[lane]`.
-    res: Vec<f64>,
-    /// Iterations taken so far, `[lane]`.
-    iters: Vec<usize>,
-    /// Which batch lane each live column belongs to, `[lane]`.
-    lane_of: Vec<usize>,
-}
-
-impl Soa {
-    /// One lockstep Bard–Schweitzer round over the first `kw` columns.
-    /// Each column executes exactly the floating-point sequence of
-    /// [`AmvaScratch::iterate`] — same class order, same station order,
-    /// same accumulation order, `(q·(n-1))/n` association included — so
-    /// results stay bit-identical to scalar solves; only the interleaving
-    /// across lanes differs.
-    ///
-    /// The vector backends peel the widest `f64x4`-aligned prefix of the
-    /// live columns into [`round_chunks_impl`] and run the remaining tail
-    /// columns (`kw mod 4`) through the scalar span. Columns are fully
-    /// independent, so splitting them between kernels cannot change any
-    /// column's bits.
-    fn round(&mut self, kw: usize, nc: usize, stations: usize, backend: SimdBackend) {
-        for it in self.iters[..kw].iter_mut() {
-            *it += 1;
-        }
-        for v in self.res[..kw].iter_mut() {
-            *v = 0.0;
-        }
-        let kw4 = match backend {
-            SimdBackend::Scalar => 0,
-            _ => kw & !3,
-        };
-        if kw4 > 0 {
-            simd::round_chunks(backend, self.span(kw4, nc, stations));
-        }
-        if kw4 < kw {
-            self.round_span(kw4, kw, nc, stations);
-        }
-    }
-
-    /// Borrow the SoA state as a [`RoundSpan`] over the first `kw4` live
-    /// columns for the vector kernel.
-    fn span(&mut self, kw4: usize, nc: usize, stations: usize) -> RoundSpan<'_> {
-        RoundSpan {
-            q: &mut self.q,
-            x: &mut self.x,
-            dem: &self.dem,
-            pop: &self.pop,
-            nm1: &self.nm1,
-            think: &self.think,
-            qtot: &mut self.qtot,
-            r: &mut self.r,
-            res: &mut self.res,
-            ks: self.stride,
-            kw4,
-            nc,
-            stations,
-        }
-    }
-
-    /// The scalar round body over columns `lo..hi` — the original
-    /// lane-innermost loops, also serving as the vector backends' tail
-    /// path (and, via `lo = 0, hi = kw`, as the whole `Scalar` arm).
-    fn round_span(&mut self, lo: usize, hi: usize, nc: usize, stations: usize) {
-        let ks = self.stride;
-        let w = hi - lo;
-        let Soa {
-            q,
-            x,
-            dem,
-            pop,
-            nm1,
-            think,
-            qtot,
-            r,
-            rtot,
-            res,
-            ..
-        } = self;
-        let rtot = &mut rtot[lo..hi];
-        let res = &mut res[lo..hi];
-        // Total queue per station, accumulated in class order. The first
-        // class assigns instead of zero-then-add: queues are never -0.0
-        // (seeded non-negative; round-to-nearest sums only produce +0.0),
-        // so `q` and `0.0 + q` are the same bits.
-        for j in 0..nc {
-            for s in 0..stations {
-                let base = (j * stations + s) * ks + lo;
-                let qrow = &q[base..base + w];
-                let qb = s * ks + lo;
-                let qt = &mut qtot[qb..qb + w];
-                if j == 0 {
-                    qt[..w].copy_from_slice(qrow);
-                } else {
-                    for l in 0..w {
-                        qt[l] += qrow[l];
-                    }
-                }
-            }
-        }
-        for j in 0..nc {
-            let cb = j * ks + lo;
-            // Class-row slices hoisted once: the station loops below then
-            // index only length-`w` slices, so bounds checks vanish.
-            let prow = &pop[cb..cb + w];
-            let nrow = &nm1[cb..cb + w];
-            let trow = &think[cb..cb + w];
-            let xrow = &mut x[cb..cb + w];
-            // Class prologue: zero-population lanes emit x = 0 and sit
-            // the class out (their scratch writes below are never read).
-            for l in 0..w {
-                if prow[l] <= 0.0 {
-                    xrow[l] = 0.0;
-                } else {
-                    rtot[l] = 0.0;
-                }
-            }
-            // Residence times, lanes innermost. Zero-demand stations get
-            // `r = 0.0` written in-pass — the value the scalar kernel's
-            // up-front zeroing leaves there.
-            for s in 0..stations {
-                let base = (j * stations + s) * ks + lo;
-                let qrow = &q[base..base + w];
-                let drow = &dem[base..base + w];
-                let qb = s * ks + lo;
-                let qt = &qtot[qb..qb + w];
-                let rrow = &mut r[qb..qb + w];
-                for l in 0..w {
-                    let n = prow[l];
-                    if n <= 0.0 {
-                        continue;
-                    }
-                    let d = drow[l];
-                    if d <= 0.0 {
-                        rrow[l] = 0.0;
-                        continue;
-                    }
-                    let qjs = qrow[l];
-                    let others = qt[l] - qjs;
-                    let own = if n > 1.0 { qjs * nrow[l] / n } else { 0.0 };
-                    let rv = d * (1.0 + others + own);
-                    rrow[l] = rv;
-                    rtot[l] += rv;
-                }
-            }
-            // Little's law on the full cycle: one divide per lane.
-            for l in 0..w {
-                let n = prow[l];
-                if n > 0.0 {
-                    xrow[l] = n / (trow[l] + rtot[l]);
-                }
-            }
-            // Damped queue update + residual, lanes innermost again.
-            for s in 0..stations {
-                let base = (j * stations + s) * ks + lo;
-                let qrow = &mut q[base..base + w];
-                let qb = s * ks + lo;
-                let rrow = &r[qb..qb + w];
-                for l in 0..w {
-                    if prow[l] <= 0.0 {
-                        continue;
-                    }
-                    let new_q = xrow[l] * rrow[l];
-                    let delta = new_q - qrow[l];
-                    res[l] = res[l].max(delta.abs());
-                    qrow[l] += DAMPING * delta;
-                }
-            }
-        }
-    }
-
-    /// Retire column `col`: copy its converged state out to its lane's
-    /// scalar scratch, then compact by moving the last live column
-    /// (`kw - 1`) into its slot. The caller shrinks the live width.
-    fn retire(
-        &mut self,
-        col: usize,
-        kw: usize,
-        nc: usize,
-        stations: usize,
-        lanes: &mut [AmvaScratch],
-        residual: &mut [f64],
-    ) {
-        let ks = self.stride;
-        let lane = self.lane_of[col];
-        let sc = &mut lanes[lane];
-        for j in 0..nc {
-            for s in 0..stations {
-                sc.q[j * stations + s] = self.q[(j * stations + s) * ks + col];
-            }
-            sc.x[j] = self.x[j * ks + col];
-        }
-        sc.iterations = self.iters[col];
-        residual[lane] = self.res[col];
-        let last = kw - 1;
-        if col != last {
-            for j in 0..nc {
-                for s in 0..stations {
-                    let idx = (j * stations + s) * ks;
-                    self.q[idx + col] = self.q[idx + last];
-                    self.dem[idx + col] = self.dem[idx + last];
-                }
-                let cb = j * ks;
-                self.x[cb + col] = self.x[cb + last];
-                self.pop[cb + col] = self.pop[cb + last];
-                self.nm1[cb + col] = self.nm1[cb + last];
-                self.think[cb + col] = self.think[cb + last];
-            }
-            self.res[col] = self.res[last];
-            self.iters[col] = self.iters[last];
-            self.lane_of[col] = self.lane_of[last];
-        }
-    }
-
-    /// Load the live columns of a resident window, one column per live
-    /// lane, and return the live width. Validation was paid once by
-    /// [`AmvaBatch::begin_window`]. The queue seed is recomputed in place
-    /// (`begin`'s population spread: it depends only on class population
-    /// and demand signs, both fixed across the window's rounds, so
-    /// re-evaluating the same expression reproduces the same bits),
-    /// demands/think/populations are re-read from `problems` (they carry
-    /// the caller's per-round values), and buffers are resized without
-    /// zero-fill: every cell the round kernel reads is either written here
-    /// or written inside the round before its first read (`qtot`/`r`
-    /// assign-then-use, `x` stored for every live column each round, `res`
-    /// zeroed by [`Soa::round`]).
-    fn pack_window(
-        &mut self,
-        problems: &[(&[ClassDemand], usize)],
-        live: &[usize],
-        nc: usize,
-        stations: usize,
-    ) -> usize {
-        self.lane_of.clear();
-        self.lane_of.extend_from_slice(live);
-        let kw = live.len();
-        self.stride = kw;
-        self.q.resize(nc * stations * kw, 0.0);
-        self.dem.resize(nc * stations * kw, 0.0);
-        self.x.resize(nc * kw, 0.0);
-        self.pop.resize(nc * kw, 0.0);
-        self.nm1.resize(nc * kw, 0.0);
-        self.think.resize(nc * kw, 0.0);
-        self.qtot.resize(stations * kw, 0.0);
-        self.r.resize(stations * kw, 0.0);
-        self.rtot.resize(kw, 0.0);
-        self.res.resize(kw, 0.0);
-        self.iters.resize(kw, 0);
-        for it in self.iters[..kw].iter_mut() {
-            *it = 0;
-        }
-        for (col, &lane) in live.iter().enumerate() {
-            let classes = problems[lane].0;
-            for (j, c) in classes.iter().enumerate() {
-                let cb = j * kw;
-                self.pop[cb + col] = c.population;
-                self.nm1[cb + col] = c.population - 1.0;
-                self.think[cb + col] = c.think_time_s;
-                let seeded = c.population > 0.0;
-                let share = c.population / (stations as f64 + 1.0);
-                for s in 0..stations {
-                    let idx = (j * stations + s) * kw;
-                    let d = c.demands_s[s];
-                    self.dem[idx + col] = d;
-                    self.q[idx + col] = if seeded && d > 0.0 { share } else { 0.0 };
-                }
-            }
-        }
-        kw
-    }
-}
-
-/// Borrowed view of the SoA state handed to the vector round kernel
-/// ([`round_chunks_impl`]): the first `kw4` live columns (a multiple of
-/// 4) of every lane-contiguous array, plus the window's shape. Exists so
-/// the kernel can live behind a trait-generic function without a
-/// ten-argument signature.
-pub(crate) struct RoundSpan<'a> {
-    /// Queue lengths, `[class × station][lane]`.
-    pub(crate) q: &'a mut [f64],
-    /// Per-class throughput, `[class][lane]`.
-    pub(crate) x: &'a mut [f64],
-    /// Station demands, `[class × station][lane]`.
-    pub(crate) dem: &'a [f64],
-    /// Population, `[class][lane]`.
-    pub(crate) pop: &'a [f64],
-    /// Precomputed `population - 1.0`, `[class][lane]`.
-    pub(crate) nm1: &'a [f64],
-    /// Think time, `[class][lane]`.
-    pub(crate) think: &'a [f64],
-    /// Total queue per station, `[station][lane]` (per-round scratch).
-    pub(crate) qtot: &'a mut [f64],
-    /// Residence times, `[station][lane]` (per-class scratch).
-    pub(crate) r: &'a mut [f64],
-    /// This round's residual, `[lane]`.
-    pub(crate) res: &'a mut [f64],
-    /// Column stride (the window's initial live width).
-    pub(crate) ks: usize,
-    /// Vector-covered live width (`live width & !3`).
-    pub(crate) kw4: usize,
-    /// Classes per lane.
-    pub(crate) nc: usize,
-    /// Shared stations per lane.
-    pub(crate) stations: usize,
-}
-
-/// The vector round body over the first `kw4` columns (`kw4 % 4 == 0`),
-/// four lanes per step, generic over the `f64x4` backend. Per lane this
-/// is exactly the scalar [`Soa::round_span`] floating-point sequence; the
-/// differences are purely structural and bit-neutral:
-///
-/// * The station-total and residence accumulators live in registers
-///   instead of memory — same adds, same order, and f64 registers hold
-///   exactly the stored value (no x87-style extended precision).
-/// * Per-lane branches become masks + blends. Dead lanes (population ≤ 0)
-///   and zero-demand stations blend `rv = 0.0` into residence state; the
-///   running residence total starts at `+0.0` and rv ≥ demand > 0 on
-///   every live add, so it is never `-0.0` and adding a masked lane's
-///   `+0.0` is bit-exact. A masked lane's discarded alternative (e.g. the
-///   `(q·(n-1))/n` divide when `n ≤ 1`) may produce inf/NaN; IEEE 754
-///   arithmetic is non-trapping and the blend throws the value away.
-/// * The residual `f64::max` becomes `select(|Δ| > res, |Δ|, res)` —
-///   bit-identical for the non-NaN, non-negative values the reduction
-///   sees (on ties either pick is the same bits).
+/// * Branches become masks + selects. A dead class (population ≤ 0)
+///   holds `x = 0` and its queues; the `n ≤ 1` lanes discard the `own`
+///   divide; a zero-demand station selects `r = 0`. The not-taken side
+///   may be inf/NaN; IEEE 754 arithmetic is non-trapping and the select
+///   throws it away.
+/// * The station loops stay dense. The residence total adds the selected
+///   `+0.0` of a zero-demand station, which leaves it bit-unchanged: it
+///   starts at `+0.0` and every other term is positive (`d > 0` times a
+///   factor ≥ 1), infinite or NaN, so it is never `-0.0`. The queue
+///   update runs on every cell, as in the scalar loop — including the
+///   zero-demand cells where `x = ∞` makes `∞ · 0` a NaN.
+/// * The residual's `f64::max` becomes `select(|Δ| > res, |Δ|, res)`,
+///   bit-identical for the non-negative, never-NaN running maximum.
+/// * A lane whose residual drops below the tolerance freezes by select
+///   on that iteration: its queues, throughputs, iteration count and
+///   residual keep the values of the iteration where the scalar loop
+///   would have stopped, while the other lanes run on. The loop ends
+///   when every lane has converged or the iteration budget is spent.
 #[inline(always)]
-pub(crate) fn round_chunks_impl<V: LaneVec>(span: RoundSpan<'_>) {
-    let RoundSpan {
-        q,
-        x,
-        dem,
-        pop,
-        nm1,
-        think,
-        qtot,
-        r,
-        res,
-        ks,
-        kw4,
-        nc,
-        stations,
-    } = span;
+pub(crate) fn lane_fixed_point<V: LaneVec, const NC: usize, const S: usize>(
+    p: &[FixedClasses<NC, S>; LANES],
+) -> LaneFixedPoint<NC, S> {
     let zero = V::splat(0.0);
     let one = V::splat(1.0);
     let damp = V::splat(DAMPING);
-    for l in (0..kw4).step_by(4) {
-        // Total queue per station for these four lanes, accumulated in
-        // class order exactly like the scalar kernel (assign, then add).
-        for s in 0..stations {
-            let mut qt = V::load(q, s * ks + l);
-            for j in 1..nc {
-                qt = qt.add(V::load(q, (j * stations + s) * ks + l));
-            }
-            qt.store(qtot, s * ks + l);
+    let tol = V::splat(TOL);
+    let mut pop = [zero; NC];
+    let mut nm1 = [zero; NC];
+    let mut think = [zero; NC];
+    let mut live = [zero; NC];
+    let mut many = [zero; NC];
+    let mut dem = [[zero; S]; NC];
+    let mut busy = [[zero; S]; NC];
+    // Cells with a positive demand in at least one lane of the chunk.
+    let mut any_busy = [[false; S]; NC];
+    let mut q = [[zero; S]; NC];
+    for j in 0..NC {
+        pop[j] = V::from_array(std::array::from_fn(|l| p[l].population[j]));
+        think[j] = V::from_array(std::array::from_fn(|l| p[l].think_time_s[j]));
+        // `n - 1.0` is loop-invariant: hoisting it keeps the bits.
+        nm1[j] = pop[j].sub(one);
+        live[j] = pop[j].gt(zero);
+        many[j] = pop[j].gt(one);
+        let share = pop[j].div(V::splat(S as f64 + 1.0));
+        for s in 0..S {
+            dem[j][s] = V::from_array(std::array::from_fn(|l| p[l].demands_s[j][s]));
+            busy[j][s] = dem[j][s].gt(zero);
+            any_busy[j][s] = busy[j][s].any();
+            q[j][s] = V::select(live[j].and(busy[j][s]), share, zero);
         }
-        for j in 0..nc {
-            let cb = j * ks + l;
-            let n = V::load(pop, cb);
-            let live = n.gt(zero);
-            let nm1v = V::load(nm1, cb);
-            // Residence times; the per-lane total stays in a register
-            // across the station walk. Dead lanes accumulate +0.0 per
-            // station — bit-neutral (see the doc comment) — and their
-            // r-row scratch writes are never read.
-            let mut rtot = zero;
-            for s in 0..stations {
-                let base = (j * stations + s) * ks + l;
-                let qjs = V::load(q, base);
-                let d = V::load(dem, base);
-                let qt = V::load(qtot, s * ks + l);
-                let others = qt.sub(qjs);
-                // `(q·(n-1))/n`, left-associative like the scalar kernel.
-                let own = V::select(n.gt(one), qjs.mul(nm1v).div(n), zero);
-                let rv = d.mul(one.add(others).add(own));
-                let rv = V::select(live.and(d.gt(zero)), rv, zero);
-                rv.store(r, s * ks + l);
-                rtot = rtot.add(rv);
+    }
+    let inf = V::splat(f64::INFINITY);
+    let mut x = [zero; NC];
+    let mut iterations = zero;
+    let mut residual = V::splat(f64::INFINITY);
+    let mut active = one.gt(zero);
+    for _ in 0..MAX_ITER {
+        let mut qtot = [zero; S];
+        for row in &q {
+            for s in 0..S {
+                qtot[s] = qtot[s].add(row[s]);
             }
-            // Little's law; dead lanes emit x = 0.0 (the scalar
-            // prologue's value).
-            let xv = V::select(live, n.div(V::load(think, cb).add(rtot)), zero);
-            xv.store(x, cb);
-            // Damped queue update + residual max, dead lanes held.
-            let mut resv = V::load(res, l);
-            for s in 0..stations {
-                let base = (j * stations + s) * ks + l;
-                let qv = V::load(q, base);
-                let delta = xv.mul(V::load(r, s * ks + l)).sub(qv);
+        }
+        let mut res = zero;
+        for j in 0..NC {
+            let n = pop[j];
+            let step = live[j].and(active);
+            let mut r = [zero; S];
+            let mut r_total = zero;
+            for s in 0..S {
+                // No lane has demand here: every lane selects `r = +0.0`,
+                // which is already in place, and adding it to `r_total`
+                // would change no bit — skip the cell's divide.
+                if !any_busy[j][s] {
+                    continue;
+                }
+                let others = qtot[s].sub(q[j][s]);
+                let own = V::select(many[j], q[j][s].mul(nm1[j]).div(n), zero);
+                let rv = dem[j][s].mul(one.add(others).add(own));
+                r[s] = V::select(busy[j][s], rv, zero);
+                r_total = r_total.add(r[s]);
+            }
+            let xj = n.div(think[j].add(r_total));
+            x[j] = V::select(step, xj, x[j]);
+            // A cell with no demand in any lane was seeded 0, so its queue
+            // is 0 or (once `x` overflowed) NaN; while every stepping
+            // lane's `x` is finite its update `q + ½(x·0 − q)` and its
+            // `|Δ|` change nothing, so it may be skipped. Any non-finite
+            // `x` (`∞ · 0` is NaN) takes the dense update.
+            let idle_ok = !V::select(inf.gt(xj), zero, step).any();
+            for s in 0..S {
+                if idle_ok && !any_busy[j][s] {
+                    continue;
+                }
+                let delta = xj.mul(r[s]).sub(q[j][s]);
                 let absd = delta.abs();
-                resv = V::select(live.and(absd.gt(resv)), absd, resv);
-                V::select(live, qv.add(damp.mul(delta)), qv).store(q, base);
+                res = V::select(live[j].and(absd.gt(res)), absd, res);
+                q[j][s] = V::select(step, q[j][s].add(damp.mul(delta)), q[j][s]);
             }
-            resv.store(res, l);
         }
+        iterations = iterations.add(V::select(active, one, zero));
+        residual = V::select(active, res, residual);
+        active = V::select(tol.gt(res), zero, active);
+        if !active.any() {
+            break;
+        }
+    }
+    LaneFixedPoint {
+        q: q.map(|row| row.map(V::to_array)),
+        x: x.map(V::to_array),
+        iterations: iterations.to_array(),
+        residual: residual.to_array(),
     }
 }
 
-impl AmvaBatch {
-    /// Empty batch; lanes are created on first [`AmvaBatch::begin_window`].
-    pub fn new() -> AmvaBatch {
-        AmvaBatch::default()
+/// Solve independent problems of one fixed shape — the batched
+/// counterpart of [`FixedClasses::solve`], for sweeps that have many
+/// unrelated fixed points to advance at once. `each(i, result)` is called
+/// exactly once per problem, with `problems[i]`'s result; every result —
+/// throughputs, queues, station figures, iteration count, error payload —
+/// is bit-identical to `problems[i].solve()`.
+///
+/// A single solve is one dependent chain of divides (DESIGN.md §11), so
+/// the divider idles while each quotient's inputs wind through it. The
+/// vector backends run four problems per `f64x4` in registers
+/// ([`lane_fixed_point`]), overlapping four chains per instruction; a
+/// chunk runs until its slowest lane converges. Problems are validated
+/// one by one first (an invalid problem gets its error and takes no
+/// vector lane), and a short last chunk is padded with empty problems,
+/// which converge on the first iteration. [`SimdBackend::Scalar`] runs
+/// each problem through [`FixedClasses::solve`], with no vector code.
+/// Allocation-free.
+///
+/// ```
+/// use ecost_sim::amva::solve_lanes;
+/// use ecost_sim::{FixedClasses, SimdBackend};
+///
+/// let problems: Vec<FixedClasses<1, 2>> = (1..=6)
+///     .map(|n| FixedClasses {
+///         population: [n as f64],
+///         think_time_s: [3.0],
+///         demands_s: [[1.0, 0.25]],
+///     })
+///     .collect();
+/// solve_lanes(SimdBackend::detect(), &problems, |i, lane| {
+///     let (lane, alone) = (lane.unwrap(), problems[i].solve().unwrap());
+///     assert_eq!(lane.throughput[0].to_bits(), alone.throughput[0].to_bits());
+///     assert_eq!(lane.iterations, alone.iterations);
+/// });
+/// ```
+pub fn solve_lanes<const NC: usize, const S: usize>(
+    backend: SimdBackend,
+    problems: &[FixedClasses<NC, S>],
+    mut each: impl FnMut(usize, Result<FixedSolution<NC, S>, SimError>),
+) {
+    if backend == SimdBackend::Scalar {
+        for (i, p) in problems.iter().enumerate() {
+            each(i, p.solve());
+        }
+        return;
     }
-
-    /// Select the vector backend for the lane-interleaved kernel. The
-    /// request is validated against the running CPU (an unsupported
-    /// backend falls back to the portable lanes); every backend is
-    /// bit-identical, so this is a throughput knob, never a results knob.
-    pub fn set_simd_backend(&mut self, backend: SimdBackend) {
-        self.backend = backend.validated();
+    let mut chunk = [FixedClasses::zeroed(); LANES];
+    let mut index = [0usize; LANES];
+    let mut w = 0;
+    for (i, p) in problems.iter().enumerate() {
+        if let Err(e) = p.validate() {
+            each(i, Err(e));
+            continue;
+        }
+        chunk[w] = *p;
+        index[w] = i;
+        w += 1;
+        if w == LANES {
+            solve_chunk(backend, &chunk, &index, &mut each);
+            w = 0;
+        }
     }
-
-    /// The vector backend the next [`AmvaBatch::solve_window`] will use.
-    pub fn simd_backend(&self) -> SimdBackend {
-        self.backend
+    if w > 0 {
+        chunk[w..].fill(FixedClasses::zeroed());
+        solve_chunk(backend, &chunk, &index[..w], &mut each);
     }
+}
 
-    /// Lane `i`'s solver state after [`AmvaBatch::solve_window`] — read it with
-    /// the scalar accessors ([`AmvaScratch::throughput`],
-    /// [`AmvaScratch::queue`], [`AmvaScratch::station_util`],
-    /// [`AmvaScratch::iterations`], …).
-    pub fn lane(&self, i: usize) -> &AmvaScratch {
-        &self.lanes[i]
-    }
-
-    /// Open a *resident window* over `problems`: validate every class once,
-    /// compute the scalar queue seed once, and capture both so repeated
-    /// [`AmvaBatch::solve_window`] calls over the same window skip all of
-    /// that per-round bookkeeping.
-    ///
-    /// Returns `Ok(true)` when the window is resident-eligible (at least
-    /// two lanes, shape-uniform — the sweep drivers' case). `Ok(false)`
-    /// opens no window: a single problem belongs on the scalar
-    /// [`AmvaScratch::solve`], and mixed shapes on separate windows. A lane
-    /// that fails validation fails the call with the lowest such lane's
-    /// error, exactly as a scalar solve of that lane would.
-    ///
-    /// Contract for the rounds that follow: the *shape* (class and station
-    /// counts), each class's population, and the sign of every demand must
-    /// stay fixed across `solve_window` calls — exactly what an outer
-    /// contention fixed point varies nothing but demand magnitudes and
-    /// think times. Under that contract each lane of every round is
-    /// bit-identical to a fresh scalar [`AmvaScratch::solve`] of the same
-    /// problem: the seed captured here is the seed `begin` would recompute.
-    pub fn begin_window(&mut self, problems: &[(&[ClassDemand], usize)]) -> Result<bool, SimError> {
-        self.win.shape = None;
-        let k = problems.len();
-        let uniform = k >= 2
-            && problems
-                .windows(2)
-                .all(|w| w[0].0.len() == w[1].0.len() && w[0].1 == w[1].1);
-        if !uniform {
-            return Ok(false);
-        }
-        while self.lanes.len() < k {
-            self.lanes.push(AmvaScratch::new());
-        }
-        self.residual.clear();
-        self.residual.resize(k, f64::INFINITY);
-        self.errs.clear();
-        self.errs.resize(k, None);
-        let nc = problems[0].0.len();
-        let stations = problems[0].1;
-        // One scalar validation/sizing pass per lane for the whole window;
-        // the population-spread seed is outer-invariant too, but it lives
-        // in `pack_window` (recomputed per round, same bits) rather than
-        // being captured here.
-        for (i, &(classes, st)) in problems.iter().enumerate() {
-            self.lanes[i].begin_sized(classes, st)?;
-        }
-        self.win.shape = Some((nc, stations, k));
-        Ok(true)
-    }
-
-    /// One full lockstep solve of the open resident window's `live` lanes —
-    /// semantically a fresh scalar solve of each of those lanes, minus the
-    /// validation and buffer sizing that [`AmvaBatch::begin_window`]
-    /// already paid. `problems` must be the
-    /// window's full lane array (indexed by original lane id, carrying the
-    /// caller's current per-round demands/think values); `live` selects the
-    /// lanes still iterating.
-    ///
-    /// Afterwards every live lane is readable through [`AmvaBatch::lane`]
-    /// exactly as if [`AmvaScratch::solve`] had run it alone. On failure
-    /// the lowest-indexed failing live lane's error is returned.
-    pub fn solve_window(
-        &mut self,
-        problems: &[(&[ClassDemand], usize)],
-        live: &[usize],
-    ) -> Result<(), SimError> {
-        let (nc, stations, k) = self
-            .win
-            .shape
-            .ok_or(SimError::Internal("solve_window without an open window"))?;
-        if live.iter().any(|&l| l >= k) || problems.len() != k {
-            return Err(SimError::Internal("solve_window lane out of window"));
-        }
-        if live.is_empty() {
-            return Ok(());
-        }
-        let mut kw = self.soa.pack_window(problems, live, nc, stations);
-        for _round in 0..MAX_ITER {
-            if kw == 0 {
-                break;
-            }
-            self.soa.round(kw, nc, stations, self.backend);
-            let mut col = 0;
-            while col < kw {
-                if self.soa.res[col] < TOL {
-                    self.soa
-                        .retire(col, kw, nc, stations, &mut self.lanes, &mut self.residual);
-                    kw -= 1;
-                } else {
-                    col += 1;
-                }
-            }
-        }
-        while kw > 0 {
-            self.soa
-                .retire(0, kw, nc, stations, &mut self.lanes, &mut self.residual);
-            kw -= 1;
-        }
-        let mut first_err: Option<usize> = None;
-        for &i in live {
-            match self.lanes[i].convergence_err(self.residual[i]) {
-                Ok(()) => self.lanes[i].finish(problems[i].0),
-                Err(e) => {
-                    self.errs[i] = Some(e);
-                    if first_err.is_none_or(|f| i < f) {
-                        first_err = Some(i);
-                    }
-                }
-            }
-        }
-        match first_err {
-            Some(i) => match &self.errs[i] {
-                Some(e) => Err(e.clone()),
-                None => Ok(()),
-            },
-            None => Ok(()),
-        }
+/// Run one chunk of validated problems through the vector kernel and
+/// hand each real lane (`index[l]` is lane `l`'s problem index) its
+/// convergence test and station figures.
+fn solve_chunk<const NC: usize, const S: usize>(
+    backend: SimdBackend,
+    chunk: &[FixedClasses<NC, S>; LANES],
+    index: &[usize],
+    each: &mut impl FnMut(usize, Result<FixedSolution<NC, S>, SimError>),
+) {
+    let out = simd::fixed_point_x4(backend, chunk);
+    for (l, &i) in index.iter().enumerate() {
+        let (q, x, iterations, residual) = out.lane(l);
+        each(i, chunk[l].finish(q, x, iterations, residual));
     }
 }
 
@@ -1520,25 +1111,18 @@ mod tests {
         }
     }
 
-    /// Shape-uniform family (2 classes × 3 stations throughout) so the
-    /// batch takes the lane-interleaved kernel: varied populations (zero,
-    /// one, fractional, heavy), zero-demand stations, varied convergence
-    /// speeds.
-    fn uniform_problem_set() -> Vec<Vec<ClassDemand>> {
-        let mk = |pop_a: f64, pop_b: f64, da: [f64; 3], db: [f64; 3], za: f64, zb: f64| {
-            vec![
-                ClassDemand {
-                    population: pop_a,
-                    think_time_s: za,
-                    demands_s: da.to_vec(),
-                },
-                ClassDemand {
-                    population: pop_b,
-                    think_time_s: zb,
-                    demands_s: db.to_vec(),
-                },
-            ]
-        };
+    /// Two-job (2 classes × 3 stations) problems for the lane kernel:
+    /// varied populations (zero, one, fractional, heavy), zero-demand
+    /// stations, varied convergence speeds. Sixteen of them, so the width
+    /// sweep covers full four-lane chunks and every short last chunk
+    /// (1, 2, 3 real lanes).
+    fn uniform_problem_set() -> Vec<FixedClasses<2, 3>> {
+        let mk =
+            |pop_a: f64, pop_b: f64, da: [f64; 3], db: [f64; 3], za: f64, zb: f64| FixedClasses {
+                population: [pop_a, pop_b],
+                think_time_s: [za, zb],
+                demands_s: [da, db],
+            };
         vec![
             mk(2.0, 3.0, [1.0, 0.2, 0.0], [0.3, 0.9, 0.1], 3.0, 1.0),
             mk(8.0, 1.0, [2.0, 0.0, 0.4], [0.1, 0.1, 0.1], 0.1, 5.0),
@@ -1548,9 +1132,6 @@ mod tests {
             mk(5.0, 4.0, [1.1, 0.7, 0.3], [0.9, 1.3, 0.0], 0.25, 0.5),
             mk(3.0, 0.0, [0.0, 0.0, 0.9], [0.0, 0.0, 0.0], 2.0, 0.0),
             mk(4.0, 4.0, [0.8, 0.1, 0.5], [0.1, 0.9, 0.5], 0.5, 2.0),
-            // Second half: 16 lanes total, so the width sweep exercises
-            // full four-lane vector windows plus every tail residue
-            // (live count ≡ 1, 2, 3 mod 4) and mid-round compaction.
             mk(7.0, 2.0, [0.6, 1.4, 0.2], [0.2, 0.3, 1.1], 1.5, 0.75),
             mk(1.5, 1.5, [0.4, 0.4, 0.4], [0.7, 0.0, 0.7], 0.0, 3.0),
             mk(9.0, 0.5, [1.8, 0.1, 0.0], [0.0, 0.2, 0.6], 0.2, 0.9),
@@ -1562,66 +1143,47 @@ mod tests {
         ]
     }
 
-    /// Open a resident window over `probs` and solve every lane once.
-    /// `Ok(false)` when the window is not resident-eligible (one lane).
-    fn solve_resident(
-        batch: &mut AmvaBatch,
-        probs: &[(&[ClassDemand], usize)],
-    ) -> Result<bool, SimError> {
-        if !batch.begin_window(probs)? {
-            return Ok(false);
-        }
-        let live: Vec<usize> = (0..probs.len()).collect();
-        batch.solve_window(probs, &live)?;
-        Ok(true)
+    /// A lane result as bit patterns (errors as-is), so `-0.0`/`+0.0`
+    /// and NaN payloads compare exactly.
+    type LaneBits = Result<(Vec<u64>, usize), SimError>;
+
+    fn lane_bits<const NC: usize, const S: usize>(
+        r: Result<FixedSolution<NC, S>, SimError>,
+    ) -> LaneBits {
+        r.map(|sol| {
+            let mut v: Vec<u64> = sol.throughput.iter().map(|x| x.to_bits()).collect();
+            v.extend(sol.queue.iter().flatten().map(|x| x.to_bits()));
+            v.extend(sol.station_util.iter().map(|x| x.to_bits()));
+            v.extend(sol.station_queue.iter().map(|x| x.to_bits()));
+            (v, sol.iterations)
+        })
     }
 
-    /// Assert lane `lane` of `batch` holds exactly the state of `scalar`.
-    fn assert_lane_matches(batch: &AmvaBatch, lane: usize, scalar: &AmvaScratch, what: &str) {
-        let l = batch.lane(lane);
-        assert_eq!(l.iterations(), scalar.iterations(), "{what} lane {lane}");
-        let (nc, stations) = (scalar.throughput().len(), scalar.station_util().len());
-        for j in 0..nc {
-            assert_eq!(
-                l.throughput()[j].to_bits(),
-                scalar.throughput()[j].to_bits(),
-                "{what} lane {lane}"
-            );
-            for s in 0..stations {
-                assert_eq!(l.queue(j, s).to_bits(), scalar.queue(j, s).to_bits());
-            }
-        }
-        for s in 0..stations {
-            assert_eq!(
-                l.station_util()[s].to_bits(),
-                scalar.station_util()[s].to_bits()
-            );
-            assert_eq!(
-                l.station_queue()[s].to_bits(),
-                scalar.station_queue()[s].to_bits()
-            );
-        }
+    /// Every lane's result from one [`solve_lanes`] call, in problem
+    /// order; each lane must be reported exactly once.
+    fn lanes<const NC: usize, const S: usize>(
+        backend: SimdBackend,
+        problems: &[FixedClasses<NC, S>],
+    ) -> Vec<LaneBits> {
+        let mut out: Vec<Option<LaneBits>> = vec![None; problems.len()];
+        solve_lanes(backend, problems, |i, r| {
+            assert!(out[i].is_none(), "lane {i} reported twice");
+            out[i] = Some(lane_bits(r));
+        });
+        out.into_iter()
+            .enumerate()
+            .map(|(i, r)| r.unwrap_or_else(|| panic!("lane {i} never reported")))
+            .collect()
     }
 
     #[test]
     fn interleaved_kernel_is_bit_identical_to_scalar_at_every_width() {
         let problems = uniform_problem_set();
-        // One batch across every width: buffer reuse may not leak state
-        // between windows, mirroring the scratch-reuse contract.
-        let mut batch = AmvaBatch::new();
-        for width in 2..=problems.len() {
+        for width in 1..=problems.len() {
             for window in problems.chunks(width) {
-                let probs: Vec<(&[ClassDemand], usize)> =
-                    window.iter().map(|c| (c.as_slice(), 3)).collect();
-                if !solve_resident(&mut batch, &probs).unwrap() {
-                    // A one-lane tail is the scalar kernel's job.
-                    assert_eq!(window.len(), 1);
-                    continue;
-                }
-                for (i, classes) in window.iter().enumerate() {
-                    let mut scalar = AmvaScratch::new();
-                    scalar.solve(classes, 3).unwrap();
-                    assert_lane_matches(&batch, i, &scalar, &format!("width {width}"));
+                let got = lanes(SimdBackend::detect(), window);
+                for (i, p) in window.iter().enumerate() {
+                    assert_eq!(got[i], lane_bits(p.solve()), "width {width} lane {i}");
                 }
             }
         }
@@ -1630,154 +1192,69 @@ mod tests {
     #[test]
     fn every_simd_backend_is_bit_identical_to_the_scalar_backend() {
         let problems = uniform_problem_set();
-        let mut scalar_batch = AmvaBatch::new();
-        scalar_batch.set_simd_backend(SimdBackend::Scalar);
-        assert_eq!(scalar_batch.simd_backend(), SimdBackend::Scalar);
         // Portable always; Avx2 validates down to Portable off-x86, so
         // on every machine this covers each backend that can run here.
         for backend in [SimdBackend::Portable, SimdBackend::Avx2] {
-            let mut batch = AmvaBatch::new();
-            batch.set_simd_backend(backend);
-            for width in 2..=problems.len() {
-                for window in problems.chunks(width).filter(|w| w.len() >= 2) {
-                    let probs: Vec<(&[ClassDemand], usize)> =
-                        window.iter().map(|c| (c.as_slice(), 3)).collect();
-                    assert!(solve_resident(&mut batch, &probs).unwrap());
-                    assert!(solve_resident(&mut scalar_batch, &probs).unwrap());
-                    for (i, classes) in window.iter().enumerate() {
-                        let (v, s) = (batch.lane(i), scalar_batch.lane(i));
-                        assert_eq!(
-                            v.iterations(),
-                            s.iterations(),
-                            "backend {:?} width {width} lane {i}",
-                            batch.simd_backend()
-                        );
-                        for j in 0..classes.len() {
-                            assert_eq!(v.throughput()[j].to_bits(), s.throughput()[j].to_bits());
-                            for st in 0..3 {
-                                assert_eq!(v.queue(j, st).to_bits(), s.queue(j, st).to_bits());
-                            }
-                        }
-                    }
+            for width in 1..=problems.len() {
+                for window in problems.chunks(width) {
+                    assert_eq!(
+                        lanes(backend, window),
+                        lanes(SimdBackend::Scalar, window),
+                        "backend {backend:?} width {width}"
+                    );
                 }
             }
         }
     }
 
     #[test]
-    fn batch_reports_lowest_failing_lane_and_keeps_good_lanes() {
-        let good = |scale: f64| {
-            vec![ClassDemand {
-                population: 2.0,
-                think_time_s: 3.0 * scale,
-                demands_s: vec![1.0, 0.25 * scale],
-            }]
+    fn lanes_report_each_failing_lane_and_keep_good_lanes() {
+        let good = |scale: f64| FixedClasses::<1, 2> {
+            population: [2.0],
+            think_time_s: [3.0 * scale],
+            demands_s: [[1.0, 0.25 * scale]],
         };
         // A population so large that queue lengths carry no digits below
         // the tolerance: the residual stalls on rounding noise for the
         // whole iteration budget.
-        let stalled = |population: f64| {
-            vec![ClassDemand {
-                population,
-                think_time_s: 57_564.804_853_312_62,
-                demands_s: vec![0.000_308_869_578_553_701_9, 0.0],
-            }]
+        let stalled = |population: f64| FixedClasses::<1, 2> {
+            population: [population],
+            think_time_s: [57_564.804_853_312_62],
+            demands_s: [[0.000_308_869_578_553_701_9, 0.0]],
         };
-        let lanes = [
+        let negative = FixedClasses::<1, 2> {
+            population: [-1.0],
+            ..good(1.0)
+        };
+        let bad_demand = FixedClasses::<1, 2> {
+            demands_s: [[1.0, -1.0]],
+            ..good(1.0)
+        };
+        let problems = [
             good(1.0),
             stalled(1.208_784_889_756_496e17),
+            negative,
             good(2.0),
             stalled(3.5e17),
+            bad_demand,
+            good(0.5),
         ];
-        let probs: Vec<(&[ClassDemand], usize)> = lanes.iter().map(|c| (c.as_slice(), 2)).collect();
-        let mut batch = AmvaBatch::new();
-        let err = solve_resident(&mut batch, &probs).unwrap_err();
-        // The lowest failing lane's error, payload included.
-        let mut scalar = AmvaScratch::new();
-        let want = scalar.solve(&lanes[1], 2).unwrap_err();
-        assert!(matches!(want, SimError::NoConvergence { .. }), "{want:?}");
-        assert_eq!(err, want);
-        assert_ne!(err, scalar.solve(&lanes[3], 2).unwrap_err());
-        // The good lanes still finished with scalar-identical state.
-        for i in [0, 2] {
-            scalar.solve(&lanes[i], 2).unwrap();
-            assert_lane_matches(&batch, i, &scalar, "good");
-        }
-        // Validation failures surface from `begin_window`, lowest lane
-        // first, and leave no window open.
-        let negative = vec![ClassDemand {
-            population: -1.0,
-            ..good(1.0)[0].clone()
-        }];
-        let bad_demand = vec![ClassDemand {
-            demands_s: vec![1.0, -1.0],
-            ..good(1.0)[0].clone()
-        }];
-        let bad = [good(1.0), negative.clone(), bad_demand];
-        let probs: Vec<(&[ClassDemand], usize)> = bad.iter().map(|c| (c.as_slice(), 2)).collect();
-        let err = batch.begin_window(&probs).unwrap_err();
-        assert_eq!(err, scalar.solve(&negative, 2).unwrap_err());
-        assert!(batch.solve_window(&probs, &[0]).is_err());
-    }
-
-    #[test]
-    #[ignore = "timing probe, run with --release -- --ignored --nocapture"]
-    fn timing_probe_interleaved_vs_scalar() {
-        // Equal-shape, similar-iteration-count lanes: isolates the
-        // interleaved kernel's ILP from lane drain effects.
-        let mk = |scale: f64| {
-            vec![
-                ClassDemand {
-                    population: 6.0,
-                    think_time_s: 0.3,
-                    demands_s: vec![0.9 * scale, 0.4, 0.2],
-                },
-                ClassDemand {
-                    population: 4.0,
-                    think_time_s: 0.5,
-                    demands_s: vec![0.2, 0.8 * scale, 0.3],
-                },
-            ]
-        };
-        let problems: Vec<Vec<ClassDemand>> = (0..16).map(|i| mk(1.0 + 0.01 * i as f64)).collect();
-        let mut scratch = AmvaScratch::new();
-        let reps = 10_000usize;
-        let t0 = std::time::Instant::now();
-        let mut iters = 0usize;
-        for _ in 0..reps {
-            for p in &problems {
-                scratch.solve(p, 3).unwrap();
-                iters += scratch.iterations();
+        for backend in [
+            SimdBackend::Scalar,
+            SimdBackend::Portable,
+            SimdBackend::Avx2,
+        ] {
+            let got = lanes(backend, &problems);
+            for (i, p) in problems.iter().enumerate() {
+                assert_eq!(got[i], lane_bits(p.solve()), "{backend:?} lane {i}");
             }
-        }
-        let scalar_s = t0.elapsed().as_secs_f64();
-        println!(
-            "scalar: {scalar_s:.3}s ({iters} iters), {:.1} ns/iter",
-            1e9 * scalar_s / iters as f64
-        );
-        for backend in [SimdBackend::Scalar, SimdBackend::detect()] {
-            let mut batch = AmvaBatch::new();
-            batch.set_simd_backend(backend);
-            for width in [2usize, 4, 8, 12, 16] {
-                let t0 = std::time::Instant::now();
-                let mut biters = 0usize;
-                for _ in 0..reps {
-                    for window in problems.chunks(width) {
-                        let probs: Vec<(&[ClassDemand], usize)> =
-                            window.iter().map(|p| (p.as_slice(), 3)).collect();
-                        solve_resident(&mut batch, &probs).unwrap();
-                        for i in 0..probs.len() {
-                            biters += batch.lane(i).iterations();
-                        }
-                    }
-                }
-                let batch_s = t0.elapsed().as_secs_f64();
-                println!(
-                    "batch{width} [{}]: {batch_s:.3}s ({biters} iters), speedup {:.2}x, {:.1} ns/iter",
-                    backend.name(),
-                    scalar_s / batch_s,
-                    1e9 * batch_s / biters as f64
-                );
+            // Each failing lane carries its own error, payload included.
+            assert!(matches!(got[1], Err(SimError::NoConvergence { .. })));
+            assert_ne!(got[1], got[4]);
+            assert!(matches!(got[2], Err(SimError::InvalidDemand(_))));
+            assert!(matches!(got[5], Err(SimError::InvalidDemand(_))));
+            for i in [0, 3, 6] {
+                assert!(got[i].is_ok(), "{backend:?} lane {i}");
             }
         }
     }

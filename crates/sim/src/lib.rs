@@ -44,7 +44,7 @@ pub mod simd;
 pub mod trace;
 
 pub use amva::{
-    AmvaBatch, AmvaScratch, AmvaSolution, ClassDemand, FixedClasses, FixedSolution, SharedStation,
+    solve_lanes, AmvaScratch, AmvaSolution, ClassDemand, FixedClasses, FixedSolution, SharedStation,
 };
 pub use arrivals::{ArrivalPhase, TraceArrival, TraceSpec, TraceStream};
 pub use cluster::ClusterSpec;
@@ -53,4 +53,4 @@ pub use error::SimError;
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultSpec, RequestFaults, ServiceFaultSpec};
 pub use node::{DiskSpec, MemSpec, NodeSpec};
 pub use power::{EnergyMeter, PowerBreakdown, PowerModel};
-pub use simd::SimdBackend;
+pub use simd::{SimdBackend, ECOST_SIMD_VALUES};

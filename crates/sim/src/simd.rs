@@ -1,10 +1,10 @@
-//! Explicit `f64x4` vector backends for the lane-interleaved AMVA kernel.
+//! Explicit `f64x4` vector backends for the AMVA lane kernel.
 //!
-//! [`crate::AmvaBatch`] stores its live solve window lane-contiguous
-//! (structure-of-arrays, see `amva::Soa`), so the innermost loop of every
-//! Bard–Schweitzer round walks four adjacent, *independent* fixed points
-//! per step. This module provides the vector types that loop is generic
-//! over:
+//! [`crate::amva::solve_lanes`] solves independent fixed-shape problems
+//! ([`crate::FixedClasses`]) four to a vector: one `f64x4` holds the same
+//! quantity of four unrelated fixed points, and the whole Bard–Schweitzer
+//! loop runs on those vectors in registers. This module provides the
+//! vector types the kernel is generic over, and the backend dispatch:
 //!
 //! * [`F64x4`] — a portable `[f64; 4]` newtype whose operations are plain
 //!   per-element IEEE adds/muls/divides in the exact scalar operation
@@ -17,10 +17,9 @@
 //! **Bit-identity by construction.** The DESIGN.md §11 contract freezes
 //! the scalar kernel's floating-point sequence: results must stay
 //! byte-identical across every execution strategy. Both backends uphold
-//! it the same way the lane-interleaved scalar kernel does — each lane
-//! performs exactly the scalar operation sequence, in order, with only
-//! the interleaving across lanes changed. Three rules make that hold at
-//! the instruction level:
+//! it the same way — each lane performs exactly the scalar operation
+//! sequence, in order, with only the interleaving across lanes changed.
+//! Three rules make that hold at the instruction level:
 //!
 //! 1. **No FMA, no reassociation.** A fused `a*b + c` rounds once where
 //!    the scalar kernel rounds twice, so `_mm256_fmadd_pd` (and any
@@ -28,34 +27,35 @@
 //!    a separate, individually-rounded instruction, and rustc never
 //!    contracts `a * b + c` on its own.
 //! 2. **Branches become blends.** The scalar kernel's per-lane `if`s
-//!    (dead class, zero-demand station, `n ≤ 1`) are evaluated as masks
-//!    and resolved with `select` — the not-taken value is computed and
-//!    discarded, which IEEE 754 makes safe (no traps; a masked lane's
-//!    inf/NaN never lands in state).
+//!    (dead class, zero-demand station, `n ≤ 1`, converged lane) are
+//!    evaluated as masks and resolved with `select` — the not-taken value
+//!    is computed and discarded, which IEEE 754 makes safe (no traps; a
+//!    masked lane's inf/NaN never lands in state).
 //! 3. **Compare-and-blend max.** The residual's `f64::max` is expressed
 //!    as `select(b > a, b, a)`, which is bit-identical to `f64::max` for
 //!    the never-NaN, non-negative values the residual reduction sees.
 //!
-//! The backends are *selected* per [`crate::AmvaBatch`] (see
-//! [`SimdBackend`]); unsupported requests are validated down to
+//! The backend is chosen per batch scratch (see [`SimdBackend`]), and the
+//! dispatch validates it on every call: an unsupported request runs
 //! [`SimdBackend::Portable`], so the AVX2 entry point below is only ever
 //! reached on a CPU that runtime detection approved. That containment is
-//! why this module is the only place in the crate allowed to use
-//! `unsafe` (the crate root is `#![deny(unsafe_code)]`).
+//! why this module is the only place in the crate allowed to use `unsafe`
+//! (the crate root is `#![deny(unsafe_code)]`).
 #![allow(unsafe_code)]
 
-use crate::amva::{round_chunks_impl, RoundSpan};
+use crate::amva::{lane_fixed_point, FixedClasses, LaneFixedPoint};
 
-/// Which vector backend an [`crate::AmvaBatch`] drives its
-/// lane-interleaved rounds with.
+/// Which backend the AMVA lane kernel ([`crate::amva::solve_lanes`])
+/// runs on.
 ///
 /// Every backend is bit-identical to every other (and to the scalar
-/// [`crate::AmvaScratch::solve`] path) by construction — see the module
-/// docs — so this is purely a throughput knob. `Scalar` is the
+/// [`crate::FixedClasses::solve`]) by construction — see the module docs
+/// — so this is purely a throughput knob. `Scalar` is the
 /// always-available escape hatch (the `--no-simd` benchmark arm).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimdBackend {
-    /// The original lane-innermost scalar loops, no explicit vectors.
+    /// No vector code: each lane is one scalar
+    /// [`crate::FixedClasses::solve`].
     Scalar,
     /// Portable `[f64; 4]` lanes (stable Rust, every target).
     Portable,
@@ -64,28 +64,48 @@ pub enum SimdBackend {
     Avx2,
 }
 
+/// The values the `ECOST_SIMD` environment variable accepts, as named in
+/// the error for any other value.
+pub const ECOST_SIMD_VALUES: &str =
+    "`0`, `off` or `scalar` (scalar kernel), `portable` (portable f64x4 lanes)";
+
 impl SimdBackend {
     /// The best backend for the running CPU: AVX2 where detected,
     /// otherwise the portable lanes. The `ECOST_SIMD` environment
-    /// variable overrides detection for whole-process A/B runs:
-    /// `0`/`off`/`scalar` pin the scalar kernel, `portable` pins the
-    /// portable lanes (unknown values are ignored).
+    /// variable overrides detection for whole-process A/B runs (see
+    /// [`SimdBackend::env_override`]); a value it does not accept is
+    /// ignored here, so binaries check [`SimdBackend::env_override`]
+    /// before doing any work.
     pub fn detect() -> SimdBackend {
-        if let Ok(v) = std::env::var("ECOST_SIMD") {
-            match v.as_str() {
-                "0" | "off" | "scalar" => return SimdBackend::Scalar,
-                "portable" => return SimdBackend::Portable,
-                _ => {}
-            }
+        match SimdBackend::env_override() {
+            Ok(Some(backend)) => backend,
+            _ => detect_native(),
         }
-        detect_native()
+    }
+
+    /// The backend `ECOST_SIMD` pins: `Ok(None)` when the variable is
+    /// unset, `Ok(Some(_))` for one of [`ECOST_SIMD_VALUES`] (`0`, `off`
+    /// and `scalar` pin the scalar kernel, `portable` the portable lanes),
+    /// and an error naming the accepted values for anything else — a typo
+    /// such as `Off` must not silently run the detected backend.
+    pub fn env_override() -> Result<Option<SimdBackend>, String> {
+        let Some(v) = std::env::var_os("ECOST_SIMD") else {
+            return Ok(None);
+        };
+        match v.to_str() {
+            Some("0" | "off" | "scalar") => Ok(Some(SimdBackend::Scalar)),
+            Some("portable") => Ok(Some(SimdBackend::Portable)),
+            _ => Err(format!(
+                "ECOST_SIMD={v:?} is not a known value (accepted: {ECOST_SIMD_VALUES}; \
+                 unset it to detect the backend)"
+            )),
+        }
     }
 
     /// Clamp a requested backend to what this machine can actually run:
     /// `Avx2` downgrades to [`SimdBackend::Portable`] unless runtime
-    /// detection confirms support. [`crate::AmvaBatch`] stores only
-    /// validated backends, which is what makes its dispatch into the
-    /// intrinsics sound.
+    /// detection confirms support. The lane kernel's dispatch validates
+    /// every request, which is what makes entering the intrinsics sound.
     pub fn validated(self) -> SimdBackend {
         match self {
             SimdBackend::Avx2 => match detect_native() {
@@ -128,10 +148,10 @@ fn detect_native() -> SimdBackend {
 pub(crate) trait LaneVec: Copy {
     /// All four lanes set to `x`.
     fn splat(x: f64) -> Self;
-    /// Load lanes from `s[at..at + 4]`.
-    fn load(s: &[f64], at: usize) -> Self;
-    /// Store lanes to `s[at..at + 4]`.
-    fn store(self, s: &mut [f64], at: usize);
+    /// Lanes from an array, lane `l` from `a[l]`.
+    fn from_array(a: [f64; 4]) -> Self;
+    /// Lanes to an array, lane `l` to `a[l]`.
+    fn to_array(self) -> [f64; 4];
     /// Per-lane `self + o`.
     fn add(self, o: Self) -> Self;
     /// Per-lane `self - o`.
@@ -149,6 +169,8 @@ pub(crate) trait LaneVec: Copy {
     fn and(self, o: Self) -> Self;
     /// Per-lane `if mask { if_true } else { if_false }`.
     fn select(mask: Self, if_true: Self, if_false: Self) -> Self;
+    /// Whether any lane of a mask is set.
+    fn any(self) -> bool;
 }
 
 /// Portable `f64x4`: plain per-element IEEE operations on a `[f64; 4]`.
@@ -167,14 +189,13 @@ impl LaneVec for F64x4 {
     }
 
     #[inline(always)]
-    fn load(s: &[f64], at: usize) -> Self {
-        let s = &s[at..at + 4];
-        F64x4([s[0], s[1], s[2], s[3]])
+    fn from_array(a: [f64; 4]) -> Self {
+        F64x4(a)
     }
 
     #[inline(always)]
-    fn store(self, s: &mut [f64], at: usize) {
-        s[at..at + 4].copy_from_slice(&self.0);
+    fn to_array(self) -> [f64; 4] {
+        self.0
     }
 
     #[inline(always)]
@@ -231,6 +252,11 @@ impl LaneVec for F64x4 {
             pick(mask.0[3], if_true.0[3], if_false.0[3]),
         ])
     }
+
+    #[inline(always)]
+    fn any(self) -> bool {
+        self.0.iter().any(|m| m.to_bits() != 0)
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -239,16 +265,17 @@ mod avx2 {
     //! arithmetic set predates AVX2; detection gates on the stricter
     //! feature anyway). SAFETY argument for the whole module: values of
     //! [`Avx2F64x4`] only come into existence inside
-    //! [`round_chunks_avx2`], which is compiled with
+    //! [`lane_fixed_point_avx2`], which is compiled with
     //! `#[target_feature(enable = "avx2")]` and entered only through
-    //! [`super::round_chunks`] after [`super::SimdBackend`] validation —
-    //! i.e. after `is_x86_feature_detected!("avx2")` approved this CPU.
+    //! [`super::fixed_point_x4`] right after [`super::SimdBackend`]
+    //! validation — i.e. after `is_x86_feature_detected!("avx2")`
+    //! approved this CPU.
 
-    use super::{LaneVec, RoundSpan};
+    use super::{FixedClasses, LaneFixedPoint, LaneVec};
     use core::arch::x86_64::{
         __m256d, _mm256_add_pd, _mm256_and_pd, _mm256_andnot_pd, _mm256_blendv_pd, _mm256_cmp_pd,
-        _mm256_div_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_storeu_pd,
-        _mm256_sub_pd, _CMP_GT_OQ,
+        _mm256_div_pd, _mm256_loadu_pd, _mm256_movemask_pd, _mm256_mul_pd, _mm256_set1_pd,
+        _mm256_storeu_pd, _mm256_sub_pd, _CMP_GT_OQ,
     };
 
     #[derive(Clone, Copy)]
@@ -262,18 +289,19 @@ mod avx2 {
         }
 
         #[inline(always)]
-        fn load(s: &[f64], at: usize) -> Self {
-            let s = &s[at..at + 4];
-            // SAFETY: the slice above bounds-checks the 32 bytes read;
-            // unaligned load, so `Vec<f64>`'s 8-byte alignment suffices.
-            Avx2F64x4(unsafe { _mm256_loadu_pd(s.as_ptr()) })
+        fn from_array(a: [f64; 4]) -> Self {
+            // SAFETY: AVX is available (module docs); the unaligned load
+            // reads exactly the array's 32 bytes.
+            Avx2F64x4(unsafe { _mm256_loadu_pd(a.as_ptr()) })
         }
 
         #[inline(always)]
-        fn store(self, s: &mut [f64], at: usize) {
-            let s = &mut s[at..at + 4];
-            // SAFETY: the slice above bounds-checks the 32 bytes written.
-            unsafe { _mm256_storeu_pd(s.as_mut_ptr(), self.0) }
+        fn to_array(self) -> [f64; 4] {
+            let mut a = [0.0; 4];
+            // SAFETY: AVX is available (module docs); the unaligned store
+            // writes exactly the array's 32 bytes.
+            unsafe { _mm256_storeu_pd(a.as_mut_ptr(), self.0) };
+            a
         }
 
         #[inline(always)]
@@ -326,36 +354,48 @@ mod avx2 {
             // mask's sign bit; our masks are all-ones/all-zero lanes.
             Avx2F64x4(unsafe { _mm256_blendv_pd(if_false.0, if_true.0, mask.0) })
         }
+
+        #[inline(always)]
+        fn any(self) -> bool {
+            // SAFETY: AVX is available (module docs). movemask gathers
+            // the sign bits, set exactly in the all-ones lanes.
+            unsafe { _mm256_movemask_pd(self.0) != 0 }
+        }
     }
 
-    /// The generic round kernel instantiated on AVX2 lanes, compiled with
+    /// The generic lane kernel instantiated on AVX2 lanes, compiled with
     /// the feature enabled so the `#[inline(always)]` chain folds into
     /// straight-line vector code.
     #[target_feature(enable = "avx2")]
-    pub(super) fn round_chunks_avx2(span: RoundSpan<'_>) {
-        super::round_chunks_impl::<Avx2F64x4>(span);
+    pub(super) fn lane_fixed_point_avx2<const NC: usize, const S: usize>(
+        p: &[FixedClasses<NC, S>; 4],
+    ) -> LaneFixedPoint<NC, S> {
+        super::lane_fixed_point::<Avx2F64x4, NC, S>(p)
     }
 }
 
-/// Run the vector round kernel over a span of live columns on the given
-/// backend. `Scalar` never reaches this function (the batch peels zero
-/// vector columns for it); it falls back to the portable lanes here only
-/// as a defensive default.
-pub(crate) fn round_chunks(backend: SimdBackend, span: RoundSpan<'_>) {
-    match backend {
-        SimdBackend::Scalar | SimdBackend::Portable => round_chunks_impl::<F64x4>(span),
+/// Run the lane kernel on four validated problems with a vector backend.
+/// `Scalar` never reaches this function ([`crate::amva::solve_lanes`]
+/// solves its lanes one by one); it takes the portable lanes here only as
+/// a defensive default. The backend is validated on every call, so an
+/// `Avx2` request on a CPU without AVX2 runs the portable lanes.
+pub(crate) fn fixed_point_x4<const NC: usize, const S: usize>(
+    backend: SimdBackend,
+    p: &[FixedClasses<NC, S>; 4],
+) -> LaneFixedPoint<NC, S> {
+    match backend.validated() {
+        SimdBackend::Scalar | SimdBackend::Portable => lane_fixed_point::<F64x4, NC, S>(p),
         SimdBackend::Avx2 => {
             #[cfg(target_arch = "x86_64")]
             {
-                // SAFETY: `Avx2` only enters an `AmvaBatch` through
-                // `SimdBackend::validated()` (or `detect()`), i.e. after
-                // `is_x86_feature_detected!("avx2")` confirmed the CPU
-                // runs these instructions.
-                unsafe { avx2::round_chunks_avx2(span) }
+                // SAFETY: `validated()` returned `Avx2`, i.e.
+                // `is_x86_feature_detected!("avx2")` just confirmed the
+                // CPU runs these instructions.
+                unsafe { avx2::lane_fixed_point_avx2(p) }
             }
             #[cfg(not(target_arch = "x86_64"))]
             {
-                round_chunks_impl::<F64x4>(span)
+                lane_fixed_point::<F64x4, NC, S>(p)
             }
         }
     }
@@ -387,18 +427,17 @@ mod tests {
 
     #[test]
     fn portable_masks_blend_like_the_scalar_branches() {
-        let a = F64x4::load(&[1.0, 2.0, 3.0, 4.0], 0);
-        let b = F64x4::load(&[4.0, 2.0, 1.0, f64::NAN], 0);
+        let a = F64x4::from_array([1.0, 2.0, 3.0, 4.0]);
+        let b = F64x4::from_array([4.0, 2.0, 1.0, f64::NAN]);
         // gt: ordered — NaN compares false, like the scalar `>`.
         let m = a.gt(b);
         let picked = F64x4::select(m, F64x4::splat(1.0), F64x4::splat(0.0));
-        let mut out = [0.0; 4];
-        picked.store(&mut out, 0);
-        assert_eq!(out, [0.0, 0.0, 1.0, 0.0]);
+        assert_eq!(picked.to_array(), [0.0, 0.0, 1.0, 0.0]);
+        assert!(m.any());
+        assert!(!F64x4::splat(0.0).any());
         // and: mask intersection.
         let both = m.and(F64x4::splat(1.0).gt(F64x4::splat(0.0)));
-        let mut o2 = [9.0; 4];
-        F64x4::select(both, F64x4::splat(1.0), F64x4::splat(0.0)).store(&mut o2, 0);
+        let o2 = F64x4::select(both, F64x4::splat(1.0), F64x4::splat(0.0)).to_array();
         assert_eq!(o2, [0.0, 0.0, 1.0, 0.0]);
     }
 }

@@ -1,9 +1,12 @@
 //! Property-based tests of the AMVA solver and the hardware curves — the
 //! invariants every downstream performance number silently relies on —
-//! and the bit-identity of the fixed-shape AMVA kernel to the
-//! runtime-shape loop.
+//! the bit-identity of the fixed-shape AMVA kernel to the runtime-shape
+//! loop, and of the lane kernel to the fixed-shape kernel.
 
-use ecost_sim::{amva, AmvaScratch, ClassDemand, FixedClasses, FixedSolution, NodeSpec, SimError};
+use ecost_sim::{
+    amva, solve_lanes, AmvaScratch, ClassDemand, FixedClasses, FixedSolution, NodeSpec, SimError,
+    SimdBackend,
+};
 use proptest::prelude::*;
 
 fn arb_class() -> impl Strategy<Value = ClassDemand> {
@@ -182,17 +185,19 @@ fn observe_fixed<const NC: usize, const S: usize>(
     }
 }
 
+/// `classes` as a by-value fixed-shape problem.
+fn pack<const NC: usize, const S: usize>(classes: &[ClassDemand]) -> FixedClasses<NC, S> {
+    let mut p = FixedClasses::zeroed();
+    for (j, c) in classes.iter().enumerate() {
+        p.population[j] = c.population;
+        p.think_time_s[j] = c.think_time_s;
+        p.demands_s[j].copy_from_slice(&c.demands_s);
+    }
+    p
+}
+
 /// The by-value fixed-shape entry point on the same problem.
 fn solve_by_value(classes: &[ClassDemand]) -> Observed {
-    fn pack<const NC: usize, const S: usize>(classes: &[ClassDemand]) -> FixedClasses<NC, S> {
-        let mut p = FixedClasses::zeroed();
-        for (j, c) in classes.iter().enumerate() {
-            p.population[j] = c.population;
-            p.think_time_s[j] = c.think_time_s;
-            p.demands_s[j].copy_from_slice(&c.demands_s);
-        }
-        p
-    }
     match classes.len() {
         1 => observe_fixed(pack::<1, 2>(classes).solve()),
         _ => observe_fixed(pack::<2, 3>(classes).solve()),
@@ -271,5 +276,196 @@ proptest! {
         classes in (1usize..=2).prop_flat_map(|nc| prop::collection::vec(arb_kernel_class(nc + 1), nc)),
     ) {
         assert_kernels_agree(&classes);
+    }
+}
+
+/// Every lane's result from one [`solve_lanes`] call on `backend`, in
+/// problem order, each lane reported exactly once. All problems share
+/// one shape: one job over 2 stations, or two over 3.
+fn observe_lanes(backend: SimdBackend, problems: &[Vec<ClassDemand>]) -> Vec<Observed> {
+    fn run<const NC: usize, const S: usize>(
+        backend: SimdBackend,
+        problems: &[Vec<ClassDemand>],
+    ) -> Vec<Observed> {
+        let packed: Vec<FixedClasses<NC, S>> = problems.iter().map(|c| pack(c)).collect();
+        let mut out: Vec<Option<Observed>> = (0..problems.len()).map(|_| None).collect();
+        solve_lanes(backend, &packed, |i, r| {
+            assert!(out[i].is_none(), "lane {i} reported twice");
+            out[i] = Some(observe_fixed(r));
+        });
+        out.into_iter()
+            .enumerate()
+            .map(|(i, o)| o.unwrap_or_else(|| panic!("lane {i} never reported")))
+            .collect()
+    }
+    match problems[0].len() {
+        1 => run::<1, 2>(backend, problems),
+        _ => run::<2, 3>(backend, problems),
+    }
+}
+
+/// Every backend's lane kernel, at every width 1..=16, against a
+/// by-value [`FixedClasses::solve`] of each problem alone.
+fn assert_lanes_agree(problems: &[Vec<ClassDemand>]) {
+    let want: Vec<Observed> = problems.iter().map(|c| solve_by_value(c)).collect();
+    // Avx2 validates down to Portable off-x86, so every backend that can
+    // run here is covered.
+    for backend in [
+        SimdBackend::Scalar,
+        SimdBackend::Portable,
+        SimdBackend::Avx2,
+    ] {
+        for width in 1..=16usize {
+            for (w, window) in problems.chunks(width).enumerate() {
+                let got = observe_lanes(backend, window);
+                for (i, g) in got.iter().enumerate() {
+                    assert_eq!(
+                        g,
+                        &want[w * width + i],
+                        "{backend:?} width {width} lane {i}: {:?}",
+                        window[i]
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// A healthy class `j` of `nc` in the executor's layout: `n` slots, think
+/// time `z`, demand `d` at its own I/O station and, when `nic`, `dn` at
+/// the last (NIC) station.
+fn healthy_class(nc: usize, j: usize, (n, z, d, nic, dn): (f64, f64, f64, u8, f64)) -> ClassDemand {
+    let mut demands_s = vec![0.0; nc + 1];
+    demands_s[j] = d;
+    if nic == 1 {
+        demands_s[nc] = dn;
+    }
+    ClassDemand {
+        population: n,
+        think_time_s: z,
+        demands_s,
+    }
+}
+
+/// A class whose throughput overflows: a huge population `n` over a
+/// subnormal think time and zero or subnormal demands (raw bit patterns
+/// below 1000), so `x = ∞` and the zero-demand queue updates turn
+/// `∞ · 0` into NaN.
+fn overflow_class((n, z, demands): (f64, u64, Vec<(u8, u64)>)) -> ClassDemand {
+    ClassDemand {
+        population: n,
+        think_time_s: f64::from_bits(z),
+        demands_s: demands
+            .into_iter()
+            .map(|(dk, d)| if dk == 0 { 0.0 } else { f64::from_bits(d) })
+            .collect(),
+    }
+}
+
+/// One lane of `nc` classes: healthy five times in eight, drawn from the
+/// kernel-test mix (zero, huge and invalid classes) twice in eight, and
+/// overflowing once in eight.
+fn arb_lane(nc: usize) -> impl Strategy<Value = Vec<ClassDemand>> {
+    let st = nc + 1;
+    (
+        0u8..8,
+        prop::collection::vec(
+            (
+                1.0f64..12.0,
+                0.01f64..5.0,
+                0.01f64..2.0,
+                0u8..2,
+                0.0f64..0.1,
+            ),
+            nc,
+        ),
+        prop::collection::vec(arb_kernel_class(st), nc),
+        prop::collection::vec(
+            (
+                1e5f64..1e7,
+                1u64..1000,
+                prop::collection::vec((0u8..2, 1u64..1000), st),
+            ),
+            nc,
+        ),
+    )
+        .prop_map(move |(kind, healthy, mixed, overflow)| match kind {
+            0..=4 => healthy
+                .into_iter()
+                .enumerate()
+                .map(|(j, raw)| healthy_class(nc, j, raw))
+                .collect(),
+            5 | 6 => mixed,
+            _ => overflow.into_iter().map(overflow_class).collect(),
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The AMVA lane kernel is `FixedClasses::solve` to the bit on every
+    /// lane — throughputs, queues, station figures, iteration counts and
+    /// error payloads — on every backend and at every width 1..=16, with
+    /// invalid, non-convergent and overflowing lanes mixed into healthy
+    /// chunks.
+    #[test]
+    fn lane_kernel_is_bit_identical_to_the_fixed_kernel(
+        lanes in (1usize..=2).prop_flat_map(|nc| prop::collection::vec(arb_lane(nc), 1..=16)),
+    ) {
+        assert_lanes_agree(&lanes);
+    }
+}
+
+#[test]
+fn odd_lanes_match_the_fixed_kernel_at_every_chunk_position() {
+    for nc in [1usize, 2] {
+        let st = nc + 1;
+        let class = |population: f64, think_time_s: f64, d: f64| ClassDemand {
+            population,
+            think_time_s,
+            demands_s: (0..st).map(|s| if s == 0 { d } else { 0.25 * d }).collect(),
+        };
+        // Healthy filler with varied convergence speeds.
+        let filler: Vec<Vec<ClassDemand>> = (0..16)
+            .map(|i| {
+                let n = 1.0 + (i % 7) as f64;
+                vec![class(n, 0.1 + 0.3 * i as f64, 0.2 + 0.05 * i as f64); nc]
+            })
+            .collect();
+        let stalled = vec![
+            ClassDemand {
+                population: 1.208_784_889_756_496e17,
+                think_time_s: 57_564.804_853_312_62,
+                demands_s: (0..st)
+                    .map(|s| if s == 0 {
+                        0.000_308_869_578_553_701_9
+                    } else {
+                        0.0
+                    })
+                    .collect(),
+            };
+            nc
+        ];
+        let overflow = vec![
+            ClassDemand {
+                population: 1e6,
+                think_time_s: 1e-320,
+                demands_s: vec![0.0; st],
+            };
+            nc
+        ];
+        let invalid = vec![class(-1.0, 1.0, 1.0); nc];
+        let empty = vec![class(0.0, 0.0, 0.0); nc];
+        for odd in [stalled, overflow, invalid, empty] {
+            // The odd lane at every index of every window size puts it at
+            // every position of a four-lane chunk, first chunk to last.
+            for width in 1..=16usize {
+                for pos in 0..width {
+                    let mut lanes = filler[..width].to_vec();
+                    lanes[pos] = odd.clone();
+                    assert_lanes_agree(&lanes);
+                }
+            }
+        }
     }
 }
