@@ -41,10 +41,10 @@
 //! The batched arms and the lane-kernel ledger run the explicit `f64x4`
 //! AMVA lane kernel (auto-detected backend); alongside them the default
 //! run times the same sweeps with the kernel pinned scalar, so the SIMD
-//! delta is tracked (`*_simd_off` keys in the trend row). A separate single-threaded instrumented pass
-//! ([`EvalEngine::set_phase_timing`]) reports the measured phase
-//! breakdown of the sweep path (solve / outer / submit+reset / memo /
-//! event-loop) in the `phases` section.
+//! delta is tracked (`*_simd_off` keys in the trend row). A separate
+//! single-threaded instrumented pass ([`EvalEngine::set_phase_timing`])
+//! reports the measured phase breakdown of the sweep path (solve / outer
+//! / submit+reset / memo / event-loop) in the `phases` section.
 //!
 //! Flags: `--baseline` runs the baseline arms only (for A/B against an
 //! older build); `--no-batch` runs only the single-point and baseline

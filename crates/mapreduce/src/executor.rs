@@ -2192,4 +2192,46 @@ mod tests {
         assert_eq!(node.energy_j(), spent);
         assert_eq!(node.free_cores(), 8);
     }
+
+    #[test]
+    fn lane_group_fails_with_its_lowest_failing_lane() {
+        let (spec, fw) = atom();
+        let sims = || -> Vec<NodeSim> {
+            let mut sims: Vec<NodeSim> = (0..5)
+                .map(|_| {
+                    let mut sim = NodeSim::new(spec.clone(), fw.clone());
+                    sim.submit(JobSpec::new(
+                        App::St,
+                        InputSize::Small,
+                        cfg(4, Frequency::F2_4, BlockSize::B256),
+                    ))
+                    .unwrap();
+                    // Start on the first fluid (map) stage.
+                    let job = &mut sim.active[0];
+                    job.stage_idx = job.stages.iter().position(Stage::is_fluid).unwrap();
+                    sim
+                })
+                .collect();
+            // Two different invalid classes: lane 1's disk demand and
+            // lane 3's think time are not finite.
+            fn stage(sim: &mut NodeSim) -> &mut Stage {
+                let job = &mut sim.active[0];
+                &mut job.stages[job.stage_idx]
+            }
+            stage(&mut sims[1]).io_mb = f64::INFINITY;
+            stage(&mut sims[3]).think0_s = f64::NAN;
+            sims
+        };
+        for backend in [SimdBackend::detect(), SimdBackend::Scalar] {
+            let mut group = sims();
+            let mut scratch = BatchScratch::new();
+            scratch.set_simd_backend(backend);
+            let err = run_batch_to_completion(&mut group, &mut scratch).unwrap_err();
+            let mut alone = sims();
+            let lane1 = alone[1].ensure_solution().unwrap_err();
+            let lane3 = alone[3].ensure_solution().unwrap_err();
+            assert_ne!(lane1, lane3);
+            assert_eq!(err, lane1, "{backend:?}");
+        }
+    }
 }

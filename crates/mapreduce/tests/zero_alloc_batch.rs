@@ -1,17 +1,16 @@
 //! The batched event loop inherits the zero-allocation contract of
-//! `zero_alloc.rs`: all batch working state lives in [`BatchScratch`]
-//! (lane buffers grown at first use — the "one batch allocation at
-//! pool-acquire time") and fixed stack arrays, so a *warm* batched run —
+//! `zero_alloc.rs`: all batch working state lives in fixed stack arrays
+//! (and the simulators' own warm buffers), so a *warm* batched run —
 //! `run_batch_to_completion` over reset-and-resubmitted simulators —
 //! performs zero heap allocations. Same counting `#[global_allocator]`
 //! technique, and deliberately the only test in this binary so no sibling
 //! test allocates concurrently.
 //!
-//! Covers the SIMD batch path: after one warm-up at the widest window
-//! (`MAX_BATCH_LANES` = 16 lanes), pack_window/round/compact must stay
-//! allocation-free at *every* width 1..=16 — full vector windows, odd
-//! scalar tails, and the mid-run compaction in between — on both the
-//! detected vector backend and the pinned-scalar kernel.
+//! Covers the SIMD lane-kernel path: after one warm-up at the widest
+//! window (`MAX_BATCH_LANES` = 16 lanes), the group solves must stay
+//! allocation-free at *every* width 1..=16 — full four-lane chunks, padded
+//! last chunks, and lanes dropping out as their coupling converges — on
+//! both the detected vector backend and the pinned-scalar kernel.
 //!
 //! Submission is *allowed* to allocate (job stages, timeline reservation):
 //! the contract covers the event loop, not setup.

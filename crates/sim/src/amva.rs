@@ -702,12 +702,19 @@ impl<const NC: usize, const S: usize> LaneFixedPoint<NC, S> {
 ///   divide; a zero-demand station selects `r = 0`. The not-taken side
 ///   may be inf/NaN; IEEE 754 arithmetic is non-trapping and the select
 ///   throws it away.
-/// * The station loops stay dense. The residence total adds the selected
-///   `+0.0` of a zero-demand station, which leaves it bit-unchanged: it
-///   starts at `+0.0` and every other term is positive (`d > 0` times a
-///   factor ≥ 1), infinite or NaN, so it is never `-0.0`. The queue
-///   update runs on every cell, as in the scalar loop — including the
-///   zero-demand cells where `x = ∞` makes `∞ · 0` a NaN.
+/// * The residence total adds the selected `+0.0` of a zero-demand
+///   station, which leaves it bit-unchanged: it starts at `+0.0` and every
+///   other term is positive (`d > 0` times a factor ≥ 1), infinite or
+///   NaN, so it is never `-0.0`. A cell with no demand in *any* lane of
+///   the chunk therefore skips its residence term (and its divide)
+///   outright.
+/// * The queue update runs on every cell, as in the scalar loop —
+///   including zero-demand cells, where `x = ∞` makes `∞ · 0` a NaN. Only
+///   a cell idle in all four lanes may skip it, and only while every
+///   stepping lane's `x` is finite: its queue is then 0 or NaN and the
+///   update changes neither it nor the residual. (Skipping without that
+///   guard leaves an overflowed lane's idle queues at 0 where the scalar
+///   kernel has NaN.)
 /// * The residual's `f64::max` becomes `select(|Δ| > res, |Δ|, res)`,
 ///   bit-identical for the non-negative, never-NaN running maximum.
 /// * A lane whose residual drops below the tolerance freezes by select

@@ -53,4 +53,4 @@ pub use error::SimError;
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultSpec, RequestFaults, ServiceFaultSpec};
 pub use node::{DiskSpec, MemSpec, NodeSpec};
 pub use power::{EnergyMeter, PowerBreakdown, PowerModel};
-pub use simd::{SimdBackend, ECOST_SIMD_VALUES};
+pub use simd::SimdBackend;

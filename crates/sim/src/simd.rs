@@ -66,7 +66,7 @@ pub enum SimdBackend {
 
 /// The values the `ECOST_SIMD` environment variable accepts, as named in
 /// the error for any other value.
-pub const ECOST_SIMD_VALUES: &str =
+const ECOST_SIMD_VALUES: &str =
     "`0`, `off` or `scalar` (scalar kernel), `portable` (portable f64x4 lanes)";
 
 impl SimdBackend {
@@ -84,10 +84,10 @@ impl SimdBackend {
     }
 
     /// The backend `ECOST_SIMD` pins: `Ok(None)` when the variable is
-    /// unset, `Ok(Some(_))` for one of [`ECOST_SIMD_VALUES`] (`0`, `off`
-    /// and `scalar` pin the scalar kernel, `portable` the portable lanes),
-    /// and an error naming the accepted values for anything else — a typo
-    /// such as `Off` must not silently run the detected backend.
+    /// unset, `Ok(Some(_))` for an accepted value (`0`, `off` and `scalar`
+    /// pin the scalar kernel, `portable` the portable lanes), and an error
+    /// naming the accepted values for anything else — a typo such as
+    /// `Off` must not silently run the detected backend.
     pub fn env_override() -> Result<Option<SimdBackend>, String> {
         let Some(v) = std::env::var_os("ECOST_SIMD") else {
             return Ok(None);
