@@ -120,7 +120,7 @@ fn arb_kernel_class(stations: usize) -> impl Strategy<Value = ClassDemand> {
 }
 
 /// Everything a solve exposes, as bit patterns.
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 enum Observed {
     Solved {
         throughput: Vec<u64>,
@@ -304,10 +304,9 @@ fn observe_lanes(backend: SimdBackend, problems: &[Vec<ClassDemand>]) -> Vec<Obs
     }
 }
 
-/// Every backend's lane kernel, at every width 1..=16, against a
-/// by-value [`FixedClasses::solve`] of each problem alone.
-fn assert_lanes_agree(problems: &[Vec<ClassDemand>]) {
-    let want: Vec<Observed> = problems.iter().map(|c| solve_by_value(c)).collect();
+/// Every backend's lane kernel on one call over `window`, against a
+/// by-value [`FixedClasses::solve`] of each problem alone (`want`).
+fn assert_window_agrees(window: &[Vec<ClassDemand>], want: &[Observed]) {
     // Avx2 validates down to Portable off-x86, so every backend that can
     // run here is covered.
     for backend in [
@@ -315,18 +314,26 @@ fn assert_lanes_agree(problems: &[Vec<ClassDemand>]) {
         SimdBackend::Portable,
         SimdBackend::Avx2,
     ] {
-        for width in 1..=16usize {
-            for (w, window) in problems.chunks(width).enumerate() {
-                let got = observe_lanes(backend, window);
-                for (i, g) in got.iter().enumerate() {
-                    assert_eq!(
-                        g,
-                        &want[w * width + i],
-                        "{backend:?} width {width} lane {i}: {:?}",
-                        window[i]
-                    );
-                }
-            }
+        let got = observe_lanes(backend, window);
+        for (i, g) in got.iter().enumerate() {
+            assert_eq!(
+                g,
+                &want[i],
+                "{backend:?} width {} lane {i}: {:?}",
+                window.len(),
+                window[i]
+            );
+        }
+    }
+}
+
+/// [`assert_window_agrees`] on every chunking of `problems` by widths
+/// 1..=16.
+fn assert_lanes_agree(problems: &[Vec<ClassDemand>]) {
+    let want: Vec<Observed> = problems.iter().map(|c| solve_by_value(c)).collect();
+    for width in 1..=16usize {
+        for (window, want) in problems.chunks(width).zip(want.chunks(width)) {
+            assert_window_agrees(window, want);
         }
     }
 }
@@ -456,14 +463,18 @@ fn odd_lanes_match_the_fixed_kernel_at_every_chunk_position() {
         ];
         let invalid = vec![class(-1.0, 1.0, 1.0); nc];
         let empty = vec![class(0.0, 0.0, 0.0); nc];
+        let want_filler: Vec<Observed> = filler.iter().map(|c| solve_by_value(c)).collect();
         for odd in [stalled, overflow, invalid, empty] {
+            let want_odd = solve_by_value(&odd);
             // The odd lane at every index of every window size puts it at
             // every position of a four-lane chunk, first chunk to last.
             for width in 1..=16usize {
                 for pos in 0..width {
                     let mut lanes = filler[..width].to_vec();
                     lanes[pos] = odd.clone();
-                    assert_lanes_agree(&lanes);
+                    let mut want = want_filler[..width].to_vec();
+                    want[pos] = want_odd.clone();
+                    assert_window_agrees(&lanes, &want);
                 }
             }
         }
