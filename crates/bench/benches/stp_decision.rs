@@ -23,7 +23,7 @@ fn bench_decisions(c: &mut Criterion) {
     let sweep = eng
         .pair_sweep(App::Wc.profile(), mb, App::St.profile(), mb)
         .expect("sweep");
-    let best = sweep.best(idle).expect("non-empty sweep");
+    let best = sweep.best();
 
     let db = ecost_core::database::ConfigDatabase {
         pairs: vec![ecost_core::database::PairEntry {
@@ -43,7 +43,7 @@ fn bench_decisions(c: &mut Criterion) {
     let lkt = LktStp::from_database(&db);
 
     let mut ds = Dataset::new(encode_columns(), "ln_edp");
-    for run in sweep.runs().iter() {
+    for run in sweep.runs() {
         // The engine stores sweeps in normalised orientation; reorient so
         // `.a` lines up with wc's signature.
         let cfg = if sweep.swapped() {

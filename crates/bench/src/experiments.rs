@@ -235,7 +235,7 @@ pub fn fig5_priority(ctx: &mut Ctx) -> Vec<Table> {
                 .expect("sweep");
             let mut by_part: std::collections::HashMap<(u32, u32), f64> =
                 std::collections::HashMap::new();
-            for run in sweep.runs().iter() {
+            for run in sweep.runs() {
                 // Report partitions in (a, b) orientation.
                 let cfg = if sweep.swapped() {
                     run.config.swapped()

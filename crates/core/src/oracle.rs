@@ -73,11 +73,6 @@ pub fn sweep_pair(
     engine.pair_sweep(a, input_a_mb, b, input_b_mb)
 }
 
-/// Pick the wall-EDP winner out of a sweep.
-pub fn best_of(engine: &EvalEngine, runs: &[PairRun]) -> Result<PairRun, EvalError> {
-    engine.best_of(runs)
-}
-
 /// COLAO's oracle: best co-located configuration for a pair.
 pub fn best_pair(
     engine: &EvalEngine,
@@ -125,10 +120,10 @@ mod tests {
         let b = App::St.profile();
         let mb = InputSize::Small.per_node_mb();
         let sweep = sweep_pair(&eng, a, mb, b, mb).unwrap();
-        let best = best_of(&eng, sweep.runs()).unwrap();
-        let idle = eng.idle_w();
-        for run in sweep.runs().iter().step_by(997) {
-            assert!(best.metrics.edp_wall(idle) <= run.metrics.edp_wall(idle) + 1e-9);
+        let best = sweep.best().metrics.edp_wall(eng.idle_w());
+        assert_eq!(sweep.len(), 11_200);
+        for run in sweep.runs() {
+            assert!(best <= run.metrics.edp_wall(eng.idle_w()));
         }
     }
 }

@@ -75,8 +75,7 @@ pub fn build_training_data_subset(
                 } else {
                     (sig_of(a, size), sig_of(b, size))
                 };
-                let runs = sweep.runs();
-                let mut idx: Vec<usize> = (0..runs.len()).collect();
+                let mut idx: Vec<usize> = (0..sweep.len()).collect();
                 if configs_per_pair < idx.len() {
                     idx.shuffle(&mut rng);
                     idx.truncate(configs_per_pair);
@@ -84,8 +83,7 @@ pub fn build_training_data_subset(
                 let ds = data
                     .entry(classes)
                     .or_insert_with(|| Dataset::new(encode_columns(), "ln_edp_wall"));
-                for &k in &idx {
-                    let run = &runs[k];
+                for run in idx.iter().filter_map(|&k| sweep.run(k)) {
                     let y = run.metrics.edp_wall(idle).ln();
                     ds.push(
                         encode_row(&sig_first, run.config.a, &sig_second, run.config.b),

@@ -90,7 +90,7 @@ fn sweeps_are_bit_identical_across_thread_counts() {
     }
     assert_eq!(serial_pair.swapped(), par_pair.swapped());
     assert_eq!(serial_pair.len(), par_pair.len());
-    for (s, p) in serial_pair.runs().iter().zip(par_pair.runs().iter()) {
+    for (s, p) in serial_pair.runs().zip(par_pair.runs()) {
         assert_eq!(s.config, p.config);
         assert_eq!(
             s.metrics.makespan_s.to_bits(),

@@ -1,0 +1,68 @@
+//! A warm `best_pair` memo hit performs **zero heap allocations**: the
+//! sweep table stores each pair's wall-EDP winner at insert, so a hit is a
+//! shard probe, two reference-count bumps and an index, in either query
+//! orientation. A counting `#[global_allocator]` wraps the system
+//! allocator; the one test in this binary (kept alone so no sibling test
+//! allocates concurrently) sweeps a pair once, then asserts that the
+//! following hits left the allocation counter where it was.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use ecost_apps::{App, InputSize};
+use ecost_core::engine::EvalEngine;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+struct CountingAlloc;
+
+// SAFETY: defers entirely to `System`; the counter is a relaxed atomic.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // A realloc that moves or grows is an allocation for our purposes.
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static A: CountingAlloc = CountingAlloc;
+
+#[test]
+fn warm_best_pair_hit_is_allocation_free() {
+    let eng = EvalEngine::atom();
+    let (wc, st) = (App::Wc.profile(), App::St.profile());
+    let mb = InputSize::Small.per_node_mb();
+
+    // The miss: simulates and stores the sweep (allocation is allowed).
+    let cold = eng.best_pair(wc, mb, st, mb).expect("pair sweep");
+
+    let before = ALLOCS.load(Ordering::SeqCst);
+    let fwd = eng.best_pair(wc, mb, st, mb).expect("memo hit");
+    let rev = eng.best_pair(st, mb, wc, mb).expect("memo hit, swapped");
+    let after = ALLOCS.load(Ordering::SeqCst);
+
+    assert_eq!(
+        after - before,
+        0,
+        "two warm best_pair hits allocated {} times",
+        after - before
+    );
+
+    // They really were hits, answered in each query's orientation.
+    let s = eng.stats();
+    assert_eq!((s.misses, s.hits), (1, 2));
+    assert_eq!(fwd.config, cold.config);
+    assert_eq!(rev.config, cold.config.swapped());
+    assert_eq!(fwd.metrics, cold.metrics);
+    assert_eq!(rev.metrics, cold.metrics);
+}

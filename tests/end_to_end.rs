@@ -62,7 +62,7 @@ fn classify_pair_tune_run_pipeline() {
     let sig_wc = profile_catalog_app(&eng, App::Wc, InputSize::Small, 0.02, 3).expect("profile");
     let sig_st = profile_catalog_app(&eng, App::St, InputSize::Small, 0.02, 3).expect("profile");
     let mut ds = Dataset::new(encode_columns(), "ln_edp");
-    for run in sweep.runs().iter() {
+    for run in sweep.runs() {
         // Reorient so `.a` lines up with wc's signature.
         let cfg = if sweep.swapped() {
             run.config.swapped()
