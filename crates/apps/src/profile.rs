@@ -72,12 +72,6 @@ pub struct AppProfile {
 }
 
 impl AppProfile {
-    /// Instructions executed per MB of map input (cycles × IPC).
-    #[inline]
-    pub fn map_instructions_per_mb(&self) -> f64 {
-        self.map_cycles_per_mb * self.ipc_base
-    }
-
     /// Memory-bandwidth demand of one busy core at `freq_hz`, in MB/s:
     /// `instructions/s × misses/instruction × 64 B line`.
     #[inline]

@@ -33,9 +33,9 @@ pub enum WorkloadScenario {
     Ws2,
     /// All I/O-bound: 16× st.
     Ws3,
-    /// [C,C,H,I] repeated.
+    /// `[C, C, H, I]` repeated.
     Ws4,
-    /// [C,H,I,H] repeated.
+    /// `[C, H, I, H]` repeated.
     Ws5,
     /// Alternating H/I (reconstructed from the class row).
     Ws6,

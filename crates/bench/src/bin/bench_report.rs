@@ -79,7 +79,6 @@ use ecost_sim::{solve_lanes, AmvaScratch, ClassDemand, FaultPlan, FixedClasses, 
 use ecost_telemetry::{Recorder, TraceEvent};
 use rayon::prelude::*;
 use std::fmt::Write as _;
-use std::io::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -682,82 +681,6 @@ fn rate_ratio(num: Option<Arm>, den: Option<Arm>) -> Option<f64> {
     }
 }
 
-/// The trend row's commit context: `(commit id, dirty worktree)`.
-///
-/// Precedence: `ECOST_COMMIT`, then `GITHUB_SHA` (both trusted as clean —
-/// CI benches a pristine checkout), then `git rev-parse --short HEAD`
-/// with the dirty flag from `git status --porcelain`, so a local run's
-/// row names the real commit it measured instead of `"uncommitted"`.
-/// Outside a git worktree (or with no git binary) the old
-/// `("uncommitted", dirty)` fallback survives.
-fn commit_context() -> (String, bool) {
-    if let Ok(c) = std::env::var("ECOST_COMMIT").or_else(|_| std::env::var("GITHUB_SHA")) {
-        return (c, false);
-    }
-    let git = |args: &[&str]| {
-        std::process::Command::new("git")
-            .args(args)
-            .output()
-            .ok()
-            .filter(|o| o.status.success())
-            .and_then(|o| String::from_utf8(o.stdout).ok())
-    };
-    let head = git(&["rev-parse", "--short", "HEAD"])
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty());
-    let Some(head) = head else {
-        return ("uncommitted".into(), true);
-    };
-    // A failed status query reports dirty: over-claiming dirt is safer
-    // than stamping a mutated tree as the commit's performance.
-    let dirty = git(&["status", "--porcelain"]).is_none_or(|s| !s.trim().is_empty());
-    (head, dirty)
-}
-
-/// Append the run's headline throughputs as one compact row to the trend
-/// store (`ECOST_TREND_OUT`, default `BENCH_trend.jsonl`). Schema-
-/// versioned; the commit context comes from [`commit_context`].
-/// `trend_check` consumes these rows.
-fn append_trend_row(
-    arms: Arms,
-    quick: bool,
-    metrics: &[(&str, Option<Arm>)],
-    scalars: &[(&str, f64)],
-) -> Result<String, BenchError> {
-    let path = std::env::var("ECOST_TREND_OUT").unwrap_or_else(|_| "BENCH_trend.jsonl".into());
-    let (commit, dirty) = commit_context();
-    if commit.contains('"') || commit.contains('\\') {
-        return Err(BenchError::Invalid(format!(
-            "commit id {commit:?} is not JSON-string safe"
-        )));
-    }
-    let mut row = String::new();
-    let _ = write!(
-        row,
-        "{{\"schema\":\"ecost-bench-trend/1\",\"commit\":\"{commit}\",\"dirty\":{dirty},\
-         \"mode\":\"{}\",\"arms\":\"{}\",\"threads\":{},\"simd\":\"{}\"",
-        if quick { "quick" } else { "full" },
-        arms.label(),
-        rayon::current_num_threads(),
-        arms.simd_label()
-    );
-    for (key, arm) in metrics {
-        if let Some(a) = arm {
-            let _ = write!(row, ",\"{key}_sims_per_s\":{:.1}", a.sims_per_s());
-        }
-    }
-    for (key, v) in scalars {
-        let _ = write!(row, ",\"{key}\":{v:.3}");
-    }
-    row.push('}');
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)?;
-    writeln!(f, "{row}")?;
-    Ok(path)
-}
-
 /// A parsed command line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Options {
@@ -1026,31 +949,39 @@ fn run(opts: Options) -> Result<(), BenchError> {
     println!("{out}");
     eprintln!("[bench_report] wrote {path}");
 
-    let trend_path = append_trend_row(
-        arms,
+    let sims = [
+        ("solo_baseline_sims_per_s", Some(solo_base)),
+        ("solo_optimized_sims_per_s", solo_opt),
+        ("solo_batched_sims_per_s", solo_bat),
+        ("solo_simd_off_sims_per_s", solo_off),
+        ("pair_baseline_sims_per_s", Some(pair_base)),
+        ("pair_optimized_sims_per_s", pair_opt),
+        ("pair_batched_sims_per_s", pair_bat),
+        ("pair_simd_off_sims_per_s", pair_off),
+    ];
+    let scalars = [
+        ("amva_1c_fixed_ns_per_iter", one_class.fixed_ns),
+        ("amva_1c_runtime_ns_per_iter", one_class.runtime_ns),
+        ("amva_1c_speedup", one_class.speedup),
+        ("amva_2c_fixed_ns_per_iter", two_class.fixed_ns),
+        ("amva_2c_runtime_ns_per_iter", two_class.runtime_ns),
+        ("amva_2c_speedup", two_class.speedup),
+        ("amva_1c_lanes_ns_per_iter", one_class.lanes_ns),
+        ("amva_1c_lanes_speedup", one_class.lanes_speedup),
+        ("amva_2c_lanes_ns_per_iter", two_class.lanes_ns),
+        ("amva_2c_lanes_speedup", two_class.lanes_speedup),
+    ];
+    let metrics: Vec<(&str, f64, usize)> = sims
+        .iter()
+        .filter_map(|&(key, arm)| arm.map(|a| (key, a.sims_per_s(), 1)))
+        .chain(scalars.iter().map(|&(key, v)| (key, v, 3)))
+        .collect();
+    let trend_path = ecost_bench::append_trend_row(
         quick,
-        &[
-            ("solo_baseline", Some(solo_base)),
-            ("solo_optimized", solo_opt),
-            ("solo_batched", solo_bat),
-            ("solo_simd_off", solo_off),
-            ("pair_baseline", Some(pair_base)),
-            ("pair_optimized", pair_opt),
-            ("pair_batched", pair_bat),
-            ("pair_simd_off", pair_off),
-        ],
-        &[
-            ("amva_1c_fixed_ns_per_iter", one_class.fixed_ns),
-            ("amva_1c_runtime_ns_per_iter", one_class.runtime_ns),
-            ("amva_1c_speedup", one_class.speedup),
-            ("amva_2c_fixed_ns_per_iter", two_class.fixed_ns),
-            ("amva_2c_runtime_ns_per_iter", two_class.runtime_ns),
-            ("amva_2c_speedup", two_class.speedup),
-            ("amva_1c_lanes_ns_per_iter", one_class.lanes_ns),
-            ("amva_1c_lanes_speedup", one_class.lanes_speedup),
-            ("amva_2c_lanes_ns_per_iter", two_class.lanes_ns),
-            ("amva_2c_lanes_speedup", two_class.lanes_speedup),
-        ],
+        arms.label(),
+        rayon::current_num_threads(),
+        Some(arms.simd_label()),
+        &metrics,
     )?;
     eprintln!("[bench_report] appended trend row to {trend_path}");
     Ok(())
@@ -1071,15 +1002,6 @@ mod tests {
         // this exact string; a shape change must bump it here on purpose,
         // in the same commit that documents the new shape.
         assert_eq!(SCHEMA, "ecost-bench-sim/6");
-    }
-
-    #[test]
-    fn commit_context_is_json_safe() {
-        // Whatever source wins (env override, git, fallback), the id must
-        // embed into the hand-rolled JSON row without escaping.
-        let (commit, _dirty) = commit_context();
-        assert!(!commit.is_empty());
-        assert!(!commit.contains('"') && !commit.contains('\\'), "{commit}");
     }
 
     fn args(list: &[&str]) -> Vec<String> {

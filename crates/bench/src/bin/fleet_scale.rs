@@ -48,7 +48,6 @@ use ecost_core::{CacheBudget, EcostContext, Testbed};
 use ecost_sim::arrivals::{TraceArrival, TraceStream};
 use ecost_sim::TraceSpec;
 use std::fmt::Write as _;
-use std::io::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -164,33 +163,6 @@ fn check_bounds(arm: &ArmOut, arrivals: usize) -> Result<(), BenchError> {
         )));
     }
     Ok(())
-}
-
-/// Append the run's decision throughput to the trend store, in the same
-/// compact row format `bench_report` writes and `trend_check` reads.
-fn append_trend_row(quick: bool, decisions_per_s: f64) -> Result<String, BenchError> {
-    let path = std::env::var("ECOST_TREND_OUT").unwrap_or_else(|_| "BENCH_trend.jsonl".into());
-    let commit = std::env::var("ECOST_COMMIT")
-        .or_else(|_| std::env::var("GITHUB_SHA"))
-        .unwrap_or_else(|_| "uncommitted".into());
-    if commit.contains('"') || commit.contains('\\') {
-        return Err(BenchError::Invalid(format!(
-            "commit id {commit:?} is not JSON-string safe"
-        )));
-    }
-    let row = format!(
-        "{{\"schema\":\"ecost-bench-trend/1\",\"commit\":\"{commit}\",\"mode\":\"{}\",\
-         \"arms\":\"fleet\",\"threads\":{},\"fleet_decisions_per_s\":{:.1}}}",
-        if quick { "quick" } else { "full" },
-        rayon::current_num_threads(),
-        decisions_per_s
-    );
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)?;
-    writeln!(f, "{row}")?;
-    Ok(path)
 }
 
 fn run() -> Result<(), BenchError> {
@@ -335,7 +307,13 @@ fn run() -> Result<(), BenchError> {
     }
     eprintln!("[fleet_scale] wrote {}", path.display());
 
-    let trend_path = append_trend_row(quick, decisions_per_s)?;
+    let trend_path = ecost_bench::append_trend_row(
+        quick,
+        "fleet",
+        rayon::current_num_threads(),
+        None,
+        &[("fleet_decisions_per_s", decisions_per_s, 1)],
+    )?;
     eprintln!("[fleet_scale] appended trend row to {trend_path}");
     Ok(())
 }

@@ -42,7 +42,6 @@ use ecost_core::{
 use ecost_sim::{rng, ServiceFaultSpec};
 use rand::Rng as _;
 use std::fmt::Write as _;
-use std::io::Write as _;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -332,32 +331,6 @@ fn arrival_stream(n: usize) -> Vec<OpenArrival> {
         .collect()
 }
 
-/// Append the matrix's decision throughput to the trend store.
-fn append_trend_row(quick: bool, decisions_per_s: f64) -> Result<String, BenchError> {
-    let path = std::env::var("ECOST_TREND_OUT").unwrap_or_else(|_| "BENCH_trend.jsonl".into());
-    let commit = std::env::var("ECOST_COMMIT")
-        .or_else(|_| std::env::var("GITHUB_SHA"))
-        .unwrap_or_else(|_| "uncommitted".into());
-    if commit.contains('"') || commit.contains('\\') {
-        return Err(BenchError::Invalid(format!(
-            "commit id {commit:?} is not JSON-string safe"
-        )));
-    }
-    let row = format!(
-        "{{\"schema\":\"ecost-bench-trend/1\",\"commit\":\"{commit}\",\"mode\":\"{}\",\
-         \"arms\":\"service\",\"threads\":{},\"service_decisions_per_s\":{:.1}}}",
-        if quick { "quick" } else { "full" },
-        WORKERS,
-        decisions_per_s
-    );
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)?;
-    writeln!(f, "{row}")?;
-    Ok(path)
-}
-
 fn run() -> Result<(), BenchError> {
     let quick = std::env::var("ECOST_QUICK").is_ok_and(|v| v == "1");
     let (n_requests, n_stream, nodes) = if quick { (64, 24, 2) } else { (256, 96, 4) };
@@ -537,7 +510,13 @@ fn run() -> Result<(), BenchError> {
     );
     eprintln!("[service_soak] wrote {}", path.display());
 
-    let trend_path = append_trend_row(quick, decisions_per_s)?;
+    let trend_path = ecost_bench::append_trend_row(
+        quick,
+        "service",
+        WORKERS,
+        None,
+        &[("service_decisions_per_s", decisions_per_s, 1)],
+    )?;
     eprintln!("[service_soak] appended trend row to {trend_path}");
     Ok(())
 }

@@ -12,9 +12,8 @@ use ecost_core::mapping::{
     OpenArrival, OpenOptions,
 };
 use ecost_core::report::{f, Table};
-use ecost_core::stp::{encode_row, Stp};
 use ecost_core::strategies;
-use ecost_mapreduce::{BlockSize, Feature, PairConfig, TuningConfig};
+use ecost_mapreduce::{BlockSize, Feature, TuningConfig};
 use ecost_ml::model::Regressor;
 use ecost_ml::{hcluster, Pca, ZScore};
 use ecost_sim::Frequency;
@@ -1003,54 +1002,4 @@ pub fn chaos(ctx: &mut Ctx) -> (Vec<Table>, String) {
         eng.recorder(),
     );
     (vec![table, stats], json)
-}
-
-/// Sanity metric used by tests: REPTree STP error vs oracle on one pair.
-pub fn quick_stp_error(ctx: &mut Ctx, a: App, b: App, size: InputSize) -> f64 {
-    ctx.models();
-    let cores = ctx.tb().node.cores;
-    let idle = ctx.engine.idle_w();
-    let mb = size.per_node_mb();
-    let sig_a = ctx.signature(a, size);
-    let sig_b = ctx.signature(b, size);
-    let (models, eng) = ctx.models_and_engine();
-    let oracle_run = eng
-        .best_pair(a.profile(), mb, b.profile(), mb)
-        .expect("oracle");
-    let cfg = models
-        .reptree
-        .choose(&sig_a, &sig_b, cores)
-        .expect("stp choice");
-    let m = eng
-        .pair_metrics(a.profile(), mb, b.profile(), mb, cfg)
-        .expect("pair sim");
-    (m.edp_wall(idle) - oracle_run.metrics.edp_wall(idle)) / oracle_run.metrics.edp_wall(idle)
-}
-
-/// Helper for tests and notebooks: predict-vs-simulate check of one encoded
-/// configuration (round-trip of the encode/argmin plumbing).
-pub fn predict_one(ctx: &mut Ctx, a: App, b: App, size: InputSize, cfg: PairConfig) -> (f64, f64) {
-    ctx.models();
-    let idle = ctx.engine.idle_w();
-    let sig_a = ctx.signature(a, size);
-    let sig_b = ctx.signature(b, size);
-    let (models, eng) = ctx.models_and_engine();
-    let cp = ClassPair::new(a.class(), b.class());
-    let pred = models
-        .reptree
-        .model_for(cp)
-        .expect("model")
-        .predict(&encode_row(&sig_a.key(), cfg.a, &sig_b.key(), cfg.b))
-        .exp();
-    let truth = eng
-        .pair_metrics(
-            a.profile(),
-            size.per_node_mb(),
-            b.profile(),
-            size.per_node_mb(),
-            cfg,
-        )
-        .expect("pair sim")
-        .edp_wall(idle);
-    (pred, truth)
 }

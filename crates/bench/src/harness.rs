@@ -1,7 +1,7 @@
 //! Shared experiment context: evaluation engine, database, training data,
 //! fitted models and their measured costs.
 
-use ecost_apps::{App, InputSize, TRAINING_APPS};
+use ecost_apps::{App, InputSize};
 use ecost_core::classify::{KnnAppClassifier, RuleClassifier};
 use ecost_core::database::ConfigDatabase;
 use ecost_core::engine::EvalEngine;
@@ -266,13 +266,4 @@ impl Default for Ctx {
     fn default() -> Self {
         Ctx::new()
     }
-}
-
-/// The training apps' class coverage, for report footers.
-pub fn training_roster() -> String {
-    TRAINING_APPS
-        .iter()
-        .map(|a| format!("{}[{}]", a.name(), a.class()))
-        .collect::<Vec<_>>()
-        .join(", ")
 }

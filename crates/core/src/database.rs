@@ -8,7 +8,6 @@
 
 use crate::engine::{EvalEngine, EvalError};
 use crate::features::{profile_catalog_app, AppSignature};
-use crate::oracle::best_solo;
 use ecost_apps::class::ClassPair;
 use ecost_apps::{App, AppClass, InputSize, TRAINING_APPS};
 use ecost_mapreduce::{PairConfig, TuningConfig};
@@ -106,7 +105,7 @@ impl ConfigDatabase {
         let mut solos = Vec::new();
         for (i, &app) in apps.iter().enumerate() {
             for (j, &size) in sizes.iter().enumerate() {
-                let run = best_solo(engine, app.profile(), size.per_node_mb())?;
+                let run = engine.best_solo(app.profile(), size.per_node_mb())?;
                 solos.push(SoloEntry {
                     app,
                     size,
@@ -177,164 +176,6 @@ impl ConfigDatabase {
             .map(|p| p.edp_wall)
             .min_by(f64::total_cmp)
     }
-
-    /// Serialise the sweep results (solos + pairs) to a plain-text format.
-    ///
-    /// The labelled signatures are *not* persisted — they are re-measured in
-    /// seconds and carry the full application profile, which belongs to the
-    /// run, not the database.
-    pub fn to_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::from("ecost-db v1\n");
-        let cfg =
-            |c: &TuningConfig| format!("{} {} {}", c.freq.index(), c.block.index(), c.mappers);
-        let nums = |v: &[f64]| {
-            v.iter()
-                .map(|x| format!("{x:.6e}"))
-                .collect::<Vec<_>>()
-                .join(" ")
-        };
-        for e in &self.solos {
-            let _ = writeln!(
-                s,
-                "solo {} {} | {} | {} | {:.6e} {:.6e}",
-                e.app.name(),
-                e.size.index(),
-                nums(&e.sig),
-                cfg(&e.config),
-                e.edp_wall,
-                e.exec_time_s
-            );
-        }
-        for e in &self.pairs {
-            let _ = writeln!(
-                s,
-                "pair {} {} {} | {} | {} | {} {} | {:.6e}",
-                e.a.name(),
-                e.b.name(),
-                e.size.index(),
-                nums(&e.sig_a),
-                nums(&e.sig_b),
-                cfg(&e.config.a),
-                cfg(&e.config.b),
-                e.edp_wall
-            );
-        }
-        s
-    }
-
-    /// Parse the format produced by [`ConfigDatabase::to_text`].
-    pub fn from_text(text: &str) -> Result<ConfigDatabase, String> {
-        let mut lines = text.lines();
-        let header = lines.next().ok_or("empty database file")?;
-        if header.trim() != "ecost-db v1" {
-            return Err(format!("unknown database header: {header}"));
-        }
-        let parse_cfg = |tok: &str| -> Result<TuningConfig, String> {
-            let parts: Vec<&str> = tok.split_whitespace().collect();
-            if parts.len() != 3 {
-                return Err(format!("bad config: {tok}"));
-            }
-            let freq = ecost_sim::Frequency::from_index(
-                parts[0].parse().map_err(|e| format!("freq: {e}"))?,
-            )
-            .ok_or("bad freq index")?;
-            let blocks = ecost_mapreduce::BlockSize::ALL;
-            let bi: usize = parts[1].parse().map_err(|e| format!("block: {e}"))?;
-            let block = *blocks.get(bi).ok_or("bad block index")?;
-            let mappers = parts[2].parse().map_err(|e| format!("mappers: {e}"))?;
-            Ok(TuningConfig {
-                freq,
-                block,
-                mappers,
-            })
-        };
-        let parse_sig = |tok: &str| -> Result<[f64; 9], String> {
-            let vals: Result<Vec<f64>, _> = tok.split_whitespace().map(str::parse).collect();
-            let vals = vals.map_err(|e| format!("sig: {e}"))?;
-            vals.try_into().map_err(|_| "sig arity".to_string())
-        };
-        let parse_size = |tok: &str| -> Result<InputSize, String> {
-            let i: usize = tok.parse().map_err(|e| format!("size: {e}"))?;
-            InputSize::ALL
-                .get(i)
-                .copied()
-                .ok_or_else(|| "bad size index".into())
-        };
-        let parse_app = |tok: &str| -> Result<App, String> {
-            App::from_name(tok).ok_or_else(|| format!("unknown app {tok}"))
-        };
-
-        let mut db = ConfigDatabase {
-            pairs: Vec::new(),
-            solos: Vec::new(),
-            signatures: Vec::new(),
-            build_seconds: 0.0,
-        };
-        for (no, line) in lines.enumerate() {
-            let fields: Vec<&str> = line.split('|').map(str::trim).collect();
-            let head: Vec<&str> = fields[0].split_whitespace().collect();
-            let err = |what: &str| format!("line {}: {what}", no + 2);
-            match head.first() {
-                Some(&"solo") => {
-                    if fields.len() != 4 || head.len() != 3 {
-                        return Err(err("malformed solo record"));
-                    }
-                    let tail: Vec<&str> = fields[3].split_whitespace().collect();
-                    if tail.len() != 2 {
-                        return Err(err("solo tail"));
-                    }
-                    let app = parse_app(head[1]).map_err(|e| err(&e))?;
-                    db.solos.push(SoloEntry {
-                        app,
-                        size: parse_size(head[2]).map_err(|e| err(&e))?,
-                        sig: parse_sig(fields[1]).map_err(|e| err(&e))?,
-                        config: parse_cfg(fields[2]).map_err(|e| err(&e))?,
-                        edp_wall: tail[0].parse().map_err(|_| err("edp"))?,
-                        exec_time_s: tail[1].parse().map_err(|_| err("time"))?,
-                    });
-                }
-                Some(&"pair") => {
-                    if fields.len() != 5 || head.len() != 4 {
-                        return Err(err("malformed pair record"));
-                    }
-                    let cfgs: Vec<&str> = fields[3].split_whitespace().collect();
-                    if cfgs.len() != 6 {
-                        return Err(err("pair configs"));
-                    }
-                    let a = parse_app(head[1]).map_err(|e| err(&e))?;
-                    let b = parse_app(head[2]).map_err(|e| err(&e))?;
-                    db.pairs.push(PairEntry {
-                        a,
-                        b,
-                        size: parse_size(head[3]).map_err(|e| err(&e))?,
-                        classes: ClassPair::new(a.class(), b.class()),
-                        sig_a: parse_sig(fields[1]).map_err(|e| err(&e))?,
-                        sig_b: parse_sig(fields[2]).map_err(|e| err(&e))?,
-                        config: PairConfig {
-                            a: parse_cfg(&cfgs[..3].join(" ")).map_err(|e| err(&e))?,
-                            b: parse_cfg(&cfgs[3..].join(" ")).map_err(|e| err(&e))?,
-                        },
-                        edp_wall: fields[4].parse().map_err(|_| err("edp"))?,
-                    });
-                }
-                _ => return Err(err("unknown record kind")),
-            }
-        }
-        Ok(db)
-    }
-
-    /// Write to a file.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        std::fs::write(path, self.to_text())
-    }
-
-    /// Read from a file.
-    pub fn load(path: impl AsRef<std::path::Path>) -> std::io::Result<ConfigDatabase> {
-        let text = std::fs::read_to_string(path)?;
-        ConfigDatabase::from_text(&text)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-    }
 }
 
 #[cfg(test)]
@@ -384,31 +225,6 @@ mod tests {
         assert!(db
             .class_pair_best_edp(ClassPair::new(AppClass::M, AppClass::M))
             .is_none());
-    }
-
-    #[test]
-    fn text_round_trip() {
-        let db = mini_db(engine());
-        let text = db.to_text();
-        let back = ConfigDatabase::from_text(&text).expect("parse own output");
-        assert_eq!(back.solos.len(), db.solos.len());
-        assert_eq!(back.pairs.len(), db.pairs.len());
-        assert_eq!(back.pairs[0].config, db.pairs[0].config);
-        assert_eq!(back.solos[1].config, db.solos[1].config);
-        assert!(
-            (back.pairs[0].edp_wall - db.pairs[0].edp_wall).abs() / db.pairs[0].edp_wall < 1e-5
-        );
-        for (x, y) in back.solos[0].sig.iter().zip(db.solos[0].sig) {
-            assert!((x - y).abs() <= 1e-5 * y.abs().max(1.0));
-        }
-    }
-
-    #[test]
-    fn from_text_rejects_garbage() {
-        assert!(ConfigDatabase::from_text("").is_err());
-        assert!(ConfigDatabase::from_text("wrong header\n").is_err());
-        assert!(ConfigDatabase::from_text("ecost-db v1\nbogus line\n").is_err());
-        assert!(ConfigDatabase::from_text("ecost-db v1\nsolo wc 0 | 1 2 | 0 0 1 | 1 2\n").is_err());
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! AMVA fixed point can fail to converge, a config can oversubscribe the
 //! node, a database can be empty, a policy can be invoked without the
 //! context it needs. [`EvalError`] is the single error type threaded as
-//! `Result` through engine → oracle → strategies → stp → mapping, so
-//! library code never panics on the evaluation path — `unwrap`/`expect`
-//! survive only in bins, benches and tests.
+//! `Result` through engine → strategies → stp → mapping, so library code
+//! never panics on the evaluation path — `unwrap`/`expect` survive only in
+//! the experiment harness and tests.
 
 use std::fmt;
 
@@ -19,8 +19,8 @@ pub enum EvalError {
     /// The simulation substrate failed (non-convergence, core budget,
     /// invalid demand, missing node).
     Sim(SimError),
-    /// A tuned mapping policy was invoked without an [`EcostContext`]
-    /// (`crate::mapping::EcostContext`).
+    /// A tuned mapping policy was invoked without an
+    /// [`EcostContext`](crate::mapping::EcostContext).
     MissingContext {
         /// Label of the policy that needs the context (e.g. `"PTM"`).
         policy: &'static str,

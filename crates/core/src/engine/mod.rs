@@ -16,7 +16,8 @@
 //!
 //! Every entry point returns `Result<_, EvalError>`: the AMVA substrate's
 //! failures ([`ecost_sim::SimError`]) propagate as typed errors instead of
-//! panics, so `unwrap`/`expect` survive only in bins, benches and tests.
+//! panics, so `unwrap`/`expect` survive only in the experiment harness and
+//! tests.
 
 mod cache;
 mod error;
@@ -71,13 +72,6 @@ pub struct PhaseBreakdown {
     pub memo_ns: u64,
     /// Event-loop bookkeeping between solves.
     pub event_loop_ns: u64,
-}
-
-impl PhaseBreakdown {
-    /// Sum of all buckets.
-    pub fn total_ns(&self) -> u64 {
-        self.solve_ns + self.outer_ns + self.submit_reset_ns + self.memo_ns + self.event_loop_ns
-    }
 }
 
 /// Relaxed atomic accumulators behind [`PhaseBreakdown`] — bumped from
@@ -1345,10 +1339,11 @@ impl EvalEngine {
         Ok(self.pair_sweep(a, input_a_mb, b, input_b_mb)?.best())
     }
 
-    /// Best pair config with the core partition fixed (Fig 5's
-    /// per-partition series). The restricted space is small (Fig 5 sweeps
-    /// it per partition), so points go through the point memo rather than
-    /// the full-sweep table.
+    /// Best pair config with the core partition fixed: the tuning service's
+    /// Windowed tier. The restricted space is small, so points go through
+    /// [`Self::pair_metrics`] and the point memo rather than the full-sweep
+    /// table. Each point read from a resident full sweep is copied into
+    /// the point memo as well, so the sweep's data is then held twice.
     pub fn best_pair_with_partition(
         &self,
         a: &AppProfile,
@@ -1492,6 +1487,33 @@ mod tests {
         assert_eq!(fwd.config.b, rev.config.a);
         let idle = eng.idle_w();
         assert!((fwd.metrics.edp_wall(idle) - rev.metrics.edp_wall(idle)).abs() < 1e-9);
+    }
+
+    #[test]
+    fn best_solo_beats_default_config() {
+        let eng = EvalEngine::atom();
+        let p = App::St.profile();
+        let mb = InputSize::Small.per_node_mb();
+        let best = eng.best_solo(p, mb).unwrap();
+        let default = eng
+            .solo_metrics(p, mb, TuningConfig::hadoop_default(8))
+            .unwrap();
+        let idle = eng.idle_w();
+        assert!(best.metrics.edp_wall(idle) <= default.edp_wall(idle) + 1e-9);
+    }
+
+    #[test]
+    fn pair_oracle_never_loses_to_any_swept_point() {
+        let eng = EvalEngine::atom();
+        let a = App::Gp.profile();
+        let b = App::St.profile();
+        let mb = InputSize::Small.per_node_mb();
+        let sweep = eng.pair_sweep(a, mb, b, mb).unwrap();
+        let best = sweep.best().metrics.edp_wall(eng.idle_w());
+        assert_eq!(sweep.len(), 11_200);
+        for run in sweep.runs() {
+            assert!(best <= run.metrics.edp_wall(eng.idle_w()));
+        }
     }
 
     /// `best_pair` in both query orientations equals the first `total_cmp`

@@ -8,7 +8,7 @@
 //! reproduces that shape in simulation:
 //!
 //! * **Shards.** Each shard owns `nodes_per_shard` nodes, one
-//!   [`CalendarShard`] event loop, one [`EvalEngine`] with its own
+//!   `CalendarShard` event loop, one [`EvalEngine`] with its own
 //!   (optionally bounded) memo tables and scoped telemetry counters
 //!   (`fleet.shard<i>.engine.*`), and optionally a service front — the
 //!   admission/deadline/breaker ladder of [`crate::service`] wrapped

@@ -9,10 +9,9 @@
 //!   C/H/I/M, either with the paper's threshold rules (§6.1) or k-NN;
 //! * [`engine`] — the evaluation engine: the one fallible, memoized
 //!   simulation service (solo runs, pair sweeps, per-point pair metrics)
-//!   behind the oracle, the STPs, the strategies and the cluster scheduler;
-//! * [`oracle`] — the brute-force queries (§4's 84 480-run study): best
-//!   standalone config (160 points), best co-located config (11 200 points),
-//!   all answered from the engine's shared memo;
+//!   behind the STPs, the strategies and the cluster scheduler, and the
+//!   brute-force queries of §4's 84 480-run study: best standalone config
+//!   (160 points) and best co-located config (11 200 points);
 //! * [`database`] — §6.2's database of best configurations for the known
 //!   (training) applications;
 //! * [`stp`] — the self-tuning prediction techniques: LkT-STP (lookup table)
@@ -45,7 +44,6 @@ pub mod engine;
 pub mod features;
 pub mod fleet;
 pub mod mapping;
-pub mod oracle;
 pub mod pairing;
 pub mod queue;
 pub mod report;

@@ -8,15 +8,15 @@
 //!
 //! Policies (the paper's names in brackets):
 //!
-//! * [`MappingPolicy::Sm`] — Serial Mapping [NT]: one application at a time
+//! * [`MappingPolicy::Sm`] — Serial Mapping \[NT\]: one application at a time
 //!   over the whole cluster, untuned defaults.
 //! * [`MappingPolicy::Mnm1`]/[`MappingPolicy::Mnm2`] — Multi-Node Mapping
-//!   [NT]: 2 (resp. 4) applications in parallel, each on an equal share of
+//!   \[NT\]: 2 (resp. 4) applications in parallel, each on an equal share of
 //!   the nodes. On clusters smaller than the lane count they degrade to the
 //!   available parallelism.
-//! * [`MappingPolicy::Snm`] — Single Node Mapping [NT]: one application per
+//! * [`MappingPolicy::Snm`] — Single Node Mapping \[NT\]: one application per
 //!   node, all 8 cores.
-//! * [`MappingPolicy::Cbm`] — Core Balance Mapping [NT]: two applications
+//! * [`MappingPolicy::Cbm`] — Core Balance Mapping \[NT\]: two applications
 //!   per node, 4+4 cores, untuned.
 //! * [`MappingPolicy::Ptm`] — Predict Tuning Mapping [NP, T]: one
 //!   application per node, knobs predicted per application (no pairing).
@@ -56,15 +56,15 @@ use std::fmt;
 /// One of the §8 mapping policies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MappingPolicy {
-    /// Serial Mapping [NT].
+    /// Serial Mapping \[NT\].
     Sm,
-    /// Multi-Node Level 1 (2 lanes) [NT].
+    /// Multi-Node Level 1 (2 lanes) \[NT\].
     Mnm1,
-    /// Multi-Node Level 2 (4 lanes) [NT].
+    /// Multi-Node Level 2 (4 lanes) \[NT\].
     Mnm2,
-    /// Single Node Mapping [NT].
+    /// Single Node Mapping \[NT\].
     Snm,
-    /// Core Balance Mapping [NT].
+    /// Core Balance Mapping \[NT\].
     Cbm,
     /// Predict Tuning Mapping [NP, T].
     Ptm,

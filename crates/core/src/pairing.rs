@@ -2,17 +2,15 @@
 //!
 //! Fig 5 ranks every class pair by the best EDP it can reach over all core
 //! partitionings with tuned knobs. Because absolute pair EDP mixes in the
-//! applications' own job lengths, the ranking here uses the *normalised*
-//! quantity `COLAO EDP / ILAO EDP` (how much a class combination gains from
-//! being co-located) — on the paper's measurements both orderings coincide:
-//! I-I first, then I-H/I-C and the H/C combinations, with every M-containing
-//! pair last. The scheduler's decision tree follows: an I partner is always
+//! applications' own job lengths, the ranking (measured by the
+//! `fig5_priority` experiment) uses the *normalised* quantity
+//! `COLAO EDP / ILAO EDP` — how much a class combination gains from being
+//! co-located — and [`PairingPolicy::from_ranking`] turns it into a class
+//! priority. The scheduler's decision tree follows: an I partner is always
 //! preferred, then H, then C, and M only when nothing else waits.
 
-use crate::database::ConfigDatabase;
-use crate::engine::{EvalEngine, EvalError};
 use ecost_apps::class::ClassPair;
-use ecost_apps::{AppClass, InputSize, TRAINING_APPS};
+use ecost_apps::AppClass;
 
 /// How the scheduler picks a partner from the wait queue — the paper's
 /// decision tree, plus the ablation modes used to quantify its value.
@@ -88,65 +86,6 @@ impl PairingPolicy {
             .min_by_key(|(i, c)| (self.rank(**c), *i))
             .map(|(i, _)| i)
     }
-}
-
-/// Fig 5's measurement: for every class pair, the best normalised EDP
-/// (COLAO/ILAO) across the training pairs of those classes at `size`.
-/// Lower = the classes co-locate better. Sorted ascending (best first).
-/// All sweeps come from the shared engine memo.
-pub fn derive_ranking(
-    engine: &EvalEngine,
-    size: InputSize,
-) -> Result<Vec<(ClassPair, f64)>, EvalError> {
-    let idle = engine.idle_w();
-    let mb = size.per_node_mb();
-    let mut best: std::collections::HashMap<ClassPair, f64> = std::collections::HashMap::new();
-    for (i, &a) in TRAINING_APPS.iter().enumerate() {
-        for &b in &TRAINING_APPS[i..] {
-            let cp = ClassPair::new(a.class(), b.class());
-            let colao = engine.best_pair(a.profile(), mb, b.profile(), mb)?;
-            let sa = engine.best_solo(a.profile(), mb)?;
-            let sb = engine.best_solo(b.profile(), mb)?;
-            let ilao = ecost_mapreduce::PairMetrics::serial(&[sa.metrics, sb.metrics]);
-            let ratio = colao.metrics.edp_wall(idle) / ilao.edp_wall(idle);
-            let slot = best.entry(cp).or_insert(f64::INFINITY);
-            *slot = slot.min(ratio);
-        }
-    }
-    let mut out: Vec<(ClassPair, f64)> = best.into_iter().collect();
-    out.sort_by(|a, b| a.1.total_cmp(&b.1));
-    Ok(out)
-}
-
-/// Same ranking from an already-built database plus ILAO solos (no extra
-/// simulation). Fails on a database missing the solo entries its pairs
-/// reference.
-pub fn ranking_from_database(db: &ConfigDatabase) -> Result<Vec<(ClassPair, f64)>, EvalError> {
-    let mut best: std::collections::HashMap<ClassPair, f64> = std::collections::HashMap::new();
-    for p in &db.pairs {
-        let solo = |app: ecost_apps::App| {
-            db.solos
-                .iter()
-                .find(|s| s.app == app && s.size == p.size)
-                .ok_or(EvalError::NoCandidates {
-                    what: "solo entry missing from the database",
-                })
-        };
-        let sa = solo(p.a)?;
-        let sb = solo(p.b)?;
-        // ILAO wall EDP from stored per-app numbers: delay adds, energy adds.
-        let ta = sa.exec_time_s;
-        let tb_ = sb.exec_time_s;
-        let ea = sa.edp_wall / ta; // wall energy (EDP = T·E_wall)
-        let eb = sb.edp_wall / tb_;
-        let ilao = (ta + tb_) * (ea + eb);
-        let ratio = p.edp_wall / ilao;
-        let slot = best.entry(p.classes).or_insert(f64::INFINITY);
-        *slot = slot.min(ratio);
-    }
-    let mut out: Vec<(ClassPair, f64)> = best.into_iter().collect();
-    out.sort_by(|a, b| a.1.total_cmp(&b.1));
-    Ok(out)
 }
 
 #[cfg(test)]

@@ -31,12 +31,6 @@ impl Table {
         self
     }
 
-    /// Convenience: append a row of displayable items.
-    pub fn row_disp(&mut self, cells: &[&dyn std::fmt::Display]) -> &mut Table {
-        let cells: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&cells)
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()

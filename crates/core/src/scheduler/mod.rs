@@ -3,10 +3,10 @@
 //!
 //! The §5 controller is a *streaming* scheduler: jobs enter a wait queue,
 //! every node hosts up to two co-located jobs, and a policy
-//! ([`StreamPolicy`]) decides partners and knob settings at each dispatch
+//! (`StreamPolicy`) decides partners and knob settings at each dispatch
 //! point. This module owns that machinery, extracted from `mapping` so the
 //! policies (what to run) and the event loop (when to run it) evolve
-//! independently. [`StreamSim`] holds the state; the [`calendar`] driver
+//! independently. `StreamSim` holds the state; the [`calendar`] driver
 //! keeps per-node completion events in a binary-heap calendar, arrivals
 //! and faults in sorted lists, and syncs only the touched nodes to each
 //! event's time. Per-event cost scales with live jobs, not with cluster
@@ -26,7 +26,7 @@
 //! though. Lockstep completes, in the same step, every job whose remaining
 //! work falls within the simulator's work tolerance (`WORK_EPS`, in work
 //! units), then dispatches in node-index order; the calendar treats node
-//! events more than [`calendar::TIE_EPS`] seconds apart as separate
+//! events more than `calendar::TIE_EPS` seconds apart as separate
 //! events, in time order. On Fig 9's WS4 at 4 nodes, nodes 2 and 0 finish
 //! 1.048 ns apart at t ≈ 185.44 s: lockstep serves node 0 first, the
 //! calendar node 2, and ECoST's normalised EDP in that cell is 1.86 × UB

@@ -945,11 +945,6 @@ impl<'e> TuningService<'e> {
         self.latency.quantile(q)
     }
 
-    /// Mean simulated decision latency, seconds (0 before any decision).
-    pub fn latency_mean(&self) -> f64 {
-        self.latency.mean()
-    }
-
     /// Highest number of real engine evaluations ever in flight at
     /// once (0 when no in-flight limit is configured).
     pub fn inflight_peak(&self) -> usize {

@@ -70,19 +70,6 @@ impl<M: Regressor> MlmStp<M> {
                 what: "no trained class-pair model",
             })
     }
-
-    /// Predict the EDP (natural-log space) of one candidate configuration.
-    pub fn predict_ln_edp(
-        &self,
-        cp: ClassPair,
-        sig_a: &[f64; 9],
-        cfg: PairConfig,
-        sig_b: &[f64; 9],
-    ) -> Result<f64, EvalError> {
-        Ok(self
-            .model_for(cp)?
-            .predict(&encode_row(sig_a, cfg.a, sig_b, cfg.b)))
-    }
 }
 
 impl<M: Regressor> Stp for MlmStp<M> {

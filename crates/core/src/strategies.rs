@@ -12,7 +12,6 @@
 //! the training set read.
 
 use crate::engine::{EvalEngine, EvalError, PairRun, SoloRun};
-use crate::oracle;
 use ecost_apps::AppProfile;
 use ecost_mapreduce::PairMetrics;
 
@@ -35,8 +34,8 @@ pub fn ilao(
     b: &AppProfile,
     input_b_mb: f64,
 ) -> Result<IlaoResult, EvalError> {
-    let ra = oracle::best_solo(engine, a, input_a_mb)?;
-    let rb = oracle::best_solo(engine, b, input_b_mb)?;
+    let ra = engine.best_solo(a, input_a_mb)?;
+    let rb = engine.best_solo(b, input_b_mb)?;
     let metrics = PairMetrics::serial(&[ra.metrics, rb.metrics]);
     Ok(IlaoResult {
         a: ra,

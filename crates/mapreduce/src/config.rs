@@ -92,7 +92,7 @@ pub struct TuningConfig {
 
 impl TuningConfig {
     /// Hadoop's out-of-the-box configuration: 128 MB blocks, all 8 slots, and
-    /// the governor's maximum frequency. This is "[NT] — not tuned" in §8.
+    /// the governor's maximum frequency. This is "\[NT\] — not tuned" in §8.
     pub fn hadoop_default(cores: u32) -> TuningConfig {
         TuningConfig {
             freq: Frequency::F2_4,

@@ -109,11 +109,6 @@ pub struct FeatureVector {
 }
 
 impl FeatureVector {
-    /// Wrap raw values (storage order).
-    pub fn from_values(values: [f64; NUM_FEATURES]) -> FeatureVector {
-        FeatureVector { values }
-    }
-
     /// Value of one metric.
     #[inline]
     pub fn get(&self, f: Feature) -> f64 {

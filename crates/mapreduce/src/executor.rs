@@ -749,12 +749,6 @@ impl NodeSim {
         Ok((s.disk_util, s.mem_util, s.slow, s.footprint_mb))
     }
 
-    /// NIC utilisation of the current rate solution (cluster shuffles).
-    pub fn nic_utilisation(&mut self) -> Result<f64, SimError> {
-        self.ensure_solution()?;
-        Ok(self.bufs[self.front].nic_util)
-    }
-
     /// Restore this simulator to its freshly constructed state while
     /// keeping every heap buffer's capacity (solver scratch, job lists).
     ///
@@ -1528,7 +1522,7 @@ fn solve_batch(
 /// in sequence — same per-simulator event order and budgets, bit-identical
 /// outcomes (each lane's rate solutions match its own scalar solves) — but
 /// the independent contention fixed points of simulators that need a
-/// re-solve in the same round advance together ([`solve_batch`]),
+/// re-solve in the same round advance together (`solve_batch`),
 /// overlapping their dependent divide chains for instruction-level
 /// parallelism. The event-loop bookkeeping runs over a compacted live-lane
 /// list rather than re-scanning every simulator per round.

@@ -1,10 +1,6 @@
-//! Row-oriented dataset with named columns and CSV round-trip.
+//! Row-oriented dataset with named columns.
 //!
-//! Used for the feature matrices of §6.1 and the model training sets; the
-//! CSV writer backs the experiment binaries' output files.
-
-use std::fmt::Write as _;
-use std::path::Path;
+//! Used for the feature matrices of §6.1 and the model training sets.
 
 /// A dataset: named feature columns plus one target column.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,59 +72,6 @@ impl Dataset {
             self.y.swap(i, j);
         }
     }
-
-    /// Render as CSV (header + rows).
-    pub fn to_csv(&self) -> String {
-        let mut s = String::new();
-        let header: Vec<&str> = self
-            .feature_names
-            .iter()
-            .map(String::as_str)
-            .chain(std::iter::once(self.target_name.as_str()))
-            .collect();
-        let _ = writeln!(s, "{}", header.join(","));
-        for (row, y) in self.x.iter().zip(&self.y) {
-            for v in row {
-                let _ = write!(s, "{v},");
-            }
-            let _ = writeln!(s, "{y}");
-        }
-        s
-    }
-
-    /// Parse the CSV produced by [`Dataset::to_csv`].
-    pub fn from_csv(text: &str) -> Result<Dataset, String> {
-        let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-        let header = lines.next().ok_or("empty csv")?;
-        let mut cols: Vec<String> = header.split(',').map(|s| s.trim().to_string()).collect();
-        let target_name = cols.pop().ok_or("no columns")?;
-        let mut ds = Dataset::new(cols, target_name);
-        for (no, line) in lines.enumerate() {
-            let vals: Result<Vec<f64>, _> =
-                line.split(',').map(|t| t.trim().parse::<f64>()).collect();
-            let mut vals = vals.map_err(|e| format!("line {}: {e}", no + 2))?;
-            let y = vals
-                .pop()
-                .ok_or_else(|| format!("line {}: empty", no + 2))?;
-            if vals.len() != ds.num_features() {
-                return Err(format!("line {}: wrong arity", no + 2));
-            }
-            ds.push(vals, y);
-        }
-        Ok(ds)
-    }
-
-    /// Write CSV to a file.
-    pub fn save_csv(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        std::fs::write(path, self.to_csv())
-    }
-
-    /// Read CSV from a file.
-    pub fn load_csv(path: impl AsRef<Path>) -> std::io::Result<Dataset> {
-        let text = std::fs::read_to_string(path)?;
-        Dataset::from_csv(&text)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-    }
 }
 
 #[cfg(test)]
@@ -142,20 +85,6 @@ mod tests {
         d.push(vec![4.0, 5.0], 6.0);
         d.push(vec![7.0, 8.0], 9.0);
         d
-    }
-
-    #[test]
-    fn csv_round_trips() {
-        let d = sample();
-        let d2 = Dataset::from_csv(&d.to_csv()).unwrap();
-        assert_eq!(d, d2);
-    }
-
-    #[test]
-    fn from_csv_rejects_garbage() {
-        assert!(Dataset::from_csv("").is_err());
-        assert!(Dataset::from_csv("a,b,y\n1,2,three").is_err());
-        assert!(Dataset::from_csv("a,b,y\n1,2").is_err());
     }
 
     #[test]

@@ -94,73 +94,9 @@ impl Classifier for KnnClassifier {
     }
 }
 
-/// k-nearest-neighbour regressor (inverse-distance-weighted mean), the
-/// fourth regressor family mentioned in DESIGN.md's extension list. Plugs
-/// into MLM-STP through the [`crate::model::Regressor`] trait.
-#[derive(Debug, Clone)]
-pub struct KnnRegressor {
-    k: usize,
-    scaler: Option<ZScore>,
-    rows: Vec<Vec<f64>>,
-    targets: Vec<f64>,
-}
-
-impl KnnRegressor {
-    /// New regressor with neighbourhood size `k`.
-    pub fn new(k: usize) -> KnnRegressor {
-        assert!(k >= 1);
-        KnnRegressor {
-            k,
-            scaler: None,
-            rows: Vec::new(),
-            targets: Vec::new(),
-        }
-    }
-}
-
-impl crate::model::Regressor for KnnRegressor {
-    fn fit(&mut self, data: &crate::dataset::Dataset) {
-        assert!(!data.is_empty(), "need training data");
-        let scaler = ZScore::fit(&data.x);
-        self.rows = scaler.transform_all(&data.x);
-        self.scaler = Some(scaler);
-        self.targets = data.y.clone();
-    }
-
-    fn predict(&self, row: &[f64]) -> f64 {
-        let scaler = self.scaler.as_ref().expect("fit before predict");
-        let q = scaler.transform(row);
-        let mut dists: Vec<(f64, f64)> = self
-            .rows
-            .iter()
-            .zip(&self.targets)
-            .map(|(r, &y)| (euclidean(r, &q), y))
-            .collect();
-        dists.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
-        let k = self.k.min(dists.len());
-        // Inverse-distance weighting; an exact match short-circuits.
-        let mut wsum = 0.0;
-        let mut ysum = 0.0;
-        for &(d, y) in dists.iter().take(k) {
-            if d < 1e-12 {
-                return y;
-            }
-            let w = 1.0 / d;
-            wsum += w;
-            ysum += w * y;
-        }
-        ysum / wsum
-    }
-
-    fn name(&self) -> &'static str {
-        "kNN"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::Regressor as _;
 
     fn blobs() -> (Vec<Vec<f64>>, Vec<usize>) {
         let mut rows = Vec::new();
@@ -201,34 +137,6 @@ mod tests {
         for (r, l) in rows.iter().zip(&labels) {
             assert_eq!(knn.predict(r), *l);
         }
-    }
-
-    #[test]
-    fn regressor_interpolates_smooth_function() {
-        let mut d = crate::dataset::Dataset::new(vec!["x".into()], "y");
-        for i in 0..100 {
-            let x = i as f64 / 10.0;
-            d.push(vec![x], 2.0 * x + 1.0);
-        }
-        let mut knn = KnnRegressor::new(3);
-        knn.fit(&d);
-        // Exact training point.
-        assert!((knn.predict(&[5.0]) - 11.0).abs() < 1e-9);
-        // Between points.
-        let p = knn.predict(&[5.05]);
-        assert!((p - 11.1).abs() < 0.2, "{p}");
-    }
-
-    #[test]
-    fn regressor_k1_memorises() {
-        let mut d = crate::dataset::Dataset::new(vec!["x".into()], "y");
-        d.push(vec![0.0], 7.0);
-        d.push(vec![10.0], -3.0);
-        let mut knn = KnnRegressor::new(1);
-        knn.fit(&d);
-        assert_eq!(knn.predict(&[0.1]), 7.0);
-        assert_eq!(knn.predict(&[9.0]), -3.0);
-        assert_eq!(knn.name(), "kNN");
     }
 
     #[test]

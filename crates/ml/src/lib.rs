@@ -7,12 +7,12 @@
 //! assumed to exist here — this crate implements all of it on a small dense
 //! linear-algebra core:
 //!
-//! * [`linalg`] — matrices, Cholesky/LU solves, Jacobi eigendecomposition;
+//! * [`linalg`] — matrices, Cholesky solve, Jacobi eigendecomposition;
 //! * [`preprocess`] — z-score scaling, shuffles, train/test splits;
 //! * [`pca`] / [`hcluster`] — the Fig 1 pipeline;
 //! * [`linreg`], [`reptree`], [`mlp`], [`lookup`], [`knn`] — the models,
 //!   behind the common [`model::Regressor`]/[`model::Classifier`] traits;
-//! * [`dataset`] / [`metrics`] — row storage with CSV round-trip, APE/RMSE/R².
+//! * [`dataset`] / [`metrics`] — row storage, APE/RMSE/R².
 //!
 //! Determinism: anything stochastic (MLP init, shuffles) takes an explicit
 //! RNG.
@@ -21,7 +21,6 @@
 #![warn(missing_docs)]
 
 pub mod dataset;
-pub mod ensemble;
 pub mod hcluster;
 pub mod knn;
 pub mod linalg;
@@ -33,11 +32,9 @@ pub mod model;
 pub mod pca;
 pub mod preprocess;
 pub mod reptree;
-pub mod validate;
 
 pub use dataset::Dataset;
-pub use ensemble::{BaggedTrees, BaggedTreesConfig};
-pub use knn::{KnnClassifier, KnnRegressor};
+pub use knn::KnnClassifier;
 pub use linalg::Matrix;
 pub use linreg::LinearRegression;
 pub use lookup::LookupTable;
@@ -47,4 +44,3 @@ pub use model::Regressor;
 pub use pca::Pca;
 pub use preprocess::ZScore;
 pub use reptree::{RepTree, RepTreeConfig};
-pub use validate::{cross_validate, ConfusionMatrix};

@@ -1,9 +1,8 @@
-//! Small dense linear algebra: row-major matrices, positive-definite and
-//! general solves, and a Jacobi symmetric eigendecomposition.
+//! Small dense linear algebra: row-major matrices, a positive-definite
+//! (Cholesky) solve, and a Jacobi symmetric eigendecomposition.
 //!
 //! Sized for this workspace's needs (≤ a few hundred columns); everything is
-//! `O(n³)` textbook code with partial pivoting / symmetric safeguards, not a
-//! BLAS.
+//! `O(n³)` textbook code, not a BLAS.
 
 use std::fmt;
 use std::ops::{Index, IndexMut};
@@ -221,53 +220,6 @@ pub fn solve_spd(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
     Ok(x)
 }
 
-/// Solve `A·x = b` by LU with partial pivoting (general square `A`).
-pub fn solve_lu(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
-    let n = a.rows();
-    if a.cols() != n || b.len() != n {
-        return Err(LinalgError::Shape);
-    }
-    let mut m = a.clone();
-    let mut x: Vec<f64> = b.to_vec();
-    for col in 0..n {
-        // Pivot.
-        let (piv, piv_val) = (col..n)
-            .map(|r| (r, m[(r, col)].abs()))
-            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
-            .expect("non-empty");
-        if piv_val < 1e-12 {
-            return Err(LinalgError::Singular);
-        }
-        if piv != col {
-            for j in 0..n {
-                let tmp = m[(col, j)];
-                m[(col, j)] = m[(piv, j)];
-                m[(piv, j)] = tmp;
-            }
-            x.swap(col, piv);
-        }
-        for r in col + 1..n {
-            let f = m[(r, col)] / m[(col, col)];
-            if f == 0.0 {
-                continue;
-            }
-            for j in col..n {
-                let v = m[(col, j)];
-                m[(r, j)] -= f * v;
-            }
-            x[r] -= f * x[col];
-        }
-    }
-    for i in (0..n).rev() {
-        let mut s = x[i];
-        for j in i + 1..n {
-            s -= m[(i, j)] * x[j];
-        }
-        x[i] = s / m[(i, i)];
-    }
-    Ok(x)
-}
-
 /// Symmetric eigendecomposition by the cyclic Jacobi method.
 ///
 /// Returns `(eigenvalues, eigenvectors)` sorted by descending eigenvalue;
@@ -388,28 +340,6 @@ mod tests {
     fn spd_solve_rejects_indefinite() {
         let a = Matrix::from_rows(&[vec![0.0, 1.0], vec![1.0, 0.0]]);
         assert_eq!(solve_spd(&a, &[1.0, 1.0]), Err(LinalgError::Singular));
-    }
-
-    #[test]
-    fn lu_solve_handles_permutation() {
-        // Needs pivoting: leading zero.
-        let a = Matrix::from_rows(&[
-            vec![0.0, 2.0, 1.0],
-            vec![1.0, 0.0, 3.0],
-            vec![2.0, 1.0, 0.0],
-        ]);
-        let x_true = vec![3.0, -1.0, 2.0];
-        let rhs = a.matvec(&x_true);
-        let x = solve_lu(&a, &rhs).unwrap();
-        for (xi, ti) in x.iter().zip(&x_true) {
-            assert!((xi - ti).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn lu_solve_rejects_singular() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 4.0]]);
-        assert_eq!(solve_lu(&a, &[1.0, 2.0]), Err(LinalgError::Singular));
     }
 
     #[test]

@@ -186,7 +186,7 @@ impl AmvaScratch {
     /// are bit-identical to [`Self::solve_runtime_shape`] (and so to
     /// [`solve`]): the 1×2 and 2×3 shapes run the [`FixedClasses`] kernel,
     /// which writes its queues, throughputs and iteration count back here
-    /// before the shared convergence test and [`Self::finish`].
+    /// before the shared convergence test and `Self::finish`.
     pub fn solve(&mut self, classes: &[ClassDemand], stations: usize) -> Result<(), SimError> {
         let residual = match (classes.len(), stations) {
             (1, 2) => self.run_fixed(&FixedClasses::<1, 2>::from_classes(classes, stations)?),
@@ -204,8 +204,8 @@ impl AmvaScratch {
     /// [`Self::solve`] on the runtime-shape loop whatever the shape: the
     /// oracle the fixed-shape kernel is tested and benchmarked against.
     ///
-    /// The fixed point is decomposed into [`Self::begin`] (validate + seed),
-    /// [`Self::iterate`] (one Bard–Schweitzer step) and [`Self::finish`]
+    /// The fixed point is decomposed into `Self::begin` (validate + seed),
+    /// `Self::iterate` (one Bard–Schweitzer step) and `Self::finish`
     /// (derived per-station figures).
     pub fn solve_runtime_shape(
         &mut self,
@@ -829,7 +829,7 @@ pub(crate) fn lane_fixed_point<V: LaneVec, const NC: usize, const S: usize>(
 /// A single solve is one dependent chain of divides (DESIGN.md §11), so
 /// the divider idles while each quotient's inputs wind through it. The
 /// vector backends run four problems per `f64x4` in registers
-/// ([`lane_fixed_point`]), overlapping four chains per instruction; a
+/// (`lane_fixed_point`), overlapping four chains per instruction; a
 /// chunk runs until its slowest lane converges. Problems are validated
 /// one by one first (an invalid problem gets its error and takes no
 /// vector lane), and a short last chunk is padded with empty problems,

@@ -6,7 +6,7 @@
 //! loop runs on those vectors in registers. This module provides the
 //! vector types the kernel is generic over, and the backend dispatch:
 //!
-//! * [`F64x4`] — a portable `[f64; 4]` newtype whose operations are plain
+//! * `F64x4` — a portable `[f64; 4]` newtype whose operations are plain
 //!   per-element IEEE adds/muls/divides in the exact scalar operation
 //!   order. Stable Rust, every target; LLVM is free to (and on x86_64
 //!   does) lower the element quadruples to vector instructions.

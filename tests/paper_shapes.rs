@@ -8,6 +8,8 @@ use ecost::core::engine::EvalEngine;
 use ecost::core::strategies;
 use ecost::mapreduce::{BlockSize, TuningConfig};
 use ecost::sim::Frequency;
+use std::collections::BTreeSet;
+use std::path::Path;
 
 #[test]
 fn fig3_shape_ii_wins_mm_flat() {
@@ -145,4 +147,65 @@ fn colocation_beyond_two_degrades() {
     let e2 = run_batches(2);
     let e8 = run_batches(8);
     assert!(e8 > 1.1 * e2, "8-way {e8} must degrade vs 2-at-a-time {e2}");
+}
+
+/// The `required` columns of a committed golden under `results/`, one
+/// `Vec` per data row, in `required` order. The header must name every
+/// required column before any row is read, and every row must have the
+/// header's width (`report::Table` writes no quoted cells).
+fn golden_columns(name: &str, required: &[&str]) -> Vec<Vec<String>> {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("results")
+        .join(name);
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    let mut lines = text.lines();
+    let header: Vec<&str> = lines.next().unwrap_or_default().split(',').collect();
+    let idx: Vec<usize> = required
+        .iter()
+        .map(|col| {
+            header
+                .iter()
+                .position(|h| h == col)
+                .unwrap_or_else(|| panic!("{name}: no `{col}` column in {header:?}"))
+        })
+        .collect();
+    lines
+        .map(|line| {
+            let cells: Vec<&str> = line.split(',').collect();
+            assert_eq!(cells.len(), header.len(), "{name}: ragged row {line:?}");
+            idx.iter().map(|&i| cells[i].to_string()).collect()
+        })
+        .collect()
+}
+
+#[test]
+fn fig5_ranking_puts_ii_first_and_mm_last() {
+    // Read from the goldens, which CI's regeneration ties to the code. The
+    // measured ranking deviates from the paper's in the middle (I-M and
+    // H-M rank 4th and 5th, ahead of C-I, C-H and C-C; EXPERIMENTS.md), so
+    // only the ends and the derived priority are asserted.
+    let ranking = golden_columns("fig5_priority_1.csv", &["rank", "classes", "EDP/ILAO"]);
+    let classes: BTreeSet<&str> = ranking.iter().map(|r| r[1].as_str()).collect();
+    assert_eq!(ranking.len(), 10, "one row per class pair");
+    assert_eq!(classes.len(), 10, "class pairs repeat: {classes:?}");
+    let mut prev = f64::NEG_INFINITY;
+    for (i, row) in ranking.iter().enumerate() {
+        assert_eq!(row[0], (i + 1).to_string(), "rows out of rank order");
+        let score: f64 = row[2].parse().expect("numeric EDP/ILAO");
+        assert!(
+            score >= prev,
+            "EDP/ILAO falls at rank {}: {score} < {prev}",
+            i + 1
+        );
+        prev = score;
+    }
+    assert_eq!(ranking[0][1], "I-I");
+    assert_eq!(ranking[9][1], "M-M");
+
+    let priority = golden_columns("fig5_priority_2.csv", &["priority", "class"]);
+    let order: Vec<&str> = priority.iter().map(|r| r[1].as_str()).collect();
+    assert_eq!(order, ["I", "H", "C", "M"]);
+    for (i, row) in priority.iter().enumerate() {
+        assert_eq!(row[0], (i + 1).to_string(), "rows out of priority order");
+    }
 }
