@@ -7,10 +7,11 @@
 //!
 //! * **untuned** — FIFO partners, half-node Hadoop defaults;
 //! * **ecost** — the full pipeline (profile → classify → pair → tune)
-//!   backed by a pre-built configuration database;
-//! * **serviced** (`--serviced`) — the same pipeline behind the tuning
-//!   service front (admission, deadlines, circuit breaker) with a
-//!   healthy fault spec, to measure the service ladder's overhead.
+//!   backed by a pre-built configuration database.
+//!
+//! The bin takes no arguments: any argument is an error (exit 1) raised
+//! before any work, never a silently different report. Serviced streams
+//! are driven by `service_soak`.
 //!
 //! Both arms run on a *capacity-bounded* engine ([`CacheBudget`]): every
 //! arrival carries its own continuous input size, so an unbounded memo
@@ -38,9 +39,8 @@ use ecost_core::engine::{EngineStats, EvalEngine};
 use ecost_core::mapping::{run_stream, Decisions, FaultSetup, OpenArrival, OpenOptions, StreamRun};
 use ecost_core::pairing::{PairingMode, PairingPolicy};
 use ecost_core::stp::LktStp;
-use ecost_core::{CacheBudget, EcostContext, ServiceConfig};
+use ecost_core::{CacheBudget, EcostContext};
 use ecost_sim::arrivals::generate;
-use ecost_sim::ServiceFaultSpec;
 use ecost_sim::TraceSpec;
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -114,19 +114,6 @@ impl ArmOut {
             "      \"faults_injected\": {}",
             self.stats.faults_injected
         );
-        if let Some(svc) = &self.run.service {
-            let _ = writeln!(s, "    }},");
-            let _ = writeln!(s, "    \"service\": {{");
-            let _ = writeln!(s, "      \"decided\": {},", svc.decided);
-            let _ = writeln!(s, "      \"shed\": {},", svc.shed);
-            let _ = writeln!(s, "      \"deadline_exceeded\": {},", svc.deadline_exceeded);
-            let _ = writeln!(s, "      \"tier_full\": {},", svc.tier_full);
-            let _ = writeln!(s, "      \"tier_windowed\": {},", svc.tier_windowed);
-            let _ = writeln!(s, "      \"tier_fallback\": {},", svc.tier_fallback);
-            let _ = writeln!(s, "      \"breaker_trips\": {},", svc.breaker_trips);
-            let _ = writeln!(s, "      \"queue_peak\": {},", svc.queue_peak);
-            let _ = writeln!(s, "      \"decision_time_s\": {:.6}", svc.decision_time_s);
-        }
         let _ = writeln!(s, "    }}");
         s.push_str("  }");
         s
@@ -153,8 +140,12 @@ fn check_bounds(arm: &ArmOut, budget: usize) -> Result<(), BenchError> {
 }
 
 fn run() -> Result<(), BenchError> {
+    if let Some(arg) = std::env::args().nth(1) {
+        return Err(BenchError::Invalid(format!(
+            "unknown argument `{arg}` (scale_out takes none)"
+        )));
+    }
     let quick = std::env::var("ECOST_QUICK").is_ok_and(|v| v == "1");
-    let serviced = std::env::args().skip(1).any(|a| a == "--serviced");
     let scale = Scale::new(quick);
 
     eprintln!(
@@ -241,43 +232,8 @@ fn run() -> Result<(), BenchError> {
         wall_s: t0.elapsed().as_secs_f64(),
     };
 
-    // Optional third arm (`--serviced`): the same ECoST pipeline behind
-    // the tuning-service front (admission, deadlines, breaker) with a
-    // healthy fault spec — measures the service ladder's overhead on the
-    // same replay.
-    let serviced_arm = if serviced {
-        eprintln!("[scale_out] serviced arm…");
-        let eng_s = EvalEngine::atom().with_cache_budget(budget);
-        let t0 = Instant::now();
-        let decisions = Decisions::Serviced {
-            ctx: &cx,
-            config: ServiceConfig::default(),
-            faults: ServiceFaultSpec::healthy(SEED),
-        };
-        let run = run_stream(
-            &eng_s,
-            scale.nodes,
-            &stream,
-            decisions,
-            OpenOptions::default(),
-            &setup,
-        )?;
-        Some(ArmOut {
-            name: "serviced",
-            run,
-            stats: eng_s.stats(),
-            entries: eng_s.cached_entries(),
-            wall_s: t0.elapsed().as_secs_f64(),
-        })
-    } else {
-        None
-    };
-
     check_bounds(&untuned, scale.budget)?;
     check_bounds(&ecost, scale.budget)?;
-    if let Some(arm) = &serviced_arm {
-        check_bounds(arm, scale.budget)?;
-    }
 
     let idle_w = eng_e.idle_w();
     let edp_ratio = untuned.run.run.edp_wall(idle_w) / ecost.run.run.edp_wall(idle_w);
@@ -311,9 +267,6 @@ fn run() -> Result<(), BenchError> {
     );
     let _ = writeln!(out, "{},", untuned.json(idle_w));
     let _ = writeln!(out, "{},", ecost.json(idle_w));
-    if let Some(arm) = &serviced_arm {
-        let _ = writeln!(out, "{},", arm.json(idle_w));
-    }
     let _ = writeln!(out, "  \"edp_ratio_untuned_over_ecost\": {edp_ratio:.6}");
     out.push_str("}\n");
 
@@ -336,20 +289,6 @@ fn run() -> Result<(), BenchError> {
         ecost.stats.evictions,
         scale.budget
     );
-    if let Some(arm) = &serviced_arm {
-        if let Some(svc) = &arm.run.service {
-            println!(
-                "scale_out[serviced]: {} decided / {} shed / {} deadline-exceeded, \
-                 queue peak {}, wall {:.2}s (plain ecost wall {:.2}s)",
-                svc.decided,
-                svc.shed,
-                svc.deadline_exceeded,
-                svc.queue_peak,
-                arm.wall_s,
-                ecost.wall_s
-            );
-        }
-    }
     eprintln!("[scale_out] wrote {}", path.display());
 
     let trend_path = ecost_bench::append_trend_row(

@@ -166,16 +166,6 @@ impl ConfigDatabase {
             .0;
         self.solos.get(idx)
     }
-
-    /// The per-class-pair minimum EDP over stored entries (the raw material
-    /// for Fig 5's ranking).
-    pub fn class_pair_best_edp(&self, classes: ClassPair) -> Option<f64> {
-        self.pairs
-            .iter()
-            .filter(|p| p.classes == classes)
-            .map(|p| p.edp_wall)
-            .min_by(f64::total_cmp)
-    }
 }
 
 #[cfg(test)]
@@ -214,17 +204,6 @@ mod tests {
             build_seconds: 0.0,
         };
         assert!(db.nearest_solo(&[0.0; 9]).is_none());
-    }
-
-    #[test]
-    fn class_pair_lookup() {
-        let db = mini_db(engine());
-        assert!(db
-            .class_pair_best_edp(ClassPair::new(AppClass::C, AppClass::I))
-            .is_some());
-        assert!(db
-            .class_pair_best_edp(ClassPair::new(AppClass::M, AppClass::M))
-            .is_none());
     }
 
     #[test]

@@ -45,11 +45,11 @@ use std::time::Instant;
 
 /// Lane windows one sweep span drives between pool checkouts.
 ///
-/// A sweep holds a whole span's simulators (and one batch scratch) checked
-/// out across consecutive windows, resetting lane state in place between
-/// windows, so the pool's lock and the multi-KB per-simulator moves are
-/// paid once per span instead of once per window. Kept small enough that a
-/// full sweep still splits into plenty of spans for the rayon workers.
+/// A sweep holds a whole span's simulators checked out across consecutive
+/// windows, resetting lane state in place between windows, so the pool's
+/// lock and the multi-KB per-simulator moves are paid once per span instead
+/// of once per window. Kept small enough that a full sweep still splits
+/// into plenty of spans for the rayon workers.
 const WINDOWS_PER_SPAN: usize = 8;
 
 /// Sweep points one span covers: [`WINDOWS_PER_SPAN`] full lane windows.
@@ -402,9 +402,6 @@ struct SoloKey {
     fp: u64,
     mb: u64,
     cfg: TuningConfig,
-    /// Fault context: bit pattern of the node slowdown factor (1.0 =
-    /// healthy). Degraded evaluations must not poison healthy entries.
-    slow: u64,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -413,9 +410,6 @@ struct PairKey {
     a_mb: u64,
     fp_b: u64,
     b_mb: u64,
-    /// Fault context: bit pattern of the node slowdown factor (1.0 =
-    /// healthy).
-    slow: u64,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -486,9 +480,8 @@ pub struct EvalEngine {
     pool: SimPool,
     recorder: Recorder,
     counters: EngineCounters,
-    budget: CacheBudget,
     /// AMVA vector backend for sweep windows, detected at construction
-    /// ([`Self::set_simd`] pins the scalar kernel instead).
+    /// ([`Self::with_simd`] pins the scalar kernel instead).
     simd: SimdBackend,
     /// Collect the [`PhaseBreakdown`] buckets (off by default: the hot
     /// path takes no timestamps unless asked).
@@ -530,40 +523,22 @@ impl EvalEngine {
             pool: SimPool::new(),
             recorder,
             counters,
-            budget: CacheBudget::unbounded(),
             simd: SimdBackend::detect(),
             phase_timing: false,
             phases: PhaseNs::default(),
         }
     }
 
-    /// Builder form of [`Self::set_cache_budget`].
-    pub fn with_cache_budget(mut self, budget: CacheBudget) -> EvalEngine {
-        self.set_cache_budget(budget);
-        self
-    }
-
     /// Bound the memo tables to `budget` entries each (see [`CacheBudget`]
     /// for the per-table semantics). Replaces the tables, so any entries
-    /// memoized so far are discarded — set the budget before warming the
-    /// engine. Eviction activity shows up in [`EngineStats::evictions`]
-    /// and the `engine.cache_evictions` telemetry counter.
-    pub fn set_cache_budget(&mut self, budget: CacheBudget) {
-        self.budget = budget;
+    /// memoized so far are discarded. Eviction activity shows up in
+    /// [`EngineStats::evictions`] and the `engine.cache_evictions`
+    /// telemetry counter.
+    pub fn with_cache_budget(mut self, budget: CacheBudget) -> EvalEngine {
         let ev = &self.counters.evictions;
         self.solo = ShardedCache::with_budget(budget.solo, ev.clone());
         self.sweeps = ShardedCache::with_budget(budget.sweeps, ev.clone());
         self.pair_points = ShardedCache::with_budget(budget.pair_points, ev.clone());
-    }
-
-    /// The configured memo budgets (unbounded by default).
-    pub fn cache_budget(&self) -> CacheBudget {
-        self.budget
-    }
-
-    /// Builder form of [`Self::set_simd`].
-    pub fn with_simd(mut self, on: bool) -> EvalEngine {
-        self.set_simd(on);
         self
     }
 
@@ -572,12 +547,13 @@ impl EvalEngine {
     /// arm); `true` re-detects the best backend for this CPU. Every
     /// backend is bit-identical to a scalar solve, so this knob changes
     /// throughput, never results.
-    pub fn set_simd(&mut self, on: bool) {
+    pub fn with_simd(mut self, on: bool) -> EvalEngine {
         self.simd = if on {
             SimdBackend::detect()
         } else {
             SimdBackend::Scalar
         };
+        self
     }
 
     /// The AMVA vector backend sweep windows will use.
@@ -685,18 +661,15 @@ impl EvalEngine {
         self.counters.wall_ns.add(elapsed_ns);
     }
 
-    /// Run `jobs` co-located on a pooled simulator degraded by `slowdown` —
-    /// the single-point path behind every `solo_outcome*` and
-    /// `pair_metrics*` miss, degraded evaluations included. Semantically
-    /// identical to the executor's `run_colocated_degraded` convenience
-    /// (same submit order, same event loop), but the simulator comes from —
-    /// and, on success, returns to — the engine's pool instead of being
-    /// constructed per run, so a long run of point misses reuses one warm
-    /// simulator and its grown solver scratch.
+    /// Run `jobs` co-located on a pooled simulator — the single-point path
+    /// behind every `solo_outcome` and `pair_metrics` miss. Semantically
+    /// identical to the executor's `run_colocated` convenience (same submit
+    /// order, same event loop), but the simulator comes from — and, on
+    /// success, returns to — the engine's pool instead of being constructed
+    /// per run, so a long run of point misses reuses one warm simulator.
     fn run_pooled(
         &self,
         jobs: impl IntoIterator<Item = JobSpec>,
-        slowdown: f64,
     ) -> Result<(Vec<JobOutcome>, f64), EvalError> {
         let (mut sim, reused) = self.pool.acquire(&self.tb.node, &self.tb.fw);
         if reused {
@@ -705,7 +678,6 @@ impl EvalEngine {
             self.counters.sims_created.inc();
         }
         let run = (|| -> Result<(Vec<JobOutcome>, f64), SimError> {
-            sim.set_slowdown(slowdown)?;
             for j in jobs {
                 sim.submit(j)?;
             }
@@ -724,11 +696,32 @@ impl EvalEngine {
         }
     }
 
-    /// Check out the simulators for one sweep span of `points` points: one
-    /// lane window's worth (at most [`MAX_BATCH_LANES`]) under one pool
-    /// lock, with the pool accounting for every run the span will serve.
-    fn acquire_span(&self, points: usize) -> Vec<NodeSim> {
-        let width = points.min(MAX_BATCH_LANES);
+    /// Solve one sweep *span* of cache-missed points in lane windows of
+    /// [`MAX_BATCH_LANES`]: `submit` loads a point's job(s) into a lane and
+    /// `read_out` takes a finished lane's result. The span's simulators are
+    /// checked out once (the pool accounting for every run the span will
+    /// serve), every window submits into the resident lanes, runs to
+    /// completion and resets lane state in place, so the pool's lock and
+    /// the multi-KB per-simulator moves are paid once per span instead of
+    /// once per window. Every lane is bit-identical to a scalar run of the
+    /// same point. On any failure the span's simulators are dropped,
+    /// mirroring [`Self::run_pooled`]'s error policy. Returns one result
+    /// per point, in span order.
+    fn run_span<P, T>(
+        &self,
+        span: &[P],
+        mut submit: impl FnMut(&mut NodeSim, &P) -> Result<(), SimError>,
+        mut read_out: impl FnMut(&mut NodeSim) -> Result<T, SimError>,
+    ) -> Result<Vec<T>, EvalError> {
+        let timing = self.phase_timing;
+        let mut sr_ns = 0u64;
+        let mut timed = |t: Option<Instant>| {
+            if let Some(t) = t {
+                sr_ns += t.elapsed().as_nanos() as u64;
+            }
+        };
+        let t = timing.then(Instant::now);
+        let width = span.len().min(MAX_BATCH_LANES);
         let mut sims = Vec::with_capacity(width);
         let (reused, built) =
             self.pool
@@ -739,25 +732,34 @@ impl EvalEngine {
         // Every lane run past the first window reuses a resident simulator;
         // count those too, so pool accounting keeps meaning "runs served by
         // a warm simulator".
-        let reused_runs = reused + (points as u64).saturating_sub(width as u64);
+        let reused_runs = reused + (span.len() - width) as u64;
         if reused_runs > 0 {
             self.counters.sims_reused.add(reused_runs);
         }
-        sims
-    }
-
-    /// A warm batch scratch configured for this engine's sweeps.
-    fn acquire_batch_scratch(&self) -> BatchScratch {
-        let mut scratch = self.pool.acquire_scratch();
+        timed(t);
+        let mut scratch = BatchScratch::new();
         scratch.set_simd_backend(self.simd);
-        scratch.set_phase_timing(self.phase_timing);
-        scratch
-    }
-
-    /// Fold a span's kernel-side phase buckets into the engine's and shelve
-    /// its scratch.
-    fn release_batch_scratch(&self, mut scratch: BatchScratch) {
-        if self.phase_timing {
+        scratch.set_phase_timing(timing);
+        let mut out = Vec::with_capacity(span.len());
+        let run = (|| -> Result<(), SimError> {
+            for window in span.chunks(MAX_BATCH_LANES) {
+                let lanes = &mut sims[..window.len()];
+                let t = timing.then(Instant::now);
+                for (sim, point) in lanes.iter_mut().zip(window) {
+                    submit(sim, point)?;
+                }
+                timed(t);
+                run_batch_to_completion(lanes, &mut scratch)?;
+                let t = timing.then(Instant::now);
+                for sim in lanes {
+                    out.push(read_out(sim)?);
+                    sim.reset();
+                }
+                timed(t);
+            }
+            Ok(())
+        })();
+        if timing {
             let p = scratch.take_phases();
             self.phases.solve.fetch_add(p.solve_ns, Ordering::Relaxed);
             self.phases.outer.fetch_add(p.outer_ns, Ordering::Relaxed);
@@ -765,164 +767,12 @@ impl EvalEngine {
                 .event_loop
                 .fetch_add(p.event_ns, Ordering::Relaxed);
         }
-        self.pool.release_scratch(scratch);
-    }
-
-    /// Solve a *span* of consecutive cache-missed solo points in lane
-    /// windows of [`MAX_BATCH_LANES`]: the span's simulators and batch
-    /// scratch are checked out once, every window submits into the resident
-    /// lanes, runs to completion, and resets lane state in place — so the
-    /// pool's lock and the multi-KB per-simulator moves are paid once per
-    /// span instead of once per window. Every lane is bit-identical to a
-    /// scalar run of the same point. On any failure the span's simulators
-    /// are dropped, mirroring [`Self::run_pooled`]'s error policy. Returns
-    /// `(sweep index, outcome)` per point.
-    fn simulate_solo_span(
-        &self,
-        profile: &AppProfile,
-        input_mb: f64,
-        span: &[(usize, TuningConfig)],
-    ) -> Result<Vec<(usize, JobOutcome)>, EvalError> {
-        let mut sr_ns = 0u64;
-        let t0 = self.phase_timing.then(Instant::now);
-        let mut sims = self.acquire_span(span.len());
-        // One template spec per span: the points differ only in their
-        // tuning config, so cloning the template skips re-deriving the
-        // label (a float format) for every lane.
-        let template = JobSpec::from_profile(profile.clone(), input_mb, span[0].1);
-        if let Some(t) = t0 {
-            sr_ns += t.elapsed().as_nanos() as u64;
-        }
-        let mut scratch = self.acquire_batch_scratch();
-        let mut out = Vec::with_capacity(span.len());
-        let mut failed: Option<EvalError> = None;
-        'span: for window in span.chunks(MAX_BATCH_LANES) {
-            let w = window.len();
-            let t = self.phase_timing.then(Instant::now);
-            for (sim, &(_, cfg)) in sims[..w].iter_mut().zip(window) {
-                let mut spec = template.clone();
-                spec.config = cfg;
-                if let Err(e) = sim.submit(spec) {
-                    failed = Some(e.into());
-                    break 'span;
-                }
-            }
-            if let Some(t) = t {
-                sr_ns += t.elapsed().as_nanos() as u64;
-            }
-            if let Err(e) = run_batch_to_completion(&mut sims[..w], &mut scratch) {
-                failed = Some(e.into());
-                break 'span;
-            }
-            let t = self.phase_timing.then(Instant::now);
-            for (&(i, _), sim) in window.iter().zip(sims[..w].iter_mut()) {
-                // `pop_finished` leaves the finished list's capacity with
-                // the resident simulator (`take_finished` would steal it
-                // every run), and the in-place reset readies the lane for
-                // the next window without touching the pool.
-                match sim.pop_finished() {
-                    Some(outcome) => out.push((i, outcome)),
-                    None => {
-                        failed =
-                            Some(SimError::Internal("one job submitted, none finished").into());
-                        break 'span;
-                    }
-                }
-                sim.reset();
-            }
-            if let Some(t) = t {
-                sr_ns += t.elapsed().as_nanos() as u64;
-            }
-        }
-        self.release_batch_scratch(scratch);
-        if let Some(e) = failed {
-            // Simulators from a failed span are dropped, never shelved —
-            // the pool's half-advanced-state policy.
-            return Err(e);
-        }
-        let t1 = self.phase_timing.then(Instant::now);
+        // Simulators from a failed span are dropped, never shelved — the
+        // pool's half-advanced-state policy.
+        run?;
+        let t = timing.then(Instant::now);
         self.pool.release_window(&mut sims);
-        if let Some(t) = t1 {
-            sr_ns += t.elapsed().as_nanos() as u64;
-        }
-        if sr_ns > 0 {
-            self.phases.submit_reset.fetch_add(sr_ns, Ordering::Relaxed);
-        }
-        Ok(out)
-    }
-
-    /// The pair twin of [`Self::simulate_solo_span`]: one co-located pair
-    /// per lane, same span structure (one pool checkout per span, in-place
-    /// lane resets between windows). Returns each point's metrics in span
-    /// order.
-    fn simulate_pair_span(
-        &self,
-        a: &AppProfile,
-        input_a_mb: f64,
-        b: &AppProfile,
-        input_b_mb: f64,
-        span: &[PairConfig],
-    ) -> Result<Vec<PairMetrics>, EvalError> {
-        let mut sr_ns = 0u64;
-        let t0 = self.phase_timing.then(Instant::now);
-        let mut sims = self.acquire_span(span.len());
-        // Templates are window-invariant (the label depends only on profile
-        // and input share; the config is overwritten per lane), so one pair
-        // per span serves every window.
-        let ta = JobSpec::from_profile(a.clone(), input_a_mb, span[0].a);
-        let tb = JobSpec::from_profile(b.clone(), input_b_mb, span[0].b);
-        if let Some(t) = t0 {
-            sr_ns += t.elapsed().as_nanos() as u64;
-        }
-        let mut scratch = self.acquire_batch_scratch();
-        let mut out = Vec::with_capacity(span.len());
-        let mut failed: Option<EvalError> = None;
-        'span: for window in span.chunks(MAX_BATCH_LANES) {
-            let w = window.len();
-            let t = self.phase_timing.then(Instant::now);
-            for (sim, &pc) in sims[..w].iter_mut().zip(window) {
-                let (mut sa, mut sb) = (ta.clone(), tb.clone());
-                sa.config = pc.a;
-                sb.config = pc.b;
-                if let Err(e) = sim.submit(sa).and_then(|_| sim.submit(sb)) {
-                    failed = Some(e.into());
-                    break 'span;
-                }
-            }
-            if let Some(t) = t {
-                sr_ns += t.elapsed().as_nanos() as u64;
-            }
-            if let Err(e) = run_batch_to_completion(&mut sims[..w], &mut scratch) {
-                failed = Some(e.into());
-                break 'span;
-            }
-            let t = self.phase_timing.then(Instant::now);
-            for sim in &mut sims[..w] {
-                let makespan_s = sim.now();
-                // Pair points only need the aggregate: the drain recycles
-                // the outcome buffers into the resident simulator instead
-                // of freeing them, summing energy in completion order (the
-                // order a point run's caller-side sum uses); the reset
-                // readies the lane for the next window in place.
-                out.push(PairMetrics {
-                    makespan_s,
-                    energy_j: sim.drain_finished_energy(),
-                });
-                sim.reset();
-            }
-            if let Some(t) = t {
-                sr_ns += t.elapsed().as_nanos() as u64;
-            }
-        }
-        self.release_batch_scratch(scratch);
-        if let Some(e) = failed {
-            return Err(e);
-        }
-        let t1 = self.phase_timing.then(Instant::now);
-        self.pool.release_window(&mut sims);
-        if let Some(t) = t1 {
-            sr_ns += t.elapsed().as_nanos() as u64;
-        }
+        timed(t);
         if sr_ns > 0 {
             self.phases.submit_reset.fetch_add(sr_ns, Ordering::Relaxed);
         }
@@ -994,30 +844,11 @@ impl EvalEngine {
         input_mb: f64,
         cfg: TuningConfig,
     ) -> Result<Arc<JobOutcome>, EvalError> {
-        self.solo_outcome_degraded(profile, input_mb, cfg, 1.0)
-    }
-
-    /// [`Self::solo_outcome`] on a node degraded by `slowdown` (≥ 1; 1 is
-    /// the healthy path). Degraded evaluations key separately in the memo,
-    /// so a chaos run never poisons healthy entries.
-    pub fn solo_outcome_degraded(
-        &self,
-        profile: &AppProfile,
-        input_mb: f64,
-        cfg: TuningConfig,
-        slowdown: f64,
-    ) -> Result<Arc<JobOutcome>, EvalError> {
         check_input_mb(input_mb)?;
-        if !slowdown.is_finite() || slowdown < 1.0 {
-            return Err(EvalError::InvalidInput {
-                what: "slowdown factor must be finite and >= 1",
-            });
-        }
         let key = SoloKey {
             fp: fingerprint(profile),
             mb: input_mb.to_bits(),
             cfg,
-            slow: slowdown.to_bits(),
         };
         if let Some(hit) = self.solo.get(&key) {
             self.hit("solo");
@@ -1026,7 +857,7 @@ impl EvalEngine {
         self.miss("solo");
         let t0 = Instant::now();
         let job = JobSpec::from_profile(profile.clone(), input_mb, cfg);
-        let (mut outs, _) = self.run_pooled([job], slowdown)?;
+        let (mut outs, _) = self.run_pooled([job])?;
         let out = outs
             .pop()
             .ok_or(SimError::Internal("one job submitted, none finished"))?;
@@ -1067,7 +898,6 @@ impl EvalEngine {
                 fp,
                 mb: input_mb.to_bits(),
                 cfg,
-                slow: 1.0_f64.to_bits(),
             })
             .collect();
         let mut metrics: Vec<Option<JobMetrics>> = vec![None; configs.len()];
@@ -1102,25 +932,43 @@ impl EvalEngine {
             let t0 = Instant::now();
             // Consecutive misses form the lane windows, grouped into spans
             // (one pool checkout each); the shim's map is order-preserving.
-            let spans: Vec<Vec<(usize, TuningConfig)>> =
-                missing.chunks(SPAN_POINTS).map(<[_]>::to_vec).collect();
-            let solved: Vec<Vec<(usize, JobOutcome)>> = spans
+            let spans: Vec<&[(usize, TuningConfig)]> = missing.chunks(SPAN_POINTS).collect();
+            let solved: Vec<Vec<JobOutcome>> = spans
                 .into_par_iter()
-                .map(|span| self.simulate_solo_span(profile, input_mb, &span))
+                .map(|span| {
+                    // One template spec per span: the points differ only in
+                    // their tuning config, so cloning the template skips
+                    // re-deriving the label (a float format) for every lane.
+                    let template = JobSpec::from_profile(profile.clone(), input_mb, span[0].1);
+                    self.run_span(
+                        span,
+                        |sim, &(_, cfg)| {
+                            let mut spec = template.clone();
+                            spec.config = cfg;
+                            sim.submit(spec).map(drop)
+                        },
+                        // `pop_finished` leaves the finished list's capacity
+                        // with the resident simulator (`take_finished` would
+                        // steal it every run).
+                        |sim| {
+                            sim.pop_finished()
+                                .ok_or(SimError::Internal("one job submitted, none finished"))
+                        },
+                    )
+                })
                 .collect::<Result<_, EvalError>>()?;
             self.charge(missing.len() as u64, t0.elapsed().as_nanos() as u64);
             let t_memo = self.phase_timing.then(Instant::now);
-            let mut idxs: Vec<usize> = Vec::new();
-            let mut entries: Vec<(SoloKey, Arc<JobOutcome>)> = Vec::new();
-            for (i, out) in solved.into_iter().flatten() {
-                idxs.push(i);
-                entries.push((keys[i], Arc::new(out)));
-            }
+            let entries: Vec<(SoloKey, Arc<JobOutcome>)> = missing
+                .iter()
+                .zip(solved.into_iter().flatten())
+                .map(|(&(i, _), out)| (keys[i], Arc::new(out)))
+                .collect();
             // Bulk insert under one lock acquisition per touched shard;
             // first-insert-wins exactly like `insert_or_keep`.
             let mut stored: Vec<Arc<JobOutcome>> = Vec::new();
             self.solo.insert_many(&entries, &mut stored);
-            for (&i, out) in idxs.iter().zip(&stored) {
+            for (&(i, _), out) in missing.iter().zip(&stored) {
                 metrics[i] = Some(out.metrics);
             }
             if let Some(t) = t_memo {
@@ -1164,7 +1012,6 @@ impl EvalEngine {
         input_a_mb: f64,
         b: &AppProfile,
         input_b_mb: f64,
-        slowdown: f64,
     ) -> (PairKey, bool) {
         let ka = (a.name, input_a_mb.to_bits(), fingerprint(a));
         let kb = (b.name, input_b_mb.to_bits(), fingerprint(b));
@@ -1180,7 +1027,6 @@ impl EvalEngine {
                 a_mb,
                 fp_b,
                 b_mb,
-                slow: slowdown.to_bits(),
             },
             swap,
         )
@@ -1194,13 +1040,12 @@ impl EvalEngine {
         b: &AppProfile,
         input_b_mb: f64,
         pc: PairConfig,
-        slowdown: f64,
     ) -> Result<PairMetrics, EvalError> {
         let jobs = [
             JobSpec::from_profile(a.clone(), input_a_mb, pc.a),
             JobSpec::from_profile(b.clone(), input_b_mb, pc.b),
         ];
-        let (outs, makespan) = self.run_pooled(jobs, slowdown)?;
+        let (outs, makespan) = self.run_pooled(jobs)?;
         Ok(PairMetrics {
             makespan_s: makespan,
             energy_j: outs.iter().map(|o| o.metrics.energy_j).sum(),
@@ -1218,28 +1063,9 @@ impl EvalEngine {
         input_b_mb: f64,
         pc: PairConfig,
     ) -> Result<PairMetrics, EvalError> {
-        self.pair_metrics_degraded(a, input_a_mb, b, input_b_mb, pc, 1.0)
-    }
-
-    /// [`Self::pair_metrics`] on a node degraded by `slowdown` (≥ 1; 1 is
-    /// the healthy path). Keys separately in every memo layer.
-    pub fn pair_metrics_degraded(
-        &self,
-        a: &AppProfile,
-        input_a_mb: f64,
-        b: &AppProfile,
-        input_b_mb: f64,
-        pc: PairConfig,
-        slowdown: f64,
-    ) -> Result<PairMetrics, EvalError> {
         check_input_mb(input_a_mb)?;
         check_input_mb(input_b_mb)?;
-        if !slowdown.is_finite() || slowdown < 1.0 {
-            return Err(EvalError::InvalidInput {
-                what: "slowdown factor must be finite and >= 1",
-            });
-        }
-        let (pair, swap) = self.pair_key(a, input_a_mb, b, input_b_mb, slowdown);
+        let (pair, swap) = self.pair_key(a, input_a_mb, b, input_b_mb);
         let cfg = if swap { pc.swapped() } else { pc };
         let key = PairPointKey { pair, cfg };
         if let Some(hit) = self.pair_points.get(&key) {
@@ -1261,7 +1087,7 @@ impl EvalEngine {
         }
         self.miss("pair");
         let t0 = Instant::now();
-        let metrics = self.simulate_pair(a, input_a_mb, b, input_b_mb, pc, slowdown)?;
+        let metrics = self.simulate_pair(a, input_a_mb, b, input_b_mb, pc)?;
         self.charge(1, t0.elapsed().as_nanos() as u64);
         Ok(self.pair_points.insert_or_keep(key, metrics))
     }
@@ -1278,7 +1104,7 @@ impl EvalEngine {
     ) -> Result<PairSweep, EvalError> {
         check_input_mb(input_a_mb)?;
         check_input_mb(input_b_mb)?;
-        let (key, swap) = self.pair_key(a, input_a_mb, b, input_b_mb, 1.0);
+        let (key, swap) = self.pair_key(a, input_a_mb, b, input_b_mb);
         if let Some(stored) = self.sweeps.get(&key) {
             self.hit("sweep");
             return Ok(PairSweep {
@@ -1303,7 +1129,34 @@ impl EvalEngine {
         let spans: Vec<&[PairConfig]> = space.chunks(SPAN_POINTS).collect();
         let spans = spans
             .into_par_iter()
-            .map(|span| self.simulate_pair_span(sa, sa_mb, sb, sb_mb, span))
+            .map(|span| {
+                // Templates are point-invariant (the label depends only on
+                // profile and input share; the config is overwritten per
+                // lane), so one pair per span serves every lane.
+                let ta = JobSpec::from_profile(sa.clone(), sa_mb, span[0].a);
+                let tb = JobSpec::from_profile(sb.clone(), sb_mb, span[0].b);
+                self.run_span(
+                    span,
+                    |sim, pc| {
+                        let (mut ja, mut jb) = (ta.clone(), tb.clone());
+                        ja.config = pc.a;
+                        jb.config = pc.b;
+                        sim.submit(ja)?;
+                        sim.submit(jb).map(drop)
+                    },
+                    // Pair points only need the aggregate: the drain
+                    // recycles the outcome buffers into the resident
+                    // simulator instead of freeing them, summing energy in
+                    // completion order (the order a point run's caller-side
+                    // sum uses).
+                    |sim| {
+                        Ok(PairMetrics {
+                            makespan_s: sim.now(),
+                            energy_j: sim.drain_finished_energy(),
+                        })
+                    },
+                )
+            })
             .collect::<Result<Vec<Vec<PairMetrics>>, EvalError>>()?;
         // The sweep lives in the memo for the engine's lifetime, so size it
         // exactly: collecting the flattened spans grows by doubling, to
@@ -1635,43 +1488,6 @@ mod tests {
     }
 
     #[test]
-    fn degraded_evaluations_key_separately() {
-        let eng = EvalEngine::atom();
-        let p = App::Wc.profile();
-        let mb = InputSize::Small.per_node_mb();
-        let cfg = TuningConfig::hadoop_default(8);
-        let healthy = eng.solo_outcome(p, mb, cfg).unwrap();
-        let degraded = eng.solo_outcome_degraded(p, mb, cfg, 2.0).unwrap();
-        assert!(!Arc::ptr_eq(&healthy, &degraded));
-        assert!(degraded.metrics.exec_time_s > 1.5 * healthy.metrics.exec_time_s);
-        assert_eq!(eng.cached_solo_runs(), 2);
-        // slowdown = 1 hits the healthy entry exactly.
-        let again = eng.solo_outcome_degraded(p, mb, cfg, 1.0).unwrap();
-        assert!(Arc::ptr_eq(&healthy, &again));
-        // Bad factors are typed errors.
-        assert!(eng.solo_outcome_degraded(p, mb, cfg, 0.5).is_err());
-        let half = TuningConfig::hadoop_default(4);
-        assert!(eng
-            .pair_metrics_degraded(p, mb, p, mb, PairConfig { a: half, b: half }, f64::NAN)
-            .is_err());
-    }
-
-    #[test]
-    fn degraded_pair_points_do_not_poison_healthy_cache() {
-        let eng = EvalEngine::atom();
-        let a = App::Wc.profile();
-        let b = App::St.profile();
-        let mb = InputSize::Small.per_node_mb();
-        let half = TuningConfig::hadoop_default(4);
-        let pc = PairConfig { a: half, b: half };
-        let healthy = eng.pair_metrics(a, mb, b, mb, pc).unwrap();
-        let degraded = eng.pair_metrics_degraded(a, mb, b, mb, pc, 2.0).unwrap();
-        assert!(degraded.makespan_s > healthy.makespan_s);
-        let healthy_again = eng.pair_metrics(a, mb, b, mb, pc).unwrap();
-        assert_eq!(healthy, healthy_again);
-    }
-
-    #[test]
     fn with_retry_counts_retries_and_charges_backoff() {
         let eng = EvalEngine::atom();
         let policy = RetryPolicy::default();
@@ -1749,12 +1565,10 @@ mod tests {
 
     #[test]
     fn cache_budget_bounds_entries_and_counts_evictions() {
-        let mut eng = EvalEngine::atom();
-        eng.set_cache_budget(CacheBudget {
+        let eng = EvalEngine::atom().with_cache_budget(CacheBudget {
             solo: Some(16),
             ..CacheBudget::unbounded()
         });
-        assert_eq!(eng.cache_budget().solo, Some(16));
         let p = App::Wc.profile();
         let cfg = TuningConfig::hadoop_default(8);
         // 64 distinct input sizes through a 16-entry solo budget.

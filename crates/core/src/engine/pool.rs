@@ -4,8 +4,11 @@
 //! pool every point constructed a fresh [`NodeSim`] (node spec + framework
 //! clone, power model, solver scratch) just to throw it away milliseconds
 //! later. The pool keeps finished simulators and hands them back out after
-//! [`NodeSim::reset`], so a rayon worker crunching a sweep reuses one warm
-//! simulator — and its grown solver scratch — for point after point.
+//! [`NodeSim::reset`]: a single-point miss checks out one simulator, a
+//! sweep span one lane window's worth, so a rayon worker crunching a sweep
+//! reuses the same warm simulators point after point. The pool holds
+//! simulators only: a span's `BatchScratch` holds no buffers (just the
+//! kernel backend and phase timers), so each span builds its own.
 //!
 //! Correctness: `reset` restores every observable field to its
 //! freshly-constructed value (the executor's property tests hold pooled
@@ -15,38 +18,18 @@
 //! error paths drop it, trading a rebuild for never caching a simulator in
 //! a half-advanced state.
 
-use ecost_mapreduce::{BatchScratch, FrameworkSpec, NodeSim};
+use ecost_mapreduce::{FrameworkSpec, NodeSim};
 use ecost_sim::NodeSpec;
 use std::sync::Mutex;
 
 pub(crate) struct SimPool {
     free: Mutex<Vec<NodeSim>>,
-    /// Warm [`BatchScratch`]es for the batched sweep windows. Scratches are
-    /// fully re-initialised per solve, so unlike simulators they are safe
-    /// to pool even after a failed window.
-    scratch: Mutex<Vec<BatchScratch>>,
 }
 
 impl SimPool {
     pub(crate) fn new() -> SimPool {
         SimPool {
             free: Mutex::new(Vec::new()),
-            scratch: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Check out a batch scratch (warm when available).
-    pub(crate) fn acquire_scratch(&self) -> BatchScratch {
-        match self.scratch.lock() {
-            Ok(mut v) => v.pop().unwrap_or_default(),
-            Err(_) => BatchScratch::new(),
-        }
-    }
-
-    /// Shelve a batch scratch, keeping its grown lane buffers warm.
-    pub(crate) fn release_scratch(&self, s: BatchScratch) {
-        if let Ok(mut v) = self.scratch.lock() {
-            v.push(s);
         }
     }
 

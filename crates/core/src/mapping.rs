@@ -49,7 +49,7 @@ use crate::service::{ServiceConfig, ServiceCore, ServiceError, ServiceReport};
 use crate::stp::Stp;
 use ecost_apps::{App, AppClass, Workload};
 use ecost_mapreduce::executor::NodeSim;
-use ecost_mapreduce::{BlockSize, JobSpec, TuningConfig};
+use ecost_mapreduce::{BlockSize, JobSpec, PairConfig, TuningConfig};
 use ecost_sim::{FaultPlan, Frequency, ServiceFaultSpec};
 use std::fmt;
 
@@ -366,6 +366,19 @@ pub fn class_default_config(class: AppClass, mappers: u32) -> TuningConfig {
     }
 }
 
+/// Class-default knobs for a pair sharing one `cores`-core node split in
+/// half: `b` takes `cores / 2` mappers and `a` the rest, each at least one.
+/// The split is also the fixed core partition of the service's Windowed
+/// tier.
+pub(crate) fn class_default_pair(a: AppClass, b: AppClass, cores: u32) -> PairConfig {
+    let half_b = (cores / 2).max(1);
+    let half_a = cores.saturating_sub(half_b).max(1);
+    PairConfig {
+        a: class_default_config(a, half_a),
+        b: class_default_config(b, half_b),
+    }
+}
+
 /// Index of the smallest entry (first on ties); 0 for an empty slice.
 fn earliest(times: &[f64]) -> usize {
     times
@@ -551,7 +564,7 @@ impl StreamPolicy for EcostPolicy<'_, '_> {
         anchor: &Prepared,
         candidates: &[&Prepared],
         cores: u32,
-    ) -> Result<(usize, ecost_mapreduce::PairConfig), EvalError> {
+    ) -> Result<(usize, PairConfig), EvalError> {
         let classes: Vec<AppClass> = candidates.iter().map(|p| p.class).collect();
         let pick = match self.ctx.pairing_mode {
             crate::pairing::PairingMode::DecisionTree => {
@@ -582,12 +595,7 @@ impl StreamPolicy for EcostPolicy<'_, '_> {
                 // Missing LkT entry / non-finite MLM prediction: run the
                 // pair on class-default knobs instead of aborting.
                 self.note_config_fallback(now);
-                let b_share = (cores / 2).max(1);
-                let a_share = (cores - b_share).max(1);
-                ecost_mapreduce::PairConfig {
-                    a: class_default_config(anchor.class, a_share),
-                    b: class_default_config(candidates[pick].class, b_share),
-                }
+                class_default_pair(anchor.class, candidates[pick].class, cores)
             }
             Err(e) => return Err(e),
         };
@@ -622,7 +630,7 @@ impl StreamPolicy for OraclePolicy<'_> {
         anchor: &Prepared,
         candidates: &[&Prepared],
         cores: u32,
-    ) -> Result<(usize, ecost_mapreduce::PairConfig), EvalError> {
+    ) -> Result<(usize, PairConfig), EvalError> {
         let idle = self.engine.idle_w();
         let mut best: Option<(usize, PairRun)> = None;
         for (i, cand) in candidates.iter().enumerate() {
@@ -951,7 +959,7 @@ impl<'a, 'b> Decider<'a, 'b> {
                     ..TuningConfig::hadoop_default(cores)
                 };
                 Decider::Fixed(FixedPolicy {
-                    pair: ecost_mapreduce::PairConfig { a: half, b: half },
+                    pair: PairConfig { a: half, b: half },
                     solo: TuningConfig::hadoop_default(cores),
                 })
             }
@@ -1029,16 +1037,11 @@ impl ServicedPolicy<'_, '_> {
         anchor: &Prepared,
         candidates: &[&Prepared],
         cores: u32,
-    ) -> (usize, ecost_mapreduce::PairConfig) {
+    ) -> (usize, PairConfig) {
         self.inner.note_config_fallback(now);
-        let b_share = (cores / 2).max(1);
-        let a_share = (cores - b_share).max(1);
         (
             0,
-            ecost_mapreduce::PairConfig {
-                a: class_default_config(anchor.class, a_share),
-                b: class_default_config(candidates[0].class, b_share),
-            },
+            class_default_pair(anchor.class, candidates[0].class, cores),
         )
     }
 }
@@ -1050,7 +1053,7 @@ impl StreamPolicy for ServicedPolicy<'_, '_> {
         anchor: &Prepared,
         candidates: &[&Prepared],
         cores: u32,
-    ) -> Result<(usize, ecost_mapreduce::PairConfig), EvalError> {
+    ) -> Result<(usize, PairConfig), EvalError> {
         use crate::service::DecisionTier;
         match self.admit(now)? {
             Some(DecisionTier::FullSweep) => self.inner.pick(now, anchor, candidates, cores),
@@ -1080,7 +1083,7 @@ impl StreamPolicy for ServicedPolicy<'_, '_> {
 
 /// Fixed, untuned decisions: FIFO partner, half-node Hadoop defaults.
 pub(crate) struct FixedPolicy {
-    pair: ecost_mapreduce::PairConfig,
+    pair: PairConfig,
     solo: TuningConfig,
 }
 
@@ -1091,7 +1094,7 @@ impl StreamPolicy for FixedPolicy {
         _anchor: &Prepared,
         _candidates: &[&Prepared],
         _cores: u32,
-    ) -> Result<(usize, ecost_mapreduce::PairConfig), EvalError> {
+    ) -> Result<(usize, PairConfig), EvalError> {
         Ok((0, self.pair))
     }
 

@@ -58,7 +58,7 @@ pub use error::ServiceError;
 pub(crate) use breaker::CircuitBreaker;
 
 use crate::engine::{EvalEngine, RetryPolicy};
-use crate::mapping::class_default_config;
+use crate::mapping::{class_default_config, class_default_pair};
 use ecost_apps::App;
 use ecost_mapreduce::{PairConfig, TuningConfig};
 use ecost_sim::{RequestFaults, ServiceFaultSpec};
@@ -832,8 +832,6 @@ impl<'e> TuningService<'e> {
         tier: DecisionTier,
     ) -> Result<DecidedConfig, crate::engine::EvalError> {
         let cores = self.engine.testbed().node.cores;
-        let half_b = (cores / 2).max(1);
-        let half_a = cores.saturating_sub(half_b).max(1);
         match req.partner {
             Some((partner, partner_mb)) => {
                 let cfg = match tier {
@@ -848,20 +846,18 @@ impl<'e> TuningService<'e> {
                             .config
                     }
                     DecisionTier::Windowed => {
+                        let half = class_default_pair(req.app.class(), partner.class(), cores);
                         self.engine
                             .best_pair_with_partition(
                                 req.app.profile(),
                                 req.input_mb,
                                 partner.profile(),
                                 partner_mb,
-                                (half_a, half_b),
+                                (half.a.mappers, half.b.mappers),
                             )?
                             .config
                     }
-                    DecisionTier::ClassDefault => PairConfig {
-                        a: class_default_config(req.app.class(), half_a),
-                        b: class_default_config(partner.class(), half_b),
-                    },
+                    DecisionTier::ClassDefault => return Ok(self.fallback_config(req)),
                 };
                 Ok(DecidedConfig::Pair(cfg))
             }
@@ -891,7 +887,7 @@ impl<'e> TuningService<'e> {
                             None => class_default_config(req.app.class(), cores),
                         }
                     }
-                    DecisionTier::ClassDefault => class_default_config(req.app.class(), cores),
+                    DecisionTier::ClassDefault => return Ok(self.fallback_config(req)),
                 };
                 Ok(DecidedConfig::Solo(cfg))
             }
@@ -903,12 +899,7 @@ impl<'e> TuningService<'e> {
         let cores = self.engine.testbed().node.cores;
         match req.partner {
             Some((partner, _)) => {
-                let half_b = (cores / 2).max(1);
-                let half_a = cores.saturating_sub(half_b).max(1);
-                DecidedConfig::Pair(PairConfig {
-                    a: class_default_config(req.app.class(), half_a),
-                    b: class_default_config(partner.class(), half_b),
-                })
+                DecidedConfig::Pair(class_default_pair(req.app.class(), partner.class(), cores))
             }
             None => DecidedConfig::Solo(class_default_config(req.app.class(), cores)),
         }

@@ -37,12 +37,10 @@ proptest! {
         let (a_mb, b_mb) = if bad_first == 0 { (bad, good) } else { (good, bad) };
 
         prop_assert!(is_invalid_input(eng.solo_outcome(p, bad, cfg)), "solo_outcome({bad})");
-        prop_assert!(is_invalid_input(eng.solo_outcome_degraded(p, bad, cfg, 1.5)));
         prop_assert!(is_invalid_input(eng.solo_metrics(p, bad, cfg)));
         prop_assert!(is_invalid_input(eng.sweep_solo(p, bad)));
         prop_assert!(is_invalid_input(eng.best_solo(p, bad)));
         prop_assert!(is_invalid_input(eng.pair_metrics(p, a_mb, q, b_mb, pc)));
-        prop_assert!(is_invalid_input(eng.pair_metrics_degraded(p, a_mb, q, b_mb, pc, 1.5)));
         prop_assert!(is_invalid_input(eng.pair_sweep(p, a_mb, q, b_mb)));
         prop_assert!(is_invalid_input(eng.best_pair(p, a_mb, q, b_mb)));
         prop_assert!(is_invalid_input(eng.best_pair_with_partition(p, a_mb, q, b_mb, (2, 2))));

@@ -1626,36 +1626,6 @@ pub fn run_standalone(
         .ok_or(SimError::Internal("one job submitted, none finished"))
 }
 
-/// Convenience: run `jobs` co-located on a node degraded by `slowdown`
-/// (≥ 1; 1 is bit-identical to [`run_colocated`]).
-pub fn run_colocated_degraded(
-    spec: &NodeSpec,
-    fw: &FrameworkSpec,
-    jobs: Vec<JobSpec>,
-    slowdown: f64,
-) -> Result<(Vec<JobOutcome>, f64), SimError> {
-    let mut node = NodeSim::new(spec.clone(), fw.clone());
-    node.set_slowdown(slowdown)?;
-    for j in jobs {
-        node.submit(j)?;
-    }
-    node.run_to_completion()?;
-    let makespan = node.now();
-    Ok((node.take_finished(), makespan))
-}
-
-/// Convenience: run one job alone on a node degraded by `slowdown`.
-pub fn run_standalone_degraded(
-    spec: &NodeSpec,
-    fw: &FrameworkSpec,
-    job: JobSpec,
-    slowdown: f64,
-) -> Result<JobOutcome, SimError> {
-    let (mut out, _) = run_colocated_degraded(spec, fw, vec![job], slowdown)?;
-    out.pop()
-        .ok_or(SimError::Internal("one job submitted, none finished"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2025,6 +1995,17 @@ mod tests {
         assert_eq!(node.energy_j(), 0.0);
     }
 
+    /// `job` alone on a fresh node slowed by `slowdown` through
+    /// [`NodeSim::set_slowdown`], the only way the scheduler degrades a node.
+    fn run_slowed(job: JobSpec, slowdown: f64) -> JobOutcome {
+        let (spec, fw) = atom();
+        let mut node = NodeSim::new(spec, fw);
+        node.set_slowdown(slowdown).unwrap();
+        node.submit(job).unwrap();
+        node.run_to_completion().unwrap();
+        node.pop_finished().unwrap()
+    }
+
     #[test]
     fn unit_slowdown_is_bit_identical_to_healthy() {
         let (spec, fw) = atom();
@@ -2034,28 +2015,20 @@ mod tests {
             cfg(4, Frequency::F2_0, BlockSize::B256),
         );
         let healthy = run_standalone(&spec, &fw, job.clone()).unwrap();
-        let degraded = run_standalone_degraded(&spec, &fw, job, 1.0).unwrap();
+        let degraded = run_slowed(job, 1.0);
         assert_eq!(healthy.metrics.exec_time_s, degraded.metrics.exec_time_s);
         assert_eq!(healthy.usage.energy_j, degraded.usage.energy_j);
     }
 
     #[test]
     fn slowdown_stretches_time_for_compute_and_io() {
-        let (spec, fw) = atom();
         let t = |app, slow| {
-            run_standalone_degraded(
-                &spec,
-                &fw,
-                JobSpec::new(
-                    app,
-                    InputSize::Small,
-                    cfg(4, Frequency::F2_4, BlockSize::B256),
-                ),
-                slow,
-            )
-            .unwrap()
-            .metrics
-            .exec_time_s
+            let job = JobSpec::new(
+                app,
+                InputSize::Small,
+                cfg(4, Frequency::F2_4, BlockSize::B256),
+            );
+            run_slowed(job, slow).metrics.exec_time_s
         };
         for app in [App::Wc, App::St] {
             let (healthy, slow) = (t(app, 1.0), t(app, 2.0));

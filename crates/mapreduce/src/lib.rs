@@ -39,9 +39,8 @@ pub mod stage;
 pub use config::{BlockSize, PairConfig, TuningConfig};
 pub use counters::{Feature, FeatureVector, NUM_FEATURES};
 pub use executor::{
-    run_batch_to_completion, run_colocated, run_colocated_degraded, run_standalone,
-    run_standalone_degraded, BatchPhases, BatchScratch, JobHandle, JobOutcome, NodeSim,
-    MAX_BATCH_LANES,
+    run_batch_to_completion, run_colocated, run_standalone, BatchPhases, BatchScratch, JobHandle,
+    JobOutcome, NodeSim, MAX_BATCH_LANES,
 };
 pub use framework::FrameworkSpec;
 pub use job::JobSpec;

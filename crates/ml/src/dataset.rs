@@ -50,20 +50,6 @@ impl Dataset {
         self.feature_names.len()
     }
 
-    /// Split by index: rows `[0, at)` and `[at, len)`.
-    pub fn split_at(&self, at: usize) -> (Dataset, Dataset) {
-        let mut a = Dataset::new(self.feature_names.clone(), self.target_name.clone());
-        let mut b = Dataset::new(self.feature_names.clone(), self.target_name.clone());
-        for i in 0..self.len() {
-            if i < at {
-                a.push(self.x[i].clone(), self.y[i]);
-            } else {
-                b.push(self.x[i].clone(), self.y[i]);
-            }
-        }
-        (a, b)
-    }
-
     /// Deterministically shuffle rows with the RNG.
     pub fn shuffle<R: rand::Rng>(&mut self, rng: &mut R) {
         for i in (1..self.len()).rev() {
@@ -85,16 +71,6 @@ mod tests {
         d.push(vec![4.0, 5.0], 6.0);
         d.push(vec![7.0, 8.0], 9.0);
         d
-    }
-
-    #[test]
-    fn split_preserves_rows() {
-        let d = sample();
-        let (a, b) = d.split_at(2);
-        assert_eq!(a.len(), 2);
-        assert_eq!(b.len(), 1);
-        assert_eq!(b.y[0], 9.0);
-        assert_eq!(a.feature_names, d.feature_names);
     }
 
     #[test]

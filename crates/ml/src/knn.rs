@@ -1,4 +1,5 @@
-//! k-nearest-neighbour classification and nearest-profile search.
+//! k-nearest-neighbour classification, and the distance behind nearest-profile
+//! search.
 //!
 //! Backs two pieces of ECoST: the incoming-application classifier (nearest
 //! training signatures in z-scored feature space) and LkT-STP's "choose the
@@ -37,22 +38,6 @@ impl KnnClassifier {
             rows: Vec::new(),
             labels: Vec::new(),
         }
-    }
-
-    /// Index of the single nearest training row to `row` (ignores `k`).
-    pub fn nearest(&self, row: &[f64]) -> usize {
-        let scaler = self.scaler.as_ref().expect("fit before query");
-        let q = scaler.transform(row);
-        self.rows
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| {
-                euclidean(a, &q)
-                    .partial_cmp(&euclidean(b, &q))
-                    .expect("finite")
-            })
-            .expect("non-empty training set")
-            .0
     }
 }
 
@@ -117,16 +102,9 @@ mod tests {
         knn.fit(&rows, &labels);
         assert_eq!(knn.predict(&[0.5, 0.5]), 0);
         assert_eq!(knn.predict(&[9.0, 9.5]), 1);
-        assert_eq!(knn.accuracy(&rows, &labels), 1.0);
-    }
-
-    #[test]
-    fn nearest_returns_training_index() {
-        let (rows, labels) = blobs();
-        let mut knn = KnnClassifier::new(1);
-        knn.fit(&rows, &labels);
-        let idx = knn.nearest(&rows[7]);
-        assert_eq!(idx, 7);
+        for (r, l) in rows.iter().zip(&labels) {
+            assert_eq!(knn.predict(r), *l);
+        }
     }
 
     #[test]

@@ -30,17 +30,4 @@ pub trait Classifier {
 
     /// Predict a label index for one row.
     fn predict(&self, row: &[f64]) -> usize;
-
-    /// Classification accuracy over a labelled set.
-    fn accuracy(&self, rows: &[Vec<f64>], labels: &[usize]) -> f64 {
-        if rows.is_empty() {
-            return 1.0;
-        }
-        let hits = rows
-            .iter()
-            .zip(labels)
-            .filter(|(r, l)| self.predict(r) == **l)
-            .count();
-        hits as f64 / rows.len() as f64
-    }
 }

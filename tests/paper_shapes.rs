@@ -209,3 +209,66 @@ fn fig5_ranking_puts_ii_first_and_mm_last() {
         assert_eq!(row[0], (i + 1).to_string(), "rows out of priority order");
     }
 }
+
+#[test]
+fn table1_lr_is_worst_in_every_row_and_reptree_beats_mlp() {
+    // The paper's headline: the linear model is far worse than the
+    // non-linear ones, in every class pair and on average. The measured
+    // REPTree average sits below the MLP's, the reverse of the paper's
+    // order (EXPERIMENTS.md, deviation note 2).
+    let rows = golden_columns("table1_ape_0.csv", &["classes", "LR", "REPTree", "MLP"]);
+    let ape = |row: &[String], i: usize| -> f64 {
+        row[i]
+            .parse()
+            .unwrap_or_else(|_| panic!("non-numeric APE in {row:?}"))
+    };
+    let average = rows
+        .iter()
+        .find(|r| r[0] == "Average")
+        .expect("an Average row");
+    assert_eq!(rows.len(), 11, "ten class pairs plus the Average row");
+    for row in &rows {
+        let (lr, reptree, mlp) = (ape(row, 1), ape(row, 2), ape(row, 3));
+        assert!(
+            lr > reptree && lr > mlp,
+            "{}: LR {lr} is not the largest APE (REPTree {reptree}, MLP {mlp})",
+            row[0]
+        );
+    }
+    let (reptree, mlp) = (ape(average, 2), ape(average, 3));
+    assert!(reptree < mlp, "average REPTree {reptree} >= MLP {mlp}");
+}
+
+#[test]
+fn table2_reptree_and_lkt_in_single_digits_lr_the_outlier() {
+    let rows = golden_columns(
+        "table2_configs_1.csv",
+        &["technique", "mean error %", "worst error %"],
+    );
+    let err = |technique: &str, i: usize| -> f64 {
+        let row = rows
+            .iter()
+            .find(|r| r[0] == technique)
+            .unwrap_or_else(|| panic!("no {technique} row"));
+        row[i]
+            .parse()
+            .unwrap_or_else(|_| panic!("non-numeric error in {row:?}"))
+    };
+    for technique in ["LkT", "REPTree"] {
+        let mean = err(technique, 1);
+        assert!(
+            mean < 10.0,
+            "{technique} mean error {mean} % is not below 10 %"
+        );
+    }
+    for (i, what) in [(1, "mean"), (2, "worst")] {
+        let lr = err("LR", i);
+        for technique in ["LkT", "MLP", "REPTree"] {
+            let other = err(technique, i);
+            assert!(
+                lr > other,
+                "LR {what} error {lr} % <= {technique}'s {other} %"
+            );
+        }
+    }
+}
