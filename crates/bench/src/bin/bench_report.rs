@@ -22,6 +22,13 @@
 //! interleaved on the same problems, so their paired ratios come from
 //! one run (`amva_kernel`).
 //!
+//! Above the kernels sits the **engine memo-hit** ledger (`engine_hits`):
+//! ns per `best_pair` hit answered from the winners table, and ns per hit
+//! reading the same winner through the sweep table (`pair_sweep(..)
+//! .best()`, the walk a winner hit skips), timed in interleaved rounds on
+//! the same resident keys. The two ns figures are information only; the
+//! trend row carries their same-run ratio, which `trend_check` gates.
+//!
 //! The sweep kernels are timed in up to three arms of identical shape: the
 //! *baseline* arm drives the frozen pre-refactor executor
 //! (`ecost_mapreduce::reference`: fresh allocating simulator per point),
@@ -85,7 +92,7 @@ use std::time::Instant;
 /// Report schema version. Bump when the `BENCH_sim.json` shape changes
 /// (new sections or renamed keys), never for additive arm entries inside
 /// an existing section; the pinned unit test makes bumps deliberate.
-const SCHEMA: &str = "ecost-bench-sim/6";
+const SCHEMA: &str = "ecost-bench-sim/7";
 
 /// One timed measurement arm.
 #[derive(Debug, Clone, Copy)]
@@ -585,6 +592,91 @@ fn amva_kernel<const NC: usize, const S: usize>(
     })
 }
 
+/// Memo-hit cost of one engine on the same resident pair keys, timed in
+/// both arms: the winners table ([`EvalEngine::best_pair`]) and the sweep
+/// table ([`EvalEngine::pair_sweep`] + [`ecost_core::engine::PairSweep::best`]).
+#[derive(Debug, Clone, Copy)]
+struct HitTiming {
+    keys: usize,
+    /// Hits per arm per round.
+    hits: usize,
+    /// Fastest round, ns per hit.
+    winner_ns: f64,
+    sweep_ns: f64,
+    /// Median over rounds of the same-round ratio `sweep_ns / winner_ns`.
+    speedup: f64,
+}
+
+impl HitTiming {
+    fn json(&self) -> String {
+        format!(
+            "{{\n    \"keys\": {},\n    \"hits_per_round\": {},\n    \
+             \"winner_ns_per_hit\": {:.1},\n    \"sweep_ns_per_hit\": {:.1},\n    \
+             \"winner_speedup\": {:.2}\n  }}",
+            self.keys, self.hits, self.winner_ns, self.sweep_ns, self.speedup
+        )
+    }
+}
+
+/// Sweep `keys` Gp × St pairs (one input size each) into a fresh engine,
+/// then time `reps` passes over them per arm for `rounds` rounds, rotating
+/// which arm goes first. Every timed call must be a hit: a miss or a
+/// simulated run is an error, not a slow sample.
+fn engine_hits(keys: u32, reps: usize, rounds: usize) -> Result<HitTiming, BenchError> {
+    let eng = EvalEngine::atom();
+    let (a, b) = (App::Gp.profile(), App::St.profile());
+    let mb = InputSize::Small.per_node_mb();
+    let sizes: Vec<f64> = (0..keys).map(|i| mb + f64::from(i)).collect();
+    for &x in &sizes {
+        eng.best_pair(a, x, b, mb)?;
+    }
+    let hits = reps * sizes.len();
+    let pass = |winner: bool| -> Result<f64, BenchError> {
+        let t0 = Instant::now();
+        for _ in 0..reps {
+            for &x in &sizes {
+                let run = if winner {
+                    eng.best_pair(a, x, b, mb)?
+                } else {
+                    eng.pair_sweep(a, x, b, mb)?.best()
+                };
+                std::hint::black_box(run);
+            }
+        }
+        Ok(t0.elapsed().as_nanos() as f64 / hits as f64)
+    };
+    let before = eng.stats();
+    let (mut winner_ns, mut sweep_ns) = (f64::INFINITY, f64::INFINITY);
+    let mut ratios = Vec::with_capacity(rounds);
+    for round in 0..rounds {
+        let (w, s) = if round % 2 == 0 {
+            let w = pass(true)?;
+            (w, pass(false)?)
+        } else {
+            let s = pass(false)?;
+            (pass(true)?, s)
+        };
+        winner_ns = winner_ns.min(w);
+        sweep_ns = sweep_ns.min(s);
+        ratios.push(s / w);
+    }
+    let after = eng.stats();
+    if after.misses != before.misses || after.runs_simulated != before.runs_simulated {
+        return Err(BenchError::Invalid(format!(
+            "engine hit arm missed: {} misses, {} runs during the timed rounds",
+            after.misses - before.misses,
+            after.runs_simulated - before.runs_simulated
+        )));
+    }
+    Ok(HitTiming {
+        keys: sizes.len(),
+        hits,
+        winner_ns,
+        sweep_ns,
+        speedup: median_ratio(ratios)?,
+    })
+}
+
 /// One instrumented pass over a fresh engine — the full solo sweep plus
 /// the full pair sweep, every point a miss — with phase timing on.
 /// Returns the pass's wall nanoseconds and the drained breakdown.
@@ -867,6 +959,14 @@ fn run(opts: Options) -> Result<(), BenchError> {
     let one_class = amva_kernel::<1, 2>(&kernel_problems(1, kernel_count), rounds, lane_backend)?;
     let two_class = amva_kernel::<2, 3>(&kernel_problems(2, kernel_count), rounds, lane_backend)?;
 
+    let hit_cost = if arms.batched {
+        let (keys, reps) = if quick { (2, 2_000) } else { (8, 20_000) };
+        eprintln!("[bench_report] engine memo hits: {keys} keys, {rounds} rounds…");
+        Some(engine_hits(keys, reps, rounds)?)
+    } else {
+        None
+    };
+
     let mut out = String::new();
     out.push_str("{\n");
     let _ = writeln!(out, "  \"schema\": \"{SCHEMA}\",");
@@ -928,6 +1028,9 @@ fn run(opts: Options) -> Result<(), BenchError> {
     let _ = writeln!(out, "    \"one_class\": {},", one_class.json());
     let _ = writeln!(out, "    \"two_class\": {}", two_class.json());
     let _ = writeln!(out, "  }},");
+    if let Some(h) = &hit_cost {
+        let _ = writeln!(out, "  \"engine_hits\": {},", h.json());
+    }
     if arms.batched {
         eprintln!("[bench_report] phase breakdown: sweep path, 1 thread…");
         measure_phases(&mut out, arms.simd, mb)?;
@@ -975,6 +1078,7 @@ fn run(opts: Options) -> Result<(), BenchError> {
         .iter()
         .filter_map(|&(key, arm)| arm.map(|a| (key, a.sims_per_s(), 1)))
         .chain(scalars.iter().map(|&(key, v)| (key, v, 3)))
+        .chain(hit_cost.map(|h| ("engine_winner_hit_speedup", h.speedup, 3)))
         .collect();
     let trend_path = ecost_bench::append_trend_row(
         quick,
@@ -1001,7 +1105,7 @@ mod tests {
         // Consumers (CI smoke, DESIGN.md §11, external dashboards) key on
         // this exact string; a shape change must bump it here on purpose,
         // in the same commit that documents the new shape.
-        assert_eq!(SCHEMA, "ecost-bench-sim/6");
+        assert_eq!(SCHEMA, "ecost-bench-sim/7");
     }
 
     fn args(list: &[&str]) -> Vec<String> {

@@ -122,7 +122,9 @@ impl ArmOut {
 
 /// Enforce the bounded-memory contract on a finished arm.
 fn check_bounds(arm: &ArmOut, budget: usize) -> Result<(), BenchError> {
-    // `CacheBudget::entries(n)` caps each of the three tables at n.
+    // `CacheBudget::entries(n)` caps each table at n. The streaming arms
+    // never sweep a pair, so the sweep-winners table stays empty and three
+    // tables bound the resident count.
     let cap = 3 * budget;
     if arm.entries > cap {
         return Err(BenchError::Invalid(format!(

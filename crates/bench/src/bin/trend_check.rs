@@ -35,11 +35,14 @@ use std::process::ExitCode;
 /// Headline keys a row may carry (absent arms and keys are skipped):
 /// throughputs and ratios, where higher is better, and `*_ns_per_iter`
 /// kernel latencies (the scalar AMVA kernels and the lane kernel), where
-/// lower is better. Keys of retired arms
+/// lower is better. The engine's memo-hit costs are gated only through
+/// their same-run ratio (`engine_winner_hit_speedup`: ns per sweep-table
+/// hit over ns per winners-table hit); the ns figures themselves stay in
+/// `BENCH_sim.json` as information. Keys of retired arms
 /// (`pair_batch_resident`, `pair_warm_start`, `sched_baseline`,
 /// `sched_optimized`, `sched_batched`) may linger in older rows; they are
 /// not listed, so they never gate.
-const METRICS: [&str; 21] = [
+const METRICS: [&str; 22] = [
     "solo_baseline_sims_per_s",
     "solo_optimized_sims_per_s",
     "solo_batched_sims_per_s",
@@ -61,6 +64,7 @@ const METRICS: [&str; 21] = [
     "amva_1c_lanes_speedup",
     "amva_2c_lanes_ns_per_iter",
     "amva_2c_lanes_speedup",
+    "engine_winner_hit_speedup",
 ];
 
 /// Whether a rise (rather than a drop) in `key` is the regression.
@@ -433,6 +437,34 @@ mod tests {
         let path = write_store("kernel_ratio.jsonl", &[&prior, &mk("d", 30.0, 1.2)]);
         match check(&path, 0.10) {
             Err(BenchError::Invalid(msg)) => assert!(msg.contains("amva_2c_speedup"), "{msg}"),
+            other => panic!("expected Invalid regression, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn engine_hit_ratio_gates_on_a_drop() {
+        let mk = |commit: &str, ratio: f64| {
+            format!(
+                r#"{{"schema":"ecost-bench-trend/1","commit":"{commit}","mode":"full","arms":"all","threads":1,"simd":"on","engine_winner_hit_speedup":{ratio:.3}}}"#
+            )
+        };
+        let rows = [mk("a", 1.30), mk("b", 1.34), mk("c", 1.28)];
+        // A larger ratio (winner hits got cheaper) passes, as does noise.
+        for (name, ratio) in [("hit_ratio_up.jsonl", 1.60), ("hit_ratio_ok.jsonl", 1.22)] {
+            let new = mk("d", ratio);
+            let path = write_store(name, &[&rows[0], &rows[1], &rows[2], &new]);
+            assert!(check(&path, 0.10).is_ok(), "{ratio}");
+        }
+        // Winner hits no cheaper than sweep-table hits: a drop, which fails.
+        let new = mk("e", 1.0);
+        let path = write_store(
+            "hit_ratio_drop.jsonl",
+            &[&rows[0], &rows[1], &rows[2], &new],
+        );
+        match check(&path, 0.10) {
+            Err(BenchError::Invalid(msg)) => {
+                assert!(msg.contains("engine_winner_hit_speedup"), "{msg}")
+            }
             other => panic!("expected Invalid regression, got {other:?}"),
         }
     }

@@ -11,6 +11,8 @@ use crate::features::{profile_catalog_app, AppSignature};
 use ecost_apps::class::ClassPair;
 use ecost_apps::{App, AppClass, InputSize, TRAINING_APPS};
 use ecost_mapreduce::{PairConfig, TuningConfig};
+use ecost_ml::knn::euclidean;
+use ecost_ml::ZScore;
 use std::time::Instant;
 
 /// One co-located entry.
@@ -145,23 +147,46 @@ impl ConfigDatabase {
         })
     }
 
-    /// Look up the standalone entry whose signature is nearest to `sig`
-    /// (z-scored distance over the stored solos) — PTM's tuning step.
-    /// `None` only when the database holds no solo entries.
-    pub fn nearest_solo(&self, sig: &[f64; 9]) -> Option<&SoloEntry> {
+    /// The standalone lookup PTM and ECoST's solo placements query: the
+    /// stored solo signatures z-scored once, so each
+    /// [`SoloIndex::nearest`] pays one query transform and one distance
+    /// per entry. Build it once per schedule; it borrows the database.
+    pub fn solo_index(&self) -> SoloIndex<'_> {
         let rows: Vec<Vec<f64>> = self.solos.iter().map(|s| s.sig.to_vec()).collect();
-        if rows.is_empty() {
-            return None;
+        let scaler = (!rows.is_empty()).then(|| ZScore::fit(&rows));
+        let rows = scaler
+            .as_ref()
+            .map_or_else(Vec::new, |scaler| scaler.transform_all(&rows));
+        SoloIndex {
+            solos: &self.solos,
+            scaler,
+            rows,
         }
-        let scaler = ecost_ml::ZScore::fit(&rows);
-        let q = scaler.transform(sig);
-        let idx = rows
+    }
+}
+
+/// [`ConfigDatabase::solo_index`]: a z-score scaler fitted on every stored
+/// solo signature and each signature already transformed by it.
+#[derive(Debug, Clone)]
+pub struct SoloIndex<'a> {
+    solos: &'a [SoloEntry],
+    /// `None` when the database holds no solo entries.
+    scaler: Option<ZScore>,
+    /// `solos[i].sig`, z-scored, at `i`.
+    rows: Vec<Vec<f64>>,
+}
+
+impl<'a> SoloIndex<'a> {
+    /// The standalone entry whose signature is nearest to `sig` (z-scored
+    /// Euclidean distance; the first entry on a tie) — PTM's tuning step.
+    /// `None` only when the database holds no solo entries.
+    pub fn nearest(&self, sig: &[f64; 9]) -> Option<&'a SoloEntry> {
+        let q = self.scaler.as_ref()?.transform(sig);
+        let idx = self
+            .rows
             .iter()
             .enumerate()
-            .map(|(i, r)| {
-                let d = ecost_ml::knn::euclidean(&scaler.transform(r), &q);
-                (i, d)
-            })
+            .map(|(i, r)| (i, euclidean(r, &q)))
             .min_by(|a, b| a.1.total_cmp(&b.1))?
             .0;
         self.solos.get(idx)
@@ -191,7 +216,10 @@ mod tests {
     #[test]
     fn nearest_solo_retrieves_own_entry() {
         let db = mini_db(engine());
-        let hit = db.nearest_solo(&db.solos[1].sig).expect("non-empty db");
+        let hit = db
+            .solo_index()
+            .nearest(&db.solos[1].sig)
+            .expect("non-empty db");
         assert_eq!(hit.app, App::St);
     }
 
@@ -203,7 +231,56 @@ mod tests {
             signatures: Vec::new(),
             build_seconds: 0.0,
         };
-        assert!(db.nearest_solo(&[0.0; 9]).is_none());
+        assert!(db.solo_index().nearest(&[0.0; 9]).is_none());
+    }
+
+    /// The lookup as it was before the index: fit, transform every stored
+    /// row and scan, all per query.
+    fn nearest_solo_refit(db: &ConfigDatabase, sig: &[f64; 9]) -> Option<usize> {
+        let rows: Vec<Vec<f64>> = db.solos.iter().map(|s| s.sig.to_vec()).collect();
+        if rows.is_empty() {
+            return None;
+        }
+        let scaler = ZScore::fit(&rows);
+        let q = scaler.transform(sig);
+        rows.iter()
+            .enumerate()
+            .map(|(i, r)| (i, euclidean(&scaler.transform(r), &q)))
+            .min_by(|a, b| a.1.total_cmp(&b.1))
+            .map(|(i, _)| i)
+    }
+
+    #[test]
+    fn solo_index_matches_a_per_query_fit() {
+        // Seven solos (two apps at three sizes, plus a copy of one so a
+        // tie is decided by position), queried with every stored
+        // signature and with seeded random ones.
+        let mut db =
+            ConfigDatabase::build_subset(engine(), &[App::Wc, App::St], &InputSize::ALL, 0.0, 0)
+                .expect("build");
+        db.solos.push(db.solos[2].clone());
+        let index = db.solo_index();
+        let position = |e: &SoloEntry| db.solos.iter().position(|s| std::ptr::eq(s, e));
+        let mut queries: Vec<[f64; 9]> = db.solos.iter().map(|s| s.sig).collect();
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        for _ in 0..200 {
+            let mut q = [0.0; 9];
+            for (x, s) in q.iter_mut().zip(&db.solos[0].sig) {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let u = (state >> 11) as f64 / (1u64 << 53) as f64;
+                *x = s * (4.0 * u - 1.0);
+            }
+            queries.push(q);
+        }
+        for q in &queries {
+            assert_eq!(
+                index.nearest(q).and_then(position),
+                nearest_solo_refit(&db, q),
+                "{q:?}"
+            );
+        }
     }
 
     #[test]

@@ -306,6 +306,16 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedCache<K, V> {
         guard.map.contains_key(key)
     }
 
+    /// `key`'s CLOCK referenced bit, if resident, clearing it: a
+    /// diagnostic that lets a test see whether a later call used the
+    /// entry.
+    #[cfg(test)]
+    pub(crate) fn take_referenced(&self, key: &K) -> Option<bool> {
+        let mut guard = self.shard(key).lock().unwrap_or_else(|e| e.into_inner());
+        let idx = guard.map.get(key).copied()?;
+        Some(std::mem::take(&mut guard.slots[idx].referenced))
+    }
+
     /// Total entries across all shards.
     pub(crate) fn len(&self) -> usize {
         self.shards

@@ -115,6 +115,21 @@ pub struct PairRun {
     pub metrics: PairMetrics,
 }
 
+impl PairRun {
+    /// This run, stored in the engine's normalised orientation, as seen
+    /// by a query whose `(a, b)` order is the reverse when `swapped`.
+    fn oriented(self, swapped: bool) -> PairRun {
+        PairRun {
+            config: if swapped {
+                self.config.swapped()
+            } else {
+                self.config
+            },
+            metrics: self.metrics,
+        }
+    }
+}
+
 /// One memo entry of the sweep table: every point's metrics, in
 /// [`PairConfig::space`] order (point *i*'s config is the engine's shared
 /// space at *i*, so it is not stored), and the wall-EDP winner's index
@@ -123,6 +138,16 @@ pub struct PairRun {
 struct StoredSweep {
     metrics: Box<[PairMetrics]>,
     best: usize,
+}
+
+impl StoredSweep {
+    /// The wall-EDP winner in stored orientation: the winners-table entry.
+    fn winner(&self, space: &[PairConfig]) -> PairRun {
+        PairRun {
+            config: space[self.best],
+            metrics: self.metrics[self.best],
+        }
+    }
 }
 
 /// Index of the wall-EDP minimum: the first one under `total_cmp`, the
@@ -184,16 +209,7 @@ impl PairSweep {
     /// Wall-EDP winner under the engine's idle power, reoriented to the
     /// query's `(a, b)` order. Stored with the sweep: no scan.
     pub fn best(&self) -> PairRun {
-        let i = self.stored.best;
-        let config = self.space[i];
-        PairRun {
-            config: if self.swapped {
-                config.swapped()
-            } else {
-                config
-            },
-            metrics: self.stored.metrics[i],
-        }
+        self.stored.winner(&self.space).oriented(self.swapped)
     }
 }
 
@@ -314,11 +330,15 @@ impl std::fmt::Display for EngineStats {
     }
 }
 
-/// Entry budgets for the engine's three memo tables; `None` fields are
+/// Entry budgets for the engine's memo tables; `None` fields are
 /// unbounded (the classic memo). Budgets count *entries*, not bytes: a
 /// solo entry is one [`JobOutcome`], a pair-point entry one
 /// [`PairMetrics`], but a sweep entry is a whole configuration sweep
 /// (thousands of points), so sweep budgets deserve the smallest numbers.
+/// The fourth table, each swept pair's wall-EDP winner (one
+/// [`PairConfig`] and its [`PairMetrics`], kept after the pair's sweep is
+/// evicted), holds one pair-configuration point per entry, so
+/// [`CacheBudget::pair_points`] bounds it as well.
 ///
 /// Bounding a cache changes hit counts, never values — an evicted key that
 /// gets re-probed is re-simulated to the bit-identical result (pinned by a
@@ -330,7 +350,8 @@ pub struct CacheBudget {
     pub solo: Option<usize>,
     /// Max memoized full pair sweeps.
     pub sweeps: Option<usize>,
-    /// Max memoized single pair-configuration points.
+    /// Max memoized single pair-configuration points, and, separately,
+    /// max memoized sweep winners.
     pub pair_points: Option<usize>,
 }
 
@@ -340,7 +361,7 @@ impl CacheBudget {
         CacheBudget::default()
     }
 
-    /// The same entry budget on all three tables.
+    /// The same entry budget on every table.
     pub fn entries(n: usize) -> CacheBudget {
         CacheBudget {
             solo: Some(n),
@@ -474,6 +495,10 @@ pub struct EvalEngine {
     solo: ShardedCache<SoloKey, Arc<JobOutcome>>,
     sweeps: ShardedCache<PairKey, Arc<StoredSweep>>,
     pair_points: ShardedCache<PairPointKey, PairMetrics>,
+    /// Each swept pair's wall-EDP winner in stored orientation
+    /// ([`StoredSweep::winner`]), kept after the sweep itself is evicted:
+    /// [`Self::best_pair`] answers from here first.
+    winners: ShardedCache<PairKey, PairRun>,
     /// [`PairConfig::space`] of the testbed's node, built once: every
     /// stored sweep is indexed by it and every sweep miss chunks it.
     pair_space: Arc<[PairConfig]>,
@@ -519,6 +544,7 @@ impl EvalEngine {
             solo: ShardedCache::new(ev.clone()),
             sweeps: ShardedCache::new(ev.clone()),
             pair_points: ShardedCache::new(ev.clone()),
+            winners: ShardedCache::new(ev.clone()),
             pair_space,
             pool: SimPool::new(),
             recorder,
@@ -530,7 +556,8 @@ impl EvalEngine {
     }
 
     /// Bound the memo tables to `budget` entries each (see [`CacheBudget`]
-    /// for the per-table semantics). Replaces the tables, so any entries
+    /// for the per-table semantics; the winners table takes the
+    /// `pair_points` budget). Replaces the tables, so any entries
     /// memoized so far are discarded. Eviction activity shows up in
     /// [`EngineStats::evictions`] and the `engine.cache_evictions`
     /// telemetry counter.
@@ -539,6 +566,7 @@ impl EvalEngine {
         self.solo = ShardedCache::with_budget(budget.solo, ev.clone());
         self.sweeps = ShardedCache::with_budget(budget.sweeps, ev.clone());
         self.pair_points = ShardedCache::with_budget(budget.pair_points, ev.clone());
+        self.winners = ShardedCache::with_budget(budget.pair_points, ev.clone());
         self
     }
 
@@ -626,11 +654,13 @@ impl EvalEngine {
         self.pair_points.len()
     }
 
-    /// Total resident memo entries across all three tables — the scale
-    /// bench's peak-RSS proxy. Under a [`CacheBudget`] this never exceeds
-    /// the sum of the per-table budgets.
+    /// Total resident memo entries across all four tables (solo outcomes,
+    /// pair sweeps, pair points and sweep winners) — the scale bench's
+    /// peak-RSS proxy. Under a [`CacheBudget`] this never exceeds the sum
+    /// of the per-table budgets, with `pair_points` counted twice (it
+    /// bounds the winners table too).
     pub fn cached_entries(&self) -> usize {
-        self.solo.len() + self.sweeps.len() + self.pair_points.len()
+        self.solo.len() + self.sweeps.len() + self.pair_points.len() + self.winners.len()
     }
 
     /// Simulators currently idle in the pool (diagnostics; equals
@@ -1053,8 +1083,9 @@ impl EvalEngine {
     }
 
     /// Metrics of one co-located pair run at one configuration. Served
-    /// from the point memo, or from a previously computed full sweep,
-    /// before falling back to simulation.
+    /// from the point memo, or read in place from a resident full sweep,
+    /// before falling back to simulation; only simulated points are
+    /// stored in the point memo.
     pub fn pair_metrics(
         &self,
         a: &AppProfile,
@@ -1073,8 +1104,8 @@ impl EvalEngine {
             return Ok(hit);
         }
         // A full sweep for this pair already holds every point, at the
-        // point's index in the config space.
-        if let Some(sweep) = self.sweeps.get(&pair) {
+        // point's index in the config space; read it there, not a copy.
+        if let Some(sweep) = self.resident_sweep(&pair) {
             let point = self
                 .pair_space
                 .iter()
@@ -1082,7 +1113,7 @@ impl EvalEngine {
                 .and_then(|i| sweep.metrics.get(i));
             if let Some(&metrics) = point {
                 self.hit("pair");
-                return Ok(self.pair_points.insert_or_keep(key, metrics));
+                return Ok(metrics);
             }
         }
         self.miss("pair");
@@ -1090,6 +1121,16 @@ impl EvalEngine {
         let metrics = self.simulate_pair(a, input_a_mb, b, input_b_mb, pc)?;
         self.charge(1, t0.elapsed().as_nanos() as u64);
         Ok(self.pair_points.insert_or_keep(key, metrics))
+    }
+
+    /// The resident sweep under `key`, if any. Reading a sweep also keeps
+    /// its winner in the winners table (re-inserting it if that table
+    /// evicted it; a present winner only has its CLOCK bit set).
+    fn resident_sweep(&self, key: &PairKey) -> Option<Arc<StoredSweep>> {
+        let stored = self.sweeps.get(key)?;
+        self.winners
+            .insert_or_keep(*key, stored.winner(&self.pair_space));
+        Some(stored)
     }
 
     /// Fetch or compute the full pair sweep (11 200 points on the 8-core
@@ -1105,7 +1146,7 @@ impl EvalEngine {
         check_input_mb(input_a_mb)?;
         check_input_mb(input_b_mb)?;
         let (key, swap) = self.pair_key(a, input_a_mb, b, input_b_mb);
-        if let Some(stored) = self.sweeps.get(&key) {
+        if let Some(stored) = self.resident_sweep(&key) {
             self.hit("sweep");
             return Ok(PairSweep {
                 stored,
@@ -1173,6 +1214,8 @@ impl EvalEngine {
             best,
         };
         let stored = self.sweeps.insert_or_keep(key, Arc::new(stored));
+        self.winners
+            .insert_or_keep(key, stored.winner(&self.pair_space));
         Ok(PairSweep {
             stored,
             space: Arc::clone(&self.pair_space),
@@ -1182,6 +1225,12 @@ impl EvalEngine {
 
     /// COLAO's oracle: best co-located configuration for a pair, oriented
     /// so `.a` applies to `a` and `.b` to `b`.
+    ///
+    /// Probes the winners table first: a pair swept before is answered
+    /// from its stored winner (one hit, no simulation) without touching
+    /// the sweep table, even after its sweep was evicted. Only a winner
+    /// miss falls through to [`Self::pair_sweep`], which counts its own
+    /// hit or miss, so every call adds exactly one to hits + misses.
     pub fn best_pair(
         &self,
         a: &AppProfile,
@@ -1189,14 +1238,20 @@ impl EvalEngine {
         b: &AppProfile,
         input_b_mb: f64,
     ) -> Result<PairRun, EvalError> {
+        check_input_mb(input_a_mb)?;
+        check_input_mb(input_b_mb)?;
+        let (key, swap) = self.pair_key(a, input_a_mb, b, input_b_mb);
+        if let Some(winner) = self.winners.get(&key) {
+            self.hit("winner");
+            return Ok(winner.oriented(swap));
+        }
         Ok(self.pair_sweep(a, input_a_mb, b, input_b_mb)?.best())
     }
 
     /// Best pair config with the core partition fixed: the tuning service's
     /// Windowed tier. The restricted space is small, so points go through
-    /// [`Self::pair_metrics`] and the point memo rather than the full-sweep
-    /// table. Each point read from a resident full sweep is copied into
-    /// the point memo as well, so the sweep's data is then held twice.
+    /// [`Self::pair_metrics`]: each is read in place from a resident full
+    /// sweep, else from the point memo, else simulated into it.
     pub fn best_pair_with_partition(
         &self,
         a: &AppProfile,
@@ -1421,11 +1476,9 @@ mod tests {
         assert_eq!(eng.stats().misses, 2);
     }
 
-    #[test]
-    fn re_swept_key_after_eviction_keeps_the_first_scan_minimum() {
-        // A 2-core node keeps each sweep at 400 points; a 16-sweep budget
-        // leaves one slot per shard, so any later key in the probed key's
-        // shard evicts it.
+    /// An engine on a 2-core node, whose pair sweeps are 400 points, under
+    /// `budget`.
+    fn two_core_engine(budget: CacheBudget) -> EvalEngine {
         let tb = Testbed {
             node: ecost_sim::NodeSpec {
                 cores: 2,
@@ -1433,27 +1486,129 @@ mod tests {
             },
             ..Testbed::atom()
         };
-        let eng = EvalEngine::new(tb).with_cache_budget(CacheBudget {
+        EvalEngine::new(tb).with_cache_budget(budget)
+    }
+
+    /// A 16-sweep budget leaves one slot per shard, so sweeping further
+    /// keys soon lands one in `(a, b)`'s shard and evicts its sweep. Returns
+    /// the pair's key once its sweep is gone.
+    fn evict_sweep(eng: &EvalEngine, (a, a_mb): (&AppProfile, f64), b: &AppProfile) -> PairKey {
+        let (key, _) = eng.pair_key(a, a_mb, b, a_mb);
+        for i in 1..=200 {
+            if !eng.sweeps.contains(&key) {
+                return key;
+            }
+            eng.pair_sweep(a, a_mb + f64::from(i), b, a_mb).unwrap();
+        }
+        panic!("200 further sweeps never evicted the pair's sweep");
+    }
+
+    #[test]
+    fn re_swept_key_after_eviction_keeps_the_first_scan_minimum() {
+        let eng = two_core_engine(CacheBudget {
             sweeps: Some(16),
             ..CacheBudget::unbounded()
         });
         let (wc, st) = (App::Wc.profile(), App::St.profile());
         let mb = InputSize::Small.per_node_mb();
         let first = eng.best_pair(wc, mb, st, mb).unwrap();
-        let mut evicted = false;
-        for i in 1..=200 {
-            eng.pair_sweep(wc, mb + f64::from(i), st, mb).unwrap();
-            let misses = eng.stats().misses;
-            let again = eng.best_pair(wc, mb, st, mb).unwrap();
-            assert_eq!(again.config, first.config);
-            assert_eq!(again.metrics, first.metrics);
-            if eng.stats().misses > misses {
-                evicted = true;
-                break;
-            }
-        }
-        assert!(evicted && eng.stats().evictions > 0, "{}", eng.stats());
+        evict_sweep(&eng, (wc, mb), st);
+        assert!(eng.stats().evictions > 0, "{}", eng.stats());
+        // The re-sweep (a miss) stores the same winner the first sweep
+        // found, and `best_pair` keeps answering it in both orientations.
+        let misses = eng.stats().misses;
+        let again = eng.pair_sweep(wc, mb, st, mb).unwrap().best();
+        assert_eq!(eng.stats().misses, misses + 1);
+        assert_eq!(again.config, first.config);
+        assert_eq!(again.metrics, first.metrics);
         assert_best_is_first_scan_minimum(&eng, (wc, mb), (st, mb));
+    }
+
+    #[test]
+    fn winner_outlives_its_evicted_sweep() {
+        let eng = two_core_engine(CacheBudget {
+            sweeps: Some(16),
+            ..CacheBudget::unbounded()
+        });
+        let (wc, st) = (App::Wc.profile(), App::St.profile());
+        let mb = InputSize::Small.per_node_mb();
+        let first = eng.best_pair(wc, mb, st, mb).unwrap();
+        let key = evict_sweep(&eng, (wc, mb), st);
+        let before = eng.stats();
+        let fwd = eng.best_pair(wc, mb, st, mb).unwrap();
+        let mid = eng.stats();
+        let rev = eng.best_pair(st, mb, wc, mb).unwrap();
+        let after = eng.stats();
+        // One hit each, nothing simulated, and the sweep stays evicted:
+        // the answer came from the winners table alone.
+        assert_eq!((mid.hits, mid.misses), (before.hits + 1, before.misses));
+        assert_eq!((after.hits, after.misses), (mid.hits + 1, mid.misses));
+        assert_eq!(after.runs_simulated, before.runs_simulated);
+        assert!(!eng.sweeps.contains(&key));
+        // The pre-eviction winner, bit for bit, in each query's orientation.
+        let bits = |r: &PairRun| (r.metrics.makespan_s.to_bits(), r.metrics.energy_j.to_bits());
+        assert_eq!(fwd.config, first.config);
+        assert_eq!(rev.config, first.config.swapped());
+        assert_eq!(bits(&fwd), bits(&first));
+        assert_eq!(bits(&rev), bits(&first));
+        // The sweep itself is not kept: asking for it re-sweeps.
+        let swept = eng.pair_sweep(wc, mb, st, mb).unwrap();
+        let s = eng.stats();
+        assert_eq!(s.misses, after.misses + 1);
+        assert_eq!(s.runs_simulated, after.runs_simulated + swept.len() as u64);
+        assert_eq!(swept.best().config, first.config);
+        assert_eq!(bits(&swept.best()), bits(&first));
+    }
+
+    #[test]
+    fn winner_hit_leaves_the_sweep_table_alone() {
+        // The sweep is resident, yet a winner hit neither reads nor
+        // refreshes it: its CLOCK bit stays clear, so the hit cannot keep
+        // a cold sweep alive.
+        let eng = two_core_engine(CacheBudget::unbounded());
+        let (wc, st) = (App::Wc.profile(), App::St.profile());
+        let mb = InputSize::Small.per_node_mb();
+        eng.best_pair(wc, mb, st, mb).unwrap();
+        let (key, _) = eng.pair_key(wc, mb, st, mb);
+        assert_eq!(eng.sweeps.take_referenced(&key), Some(true));
+        let hits = eng.stats().hits;
+        eng.best_pair(st, mb, wc, mb).unwrap();
+        assert_eq!(eng.stats().hits, hits + 1);
+        assert_eq!(eng.sweeps.take_referenced(&key), Some(false));
+        // A sweep read does use the entry.
+        eng.pair_sweep(wc, mb, st, mb).unwrap();
+        assert_eq!(eng.sweeps.take_referenced(&key), Some(true));
+    }
+
+    #[test]
+    fn winners_table_keeps_to_the_pair_points_budget() {
+        let eng = two_core_engine(CacheBudget {
+            pair_points: Some(16),
+            ..CacheBudget::unbounded()
+        });
+        let (wc, st) = (App::Wc.profile(), App::St.profile());
+        let mb = InputSize::Small.per_node_mb();
+        for i in 0..40 {
+            eng.best_pair(wc, mb + f64::from(i), st, mb).unwrap();
+            assert!(eng.winners.len() <= 16, "{} winners", eng.winners.len());
+        }
+        // Every sweep stayed resident, so each evicted winner is one the
+        // table dropped on its own budget, and all four tables count.
+        let s = eng.stats();
+        assert_eq!(eng.cached_pair_sweeps(), 40);
+        assert!(s.evictions > 0, "{s}");
+        assert_eq!(s.evictions, 40 - eng.winners.len() as u64);
+        assert_eq!(eng.cached_entries(), 40 + eng.winners.len());
+        // A key whose winner was dropped is answered from its resident
+        // sweep (a sweep hit), which stores the winner again.
+        let dropped = (0..40)
+            .map(|i| mb + f64::from(i))
+            .find(|&x| !eng.winners.contains(&eng.pair_key(wc, x, st, mb).0))
+            .unwrap();
+        let runs = s.runs_simulated;
+        eng.best_pair(wc, dropped, st, mb).unwrap();
+        assert_eq!(eng.stats().runs_simulated, runs);
+        assert!(eng.winners.contains(&eng.pair_key(wc, dropped, st, mb).0));
     }
 
     #[test]
@@ -1769,5 +1924,41 @@ mod tests {
         let run = eng.best_pair_with_partition(a, mb, b, mb, (6, 2)).unwrap();
         assert_eq!(run.config.a.mappers, 6);
         assert_eq!(run.config.b.mappers, 2);
+    }
+
+    #[test]
+    fn partition_search_reads_a_resident_sweep_in_place() {
+        let (wc, st) = (App::Wc.profile(), App::St.profile());
+        let mb = InputSize::Small.per_node_mb();
+        // Simulated point by point on a fresh engine: the reference answer.
+        let fresh = EvalEngine::atom();
+        let want = fresh
+            .best_pair_with_partition(wc, mb, st, mb, (4, 4))
+            .unwrap();
+        assert_eq!(fresh.cached_pair_points(), 400);
+        // With the pair's sweep resident, every point is read from it: one
+        // hit each, nothing simulated and nothing copied into the point memo.
+        let eng = EvalEngine::atom();
+        eng.best_pair(wc, mb, st, mb).unwrap();
+        let before = eng.stats();
+        let got = eng
+            .best_pair_with_partition(wc, mb, st, mb, (4, 4))
+            .unwrap();
+        let after = eng.stats();
+        assert_eq!(eng.cached_pair_points(), 0);
+        assert_eq!(after.hits - before.hits, 400);
+        assert_eq!(
+            (after.misses, after.runs_simulated),
+            (before.misses, before.runs_simulated)
+        );
+        assert_eq!(got.config, want.config);
+        assert_eq!(
+            got.metrics.makespan_s.to_bits(),
+            want.metrics.makespan_s.to_bits()
+        );
+        assert_eq!(
+            got.metrics.energy_j.to_bits(),
+            want.metrics.energy_j.to_bits()
+        );
     }
 }

@@ -40,7 +40,7 @@
 //! on the event-calendar scheduler ([`crate::scheduler`]).
 
 use crate::classify::RuleClassifier;
-use crate::database::ConfigDatabase;
+use crate::database::{ConfigDatabase, SoloIndex};
 use crate::engine::{EvalEngine, EvalError, PairRun, RetryPolicy};
 use crate::features::profile_app;
 use crate::pairing::PairingPolicy;
@@ -449,6 +449,10 @@ fn run_per_node(
     mode: PerNodeMode<'_, '_>,
 ) -> Result<ClusterRun, EvalError> {
     let tb = engine.testbed();
+    let solos = match &mode {
+        PerNodeMode::Predicted(ctx) => Some(ctx.db.solo_index()),
+        PerNodeMode::Default => None,
+    };
     let mut node_time = vec![0.0_f64; n];
     let mut energy = 0.0;
     for (app, size) in &workload.jobs {
@@ -457,8 +461,9 @@ fn run_per_node(
             PerNodeMode::Default => TuningConfig::hadoop_default(tb.node.cores),
             PerNodeMode::Predicted(ctx) => {
                 let sig = profile_app(engine, app.profile(), input, ctx.noise, ctx.seed)?;
-                ctx.db
-                    .nearest_solo(&sig.key())
+                solos
+                    .as_ref()
+                    .and_then(|solos| solos.nearest(&sig.key()))
                     .ok_or(EvalError::NoCandidates {
                         what: "PTM solo lookup in an empty database",
                     })?
@@ -531,6 +536,8 @@ fn run_cbm(engine: &EvalEngine, n: usize, workload: &Workload) -> Result<Cluster
 pub(crate) struct EcostPolicy<'a, 'b> {
     engine: &'a EvalEngine,
     ctx: &'a EcostContext<'b>,
+    /// The database's solo lookup, fitted once for every solo placement.
+    solos: SoloIndex<'b>,
     /// Tuning decisions that fell back to class defaults. Interior
     /// mutability because [`StreamPolicy`] methods take `&self`.
     config_fallbacks: std::cell::Cell<u64>,
@@ -541,6 +548,7 @@ impl<'a, 'b> EcostPolicy<'a, 'b> {
         EcostPolicy {
             engine,
             ctx,
+            solos: ctx.db.solo_index(),
             config_fallbacks: std::cell::Cell::new(0),
         }
     }
@@ -606,7 +614,7 @@ impl StreamPolicy for EcostPolicy<'_, '_> {
     }
 
     fn solo_config(&self, now: f64, job: &Prepared, cores: u32) -> Result<TuningConfig, EvalError> {
-        match self.ctx.db.nearest_solo(&job.sig.key()) {
+        match self.solos.nearest(&job.sig.key()) {
             Some(entry) => Ok(entry.config),
             None => {
                 // Empty database: class-default knobs over the whole node.

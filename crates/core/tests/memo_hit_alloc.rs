@@ -1,16 +1,19 @@
 //! A warm `best_pair` memo hit performs **zero heap allocations**: the
-//! sweep table stores each pair's wall-EDP winner at insert, so a hit is a
-//! shard probe, two reference-count bumps and an index, in either query
-//! orientation. A counting `#[global_allocator]` wraps the system
-//! allocator; the one test in this binary (kept alone so no sibling test
-//! allocates concurrently) sweeps a pair once, then asserts that the
-//! following hits left the allocation counter where it was.
+//! winners table stores each swept pair's wall-EDP winner inline, so a hit
+//! is a shard probe and a 32-byte copy, in either query orientation, and
+//! it stays one after the pair's sweep was evicted. A counting
+//! `#[global_allocator]` wraps the system allocator; the one test in this
+//! binary (kept alone so no sibling test allocates concurrently) sweeps a
+//! pair once, then asserts that the following hits left the allocation
+//! counter where it was.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ecost_apps::{App, InputSize};
 use ecost_core::engine::EvalEngine;
+use ecost_core::features::Testbed;
+use ecost_core::CacheBudget;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
@@ -65,4 +68,45 @@ fn warm_best_pair_hit_is_allocation_free() {
     assert_eq!(rev.config, cold.config.swapped());
     assert_eq!(fwd.metrics, cold.metrics);
     assert_eq!(rev.metrics, cold.metrics);
+
+    // After eviction: a 2-core node (400-point sweeps) under a 16-sweep
+    // budget, one slot per shard, so 64 further keys evict the pair's
+    // sweep; its winner stays in the unbounded winners table.
+    let tb = Testbed {
+        node: ecost_sim::NodeSpec {
+            cores: 2,
+            ..ecost_sim::NodeSpec::atom_c2758()
+        },
+        ..Testbed::atom()
+    };
+    let eng = EvalEngine::new(tb).with_cache_budget(CacheBudget {
+        sweeps: Some(16),
+        ..CacheBudget::unbounded()
+    });
+    let cold = eng.best_pair(wc, mb, st, mb).expect("pair sweep");
+    for i in 1..=64 {
+        eng.pair_sweep(wc, mb + f64::from(i), st, mb)
+            .expect("evicting sweep");
+    }
+    let s0 = eng.stats();
+    let before = ALLOCS.load(Ordering::SeqCst);
+    let fwd = eng.best_pair(wc, mb, st, mb).expect("winner hit");
+    let rev = eng.best_pair(st, mb, wc, mb).expect("winner hit, swapped");
+    let after = ALLOCS.load(Ordering::SeqCst);
+    assert_eq!(
+        after - before,
+        0,
+        "two winner hits after eviction allocated {} times",
+        after - before
+    );
+    let s1 = eng.stats();
+    assert_eq!((s1.hits - s0.hits, s1.misses - s0.misses), (2, 0));
+    assert_eq!(s1.runs_simulated, s0.runs_simulated);
+    assert_eq!(fwd.config, cold.config);
+    assert_eq!(rev.config, cold.config.swapped());
+    assert_eq!(fwd.metrics, cold.metrics);
+    assert_eq!(rev.metrics, cold.metrics);
+    // The sweep really was gone: asking for it re-sweeps.
+    eng.pair_sweep(wc, mb, st, mb).expect("re-sweep");
+    assert_eq!(eng.stats().misses, s1.misses + 1);
 }
