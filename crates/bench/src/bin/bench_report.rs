@@ -26,8 +26,12 @@
 //! ns per `best_pair` hit answered from the winners table, and ns per hit
 //! reading the same winner through the sweep table (`pair_sweep(..)
 //! .best()`, the walk a winner hit skips), timed in interleaved rounds on
-//! the same resident keys. The two ns figures are information only; the
-//! trend row carries their same-run ratio, which `trend_check` gates.
+//! the same resident keys. Above the engine, the **service memo-hit**
+//! ledger (`service_hits`) times a warm `TuningService::decide` under the
+//! default service limits on the same keys, in the same rounds. The ns
+//! figures are information only; the trend row carries two same-run
+//! ratios, which `trend_check` gates: sweep-table over winner ns, and
+//! winner over decide ns (the engine's share of a warm decision).
 //!
 //! The sweep kernels are timed in up to three arms of identical shape: the
 //! *baseline* arm drives the frozen pre-refactor executor
@@ -80,9 +84,12 @@ use ecost_bench::BenchError;
 use ecost_core::engine::{EvalEngine, PhaseBreakdown, RetryPolicy};
 use ecost_core::features::Testbed;
 use ecost_core::mapping::{run_stream, Decisions, FaultSetup, OpenArrival, OpenOptions};
+use ecost_core::{DecisionTier, ServiceConfig, ServiceError, TuningRequest, TuningService};
 use ecost_mapreduce::reference::{run_colocated_reference, run_standalone_reference};
 use ecost_mapreduce::{JobSpec, PairConfig, TuningConfig, MAX_BATCH_LANES};
-use ecost_sim::{solve_lanes, AmvaScratch, ClassDemand, FaultPlan, FixedClasses, SimdBackend};
+use ecost_sim::{
+    solve_lanes, AmvaScratch, ClassDemand, FaultPlan, FixedClasses, ServiceFaultSpec, SimdBackend,
+};
 use ecost_telemetry::{Recorder, TraceEvent};
 use rayon::prelude::*;
 use std::fmt::Write as _;
@@ -92,7 +99,7 @@ use std::time::Instant;
 /// Report schema version. Bump when the `BENCH_sim.json` shape changes
 /// (new sections or renamed keys), never for additive arm entries inside
 /// an existing section; the pinned unit test makes bumps deliberate.
-const SCHEMA: &str = "ecost-bench-sim/7";
+const SCHEMA: &str = "ecost-bench-sim/8";
 
 /// One timed measurement arm.
 #[derive(Debug, Clone, Copy)]
@@ -592,9 +599,11 @@ fn amva_kernel<const NC: usize, const S: usize>(
     })
 }
 
-/// Memo-hit cost of one engine on the same resident pair keys, timed in
-/// both arms: the winners table ([`EvalEngine::best_pair`]) and the sweep
-/// table ([`EvalEngine::pair_sweep`] + [`ecost_core::engine::PairSweep::best`]).
+/// Memo-hit cost on the same resident pair keys, timed in three arms: the
+/// winners table ([`EvalEngine::best_pair`]), the sweep table
+/// ([`EvalEngine::pair_sweep`] + [`ecost_core::engine::PairSweep::best`]),
+/// and a warm [`TuningService::decide`] under the default service limits,
+/// which answers from the winners table.
 #[derive(Debug, Clone, Copy)]
 struct HitTiming {
     keys: usize,
@@ -603,12 +612,16 @@ struct HitTiming {
     /// Fastest round, ns per hit.
     winner_ns: f64,
     sweep_ns: f64,
+    decide_ns: f64,
     /// Median over rounds of the same-round ratio `sweep_ns / winner_ns`.
     speedup: f64,
+    /// Median over rounds of the same-round ratio `winner_ns / decide_ns`:
+    /// the engine's share of a warm decision.
+    engine_share: f64,
 }
 
 impl HitTiming {
-    fn json(&self) -> String {
+    fn engine_json(&self) -> String {
         format!(
             "{{\n    \"keys\": {},\n    \"hits_per_round\": {},\n    \
              \"winner_ns_per_hit\": {:.1},\n    \"sweep_ns_per_hit\": {:.1},\n    \
@@ -616,12 +629,31 @@ impl HitTiming {
             self.keys, self.hits, self.winner_ns, self.sweep_ns, self.speedup
         )
     }
+
+    fn service_json(&self) -> String {
+        format!(
+            "{{\n    \"keys\": {},\n    \"hits_per_round\": {},\n    \
+             \"decide_ns_per_hit\": {:.1},\n    \"winner_ns_per_hit\": {:.1},\n    \
+             \"engine_share\": {:.3}\n  }}",
+            self.keys, self.hits, self.decide_ns, self.winner_ns, self.engine_share
+        )
+    }
+}
+
+/// One arm of [`engine_hits`].
+#[derive(Debug, Clone, Copy)]
+enum HitArm {
+    Winner,
+    Sweep,
+    Decide,
 }
 
 /// Sweep `keys` Gp × St pairs (one input size each) into a fresh engine,
 /// then time `reps` passes over them per arm for `rounds` rounds, rotating
-/// which arm goes first. Every timed call must be a hit: a miss or a
-/// simulated run is an error, not a slow sample.
+/// which arm goes first. Decisions arrive ten simulated seconds apart, so
+/// each finds a free simulated worker and is granted a full sweep. Every
+/// timed call must be a hit: a miss, a simulated run or a decision on any
+/// other tier is an error, not a slow sample.
 fn engine_hits(keys: u32, reps: usize, rounds: usize) -> Result<HitTiming, BenchError> {
     let eng = EvalEngine::atom();
     let (a, b) = (App::Gp.profile(), App::St.profile());
@@ -630,35 +662,73 @@ fn engine_hits(keys: u32, reps: usize, rounds: usize) -> Result<HitTiming, Bench
     for &x in &sizes {
         eng.best_pair(a, x, b, mb)?;
     }
+    let service_err = |e: ServiceError| BenchError::Invalid(format!("service hit arm: {e}"));
+    let svc = TuningService::new(&eng, ServiceConfig::default(), ServiceFaultSpec::healthy(0))
+        .map_err(service_err)?;
+    let mut seq = 0u64;
     let hits = reps * sizes.len();
-    let pass = |winner: bool| -> Result<f64, BenchError> {
+    let mut pass = |arm: HitArm| -> Result<f64, BenchError> {
         let t0 = Instant::now();
         for _ in 0..reps {
             for &x in &sizes {
-                let run = if winner {
-                    eng.best_pair(a, x, b, mb)?
-                } else {
-                    eng.pair_sweep(a, x, b, mb)?.best()
-                };
-                std::hint::black_box(run);
+                match arm {
+                    HitArm::Winner => {
+                        std::hint::black_box(eng.best_pair(a, x, b, mb)?);
+                    }
+                    HitArm::Sweep => {
+                        std::hint::black_box(eng.pair_sweep(a, x, b, mb)?.best());
+                    }
+                    HitArm::Decide => {
+                        let req = TuningRequest::pair(
+                            seq,
+                            seq as f64 * 10.0,
+                            60.0,
+                            (App::Gp, x),
+                            (App::St, mb),
+                        );
+                        seq += 1;
+                        let d = svc.decide(&req).map_err(service_err)?;
+                        if d.tier != DecisionTier::FullSweep || d.degraded {
+                            return Err(BenchError::Invalid(format!(
+                                "service hit arm got a {} decision (degraded: {})",
+                                d.tier.name(),
+                                d.degraded
+                            )));
+                        }
+                        std::hint::black_box(d);
+                    }
+                }
             }
         }
         Ok(t0.elapsed().as_nanos() as f64 / hits as f64)
     };
     let before = eng.stats();
-    let (mut winner_ns, mut sweep_ns) = (f64::INFINITY, f64::INFINITY);
-    let mut ratios = Vec::with_capacity(rounds);
+    let (mut winner_ns, mut sweep_ns, mut decide_ns) =
+        (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+    let (mut ratios, mut shares) = (Vec::with_capacity(rounds), Vec::with_capacity(rounds));
     for round in 0..rounds {
-        let (w, s) = if round % 2 == 0 {
-            let w = pass(true)?;
-            (w, pass(false)?)
-        } else {
-            let s = pass(false)?;
-            (pass(true)?, s)
+        let (w, s, d) = match round % 3 {
+            0 => {
+                let w = pass(HitArm::Winner)?;
+                let s = pass(HitArm::Sweep)?;
+                (w, s, pass(HitArm::Decide)?)
+            }
+            1 => {
+                let s = pass(HitArm::Sweep)?;
+                let d = pass(HitArm::Decide)?;
+                (pass(HitArm::Winner)?, s, d)
+            }
+            _ => {
+                let d = pass(HitArm::Decide)?;
+                let w = pass(HitArm::Winner)?;
+                (w, pass(HitArm::Sweep)?, d)
+            }
         };
         winner_ns = winner_ns.min(w);
         sweep_ns = sweep_ns.min(s);
+        decide_ns = decide_ns.min(d);
         ratios.push(s / w);
+        shares.push(w / d);
     }
     let after = eng.stats();
     if after.misses != before.misses || after.runs_simulated != before.runs_simulated {
@@ -673,7 +743,9 @@ fn engine_hits(keys: u32, reps: usize, rounds: usize) -> Result<HitTiming, Bench
         hits,
         winner_ns,
         sweep_ns,
+        decide_ns,
         speedup: median_ratio(ratios)?,
+        engine_share: median_ratio(shares)?,
     })
 }
 
@@ -961,7 +1033,7 @@ fn run(opts: Options) -> Result<(), BenchError> {
 
     let hit_cost = if arms.batched {
         let (keys, reps) = if quick { (2, 2_000) } else { (8, 20_000) };
-        eprintln!("[bench_report] engine memo hits: {keys} keys, {rounds} rounds…");
+        eprintln!("[bench_report] engine and service memo hits: {keys} keys, {rounds} rounds…");
         Some(engine_hits(keys, reps, rounds)?)
     } else {
         None
@@ -1029,7 +1101,8 @@ fn run(opts: Options) -> Result<(), BenchError> {
     let _ = writeln!(out, "    \"two_class\": {}", two_class.json());
     let _ = writeln!(out, "  }},");
     if let Some(h) = &hit_cost {
-        let _ = writeln!(out, "  \"engine_hits\": {},", h.json());
+        let _ = writeln!(out, "  \"engine_hits\": {},", h.engine_json());
+        let _ = writeln!(out, "  \"service_hits\": {},", h.service_json());
     }
     if arms.batched {
         eprintln!("[bench_report] phase breakdown: sweep path, 1 thread…");
@@ -1078,7 +1151,12 @@ fn run(opts: Options) -> Result<(), BenchError> {
         .iter()
         .filter_map(|&(key, arm)| arm.map(|a| (key, a.sims_per_s(), 1)))
         .chain(scalars.iter().map(|&(key, v)| (key, v, 3)))
-        .chain(hit_cost.map(|h| ("engine_winner_hit_speedup", h.speedup, 3)))
+        .chain(hit_cost.iter().flat_map(|h| {
+            [
+                ("engine_winner_hit_speedup", h.speedup, 3),
+                ("service_hit_engine_share", h.engine_share, 3),
+            ]
+        }))
         .collect();
     let trend_path = ecost_bench::append_trend_row(
         quick,
@@ -1105,7 +1183,7 @@ mod tests {
         // Consumers (CI smoke, DESIGN.md §11, external dashboards) key on
         // this exact string; a shape change must bump it here on purpose,
         // in the same commit that documents the new shape.
-        assert_eq!(SCHEMA, "ecost-bench-sim/7");
+        assert_eq!(SCHEMA, "ecost-bench-sim/8");
     }
 
     fn args(list: &[&str]) -> Vec<String> {

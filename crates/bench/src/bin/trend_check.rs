@@ -35,14 +35,16 @@ use std::process::ExitCode;
 /// Headline keys a row may carry (absent arms and keys are skipped):
 /// throughputs and ratios, where higher is better, and `*_ns_per_iter`
 /// kernel latencies (the scalar AMVA kernels and the lane kernel), where
-/// lower is better. The engine's memo-hit costs are gated only through
-/// their same-run ratio (`engine_winner_hit_speedup`: ns per sweep-table
-/// hit over ns per winners-table hit); the ns figures themselves stay in
+/// lower is better. The engine's and the service's memo-hit costs are
+/// gated only through same-run ratios (`engine_winner_hit_speedup`: ns per
+/// sweep-table hit over ns per winners-table hit;
+/// `service_hit_engine_share`: ns per winners-table hit over ns per warm
+/// `TuningService::decide`); the ns figures themselves stay in
 /// `BENCH_sim.json` as information. Keys of retired arms
 /// (`pair_batch_resident`, `pair_warm_start`, `sched_baseline`,
 /// `sched_optimized`, `sched_batched`) may linger in older rows; they are
 /// not listed, so they never gate.
-const METRICS: [&str; 22] = [
+const METRICS: [&str; 23] = [
     "solo_baseline_sims_per_s",
     "solo_optimized_sims_per_s",
     "solo_batched_sims_per_s",
@@ -65,6 +67,7 @@ const METRICS: [&str; 22] = [
     "amva_2c_lanes_ns_per_iter",
     "amva_2c_lanes_speedup",
     "engine_winner_hit_speedup",
+    "service_hit_engine_share",
 ];
 
 /// Whether a rise (rather than a drop) in `key` is the regression.
@@ -464,6 +467,35 @@ mod tests {
         match check(&path, 0.10) {
             Err(BenchError::Invalid(msg)) => {
                 assert!(msg.contains("engine_winner_hit_speedup"), "{msg}")
+            }
+            other => panic!("expected Invalid regression, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn service_hit_share_gates_on_a_drop() {
+        let mk = |commit: &str, share: f64| {
+            format!(
+                r#"{{"schema":"ecost-bench-trend/1","commit":"{commit}","mode":"full","arms":"all","threads":1,"simd":"on","service_hit_engine_share":{share:.3}}}"#
+            )
+        };
+        let rows = [mk("a", 0.52), mk("b", 0.55), mk("c", 0.50)];
+        // A larger share (the service's own cost shrank) passes, as does
+        // noise.
+        for (name, share) in [("svc_share_up.jsonl", 0.80), ("svc_share_ok.jsonl", 0.48)] {
+            let new = mk("d", share);
+            let path = write_store(name, &[&rows[0], &rows[1], &rows[2], &new]);
+            assert!(check(&path, 0.10).is_ok(), "{share}");
+        }
+        // The service layer's cost doubled against the engine's: a drop.
+        let new = mk("e", 0.30);
+        let path = write_store(
+            "svc_share_drop.jsonl",
+            &[&rows[0], &rows[1], &rows[2], &new],
+        );
+        match check(&path, 0.10) {
+            Err(BenchError::Invalid(msg)) => {
+                assert!(msg.contains("service_hit_engine_share"), "{msg}")
             }
             other => panic!("expected Invalid regression, got {other:?}"),
         }

@@ -29,7 +29,8 @@ pub use retry::RetryPolicy;
 
 use crate::features::Testbed;
 use cache::ShardedCache;
-use ecost_apps::AppProfile;
+use ecost_apps::catalog::ALL_APPS;
+use ecost_apps::{AppClass, AppProfile};
 use ecost_mapreduce::executor::JobOutcome;
 use ecost_mapreduce::{
     run_batch_to_completion, BatchScratch, JobMetrics, JobSpec, NodeSim, PairConfig, PairMetrics,
@@ -40,7 +41,7 @@ use ecost_telemetry::{Counter, Event, Recorder, Registry};
 use pool::SimPool;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Lane windows one sweep span drives between pool checkouts.
@@ -384,20 +385,12 @@ impl Fnv {
             self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
-
-    fn f64(&mut self, x: f64) {
-        self.bytes(&x.to_bits().to_le_bytes());
-    }
 }
 
-/// Fingerprint of an application profile: name plus the bit patterns of
-/// every numeric demand field. Two profiles with the same name but
-/// perturbed demands (e.g. noisy clones) therefore key separately.
-fn fingerprint(p: &AppProfile) -> u64 {
-    let mut h = Fnv::new();
-    h.bytes(p.name.as_bytes());
-    h.bytes(&[p.class as u8]);
-    for x in [
+/// Bit patterns of a profile's 14 numeric demand fields, in the order
+/// [`fingerprint`] folds them.
+fn demand_bits(p: &AppProfile) -> [u64; 14] {
+    [
         p.map_cycles_per_mb,
         p.task_overhead_cycles,
         p.map_selectivity,
@@ -412,10 +405,67 @@ fn fingerprint(p: &AppProfile) -> u64 {
         p.branch_misp_pct,
         p.working_set_frac,
         p.footprint_base_mb,
-    ] {
-        h.f64(x);
+    ]
+    .map(f64::to_bits)
+}
+
+/// FNV-1a over the name, the class and the demand bit patterns.
+fn fnv_fingerprint(name: &str, class: AppClass, bits: &[u64; 14]) -> u64 {
+    let mut h = Fnv::new();
+    h.bytes(name.as_bytes());
+    h.bytes(&[class as u8]);
+    for x in bits {
+        h.bytes(&x.to_le_bytes());
     }
     h.0
+}
+
+/// The 11 catalog profiles' fingerprints, hashed once per process, in
+/// [`ALL_APPS`] order.
+struct CatalogFingerprints {
+    /// Each profile's first demand field (`map_cycles_per_mb`) bits,
+    /// packed into two cache lines. No two catalog profiles share it, so
+    /// one short scan finds the only entry a profile can match.
+    first: [u64; 11],
+    fp: [u64; 11],
+}
+
+static CATALOG_FINGERPRINTS: OnceLock<CatalogFingerprints> = OnceLock::new();
+
+fn catalog_fingerprints() -> &'static CatalogFingerprints {
+    CATALOG_FINGERPRINTS.get_or_init(|| CatalogFingerprints {
+        first: ALL_APPS.map(|app| app.profile().map_cycles_per_mb.to_bits()),
+        fp: ALL_APPS.map(|app| {
+            let p = app.profile();
+            fnv_fingerprint(p.name, p.class, &demand_bits(p))
+        }),
+    })
+}
+
+/// Fingerprint of an application profile: name plus the bit patterns of
+/// every numeric demand field. Two profiles with the same name but
+/// perturbed demands (e.g. noisy clones) therefore key separately.
+///
+/// A profile whose fingerprinted fields equal a catalog entry's (the
+/// catalog profile itself, or any clone of it) reuses that entry's
+/// precomputed value; any other profile is hashed. Both give the same
+/// value, so memo keys, shard choice and eviction order do not depend on
+/// which path answered.
+fn fingerprint(p: &AppProfile) -> u64 {
+    let bits = demand_bits(p);
+    let catalog = catalog_fingerprints();
+    catalog
+        .first
+        .iter()
+        .position(|&first| first == bits[0])
+        .filter(|&i| {
+            let c = ALL_APPS[i].profile();
+            demand_bits(c) == bits && c.class == p.class && c.name == p.name
+        })
+        .map_or_else(
+            || fnv_fingerprint(p.name, p.class, &bits),
+            |i| catalog.fp[i],
+        )
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -1307,13 +1357,65 @@ mod tests {
     use super::*;
     use ecost_apps::{App, InputSize};
 
+    /// The catalog's fingerprints as the byte-at-a-time FNV-1a gave them
+    /// before they were precomputed: memo keys, shard choice and CLOCK
+    /// eviction order all rest on these values.
+    const PINNED_FINGERPRINTS: [(App, u64); 11] = [
+        (App::Wc, 0xa07e_1b55_4578_3b3c),
+        (App::St, 0x91c3_5ffd_0827_a1bd),
+        (App::Gp, 0x5381_e51c_021a_c470),
+        (App::Ts, 0x8954_3907_3560_ea8b),
+        (App::Nb, 0xe703_c1ff_10a2_9bf3),
+        (App::Fp, 0x5a46_5d68_2afd_f69e),
+        (App::Cf, 0xc3d5_7f97_2a39_28a1),
+        (App::Svm, 0x98ae_cfcd_9df2_02a2),
+        (App::Pr, 0x0528_3af2_9cde_d9cc),
+        (App::Hmm, 0x3d80_dbc2_14c5_1f33),
+        (App::Km, 0x4e99_76fe_ab8e_018d),
+    ];
+
+    fn uncached(p: &AppProfile) -> u64 {
+        fnv_fingerprint(p.name, p.class, &demand_bits(p))
+    }
+
+    #[test]
+    fn catalog_fingerprints_equal_the_uncached_fnv() {
+        let table = catalog_fingerprints();
+        for ((&fp, app), (pinned_app, pinned)) in
+            table.fp.iter().zip(ALL_APPS).zip(PINNED_FINGERPRINTS)
+        {
+            let p = app.profile();
+            assert_eq!(app, pinned_app);
+            assert_eq!(fp, uncached(p), "{}", p.name);
+            assert_eq!(fp, pinned, "{}", p.name);
+            assert_eq!(fingerprint(p), pinned, "{}", p.name);
+            assert_eq!(fingerprint(&p.clone()), pinned, "a clone of {}", p.name);
+        }
+        // One scan of the packed first fields finds every catalog entry.
+        let mut first = table.first.to_vec();
+        first.sort_unstable();
+        first.dedup();
+        assert_eq!(first.len(), ALL_APPS.len());
+    }
+
     #[test]
     fn fingerprint_separates_perturbed_profiles() {
         let p = App::Wc.profile();
+        let cached = fingerprint(p);
         let mut q = p.clone();
         q.llc_mpki *= 1.01;
-        assert_ne!(fingerprint(p), fingerprint(&q));
+        assert_ne!(fingerprint(&q), cached);
+        assert_eq!(fingerprint(&q), uncached(&q));
         assert_eq!(fingerprint(p), fingerprint(&p.clone()));
+        // Same name, class and size: still two solo memo entries.
+        let eng = EvalEngine::atom();
+        let mb = InputSize::Small.per_node_mb();
+        let cfg = TuningConfig::hadoop_default(8);
+        let a = eng.solo_metrics(p, mb, cfg).unwrap();
+        let b = eng.solo_metrics(&q, mb, cfg).unwrap();
+        let s = eng.stats();
+        assert_eq!((s.hits, s.misses, s.runs_simulated), (0, 2, 2));
+        assert_ne!(a, b);
     }
 
     #[test]

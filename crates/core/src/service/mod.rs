@@ -638,14 +638,21 @@ struct SvcCounters {
     queue_depth: Gauge,
 }
 
+/// The turnstile's state. `waiters` counts threads blocked on the
+/// turnstile condvar, so a request that advances `next_seq` wakes them
+/// only when there are any: an uncontended client makes no wake syscall.
 struct Gate {
     next_seq: u64,
+    waiters: usize,
     core: ServiceCore,
 }
 
+/// The real in-flight limiter's state; `waiters` counts threads blocked
+/// on the slot condvar, as [`Gate::waiters`] does for the turnstile.
 struct Slots {
     inflight: usize,
     peak: usize,
+    waiters: usize,
 }
 
 /// Thread-safe tuning daemon over a shared [`EvalEngine`].
@@ -665,6 +672,9 @@ pub struct TuningService<'e> {
     counters: SvcCounters,
     latency: Histogram,
     engine_fallbacks: AtomicU64,
+    /// Condvar wakes issued: `[turnstile, slot limiter]`.
+    #[cfg(test)]
+    wakes: [AtomicU64; 2],
 }
 
 fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -701,17 +711,24 @@ impl<'e> TuningService<'e> {
         })?;
         Ok(TuningService {
             engine,
-            gate: Mutex::new(Gate { next_seq: 0, core }),
+            gate: Mutex::new(Gate {
+                next_seq: 0,
+                waiters: 0,
+                core,
+            }),
             turnstile: Condvar::new(),
             slots: Mutex::new(Slots {
                 inflight: 0,
                 peak: 0,
+                waiters: 0,
             }),
             slots_cv: Condvar::new(),
             max_inflight,
             counters,
             latency,
             engine_fallbacks: AtomicU64::new(0),
+            #[cfg(test)]
+            wakes: [AtomicU64::new(0), AtomicU64::new(0)],
         })
     }
 
@@ -771,7 +788,9 @@ impl<'e> TuningService<'e> {
                     what: "sequence number already consumed",
                 });
             }
+            gate.waiters += 1;
             gate = self.turnstile.wait(gate).unwrap_or_else(|p| p.into_inner());
+            gate.waiters -= 1;
         }
         // From here on the sequence number is consumed no matter the
         // outcome, so later requests never deadlock on a failed one.
@@ -796,8 +815,16 @@ impl<'e> TuningService<'e> {
             Err(_) => {}
         }
         gate.next_seq += 1;
-        self.turnstile.notify_all();
+        // Every waiter registered under this lock before it slept, so a
+        // zero count means no thread can miss this advance; waiters that
+        // arrive later re-check `next_seq` under the lock first.
+        let wake = gate.waiters > 0;
         drop(gate);
+        if wake {
+            #[cfg(test)]
+            self.wakes[0].fetch_add(1, Ordering::Relaxed);
+            self.turnstile.notify_all();
+        }
         outcome
     }
 
@@ -909,7 +936,9 @@ impl<'e> TuningService<'e> {
         let limit = self.max_inflight?;
         let mut slots = relock(&self.slots);
         while slots.inflight >= limit {
+            slots.waiters += 1;
             slots = self.slots_cv.wait(slots).unwrap_or_else(|p| p.into_inner());
+            slots.waiters -= 1;
         }
         slots.inflight += 1;
         slots.peak = slots.peak.max(slots.inflight);
@@ -952,8 +981,13 @@ impl Drop for SlotGuard<'_, '_> {
     fn drop(&mut self) {
         let mut slots = relock(&self.svc.slots);
         slots.inflight = slots.inflight.saturating_sub(1);
+        let wake = slots.waiters > 0;
         drop(slots);
-        self.svc.slots_cv.notify_one();
+        if wake {
+            #[cfg(test)]
+            self.svc.wakes[1].fetch_add(1, Ordering::Relaxed);
+            self.svc.slots_cv.notify_one();
+        }
     }
 }
 
@@ -1129,5 +1163,175 @@ mod tests {
         assert_eq!(log_a, log_b);
         assert_eq!(rep_a, rep_b);
         assert!(rep_a.decided > 0);
+    }
+
+    /// Requests per phase of the wake tests.
+    const THREADS: u64 = 16;
+
+    /// An engine on a 2-core node: its 400-point pair sweeps keep the
+    /// wake tests cheap in debug builds.
+    fn small_engine() -> EvalEngine {
+        EvalEngine::new(crate::features::Testbed {
+            node: ecost_sim::NodeSpec {
+                cores: 2,
+                ..ecost_sim::NodeSpec::atom_c2758()
+            },
+            ..crate::features::Testbed::atom()
+        })
+    }
+
+    /// One real slot (and one simulated worker).
+    fn one_slot(engine: &EvalEngine) -> TuningService<'_> {
+        let cfg = ServiceConfig {
+            max_inflight: Some(1),
+            ..ServiceConfig::default()
+        };
+        match TuningService::new(engine, cfg, ServiceFaultSpec::healthy(7)) {
+            Ok(svc) => svc,
+            Err(e) => panic!("service construction failed: {e}"),
+        }
+    }
+
+    /// Pair requests `seqs`, `gap_s` simulated seconds apart, over two
+    /// pair keys.
+    fn pair_requests(seqs: std::ops::Range<u64>, gap_s: f64) -> Vec<TuningRequest> {
+        seqs.map(|seq| {
+            let app = [App::Wc, App::Gp][seq as usize % 2];
+            TuningRequest::pair(
+                seq,
+                seq as f64 * gap_s,
+                60.0,
+                (app, 256.0),
+                (App::St, 256.0),
+            )
+        })
+        .collect()
+    }
+
+    fn outcome(res: Result<TuningDecision, ServiceError>) -> String {
+        match res {
+            Ok(d) => format!(
+                "{}|{:?}|{}|{}|{}|{}",
+                d.tier.name(),
+                d.config,
+                d.queued_s.to_bits(),
+                d.service_s.to_bits(),
+                d.retries,
+                d.degraded
+            ),
+            Err(e) => format!("err:{e:?}"),
+        }
+    }
+
+    /// Wakes issued so far: `[turnstile, slot limiter]`.
+    fn wakes(svc: &TuningService<'_>) -> [u64; 2] {
+        [0, 1].map(|i| svc.wakes[i].load(Ordering::SeqCst))
+    }
+
+    /// Poll until `count()` reaches `n`; the caller's watchdog bounds it.
+    fn wait_for(n: usize, count: impl Fn() -> usize) {
+        while count() < n {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+    }
+
+    /// Run `f` on its own thread and fail if it takes over 60 s: a lost
+    /// wake hangs its run, and must fail the test rather than hang it.
+    fn watchdog<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        use std::sync::mpsc::RecvTimeoutError;
+        let (tx, rx) = std::sync::mpsc::channel();
+        let run = std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        match rx.recv_timeout(std::time::Duration::from_secs(60)) {
+            Ok(v) => {
+                let _ = run.join();
+                v
+            }
+            Err(RecvTimeoutError::Disconnected) => match run.join() {
+                Err(panic) => std::panic::resume_unwind(panic),
+                Ok(()) => panic!("the run ended without a result"),
+            },
+            Err(RecvTimeoutError::Timeout) => {
+                panic!("the run did not finish within 60 s: a lost wake?")
+            }
+        }
+    }
+
+    /// Decide `reqs` one after another from the calling thread.
+    fn sequential(svc: &TuningService<'_>, reqs: &[TuningRequest]) -> Vec<String> {
+        reqs.iter().map(|r| outcome(svc.decide(r))).collect()
+    }
+
+    /// Decide `reqs` (whose first is the turnstile's next sequence number)
+    /// on one thread each, spawned in reverse sequence order, so that both
+    /// condvars have waiters: the test holds the only slot until every
+    /// other request waits at the turnstile, then until every request
+    /// waits for the slot. Every request must be granted a tier.
+    fn contended(svc: &TuningService<'_>, reqs: &[TuningRequest]) -> Vec<String> {
+        std::thread::scope(|s| {
+            let held = svc.acquire_slot();
+            let mut handles: Vec<_> = reqs[1..]
+                .iter()
+                .rev()
+                .map(|r| s.spawn(move || outcome(svc.decide(r))))
+                .collect();
+            wait_for(reqs.len() - 1, || relock(&svc.gate).waiters);
+            handles.push(s.spawn(|| outcome(svc.decide(&reqs[0]))));
+            wait_for(reqs.len(), || relock(&svc.slots).waiters);
+            drop(held);
+            let mut out: Vec<String> = handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|_| "panicked".into()))
+                .collect();
+            // Spawned as seq n-1, …, 1, 0.
+            out.reverse();
+            out
+        })
+    }
+
+    #[test]
+    fn contended_turnstile_and_slot_lose_no_wake() {
+        let (got, peak, woke) = watchdog(|| {
+            let eng = small_engine();
+            let svc = one_slot(&eng);
+            let got = contended(&svc, &pair_requests(0..THREADS, 2.0));
+            (got, svc.inflight_peak(), wakes(&svc))
+        });
+        let eng = small_engine();
+        let want = sequential(&one_slot(&eng), &pair_requests(0..THREADS, 2.0));
+        assert_eq!(got, want, "answers must not depend on thread timing");
+        assert!(want.iter().all(|o| o.starts_with("full|")), "{want:?}");
+        assert!(
+            peak <= 1,
+            "in-flight peak {peak} exceeded the one-slot limit"
+        );
+        assert!(
+            woke[0] > 0 && woke[1] > 0,
+            "both condvars had waiters: {woke:?}"
+        );
+    }
+
+    #[test]
+    fn an_uncontended_client_wakes_no_one_even_after_contention() {
+        let (fresh, busy, after) = watchdog(|| {
+            let eng = small_engine();
+            let svc = one_slot(&eng);
+            let reqs = pair_requests(0..3 * THREADS, 10.0);
+            let (first, rest) = reqs.split_at(THREADS as usize);
+            let (middle, last) = rest.split_at(THREADS as usize);
+            sequential(&svc, first);
+            let fresh = wakes(&svc);
+            contended(&svc, middle);
+            let busy = wakes(&svc);
+            sequential(&svc, last);
+            (fresh, busy, wakes(&svc))
+        });
+        assert_eq!(fresh, [0, 0], "a lone client on a fresh service");
+        assert!(
+            busy[0] > 0 && busy[1] > 0,
+            "the contended phase woke: {busy:?}"
+        );
+        assert_eq!(after, busy, "a lone client after the contended phase");
     }
 }

@@ -1,7 +1,9 @@
 //! A warm `best_pair` memo hit performs **zero heap allocations**: the
 //! winners table stores each swept pair's wall-EDP winner inline, so a hit
 //! is a shard probe and a 32-byte copy, in either query orientation, and
-//! it stays one after the pair's sweep was evicted. A counting
+//! it stays one after the pair's sweep was evicted. The tuning service
+//! answers a warm pair request through that hit, so a warm
+//! `TuningService::decide` allocates nothing either. A counting
 //! `#[global_allocator]` wraps the system allocator; the one test in this
 //! binary (kept alone so no sibling test allocates concurrently) sweeps a
 //! pair once, then asserts that the following hits left the allocation
@@ -13,7 +15,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use ecost_apps::{App, InputSize};
 use ecost_core::engine::EvalEngine;
 use ecost_core::features::Testbed;
-use ecost_core::CacheBudget;
+use ecost_core::{
+    CacheBudget, DecidedConfig, DecisionTier, ServiceConfig, TuningRequest, TuningService,
+};
+use ecost_sim::ServiceFaultSpec;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
@@ -68,6 +73,39 @@ fn warm_best_pair_hit_is_allocation_free() {
     assert_eq!(rev.config, cold.config.swapped());
     assert_eq!(fwd.metrics, cold.metrics);
     assert_eq!(rev.metrics, cold.metrics);
+
+    // Warm service decisions: the deployed defaults (slot limiter,
+    // breaker, deadlines), requests ten simulated seconds apart so each
+    // finds a free worker and is granted a full sweep, answered from the
+    // winners table in either orientation.
+    let svc = TuningService::new(&eng, ServiceConfig::default(), ServiceFaultSpec::healthy(7))
+        .expect("service");
+    // Even sequence numbers ask for (wc, st), odd ones for (st, wc).
+    let request = |seq: u64| {
+        let [a, b] = [[App::Wc, App::St], [App::St, App::Wc]][seq as usize % 2];
+        TuningRequest::pair(seq, seq as f64 * 10.0, 60.0, (a, mb), (b, mb))
+    };
+    svc.decide(&request(0)).expect("first decision");
+    let s0 = eng.stats();
+    let mut decided = Vec::with_capacity(8);
+    let before = ALLOCS.load(Ordering::SeqCst);
+    for seq in 1..=8 {
+        decided.push(svc.decide(&request(seq)).expect("warm decision"));
+    }
+    let after = ALLOCS.load(Ordering::SeqCst);
+    assert_eq!(
+        after - before,
+        0,
+        "eight warm decide hits allocated {} times",
+        after - before
+    );
+    let s1 = eng.stats();
+    assert_eq!((s1.hits - s0.hits, s1.misses - s0.misses), (8, 0));
+    for (seq, d) in (1u64..).zip(&decided) {
+        assert_eq!(d.tier, DecisionTier::FullSweep);
+        let want = [cold.config, cold.config.swapped()][seq as usize % 2];
+        assert_eq!(d.config, DecidedConfig::Pair(want));
+    }
 
     // After eviction: a 2-core node (400-point sweeps) under a 16-sweep
     // budget, one slot per shard, so 64 further keys evict the pair's
