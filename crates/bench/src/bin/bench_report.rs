@@ -18,7 +18,8 @@
 //! iteration on the two shapes the executor produces (one job over 2
 //! stations, two jobs over 3), with the register-resident fixed-shape
 //! kernel, the runtime-shape loop and the lane kernel (ns per lane-
-//! iteration, 16 problems per call as the sweep path batches them) timed
+//! iteration, 16 problems per `solve_lanes` call as the sweep path
+//! batches them: two kernel calls, each two `f64x4` chains) timed
 //! interleaved on the same problems, so their paired ratios come from
 //! one run (`amva_kernel`).
 //!
@@ -55,7 +56,12 @@
 //! delta is tracked (`*_simd_off` keys in the trend row). A separate
 //! single-threaded instrumented pass ([`EvalEngine::set_phase_timing`])
 //! reports the measured phase breakdown of the sweep path (solve / outer
-//! / submit+reset / memo / event-loop) in the `phases` section.
+//! / submit+reset / memo / event-loop) in the `phases` section, with the
+//! full pair sweep's rate problems: how many were solved and how many
+//! were answered from a worker's reuse table. Those two are exact counts
+//! (the same on every one-thread run), so their ratio, `pair_reuse_share`,
+//! goes into the trend row and `trend_check` gates it on a drop, free of
+//! host drift: a reuse key that silently stops matching shows there.
 //!
 //! Flags: `--baseline` runs the baseline arms only (for A/B against an
 //! older build); `--no-batch` runs only the single-point and baseline
@@ -99,7 +105,7 @@ use std::time::Instant;
 /// Report schema version. Bump when the `BENCH_sim.json` shape changes
 /// (new sections or renamed keys), never for additive arm entries inside
 /// an existing section; the pinned unit test makes bumps deliberate.
-const SCHEMA: &str = "ecost-bench-sim/8";
+const SCHEMA: &str = "ecost-bench-sim/9";
 
 /// One timed measurement arm.
 #[derive(Debug, Clone, Copy)]
@@ -751,15 +757,36 @@ fn engine_hits(keys: u32, reps: usize, rounds: usize) -> Result<HitTiming, Bench
 
 /// One instrumented pass over a fresh engine — the full solo sweep plus
 /// the full pair sweep, every point a miss — with phase timing on.
-/// Returns the pass's wall nanoseconds and the drained breakdown.
-fn phase_pass(simd: bool, mb: f64) -> Result<(u64, PhaseBreakdown), BenchError> {
+/// Returns the pass's wall nanoseconds, the breakdown of the whole pass,
+/// and the pair sweep's own breakdown (its rate-problem counts).
+fn phase_pass(simd: bool, mb: f64) -> Result<(u64, PhaseBreakdown, PhaseBreakdown), BenchError> {
     let mut eng = EvalEngine::atom().with_simd(simd);
     eng.set_phase_timing(true);
     let t0 = Instant::now();
     eng.sweep_solo(App::Gp.profile(), mb)?;
+    let solo = eng.take_phase_breakdown();
     eng.pair_sweep(App::Gp.profile(), mb, App::St.profile(), mb)?;
     let wall_ns = t0.elapsed().as_nanos() as u64;
-    Ok((wall_ns, eng.take_phase_breakdown()))
+    let pair = eng.take_phase_breakdown();
+    let pass = PhaseBreakdown {
+        solve_ns: solo.solve_ns + pair.solve_ns,
+        outer_ns: solo.outer_ns + pair.outer_ns,
+        submit_reset_ns: solo.submit_reset_ns + pair.submit_reset_ns,
+        memo_ns: solo.memo_ns + pair.memo_ns,
+        event_loop_ns: solo.event_loop_ns + pair.event_loop_ns,
+        solved: solo.solved + pair.solved,
+        reused: solo.reused + pair.reused,
+    };
+    Ok((wall_ns, pass, pair))
+}
+
+/// Share of a sweep's rate problems answered from the reuse table.
+fn reuse_share(p: &PhaseBreakdown) -> f64 {
+    let total = p.solved + p.reused;
+    if total == 0 {
+        return 0.0;
+    }
+    p.reused as f64 / total as f64
 }
 
 /// Fraction of a pass's wall spent in simulator checkout/submit/reset and
@@ -773,8 +800,10 @@ fn submit_reset_memo_share(wall_ns: u64, p: &PhaseBreakdown) -> f64 {
 
 /// Measure the sweep path's phase breakdown on one thread (restoring the
 /// caller's `RAYON_NUM_THREADS`, so the summed per-thread buckets are
-/// directly comparable to the wall), and emit the `phases` section.
-fn measure_phases(out: &mut String, simd: bool, mb: f64) -> Result<(), BenchError> {
+/// directly comparable to the wall, and the rate-problem counts are those
+/// of one worker), and emit the `phases` section. Returns the full pair
+/// sweep's reuse share.
+fn measure_phases(out: &mut String, simd: bool, mb: f64) -> Result<f64, BenchError> {
     let prev = std::env::var("RAYON_NUM_THREADS").ok();
     std::env::set_var("RAYON_NUM_THREADS", "1");
     let pass = phase_pass(simd, mb);
@@ -782,21 +811,27 @@ fn measure_phases(out: &mut String, simd: bool, mb: f64) -> Result<(), BenchErro
         Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
         None => std::env::remove_var("RAYON_NUM_THREADS"),
     }
-    let (wall_ns, p) = pass?;
+    let (wall_ns, p, pair) = pass?;
+    let share = reuse_share(&pair);
     let _ = writeln!(
         out,
         "  \"phases\": {{\n    \"wall_s\": {:.4},\n    \"solve_ns\": {},\n    \
          \"outer_ns\": {},\n    \"submit_reset_ns\": {},\n    \"memo_ns\": {},\n    \
-         \"event_loop_ns\": {},\n    \"submit_reset_memo_share\": {:.4}\n  }},",
+         \"event_loop_ns\": {},\n    \"submit_reset_memo_share\": {:.4},\n    \
+         \"pair_rate_problems_solved\": {},\n    \"pair_rate_problems_reused\": {},\n    \
+         \"pair_reuse_share\": {:.4}\n  }},",
         wall_ns as f64 * 1e-9,
         p.solve_ns,
         p.outer_ns,
         p.submit_reset_ns,
         p.memo_ns,
         p.event_loop_ns,
-        submit_reset_memo_share(wall_ns, &p)
+        submit_reset_memo_share(wall_ns, &p),
+        pair.solved,
+        pair.reused,
+        share
     );
-    Ok(())
+    Ok(share)
 }
 
 /// Emit one kernel section: scalar extras, then every present arm, then
@@ -1104,10 +1139,12 @@ fn run(opts: Options) -> Result<(), BenchError> {
         let _ = writeln!(out, "  \"engine_hits\": {},", h.engine_json());
         let _ = writeln!(out, "  \"service_hits\": {},", h.service_json());
     }
-    if arms.batched {
+    let reuse = if arms.batched {
         eprintln!("[bench_report] phase breakdown: sweep path, 1 thread…");
-        measure_phases(&mut out, arms.simd, mb)?;
-    }
+        Some(measure_phases(&mut out, arms.simd, mb)?)
+    } else {
+        None
+    };
     let _ = writeln!(out, "  \"pool\": {{");
     let _ = writeln!(out, "    \"sims_created\": {},", pool.created);
     let _ = writeln!(out, "    \"sims_reused\": {},", pool.reused);
@@ -1157,6 +1194,7 @@ fn run(opts: Options) -> Result<(), BenchError> {
                 ("service_hit_engine_share", h.engine_share, 3),
             ]
         }))
+        .chain(reuse.map(|share| ("pair_reuse_share", share, 3)))
         .collect();
     let trend_path = ecost_bench::append_trend_row(
         quick,
@@ -1183,7 +1221,7 @@ mod tests {
         // Consumers (CI smoke, DESIGN.md §11, external dashboards) key on
         // this exact string; a shape change must bump it here on purpose,
         // in the same commit that documents the new shape.
-        assert_eq!(SCHEMA, "ecost-bench-sim/8");
+        assert_eq!(SCHEMA, "ecost-bench-sim/9");
     }
 
     fn args(list: &[&str]) -> Vec<String> {
@@ -1242,8 +1280,21 @@ mod tests {
             submit_reset_ns: 200,
             memo_ns: 100,
             event_loop_ns: 0,
+            solved: 0,
+            reused: 0,
         };
         assert!((submit_reset_memo_share(1000, &p) - 0.3).abs() < 1e-12);
         assert_eq!(submit_reset_memo_share(0, &p), 0.0);
+    }
+
+    #[test]
+    fn reuse_share_is_reused_over_all_rate_problems() {
+        let p = PhaseBreakdown {
+            solved: 300,
+            reused: 100,
+            ..PhaseBreakdown::default()
+        };
+        assert!((reuse_share(&p) - 0.25).abs() < 1e-12);
+        assert_eq!(reuse_share(&PhaseBreakdown::default()), 0.0);
     }
 }

@@ -40,11 +40,14 @@ use std::process::ExitCode;
 /// sweep-table hit over ns per winners-table hit;
 /// `service_hit_engine_share`: ns per winners-table hit over ns per warm
 /// `TuningService::decide`); the ns figures themselves stay in
-/// `BENCH_sim.json` as information. Keys of retired arms
+/// `BENCH_sim.json` as information. `pair_reuse_share` — the share of a
+/// full pair sweep's rate problems answered from the executor's reuse
+/// table on one thread — is an exact count ratio, not a timing, so a drop
+/// means a reuse key stopped matching, never host drift. Keys of retired arms
 /// (`pair_batch_resident`, `pair_warm_start`, `sched_baseline`,
 /// `sched_optimized`, `sched_batched`) may linger in older rows; they are
 /// not listed, so they never gate.
-const METRICS: [&str; 23] = [
+const METRICS: [&str; 24] = [
     "solo_baseline_sims_per_s",
     "solo_optimized_sims_per_s",
     "solo_batched_sims_per_s",
@@ -68,6 +71,7 @@ const METRICS: [&str; 23] = [
     "amva_2c_lanes_speedup",
     "engine_winner_hit_speedup",
     "service_hit_engine_share",
+    "pair_reuse_share",
 ];
 
 /// Whether a rise (rather than a drop) in `key` is the regression.
@@ -497,6 +501,31 @@ mod tests {
             Err(BenchError::Invalid(msg)) => {
                 assert!(msg.contains("service_hit_engine_share"), "{msg}")
             }
+            other => panic!("expected Invalid regression, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn pair_reuse_share_gates_on_a_drop() {
+        let mk = |commit: &str, share: f64| {
+            format!(
+                r#"{{"schema":"ecost-bench-trend/1","commit":"{commit}","mode":"full","arms":"all","threads":1,"simd":"on","pair_reuse_share":{share:.3}}}"#
+            )
+        };
+        let rows = [mk("a", 0.427), mk("b", 0.427), mk("c", 0.427)];
+        // The same count ratio, or more reuse, passes.
+        for (name, share) in [("reuse_same.jsonl", 0.427), ("reuse_up.jsonl", 0.52)] {
+            let new = mk("d", share);
+            let path = write_store(name, &[&rows[0], &rows[1], &rows[2], &new]);
+            assert!(check(&path, 0.10).is_ok(), "{share}");
+        }
+        // A key that stops matching (say, one that takes in a job's
+        // remaining work, which differs at every solve): a drop, which
+        // fails.
+        let new = mk("e", 0.20);
+        let path = write_store("reuse_drop.jsonl", &[&rows[0], &rows[1], &rows[2], &new]);
+        match check(&path, 0.10) {
+            Err(BenchError::Invalid(msg)) => assert!(msg.contains("pair_reuse_share"), "{msg}"),
             other => panic!("expected Invalid regression, got {other:?}"),
         }
     }

@@ -29,6 +29,11 @@
 //! eviction order — is reproducible run-to-run. The scale-out bench relies
 //! on this: CI replays the same seeded trace twice and byte-diffs the
 //! reports, including hit/miss/eviction counts.
+//!
+//! Each key is hashed once per operation: the shard comes from the seeded
+//! hash's low bits, and the shard's map reuses the same hash (its
+//! remaining bits, re-mixed) through a pass-through hasher, instead of
+//! running the byte-at-a-time FNV over the key a second time.
 
 use ecost_telemetry::Counter;
 use std::collections::HashMap;
@@ -76,10 +81,70 @@ impl Hasher for SeededFnv {
     }
 }
 
+/// A key with its seeded hash ([`SeededState`]), computed once per
+/// operation. Equality is the key's; hashing feeds only the stored hash
+/// to the shard map's [`PassThrough`] hasher.
+#[derive(Debug, Clone)]
+struct Hashed<K> {
+    hash: u64,
+    key: K,
+}
+
+impl<K: Eq> PartialEq for Hashed<K> {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash && self.key == other.key
+    }
+}
+
+impl<K: Eq> Eq for Hashed<K> {}
+
+impl<K> Hash for Hashed<K> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// `BuildHasher` of the shard maps: hands a [`Hashed`] key's stored hash
+/// through. The low bits chose the shard, so they are equal for every
+/// key of a shard; the map gets the bits above them, re-mixed with one
+/// multiply so its bucket index (low bits) and tag (high bits) both vary.
+#[derive(Debug, Clone, Copy, Default)]
+struct PassThrough;
+
+impl BuildHasher for PassThrough {
+    type Hasher = PassThroughHasher;
+
+    fn build_hasher(&self) -> PassThroughHasher {
+        PassThroughHasher(0)
+    }
+}
+
+/// The hasher [`PassThrough`] builds.
+#[derive(Debug)]
+struct PassThroughHasher(u64);
+
+impl Hasher for PassThroughHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        // Only `Hashed` keys reach a shard map, and they write one `u64`;
+        // fold anything else in rather than lose it.
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+
+    fn finish(&self) -> u64 {
+        (self.0 >> SHARDS.trailing_zeros()).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    }
+}
+
 /// One cache slot: the stored pair plus the CLOCK referenced bit.
 #[derive(Debug)]
 struct Slot<K, V> {
-    key: K,
+    key: Hashed<K>,
     value: V,
     referenced: bool,
 }
@@ -88,7 +153,7 @@ struct Slot<K, V> {
 /// plus the CLOCK hand. Unbounded shards simply never reach `cap`.
 #[derive(Debug)]
 struct Shard<K, V> {
-    map: HashMap<K, usize, SeededState>,
+    map: HashMap<Hashed<K>, usize, PassThrough>,
     slots: Vec<Slot<K, V>>,
     hand: usize,
     cap: usize,
@@ -97,7 +162,7 @@ struct Shard<K, V> {
 impl<K: Eq + Hash + Clone, V: Clone> Shard<K, V> {
     fn new(cap: usize) -> Shard<K, V> {
         Shard {
-            map: HashMap::with_hasher(SeededState),
+            map: HashMap::with_hasher(PassThrough),
             slots: Vec::new(),
             hand: 0,
             cap,
@@ -154,15 +219,25 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedCache<K, V> {
         }
     }
 
-    fn shard(&self, key: &K) -> &Mutex<Shard<K, V>> {
-        &self.shards[(self.hasher.hash_one(key) as usize) % SHARDS]
+    /// `key` with its seeded hash — the one hash an operation computes.
+    fn hashed(&self, key: &K) -> Hashed<K> {
+        Hashed {
+            hash: self.hasher.hash_one(key),
+            key: key.clone(),
+        }
+    }
+
+    /// The shard a hashed key lives in: its hash's low bits.
+    fn shard(&self, key: &Hashed<K>) -> &Mutex<Shard<K, V>> {
+        &self.shards[(key.hash as usize) % SHARDS]
     }
 
     /// Clone the cached value for `key`, if present. A hit marks the slot
     /// recently used for the CLOCK sweep.
     pub(crate) fn get(&self, key: &K) -> Option<V> {
-        let mut guard = self.shard(key).lock().unwrap_or_else(|e| e.into_inner());
-        let idx = guard.map.get(key).copied()?;
+        let key = self.hashed(key);
+        let mut guard = self.shard(&key).lock().unwrap_or_else(|e| e.into_inner());
+        let idx = guard.map.get(&key).copied()?;
         guard.slots[idx].referenced = true;
         Some(guard.slots[idx].value.clone())
     }
@@ -172,6 +247,7 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedCache<K, V> {
     /// concurrent duplicate computations converge on one shared value.
     /// A full bounded shard evicts one cold entry first.
     pub(crate) fn insert_or_keep(&self, key: K, value: V) -> V {
+        let key = self.hashed(&key);
         let mut guard = self.shard(&key).lock().unwrap_or_else(|e| e.into_inner());
         if let Some(idx) = guard.map.get(&key).copied() {
             guard.slots[idx].referenced = true;
@@ -207,20 +283,18 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedCache<K, V> {
     pub(crate) fn get_many(&self, keys: &[K], out: &mut Vec<Option<V>>) {
         out.clear();
         out.resize_with(keys.len(), || None);
-        let mut shard_of: Vec<u8> = Vec::with_capacity(keys.len());
+        let hashed: Vec<Hashed<K>> = keys.iter().map(|k| self.hashed(k)).collect();
         let mut touched = [false; SHARDS];
-        for key in keys {
-            let s = (self.hasher.hash_one(key) as usize) % SHARDS;
-            shard_of.push(s as u8);
-            touched[s] = true;
+        for key in &hashed {
+            touched[(key.hash as usize) % SHARDS] = true;
         }
         for (s, shard) in self.shards.iter().enumerate() {
             if !touched[s] {
                 continue;
             }
             let mut guard = shard.lock().unwrap_or_else(|e| e.into_inner());
-            for (i, key) in keys.iter().enumerate() {
-                if shard_of[i] as usize != s {
+            for (i, key) in hashed.iter().enumerate() {
+                if (key.hash as usize) % SHARDS != s {
                     continue;
                 }
                 if let Some(idx) = guard.map.get(key).copied() {
@@ -241,12 +315,10 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedCache<K, V> {
     pub(crate) fn insert_many(&self, entries: &[(K, V)], out: &mut Vec<V>) {
         out.clear();
         out.reserve(entries.len());
-        let mut shard_of: Vec<u8> = Vec::with_capacity(entries.len());
+        let hashed: Vec<Hashed<K>> = entries.iter().map(|(k, _)| self.hashed(k)).collect();
         let mut touched = [false; SHARDS];
-        for (key, _) in entries {
-            let s = (self.hasher.hash_one(key) as usize) % SHARDS;
-            shard_of.push(s as u8);
-            touched[s] = true;
+        for key in &hashed {
+            touched[(key.hash as usize) % SHARDS] = true;
         }
         let mut evicted = 0u64;
         // `out` must come back in input order, but each shard is visited
@@ -258,8 +330,8 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedCache<K, V> {
                 continue;
             }
             let mut guard = shard.lock().unwrap_or_else(|e| e.into_inner());
-            for (i, (key, value)) in entries.iter().enumerate() {
-                if shard_of[i] as usize != s {
+            for (i, (key, (_, value))) in hashed.iter().zip(entries).enumerate() {
+                if (key.hash as usize) % SHARDS != s {
                     continue;
                 }
                 if let Some(idx) = guard.map.get(key).copied() {
@@ -302,8 +374,9 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedCache<K, V> {
     /// referenced bit (a diagnostic probe, not a use).
     #[cfg(test)]
     pub(crate) fn contains(&self, key: &K) -> bool {
-        let guard = self.shard(key).lock().unwrap_or_else(|e| e.into_inner());
-        guard.map.contains_key(key)
+        let key = self.hashed(key);
+        let guard = self.shard(&key).lock().unwrap_or_else(|e| e.into_inner());
+        guard.map.contains_key(&key)
     }
 
     /// `key`'s CLOCK referenced bit, if resident, clearing it: a
@@ -311,8 +384,9 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedCache<K, V> {
     /// entry.
     #[cfg(test)]
     pub(crate) fn take_referenced(&self, key: &K) -> Option<bool> {
-        let mut guard = self.shard(key).lock().unwrap_or_else(|e| e.into_inner());
-        let idx = guard.map.get(key).copied()?;
+        let key = self.hashed(key);
+        let mut guard = self.shard(&key).lock().unwrap_or_else(|e| e.into_inner());
+        let idx = guard.map.get(&key).copied()?;
         Some(std::mem::take(&mut guard.slots[idx].referenced))
     }
 

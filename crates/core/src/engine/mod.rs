@@ -58,9 +58,10 @@ const SPAN_POINTS: usize = MAX_BATCH_LANES * WINDOWS_PER_SPAN;
 
 /// Wall-clock cost breakdown of the engine's sweep miss path, measured
 /// (not estimated) when phase timing is on ([`EvalEngine::set_phase_timing`])
-/// and drained with [`EvalEngine::take_phase_breakdown`]. All buckets are
-/// nanoseconds summed across windows and worker threads; buckets overlap
-/// wall time when sweeps run on several rayon workers.
+/// and drained with [`EvalEngine::take_phase_breakdown`]. The `*_ns`
+/// buckets are nanoseconds summed across windows and worker threads;
+/// buckets overlap wall time when sweeps run on several rayon workers. The
+/// two rate-problem counts are exact, and repeat run to run at one thread.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseBreakdown {
     /// Inside the lane-interleaved AMVA kernel.
@@ -73,6 +74,10 @@ pub struct PhaseBreakdown {
     pub memo_ns: u64,
     /// Event-loop bookkeeping between solves.
     pub event_loop_ns: u64,
+    /// Rate problems (one simulator's job mix) the sweep path solved.
+    pub solved: u64,
+    /// Rate problems it answered from a worker's reuse table instead.
+    pub reused: u64,
 }
 
 /// Relaxed atomic accumulators behind [`PhaseBreakdown`] — bumped from
@@ -84,6 +89,8 @@ struct PhaseNs {
     submit_reset: AtomicU64,
     memo: AtomicU64,
     event_loop: AtomicU64,
+    solved: AtomicU64,
+    reused: AtomicU64,
 }
 
 impl PhaseNs {
@@ -94,6 +101,8 @@ impl PhaseNs {
             submit_reset_ns: self.submit_reset.swap(0, Ordering::Relaxed),
             memo_ns: self.memo.swap(0, Ordering::Relaxed),
             event_loop_ns: self.event_loop.swap(0, Ordering::Relaxed),
+            solved: self.solved.swap(0, Ordering::Relaxed),
+            reused: self.reused.swap(0, Ordering::Relaxed),
         }
     }
 }
@@ -776,23 +785,66 @@ impl EvalEngine {
         }
     }
 
+    /// Solve a sweep's cache-missed `points`, one result per point in
+    /// point order: `submit` loads a point's job(s) into a lane and
+    /// `read_out` takes a finished lane's result.
+    ///
+    /// The points are cut into one contiguous run per rayon worker, each a
+    /// whole number of spans ([`SPAN_POINTS`]). A worker runs its spans
+    /// in order through [`Self::run_span`] with one [`BatchScratch`], so
+    /// the scratch's rate-solution reuse table carries over from span to
+    /// span: a recurring job mix is solved once per worker, not once per
+    /// span. Every lane stays bit-identical to a scalar run of its point.
+    fn run_sweep<P: Sync, T: Send>(
+        &self,
+        points: &[P],
+        submit: impl Fn(&mut NodeSim, &P) -> Result<(), SimError> + Sync,
+        read_out: impl Fn(&mut NodeSim) -> Result<T, SimError> + Sync,
+    ) -> Result<Vec<T>, EvalError> {
+        let spans = points.len().div_ceil(SPAN_POINTS);
+        let run_points = spans.div_ceil(rayon::current_num_threads()).max(1) * SPAN_POINTS;
+        // The shim's map is order-preserving, so flattening the runs
+        // restores point order.
+        let runs: Vec<&[P]> = points.chunks(run_points).collect();
+        let solved = runs
+            .into_par_iter()
+            .map(|run| {
+                let mut scratch = BatchScratch::new();
+                scratch.set_simd_backend(self.simd);
+                scratch.set_phase_timing(self.phase_timing);
+                let mut out = Vec::with_capacity(run.len());
+                for span in run.chunks(SPAN_POINTS) {
+                    self.run_span(span, &mut scratch, &submit, &read_out, &mut out)?;
+                }
+                Ok(out)
+            })
+            .collect::<Result<Vec<Vec<T>>, EvalError>>()?;
+        // Callers keep the result, so size it exactly.
+        let mut out = Vec::with_capacity(points.len());
+        for run in solved {
+            out.extend(run);
+        }
+        Ok(out)
+    }
+
     /// Solve one sweep *span* of cache-missed points in lane windows of
-    /// [`MAX_BATCH_LANES`]: `submit` loads a point's job(s) into a lane and
-    /// `read_out` takes a finished lane's result. The span's simulators are
+    /// [`MAX_BATCH_LANES`] on `scratch`, appending one result per point,
+    /// in span order, to `out`. The span's simulators are
     /// checked out once (the pool accounting for every run the span will
     /// serve), every window submits into the resident lanes, runs to
     /// completion and resets lane state in place, so the pool's lock and
     /// the multi-KB per-simulator moves are paid once per span instead of
     /// once per window. Every lane is bit-identical to a scalar run of the
     /// same point. On any failure the span's simulators are dropped,
-    /// mirroring [`Self::run_pooled`]'s error policy. Returns one result
-    /// per point, in span order.
+    /// mirroring [`Self::run_pooled`]'s error policy.
     fn run_span<P, T>(
         &self,
         span: &[P],
-        mut submit: impl FnMut(&mut NodeSim, &P) -> Result<(), SimError>,
-        mut read_out: impl FnMut(&mut NodeSim) -> Result<T, SimError>,
-    ) -> Result<Vec<T>, EvalError> {
+        scratch: &mut BatchScratch,
+        submit: impl Fn(&mut NodeSim, &P) -> Result<(), SimError>,
+        read_out: impl Fn(&mut NodeSim) -> Result<T, SimError>,
+        out: &mut Vec<T>,
+    ) -> Result<(), EvalError> {
         let timing = self.phase_timing;
         let mut sr_ns = 0u64;
         let mut timed = |t: Option<Instant>| {
@@ -817,10 +869,6 @@ impl EvalEngine {
             self.counters.sims_reused.add(reused_runs);
         }
         timed(t);
-        let mut scratch = BatchScratch::new();
-        scratch.set_simd_backend(self.simd);
-        scratch.set_phase_timing(timing);
-        let mut out = Vec::with_capacity(span.len());
         let run = (|| -> Result<(), SimError> {
             for window in span.chunks(MAX_BATCH_LANES) {
                 let lanes = &mut sims[..window.len()];
@@ -829,7 +877,7 @@ impl EvalEngine {
                     submit(sim, point)?;
                 }
                 timed(t);
-                run_batch_to_completion(lanes, &mut scratch)?;
+                run_batch_to_completion(lanes, scratch)?;
                 let t = timing.then(Instant::now);
                 for sim in lanes {
                     out.push(read_out(sim)?);
@@ -846,6 +894,8 @@ impl EvalEngine {
             self.phases
                 .event_loop
                 .fetch_add(p.event_ns, Ordering::Relaxed);
+            self.phases.solved.fetch_add(p.solved, Ordering::Relaxed);
+            self.phases.reused.fetch_add(p.reused, Ordering::Relaxed);
         }
         // Simulators from a failed span are dropped, never shelved — the
         // pool's half-advanced-state policy.
@@ -856,7 +906,7 @@ impl EvalEngine {
         if sr_ns > 0 {
             self.phases.submit_reset.fetch_add(sr_ns, Ordering::Relaxed);
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Record a fault event applied at simulated time `t_s` to a run
@@ -1010,38 +1060,30 @@ impl EvalEngine {
         }
         if !missing.is_empty() {
             let t0 = Instant::now();
-            // Consecutive misses form the lane windows, grouped into spans
-            // (one pool checkout each); the shim's map is order-preserving.
-            let spans: Vec<&[(usize, TuningConfig)]> = missing.chunks(SPAN_POINTS).collect();
-            let solved: Vec<Vec<JobOutcome>> = spans
-                .into_par_iter()
-                .map(|span| {
-                    // One template spec per span: the points differ only in
-                    // their tuning config, so cloning the template skips
-                    // re-deriving the label (a float format) for every lane.
-                    let template = JobSpec::from_profile(profile.clone(), input_mb, span[0].1);
-                    self.run_span(
-                        span,
-                        |sim, &(_, cfg)| {
-                            let mut spec = template.clone();
-                            spec.config = cfg;
-                            sim.submit(spec).map(drop)
-                        },
-                        // `pop_finished` leaves the finished list's capacity
-                        // with the resident simulator (`take_finished` would
-                        // steal it every run).
-                        |sim| {
-                            sim.pop_finished()
-                                .ok_or(SimError::Internal("one job submitted, none finished"))
-                        },
-                    )
-                })
-                .collect::<Result<_, EvalError>>()?;
+            // One template spec per sweep: the points differ only in their
+            // tuning config, so cloning the template skips re-deriving the
+            // label (a float format) for every lane.
+            let template = JobSpec::from_profile(profile.clone(), input_mb, missing[0].1);
+            let solved = self.run_sweep(
+                &missing,
+                |sim, &(_, cfg)| {
+                    let mut spec = template.clone();
+                    spec.config = cfg;
+                    sim.submit(spec).map(drop)
+                },
+                // `pop_finished` leaves the finished list's capacity with
+                // the resident simulator (`take_finished` would steal it
+                // every run).
+                |sim| {
+                    sim.pop_finished()
+                        .ok_or(SimError::Internal("one job submitted, none finished"))
+                },
+            )?;
             self.charge(missing.len() as u64, t0.elapsed().as_nanos() as u64);
             let t_memo = self.phase_timing.then(Instant::now);
             let entries: Vec<(SoloKey, Arc<JobOutcome>)> = missing
                 .iter()
-                .zip(solved.into_iter().flatten())
+                .zip(solved)
                 .map(|(&(i, _), out)| (keys[i], Arc::new(out)))
                 .collect();
             // Bulk insert under one lock acquisition per touched shard;
@@ -1214,20 +1256,19 @@ impl EvalEngine {
         };
         let t0 = Instant::now();
         let space = &self.pair_space;
-        // Lane windows grouped into spans (one pool checkout each); the
-        // shim's map is order-preserving, so flattening restores sweep
-        // order.
-        let spans: Vec<&[PairConfig]> = space.chunks(SPAN_POINTS).collect();
-        let spans = spans
-            .into_par_iter()
-            .map(|span| {
+        let metrics = match space.first() {
+            // A node too small to co-locate: the empty sweep fails below.
+            None => Vec::new(),
+            Some(first) => {
                 // Templates are point-invariant (the label depends only on
                 // profile and input share; the config is overwritten per
-                // lane), so one pair per span serves every lane.
-                let ta = JobSpec::from_profile(sa.clone(), sa_mb, span[0].a);
-                let tb = JobSpec::from_profile(sb.clone(), sb_mb, span[0].b);
-                self.run_span(
-                    span,
+                // lane), so one pair serves every lane.
+                let ta = JobSpec::from_profile(sa.clone(), sa_mb, first.a);
+                let tb = JobSpec::from_profile(sb.clone(), sb_mb, first.b);
+                // `run_sweep` sizes the result exactly: the sweep lives in
+                // the memo for the engine's lifetime.
+                self.run_sweep(
+                    space,
                     |sim, pc| {
                         let (mut ja, mut jb) = (ta.clone(), tb.clone());
                         ja.config = pc.a;
@@ -1246,16 +1287,9 @@ impl EvalEngine {
                             energy_j: sim.drain_finished_energy(),
                         })
                     },
-                )
-            })
-            .collect::<Result<Vec<Vec<PairMetrics>>, EvalError>>()?;
-        // The sweep lives in the memo for the engine's lifetime, so size it
-        // exactly: collecting the flattened spans grows by doubling, to
-        // 16 384 slots for 11 200 points.
-        let mut metrics = Vec::with_capacity(space.len());
-        for span in spans {
-            metrics.extend(span);
-        }
+                )?
+            }
+        };
         self.charge(space.len() as u64, t0.elapsed().as_nanos() as u64);
         let best = wall_edp_argmin(&metrics, self.idle_w())
             .ok_or(EvalError::EmptySweep { what: "pair sweep" })?;
@@ -2014,6 +2048,32 @@ mod tests {
             let want = fresh.pair_metrics(sa, mb, sb, mb, pc).unwrap();
             assert_eq!(run.metrics.makespan_s.to_bits(), want.makespan_s.to_bits());
             assert_eq!(run.metrics.energy_j.to_bits(), want.energy_j.to_bits());
+        }
+    }
+
+    #[test]
+    fn pair_sweep_keeps_one_reuse_table_per_worker() {
+        // A Gp × St sweep at 1 GB poses 67 200 rate problems, however they
+        // are answered. Each rayon worker runs its contiguous share of the
+        // spans on one batch scratch, so a job mix recurring anywhere in
+        // that share is solved once: 42.7 % of the problems come from the
+        // reuse table on one worker, 40.3 % on sixteen, while a table per
+        // span reaches 32.6 %.
+        let mut eng = EvalEngine::atom();
+        eng.set_phase_timing(true);
+        let mb = InputSize::Small.per_node_mb();
+        eng.pair_sweep(App::Gp.profile(), mb, App::St.profile(), mb)
+            .unwrap();
+        let p = eng.take_phase_breakdown();
+        assert_eq!(p.solved + p.reused, 67_200);
+        // With more workers each share shrinks toward one span.
+        if rayon::current_num_threads() <= 16 {
+            assert!(
+                p.reused * 100 > 37 * 67_200,
+                "{} of 67 200 rate problems reused on {} workers",
+                p.reused,
+                rayon::current_num_threads()
+            );
         }
     }
 

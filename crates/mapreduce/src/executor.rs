@@ -1290,27 +1290,34 @@ fn finalize<const N: usize>(
 
 /// Hard cap on simulators per batched window ([`run_batch_to_completion`]).
 ///
-/// Sixteen lanes: the AMVA lane kernel solves four problems per `f64x4`
-/// vector, so a full window is four vector chunks per outer round, and
-/// it still fills whole chunks as lanes whose coupling converged drop
-/// out. The per-round bookkeeping below stays in small fixed stack
-/// arrays.
+/// Sixteen lanes: the AMVA lane kernel solves eight problems per call
+/// (two `f64x4` vectors), so a full window is two kernel calls per outer
+/// round, and it still fills whole calls as lanes whose coupling
+/// converged drop out. The per-round bookkeeping below stays in small
+/// fixed stack arrays.
 pub const MAX_BATCH_LANES: usize = 16;
 
 /// Wall-clock breakdown of batched window execution, accumulated while
 /// phase timing is enabled ([`BatchScratch::set_phase_timing`]) and drained
-/// with [`BatchScratch::take_phases`]. All buckets are nanoseconds; timing
-/// never changes any simulated quantity.
+/// with [`BatchScratch::take_phases`]. The `*_ns` buckets are nanoseconds;
+/// timing never changes any simulated quantity. The two rate-problem
+/// counts are kept whether or not timing is on.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchPhases {
     /// Inside the AMVA lane kernel ([`ecost_sim::amva::solve_lanes`]).
     pub solve_ns: u64,
     /// Outer contention fixed-point bookkeeping around the kernel: class
-    /// builds, θ/slow coupling, convergence masking, finalize.
+    /// builds, θ/slow coupling, convergence masking, finalize, and the
+    /// reuse table's probes and stores.
     pub outer_ns: u64,
     /// Event-loop bookkeeping between solves: re-solve detection, event
     /// stepping, budgets, live-lane compaction.
     pub event_ns: u64,
+    /// Rate problems solved: a simulator's job mix whose contention model
+    /// ran, on the lane kernel or on the simulator's own solve.
+    pub solved: u64,
+    /// Rate problems answered from the scratch's reuse table instead.
+    pub reused: u64,
 }
 
 impl BatchPhases {
@@ -1319,27 +1326,363 @@ impl BatchPhases {
         self.solve_ns += other.solve_ns;
         self.outer_ns += other.outer_ns;
         self.event_ns += other.event_ns;
+        self.solved += other.solved;
+        self.reused += other.reused;
     }
 }
 
-/// Settings and phase timers for batched run windows
-/// ([`run_batch_to_completion`]): the AMVA lane kernel's backend and the
-/// optional phase breakdown. All per-lane solve state lives on the stack,
-/// so a scratch holds no buffers and a batched run allocates nothing.
+/// Direct-mapped slots of a [`BatchScratch`]'s reuse table, 368 B each
+/// (a 26-word key, a 20-word solution): with the 16-lane miss buffer,
+/// 127.1 KiB per scratch. Chosen by measurement on 15 full pair sweeps
+/// (DESIGN.md §11): 344 slots answer 44.6 % of all rate problems, 85 % of
+/// what an unbounded table would (52.4 %); 256 slots answer 42.2 %, 1024
+/// slots 49.5 %.
+const REUSE_SLOTS: usize = 344;
+
+/// Key words per job: slots and effective slots packed in one word, the
+/// straggler multiplier, and ten stage fields.
+const JOB_WORDS: usize = 12;
+
+/// Key words: a header (job count and stage kinds), the node's slowdown,
+/// and [`JOB_WORDS`] per job for up to two jobs.
+const KEY_WORDS: usize = 2 + 2 * JOB_WORDS;
+
+/// Words of a simulator's node context: its node spec, framework spec,
+/// NIC bandwidth and NIC power.
+const CONTEXT_WORDS: usize = 22;
+
+/// The exact bits of every per-mix input [`solve_into`] reads, for a mix
+/// of one or two jobs. A key with a zero header is an empty slot.
+type MixKey = [u64; KEY_WORDS];
+
+/// The key of `sim`'s current job mix, if the reuse table serves it: one
+/// or two jobs, at most one of them fluid (in a map or reduce stage).
+/// Mixes with two fluid jobs are almost never repeated in a sweep, so
+/// they are neither looked up nor stored.
+fn mix_key(sim: &NodeSim) -> Option<MixKey> {
+    let n = sim.active.len();
+    if n == 0 || n > 2 || sim.active.iter().filter(|j| j.stage().is_fluid()).count() > 1 {
+        return None;
+    }
+    let mut key = [0u64; KEY_WORDS];
+    key[0] = n as u64;
+    key[1] = sim.slowdown.to_bits();
+    for (j, job) in sim.active.iter().enumerate() {
+        // Exhaustive, so a new stage field is a compile error here until
+        // it is keyed or shown not to be a solve input. `tasks` (remaining
+        // work) is never read by the solve; `freq` is for reporting, its
+        // power effect is `dyn_factor`.
+        let Stage {
+            kind,
+            tasks: _,
+            slots,
+            think0_s,
+            io_mb,
+            read_frac,
+            nic_mb,
+            stall_frac,
+            bw_per_core_mbps,
+            footprint_mb,
+            dyn_factor,
+            extent_mb,
+            freq: _,
+            setup_s,
+        } = job.stage();
+        let kind: u64 = match kind {
+            crate::stage::StageKind::Setup => 1,
+            crate::stage::StageKind::Map => 2,
+            crate::stage::StageKind::Reduce => 3,
+        };
+        key[0] |= kind << (8 + 8 * j);
+        let words = &mut key[2 + j * JOB_WORDS..2 + (j + 1) * JOB_WORDS];
+        words[0] = u64::from(*slots) | u64::from(job.eff_slots()) << 32;
+        words[1] = job.straggler.to_bits();
+        for (w, v) in words[2..].iter_mut().zip([
+            think0_s,
+            io_mb,
+            read_frac,
+            nic_mb,
+            stall_frac,
+            bw_per_core_mbps,
+            footprint_mb,
+            dyn_factor,
+            extent_mb,
+            setup_s,
+        ]) {
+            *w = v.to_bits();
+        }
+    }
+    Some(key)
+}
+
+/// One odd multiplier per key word (SplitMix64 outputs), for
+/// [`reuse_slot`].
+const SLOT_MULTIPLIERS: [u64; KEY_WORDS] = {
+    let mut m = [0u64; KEY_WORDS];
+    let mut state = 0x005E_ED0F_5107_u64;
+    let mut i = 0;
+    while i < KEY_WORDS {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        m[i] = (z ^ (z >> 31)) | 1;
+        i += 1;
+    }
+    m
+};
+
+/// The table slot a key maps to: a sum of per-word products (independent
+/// multiplies, so the hash takes a few cycles, not a dependent chain),
+/// folded, mixed once more and reduced by its high bits.
+fn reuse_slot(key: &MixKey) -> usize {
+    let mut h = 0u64;
+    for (w, m) in key.iter().zip(SLOT_MULTIPLIERS) {
+        h = h.wrapping_add(w.wrapping_mul(m));
+    }
+    let h = (h ^ (h >> 29)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    (((h >> 32) * REUSE_SLOTS as u64) >> 32) as usize
+}
+
+/// The node-level inputs of `sim`'s solves, as exact bits. Exhaustive
+/// destructuring makes a new spec field a compile error here.
+fn node_context(sim: &NodeSim) -> [u64; CONTEXT_WORDS] {
+    let NodeSpec {
+        cores,
+        disk,
+        mem,
+        idle_power_w,
+        core_busy_power_w,
+        core_iowait_power_w,
+        core_static_power_w,
+    } = &sim.spec;
+    let ecost_sim::DiskSpec {
+        peak_bw_mbps,
+        stream_cap_mbps,
+        stream_half_extent_mb,
+        seek_penalty,
+        active_power_w: disk_power_w,
+    } = disk;
+    let ecost_sim::MemSpec {
+        bandwidth_gbps,
+        capacity_mb,
+        active_power_w: mem_power_w,
+    } = mem;
+    let FrameworkSpec {
+        job_io_cap_mbps,
+        mapper_buffer_frac,
+        overcommit_spill_slope,
+        reduce_merge_overhead,
+        reduce_task_overhead_cycles,
+        page_cache_hit_frac,
+        io_cap_half_extent_mb,
+    } = &sim.fw;
+    let mut ctx = [0u64; CONTEXT_WORDS];
+    ctx[0] = u64::from(*cores);
+    for (w, v) in ctx[1..].iter_mut().zip([
+        peak_bw_mbps,
+        stream_cap_mbps,
+        stream_half_extent_mb,
+        seek_penalty,
+        disk_power_w,
+        bandwidth_gbps,
+        capacity_mb,
+        mem_power_w,
+        idle_power_w,
+        core_busy_power_w,
+        core_iowait_power_w,
+        core_static_power_w,
+        job_io_cap_mbps,
+        mapper_buffer_frac,
+        overcommit_spill_slope,
+        reduce_merge_overhead,
+        reduce_task_overhead_cycles,
+        page_cache_hit_frac,
+        io_cap_half_extent_mb,
+        &sim.nic_bw_mbps,
+        &sim.nic_power_w,
+    ]) {
+        *w = v.to_bits();
+    }
+    ctx
+}
+
+/// A stored rate solution of a mix of at most two jobs: every field of a
+/// [`RateSolution`] that [`finalize`] writes.
+#[derive(Clone, Copy)]
+struct StoredRates {
+    rate: [f64; 2],
+    busy_cores: [f64; 2],
+    read_mbps: [f64; 2],
+    write_mbps: [f64; 2],
+    nic_mbps: [f64; 2],
+    mem_mbps: [f64; 2],
+    power_attr_w: [f64; 2],
+    slow: f64,
+    footprint_mb: f64,
+    power_total_w: f64,
+    disk_util: f64,
+    mem_util: f64,
+    nic_util: f64,
+}
+
+impl StoredRates {
+    /// The first two entries and the node figures of `sol`.
+    fn of(sol: &RateSolution) -> StoredRates {
+        let two = |a: &[f64; MAX_COLOCATED]| [a[0], a[1]];
+        StoredRates {
+            rate: two(&sol.rate),
+            busy_cores: two(&sol.busy_cores),
+            read_mbps: two(&sol.read_mbps),
+            write_mbps: two(&sol.write_mbps),
+            nic_mbps: two(&sol.nic_mbps),
+            mem_mbps: two(&sol.mem_mbps),
+            power_attr_w: two(&sol.power_attr_w),
+            slow: sol.slow,
+            footprint_mb: sol.footprint_mb,
+            power_total_w: sol.power_total_w,
+            disk_util: sol.disk_util,
+            mem_util: sol.mem_util,
+            nic_util: sol.nic_util,
+        }
+    }
+
+    /// Write this solution of `n` jobs into `out` exactly as `finalize`
+    /// would: entries `[..n]` and the node figures, the tail untouched.
+    fn write(&self, n: usize, out: &mut RateSolution) {
+        out.rate[..n].copy_from_slice(&self.rate[..n]);
+        out.busy_cores[..n].copy_from_slice(&self.busy_cores[..n]);
+        out.read_mbps[..n].copy_from_slice(&self.read_mbps[..n]);
+        out.write_mbps[..n].copy_from_slice(&self.write_mbps[..n]);
+        out.nic_mbps[..n].copy_from_slice(&self.nic_mbps[..n]);
+        out.mem_mbps[..n].copy_from_slice(&self.mem_mbps[..n]);
+        out.power_attr_w[..n].copy_from_slice(&self.power_attr_w[..n]);
+        out.n = n;
+        out.slow = self.slow;
+        out.footprint_mb = self.footprint_mb;
+        out.power_total_w = self.power_total_w;
+        out.disk_util = self.disk_util;
+        out.mem_util = self.mem_util;
+        out.nic_util = self.nic_util;
+    }
+}
+
+/// One reuse-table slot.
+#[derive(Clone, Copy)]
+struct ReuseEntry {
+    key: MixKey,
+    rates: StoredRates,
+}
+
+/// Rate solutions of recurring job mixes, kept by a [`BatchScratch`]
+/// across the windows it runs.
+///
+/// A sweep meets the same small mixes over and over — a job running
+/// alone after its partner finished, both jobs in setup, one in setup
+/// beside a fluid partner — and each depends only on one job's
+/// configuration plus at most the other's setup stage (DESIGN.md §11).
+/// A solve has no hidden state (the outer fixed point always restarts
+/// from `(θ, slow) = (1, 1)`), so a mix whose every input bit matches a
+/// stored key has the stored solution, bit for bit. The table is
+/// direct-mapped: a store overwrites whatever shared its slot. It is
+/// valid for one node context only; a batch on another node clears it.
+struct ReuseTable {
+    context: Option<[u64; CONTEXT_WORDS]>,
+    /// Whether the current batch's simulators share `context`.
+    enabled: bool,
+    entries: Box<[ReuseEntry]>,
+    /// This solve round's served misses: `(lane, slot, key)`, stored once
+    /// the round has solved them.
+    misses: Vec<(usize, usize, MixKey)>,
+}
+
+impl ReuseTable {
+    fn new() -> ReuseTable {
+        let empty = ReuseEntry {
+            key: [0; KEY_WORDS],
+            rates: StoredRates::of(&RateSolution::empty()),
+        };
+        ReuseTable {
+            context: None,
+            enabled: false,
+            entries: vec![empty; REUSE_SLOTS].into_boxed_slice(),
+            misses: Vec::with_capacity(MAX_BATCH_LANES),
+        }
+    }
+
+    /// Set up for a batch on `sims`: serve it only if every simulator has
+    /// one node context, clearing the table when that context is not the
+    /// one its entries were solved on.
+    fn enter(&mut self, sims: &[NodeSim]) {
+        let Some(first) = sims.first().map(node_context) else {
+            self.enabled = false;
+            return;
+        };
+        self.enabled = sims[1..].iter().all(|s| node_context(s) == first);
+        if self.enabled && self.context != Some(first) {
+            for e in self.entries.iter_mut() {
+                e.key[0] = 0;
+            }
+            self.context = Some(first);
+        }
+    }
+
+    /// Answer lane `lane`'s stale solution from the table if its mix is
+    /// stored: write the stored solution into the back buffer and flip
+    /// it, exactly what `ensure_solution` would leave. Returns whether it
+    /// did; a mix the table serves but does not hold is noted for
+    /// [`Self::store_misses`].
+    fn answer(&mut self, lane: usize, sim: &mut NodeSim) -> bool {
+        let Some(key) = self.enabled.then(|| mix_key(sim)).flatten() else {
+            return false;
+        };
+        let slot = reuse_slot(&key);
+        let entry = &self.entries[slot];
+        if entry.key != key {
+            self.misses.push((lane, slot, key));
+            return false;
+        }
+        let back = 1 - sim.front;
+        entry.rates.write(sim.active.len(), &mut sim.bufs[back]);
+        sim.front = back;
+        sim.sol_valid = true;
+        true
+    }
+
+    /// Store the solutions of this round's noted misses, now solved.
+    fn store_misses(&mut self, sims: &[NodeSim]) {
+        for (lane, slot, key) in self.misses.drain(..) {
+            let sim = &sims[lane];
+            self.entries[slot] = ReuseEntry {
+                key,
+                rates: StoredRates::of(&sim.bufs[sim.front]),
+            };
+        }
+    }
+}
+
+/// Settings, phase timers and the rate-solution reuse table for batched
+/// run windows ([`run_batch_to_completion`]): the AMVA lane kernel's
+/// backend, the optional phase breakdown, and recurring mixes' solutions
+/// (`ReuseTable`), which carry over from one window to the next. All
+/// per-lane solve state lives on the stack and the table is allocated
+/// once with the scratch, so a batched run allocates nothing.
 pub struct BatchScratch {
     backend: SimdBackend,
     timing: bool,
     phases: BatchPhases,
+    reuse: ReuseTable,
 }
 
 impl BatchScratch {
     /// A scratch on the detected backend ([`SimdBackend::detect`]), phase
-    /// timing off.
+    /// timing off, with an empty reuse table.
     pub fn new() -> BatchScratch {
         BatchScratch {
             backend: SimdBackend::detect(),
             timing: false,
             phases: BatchPhases::default(),
+            reuse: ReuseTable::new(),
         }
     }
 
@@ -1467,12 +1810,18 @@ fn solve_fixed_group<const NC: usize, const S: usize>(
 
 /// Solve several independent simulators' contention models at once:
 /// `lane_ids` is stably partitioned into shape-uniform groups (same
-/// co-located job count). A group of two or more one-job or two-job
-/// simulators — every sweep solve outside k-way co-location — runs on the
-/// AMVA lane kernel ([`solve_fixed_group`]); a singleton has nothing to
-/// batch with, and a group of three or more jobs has no fixed-shape
-/// kernel, so those take each simulator's own `ensure_solution`. Per-lane
-/// results are bit-identical to the scalar solve either way.
+/// co-located job count). Inside each group, lanes whose job mix is in
+/// the scratch's reuse table are answered from it first. Of the rest, two
+/// or more one-job or two-job simulators — every sweep solve outside
+/// k-way co-location — run on the AMVA lane kernel
+/// ([`solve_fixed_group`]); a singleton has nothing to batch with, and a
+/// group of three or more jobs has no fixed-shape kernel, so those take
+/// each simulator's own `ensure_solution`. Per-lane results are
+/// bit-identical to the scalar solve either way. Once every group has
+/// solved, the new solutions the table serves are stored. A failing
+/// group returns its error first, so only successes are stored; and as a
+/// stored mix never fails and the groups are formed before any lane is
+/// answered, the error is the one the groups give without the table.
 fn solve_batch(
     sims: &mut [NodeSim],
     lane_ids: &[usize],
@@ -1484,6 +1833,7 @@ fn solve_batch(
             "batched window wider than MAX_BATCH_LANES",
         ));
     }
+    scratch.reuse.misses.clear();
     let mut used = [false; MAX_BATCH_LANES];
     for i in 0..k {
         if used[i] {
@@ -1501,15 +1851,34 @@ fn solve_batch(
                 g += 1;
             }
         }
-        match (n, g) {
-            (1, 2..) => solve_fixed_group::<1, 2>(sims, &group[..g], scratch)?,
-            (2, 2..) => solve_fixed_group::<2, 3>(sims, &group[..g], scratch)?,
+        let t = scratch.timing.then(Instant::now);
+        let mut rest = [0usize; MAX_BATCH_LANES];
+        let mut r = 0usize;
+        for &lane in &group[..g] {
+            if !scratch.reuse.answer(lane, &mut sims[lane]) {
+                rest[r] = lane;
+                r += 1;
+            }
+        }
+        scratch.phases.reused += (g - r) as u64;
+        scratch.phases.solved += r as u64;
+        if let Some(t) = t {
+            scratch.phases.outer_ns += t.elapsed().as_nanos() as u64;
+        }
+        match (n, r) {
+            (1, 2..) => solve_fixed_group::<1, 2>(sims, &rest[..r], scratch)?,
+            (2, 2..) => solve_fixed_group::<2, 3>(sims, &rest[..r], scratch)?,
             _ => {
-                for &lane in &group[..g] {
+                for &lane in &rest[..r] {
                     sims[lane].ensure_solution()?;
                 }
             }
         }
+    }
+    let t = scratch.timing.then(Instant::now);
+    scratch.reuse.store_misses(sims);
+    if let Some(t) = t {
+        scratch.phases.outer_ns += t.elapsed().as_nanos() as u64;
     }
     Ok(())
 }
@@ -1527,6 +1896,13 @@ fn solve_batch(
 /// parallelism. The event-loop bookkeeping runs over a compacted live-lane
 /// list rather than re-scanning every simulator per round.
 ///
+/// Job mixes that recur — within this call or in earlier calls on the
+/// same `scratch` — are answered from the scratch's reuse table instead
+/// of being solved again, with bit-identical results. The table serves a
+/// call only when all its simulators share one node context (node spec,
+/// framework spec, NIC bandwidth and power), and is cleared when that
+/// context changes.
+///
 /// Fails fast on the first lane error, matching a scalar sweep abandoning
 /// the failing window. At most [`MAX_BATCH_LANES`] simulators per call.
 pub fn run_batch_to_completion(
@@ -1538,6 +1914,7 @@ pub fn run_batch_to_completion(
             "batched window wider than MAX_BATCH_LANES",
         ));
     }
+    scratch.reuse.enter(sims);
     let mut budget = [0u64; MAX_BATCH_LANES];
     let mut events = [0u64; MAX_BATCH_LANES];
     for (b, sim) in budget.iter_mut().zip(sims.iter()) {
@@ -2158,6 +2535,292 @@ mod tests {
         assert!(node.finished().is_empty());
         assert_eq!(node.energy_j(), spent);
         assert_eq!(node.free_cores(), 8);
+    }
+
+    /// A simulator on the Atom node running `jobs` (app, mappers, fluid):
+    /// each job parked in its first fluid stage when `fluid`, else left in
+    /// setup.
+    fn parked(jobs: &[(App, u32, bool)]) -> NodeSim {
+        let (spec, fw) = atom();
+        let mut sim = NodeSim::new(spec, fw);
+        for &(app, m, fluid) in jobs {
+            sim.submit(JobSpec::new(
+                app,
+                InputSize::Small,
+                cfg(m, Frequency::F2_0, BlockSize::B128),
+            ))
+            .unwrap();
+            let job = sim.active.last_mut().unwrap();
+            if fluid {
+                job.stage_idx = job.stages.iter().position(Stage::is_fluid).unwrap();
+            }
+        }
+        sim
+    }
+
+    fn stage_mut(sim: &mut NodeSim, j: usize) -> &mut Stage {
+        let job = &mut sim.active[j];
+        &mut job.stages[job.stage_idx]
+    }
+
+    /// Every figure `finalize` writes into the current rate solution, as
+    /// bit patterns.
+    fn rate_bits(sim: &NodeSim) -> Vec<u64> {
+        let s = &sim.bufs[sim.front];
+        let n = s.n;
+        let mut v = vec![n as u64];
+        for a in [
+            &s.rate,
+            &s.busy_cores,
+            &s.read_mbps,
+            &s.write_mbps,
+            &s.nic_mbps,
+            &s.mem_mbps,
+            &s.power_attr_w,
+        ] {
+            v.extend(a[..n].iter().map(|x| x.to_bits()));
+        }
+        let node = [
+            s.slow,
+            s.footprint_mb,
+            s.power_total_w,
+            s.disk_util,
+            s.mem_util,
+            s.nic_util,
+        ];
+        v.extend(node.map(f64::to_bits));
+        v
+    }
+
+    /// Everything a finished simulator reports, as bit patterns: clock,
+    /// metered energy, and each outcome's metrics, usage and timeline.
+    fn outcome_bits(sim: &NodeSim) -> Vec<u64> {
+        let mut v = vec![sim.now().to_bits(), sim.energy_j().to_bits()];
+        for o in sim.finished() {
+            let m = &o.metrics;
+            let u = &o.usage;
+            v.push(o.id.0);
+            v.extend(
+                [
+                    m.exec_time_s,
+                    m.energy_j,
+                    m.avg_power_w,
+                    u.busy_core_s,
+                    u.alloc_core_s,
+                    u.read_mb,
+                    u.write_mb,
+                    u.nic_mb,
+                    u.mem_mb,
+                    u.energy_j,
+                    u.stall_weighted_s,
+                    u.peak_footprint_mb,
+                ]
+                .map(f64::to_bits),
+            );
+            v.extend(o.timeline.iter().map(|(_, t)| t.to_bits()));
+        }
+        v
+    }
+
+    type Tweak = fn(&mut NodeSim);
+
+    /// A keyed input to change: its name, the job mix, a tweak applied to
+    /// both simulators, and the change applied to the second only.
+    type KeyCase = (&'static str, &'static [(App, u32, bool)], Tweak, Tweak);
+
+    #[test]
+    fn reuse_table_keys_every_solve_input() {
+        const SOLO: &[(App, u32, bool)] = &[(App::St, 2, true)];
+        const SETUP: &[(App, u32, bool)] = &[(App::Wc, 2, false)];
+        // Job 0 in setup beside a fluid job 1.
+        const DUO: &[(App, u32, bool)] = &[(App::Wc, 2, false), (App::St, 2, true)];
+        fn none(_: &mut NodeSim) {}
+        let cases: [KeyCase; 22] = [
+            ("slowdown", SOLO, none, |s| s.slowdown = 1.5),
+            ("job count", SOLO, none, |s| {
+                s.active.swap_remove(0);
+                s.submit(JobSpec::new(
+                    App::Wc,
+                    InputSize::Small,
+                    cfg(2, Frequency::F2_0, BlockSize::B128),
+                ))
+                .unwrap();
+            }),
+            ("job order", DUO, none, |s| s.active.swap(0, 1)),
+            ("kind", SOLO, none, |s| {
+                let st = stage_mut(s, 0);
+                st.kind = match st.kind {
+                    crate::stage::StageKind::Map => crate::stage::StageKind::Reduce,
+                    _ => crate::stage::StageKind::Map,
+                };
+            }),
+            // A short extent makes the slots' stream bound the I/O cap.
+            (
+                "slots",
+                SOLO,
+                |s| stage_mut(s, 0).extent_mb = 1.0,
+                |s| {
+                    stage_mut(s, 0).slots -= 1;
+                    s.active[0].extra_slots += 1;
+                },
+            ),
+            ("eff_slots", SOLO, none, |s| s.active[0].extra_slots += 1),
+            ("straggler", SOLO, none, |s| s.active[0].straggler = 2.0),
+            ("think0_s", SOLO, none, |s| stage_mut(s, 0).think0_s *= 1.5),
+            ("io_mb", SOLO, none, |s| stage_mut(s, 0).io_mb *= 1.5),
+            ("read_frac", SOLO, none, |s| {
+                stage_mut(s, 0).read_frac *= 0.5
+            }),
+            ("nic_mb", SOLO, none, |s| stage_mut(s, 0).nic_mb += 1.0),
+            ("stall_frac", SOLO, none, |s| {
+                stage_mut(s, 0).stall_frac *= 0.5
+            }),
+            ("bw_per_core_mbps", SOLO, none, |s| {
+                stage_mut(s, 0).bw_per_core_mbps *= 1.5
+            }),
+            ("footprint_mb", SOLO, none, |s| {
+                stage_mut(s, 0).footprint_mb += 1.0
+            }),
+            ("dyn_factor", SOLO, none, |s| {
+                stage_mut(s, 0).dyn_factor *= 1.5
+            }),
+            ("extent_mb", SOLO, none, |s| {
+                stage_mut(s, 0).extent_mb *= 2.0
+            }),
+            ("setup_s", SETUP, none, |s| stage_mut(s, 0).setup_s *= 2.0),
+            ("setup dyn_factor", SETUP, none, |s| {
+                stage_mut(s, 0).dyn_factor *= 1.5
+            }),
+            ("partner setup_s", DUO, none, |s| {
+                stage_mut(s, 0).setup_s *= 2.0
+            }),
+            ("partner footprint_mb", DUO, none, |s| {
+                stage_mut(s, 0).footprint_mb += 1.0
+            }),
+            ("partner slots", DUO, none, |s| {
+                stage_mut(s, 0).slots -= 1;
+                s.active[0].extra_slots += 1;
+            }),
+            ("partner straggler", DUO, none, |s| {
+                s.active[0].straggler = 2.0
+            }),
+        ];
+        for (input, jobs, both, second) in cases {
+            let make = |changed: bool| {
+                let mut sim = parked(jobs);
+                both(&mut sim);
+                if changed {
+                    second(&mut sim);
+                }
+                sim
+            };
+            let scalar = |changed: bool| {
+                let mut sim = make(changed);
+                sim.ensure_solution().unwrap();
+                rate_bits(&sim)
+            };
+            let mut sims = vec![make(false), make(true)];
+            let mut scratch = BatchScratch::new();
+            scratch.reuse.enter(&sims);
+            solve_batch(&mut sims, &[0], &mut scratch).unwrap();
+            solve_batch(&mut sims, &[1], &mut scratch).unwrap();
+            let p = scratch.take_phases();
+            assert_eq!(
+                (p.solved, p.reused),
+                (2, 0),
+                "{input}: the changed mix was answered from the first mix's entry"
+            );
+            assert_eq!(rate_bits(&sims[0]), scalar(false), "{input}");
+            assert_eq!(rate_bits(&sims[1]), scalar(true), "{input}");
+            // The changed mix is stored now: asked again, it is a hit with
+            // the same bits.
+            sims[1].sol_valid = false;
+            solve_batch(&mut sims, &[1], &mut scratch).unwrap();
+            assert_eq!(scratch.take_phases().reused, 1, "{input}");
+            assert_eq!(rate_bits(&sims[1]), scalar(true), "{input}");
+        }
+    }
+
+    #[test]
+    fn reuse_table_is_cleared_for_another_node() {
+        let fw = FrameworkSpec::default();
+        let jobs = |i: usize| {
+            [
+                JobSpec::new(
+                    App::Cf,
+                    InputSize::Small,
+                    cfg(1 + (i % 3) as u32, Frequency::F2_0, BlockSize::B128),
+                ),
+                JobSpec::new(
+                    App::Fp,
+                    InputSize::Small,
+                    cfg(1 + (i % 4) as u32, Frequency::F1_6, BlockSize::B256),
+                ),
+            ]
+        };
+        let sim = |spec: &NodeSpec, i: usize| {
+            let mut sim = NodeSim::new(spec.clone(), fw.clone());
+            for job in jobs(i) {
+                sim.submit(job).unwrap();
+            }
+            sim
+        };
+        let window = |spec: &NodeSpec| (0..12).map(|i| sim(spec, i)).collect::<Vec<_>>();
+        let (atom, xeon) = (NodeSpec::atom_c2758(), NodeSpec::xeon_like());
+        let mut scratch = BatchScratch::new();
+        for _ in 0..2 {
+            run_batch_to_completion(&mut window(&atom), &mut scratch).unwrap();
+        }
+        assert!(
+            scratch.take_phases().reused > 0,
+            "the Atom windows never hit"
+        );
+        // Stages depend on the framework, not the node: without the
+        // context check every Xeon mix below would match an Atom entry.
+        let mut on_xeon = window(&xeon);
+        run_batch_to_completion(&mut on_xeon, &mut scratch).unwrap();
+        for (i, got) in on_xeon.iter().enumerate() {
+            let mut alone = sim(&xeon, i);
+            alone.run_to_completion().unwrap();
+            assert_eq!(outcome_bits(got), outcome_bits(&alone), "lane {i}");
+        }
+    }
+
+    #[test]
+    fn reuse_table_keeps_the_window_error() {
+        // Lane 0 is a stored mix; lanes 1 (two jobs) and 2 (one job) fail
+        // with different errors. The one-job group comes first (lane 0
+        // opens it), so the window fails with lane 2's error, exactly as
+        // without the table; answering lane 0 before forming the groups
+        // would open with the two-job group and return lane 1's.
+        let window = || {
+            let mut sims = vec![
+                parked(&[(App::St, 2, true)]),
+                parked(&[(App::Wc, 2, false), (App::St, 2, true)]),
+                parked(&[(App::St, 2, true)]),
+            ];
+            stage_mut(&mut sims[1], 1).io_mb = f64::INFINITY;
+            stage_mut(&mut sims[2], 0).think0_s = f64::NAN;
+            sims
+        };
+        let lane = |i: usize| window().swap_remove(i).ensure_solution().unwrap_err();
+        assert_ne!(lane(1), lane(2));
+        for backend in [SimdBackend::detect(), SimdBackend::Scalar] {
+            let mut scratch = BatchScratch::new();
+            scratch.set_simd_backend(backend);
+            let mut warm = vec![parked(&[(App::St, 2, true)])];
+            run_batch_to_completion(&mut warm, &mut scratch).unwrap();
+            scratch.take_phases();
+            let err = run_batch_to_completion(&mut window(), &mut scratch).unwrap_err();
+            assert_eq!(
+                scratch.take_phases().reused,
+                1,
+                "{backend:?}: lane 0 was not a hit"
+            );
+            assert_eq!(err, lane(2), "{backend:?}");
+            let fresh = run_batch_to_completion(&mut window(), &mut BatchScratch::new());
+            assert_eq!(fresh.unwrap_err(), err, "{backend:?}");
+        }
     }
 
     #[test]

@@ -662,12 +662,16 @@ impl<const NC: usize, const S: usize> FixedClasses<NC, S> {
     }
 }
 
-/// Problems the lane kernel packs into one `f64x4` vector.
-const LANES: usize = 4;
+/// Problems one `f64x4` vector holds.
+const VLANES: usize = 4;
 
-/// The lane kernel's exit state for four problems: queues, throughputs,
-/// iteration counts and last residuals, problem `l` in element `l` of
-/// every vector.
+/// Problems one lane-kernel call takes: two `f64x4` vectors, each an
+/// independent dependency chain.
+const LANES: usize = 2 * VLANES;
+
+/// The lane kernel's exit state for [`LANES`] problems: queues,
+/// throughputs, iteration counts and last residuals, problem `l` in
+/// element `l`.
 pub(crate) struct LaneFixedPoint<const NC: usize, const S: usize> {
     q: [[[f64; LANES]; S]; NC],
     x: [[f64; LANES]; NC],
@@ -688,81 +692,92 @@ impl<const NC: usize, const S: usize> LaneFixedPoint<NC, S> {
     }
 }
 
-/// [`FixedClasses::fixed_point`] on four validated problems at once, one
-/// per lane of the `f64x4` backend `V`. Queues, throughputs, residuals
-/// and iteration counts stay in vectors for the whole fixed point.
-///
-/// Per lane this is exactly the scalar floating-point sequence — same
-/// seed, same `(q·(n-1))/n` association, same class and station order,
-/// same damping and convergence test. The differences are structural and
-/// bit-neutral:
-///
-/// * Branches become masks + selects. A dead class (population ≤ 0)
-///   holds `x = 0` and its queues; the `n ≤ 1` lanes discard the `own`
-///   divide; a zero-demand station selects `r = 0`. The not-taken side
-///   may be inf/NaN; IEEE 754 arithmetic is non-trapping and the select
-///   throws it away.
-/// * The residence total adds the selected `+0.0` of a zero-demand
-///   station, which leaves it bit-unchanged: it starts at `+0.0` and every
-///   other term is positive (`d > 0` times a factor ≥ 1), infinite or
-///   NaN, so it is never `-0.0`. A cell with no demand in *any* lane of
-///   the chunk therefore skips its residence term (and its divide)
-///   outright.
-/// * The queue update runs on every cell, as in the scalar loop —
-///   including zero-demand cells, where `x = ∞` makes `∞ · 0` a NaN. Only
-///   a cell idle in all four lanes may skip it, and only while every
-///   stepping lane's `x` is finite: its queue is then 0 or NaN and the
-///   update changes neither it nor the residual. (Skipping without that
-///   guard leaves an overflowed lane's idle queues at 0 where the scalar
-///   kernel has NaN.)
-/// * The residual's `f64::max` becomes `select(|Δ| > res, |Δ|, res)`,
-///   bit-identical for the non-negative, never-NaN running maximum.
-/// * A lane whose residual drops below the tolerance freezes by select
-///   on that iteration: its queues, throughputs, iteration count and
-///   residual keep the values of the iteration where the scalar loop
-///   would have stopped, while the other lanes run on. The loop ends
-///   when every lane has converged or the iteration budget is spent.
-#[inline(always)]
-pub(crate) fn lane_fixed_point<V: LaneVec, const NC: usize, const S: usize>(
-    p: &[FixedClasses<NC, S>; LANES],
-) -> LaneFixedPoint<NC, S> {
-    let zero = V::splat(0.0);
-    let one = V::splat(1.0);
-    let damp = V::splat(DAMPING);
-    let tol = V::splat(TOL);
-    let mut pop = [zero; NC];
-    let mut nm1 = [zero; NC];
-    let mut think = [zero; NC];
-    let mut live = [zero; NC];
-    let mut many = [zero; NC];
-    let mut dem = [[zero; S]; NC];
-    let mut busy = [[zero; S]; NC];
-    // Cells with a positive demand in at least one lane of the chunk.
-    let mut any_busy = [[false; S]; NC];
-    let mut q = [[zero; S]; NC];
-    for j in 0..NC {
-        pop[j] = V::from_array(std::array::from_fn(|l| p[l].population[j]));
-        think[j] = V::from_array(std::array::from_fn(|l| p[l].think_time_s[j]));
-        // `n - 1.0` is loop-invariant: hoisting it keeps the bits.
-        nm1[j] = pop[j].sub(one);
-        live[j] = pop[j].gt(zero);
-        many[j] = pop[j].gt(one);
-        let share = pop[j].div(V::splat(S as f64 + 1.0));
-        for s in 0..S {
-            dem[j][s] = V::from_array(std::array::from_fn(|l| p[l].demands_s[j][s]));
-            busy[j][s] = dem[j][s].gt(zero);
-            any_busy[j][s] = busy[j][s].any();
-            q[j][s] = V::select(live[j].and(busy[j][s]), share, zero);
+/// One `f64x4` vector's share of a lane-kernel call: four problems'
+/// inputs, masks and fixed-point state, problem `l` in element `l`.
+/// Nothing here is read by the other vector of the call.
+struct Chain<V: LaneVec, const NC: usize, const S: usize> {
+    pop: [V; NC],
+    nm1: [V; NC],
+    think: [V; NC],
+    live: [V; NC],
+    many: [V; NC],
+    dem: [[V; S]; NC],
+    busy: [[V; S]; NC],
+    /// Cells with a positive demand in at least one lane of the vector.
+    any_busy: [[bool; S]; NC],
+    q: [[V; S]; NC],
+    x: [V; NC],
+    iterations: V,
+    residual: V,
+    /// Lanes still iterating (all-ones), frozen ones all-zero.
+    active: V,
+}
+
+impl<V: LaneVec, const NC: usize, const S: usize> Chain<V, NC, S> {
+    /// Load four validated problems and seed their queues (`begin`'s
+    /// seed, per lane).
+    #[inline(always)]
+    fn new(p: &[FixedClasses<NC, S>]) -> Chain<V, NC, S> {
+        let zero = V::splat(0.0);
+        let one = V::splat(1.0);
+        let mut c = Chain {
+            pop: [zero; NC],
+            nm1: [zero; NC],
+            think: [zero; NC],
+            live: [zero; NC],
+            many: [zero; NC],
+            dem: [[zero; S]; NC],
+            busy: [[zero; S]; NC],
+            any_busy: [[false; S]; NC],
+            q: [[zero; S]; NC],
+            x: [zero; NC],
+            iterations: zero,
+            residual: V::splat(f64::INFINITY),
+            active: one.gt(zero),
+        };
+        for j in 0..NC {
+            c.pop[j] = V::from_array(std::array::from_fn(|l| p[l].population[j]));
+            c.think[j] = V::from_array(std::array::from_fn(|l| p[l].think_time_s[j]));
+            // `n - 1.0` is loop-invariant: hoisting it keeps the bits.
+            c.nm1[j] = c.pop[j].sub(one);
+            c.live[j] = c.pop[j].gt(zero);
+            c.many[j] = c.pop[j].gt(one);
+            let share = c.pop[j].div(V::splat(S as f64 + 1.0));
+            for s in 0..S {
+                c.dem[j][s] = V::from_array(std::array::from_fn(|l| p[l].demands_s[j][s]));
+                c.busy[j][s] = c.dem[j][s].gt(zero);
+                c.any_busy[j][s] = c.busy[j][s].any();
+                c.q[j][s] = V::select(c.live[j].and(c.busy[j][s]), share, zero);
+            }
         }
+        c
     }
-    let inf = V::splat(f64::INFINITY);
-    let mut x = [zero; NC];
-    let mut iterations = zero;
-    let mut residual = V::splat(f64::INFINITY);
-    let mut active = one.gt(zero);
-    for _ in 0..MAX_ITER {
+
+    /// One Bard–Schweitzer iteration on every lane still active; lanes
+    /// whose residual drops below the tolerance freeze here.
+    #[inline(always)]
+    fn step(&mut self) {
+        let zero = V::splat(0.0);
+        let one = V::splat(1.0);
+        let damp = V::splat(DAMPING);
+        let inf = V::splat(f64::INFINITY);
+        let Chain {
+            pop,
+            nm1,
+            think,
+            live,
+            many,
+            dem,
+            busy,
+            any_busy,
+            q,
+            x,
+            iterations,
+            residual,
+            active,
+        } = self;
         let mut qtot = [zero; S];
-        for row in &q {
+        for row in q.iter() {
             for s in 0..S {
                 qtot[s] = qtot[s].add(row[s]);
             }
@@ -770,7 +785,7 @@ pub(crate) fn lane_fixed_point<V: LaneVec, const NC: usize, const S: usize>(
         let mut res = zero;
         for j in 0..NC {
             let n = pop[j];
-            let step = live[j].and(active);
+            let step = live[j].and(*active);
             let mut r = [zero; S];
             let mut r_total = zero;
             for s in 0..S {
@@ -804,18 +819,83 @@ pub(crate) fn lane_fixed_point<V: LaneVec, const NC: usize, const S: usize>(
                 q[j][s] = V::select(step, q[j][s].add(damp.mul(delta)), q[j][s]);
             }
         }
-        iterations = iterations.add(V::select(active, one, zero));
-        residual = V::select(active, res, residual);
-        active = V::select(tol.gt(res), zero, active);
-        if !active.any() {
+        *iterations = iterations.add(V::select(*active, one, zero));
+        *residual = V::select(*active, res, *residual);
+        *active = V::select(V::splat(TOL).gt(res), zero, *active);
+    }
+}
+
+/// [`FixedClasses::fixed_point`] on [`LANES`] validated problems at once:
+/// two `f64x4` vectors of the backend `V`, problems `0..4` in the first
+/// and `4..8` in the second. Queues, throughputs, residuals and
+/// iteration counts stay in vectors for the whole fixed point.
+///
+/// Each vector is its own dependency chain: every iteration steps the
+/// first vector, then the second, and neither reads the other's queues,
+/// residual or masks. One chain is a sequence of dependent divides
+/// (DESIGN.md §11); two independent ones keep the divider fed while the
+/// other chain's quotients are in flight. A vector whose lanes have all
+/// converged stops stepping; the loop ends when both have, or the
+/// iteration budget is spent.
+///
+/// Per lane this is exactly the scalar floating-point sequence — same
+/// seed, same `(q·(n-1))/n` association, same class and station order,
+/// same damping and convergence test. The differences are structural and
+/// bit-neutral, and every mask below is per vector:
+///
+/// * Branches become masks + selects. A dead class (population ≤ 0)
+///   holds `x = 0` and its queues; the `n ≤ 1` lanes discard the `own`
+///   divide; a zero-demand station selects `r = 0`. The not-taken side
+///   may be inf/NaN; IEEE 754 arithmetic is non-trapping and the select
+///   throws it away.
+/// * The residence total adds the selected `+0.0` of a zero-demand
+///   station, which leaves it bit-unchanged: it starts at `+0.0` and every
+///   other term is positive (`d > 0` times a factor ≥ 1), infinite or
+///   NaN, so it is never `-0.0`. A cell with no demand in *any* lane of
+///   the vector therefore skips its residence term (and its divide)
+///   outright.
+/// * The queue update runs on every cell, as in the scalar loop —
+///   including zero-demand cells, where `x = ∞` makes `∞ · 0` a NaN. Only
+///   a cell idle in all four lanes of the vector may skip it, and only
+///   while every stepping lane's `x` is finite: its queue is then 0 or
+///   NaN and the update changes neither it nor the residual. (Skipping
+///   without that guard leaves an overflowed lane's idle queues at 0
+///   where the scalar kernel has NaN.)
+/// * The residual's `f64::max` becomes `select(|Δ| > res, |Δ|, res)`,
+///   bit-identical for the non-negative, never-NaN running maximum.
+/// * A lane whose residual drops below the tolerance freezes by select
+///   on that iteration: its queues, throughputs, iteration count and
+///   residual keep the values of the iteration where the scalar loop
+///   would have stopped, while the other lanes run on. A vector with no
+///   active lane is skipped outright, which changes nothing.
+#[inline(always)]
+pub(crate) fn lane_fixed_point<V: LaneVec, const NC: usize, const S: usize>(
+    p: &[FixedClasses<NC, S>; LANES],
+) -> LaneFixedPoint<NC, S> {
+    let (lo, hi) = p.split_at(VLANES);
+    let mut a = Chain::<V, NC, S>::new(lo);
+    let mut b = Chain::<V, NC, S>::new(hi);
+    for _ in 0..MAX_ITER {
+        let (run_a, run_b) = (a.active.any(), b.active.any());
+        if !(run_a || run_b) {
             break;
         }
+        if run_a {
+            a.step();
+        }
+        if run_b {
+            b.step();
+        }
     }
+    let join = |lo: V, hi: V| -> [f64; LANES] {
+        let (lo, hi) = (lo.to_array(), hi.to_array());
+        std::array::from_fn(|l| if l < VLANES { lo[l] } else { hi[l - VLANES] })
+    };
     LaneFixedPoint {
-        q: q.map(|row| row.map(V::to_array)),
-        x: x.map(V::to_array),
-        iterations: iterations.to_array(),
-        residual: residual.to_array(),
+        q: std::array::from_fn(|j| std::array::from_fn(|s| join(a.q[j][s], b.q[j][s]))),
+        x: std::array::from_fn(|j| join(a.x[j], b.x[j])),
+        iterations: join(a.iterations, b.iterations),
+        residual: join(a.residual, b.residual),
     }
 }
 
@@ -828,14 +908,15 @@ pub(crate) fn lane_fixed_point<V: LaneVec, const NC: usize, const S: usize>(
 ///
 /// A single solve is one dependent chain of divides (DESIGN.md §11), so
 /// the divider idles while each quotient's inputs wind through it. The
-/// vector backends run four problems per `f64x4` in registers
-/// (`lane_fixed_point`), overlapping four chains per instruction; a
-/// chunk runs until its slowest lane converges. Problems are validated
-/// one by one first (an invalid problem gets its error and takes no
-/// vector lane), and a short last chunk is padded with empty problems,
-/// which converge on the first iteration. [`SimdBackend::Scalar`] runs
-/// each problem through [`FixedClasses::solve`], with no vector code.
-/// Allocation-free.
+/// vector backends run eight problems per kernel call in registers
+/// (`lane_fixed_point`): four per `f64x4`, overlapping four problems per
+/// instruction, and two vectors as independent chains, so one vector's
+/// divides start while the other's are in flight. A vector runs until
+/// its slowest lane converges. Problems are validated one by one first
+/// (an invalid problem gets its error and takes no vector lane), and a
+/// short last call is padded with empty problems, which converge on the
+/// first iteration. [`SimdBackend::Scalar`] runs each problem through
+/// [`FixedClasses::solve`], with no vector code. Allocation-free.
 ///
 /// ```
 /// use ecost_sim::amva::solve_lanes;
@@ -887,8 +968,8 @@ pub fn solve_lanes<const NC: usize, const S: usize>(
     }
 }
 
-/// Run one chunk of validated problems through the vector kernel and
-/// hand each real lane (`index[l]` is lane `l`'s problem index) its
+/// Run one call's worth of validated problems through the vector kernel
+/// and hand each real lane (`index[l]` is lane `l`'s problem index) its
 /// convergence test and station figures.
 fn solve_chunk<const NC: usize, const S: usize>(
     backend: SimdBackend,
@@ -896,7 +977,7 @@ fn solve_chunk<const NC: usize, const S: usize>(
     index: &[usize],
     each: &mut impl FnMut(usize, Result<FixedSolution<NC, S>, SimError>),
 ) {
-    let out = simd::fixed_point_x4(backend, chunk);
+    let out = simd::fixed_point_x8(backend, chunk);
     for (l, &i) in index.iter().enumerate() {
         let (q, x, iterations, residual) = out.lane(l);
         each(i, chunk[l].finish(q, x, iterations, residual));
@@ -1121,8 +1202,8 @@ mod tests {
     /// Two-job (2 classes × 3 stations) problems for the lane kernel:
     /// varied populations (zero, one, fractional, heavy), zero-demand
     /// stations, varied convergence speeds. Sixteen of them, so the width
-    /// sweep covers full four-lane chunks and every short last chunk
-    /// (1, 2, 3 real lanes).
+    /// sweep covers full eight-problem calls and every short last call
+    /// (1 to 7 real lanes, filling one or both vectors).
     fn uniform_problem_set() -> Vec<FixedClasses<2, 3>> {
         let mk =
             |pop_a: f64, pop_b: f64, da: [f64; 3], db: [f64; 3], za: f64, zb: f64| FixedClasses {

@@ -3,8 +3,9 @@
 //! [`crate::amva::solve_lanes`] solves independent fixed-shape problems
 //! ([`crate::FixedClasses`]) four to a vector: one `f64x4` holds the same
 //! quantity of four unrelated fixed points, and the whole Bard–Schweitzer
-//! loop runs on those vectors in registers. This module provides the
-//! vector types the kernel is generic over, and the backend dispatch:
+//! loop runs on those vectors in registers, two vectors (eight problems)
+//! per kernel call as independent dependency chains. This module provides
+//! the vector types the kernel is generic over, and the backend dispatch:
 //!
 //! * `F64x4` — a portable `[f64; 4]` newtype whose operations are plain
 //!   per-element IEEE adds/muls/divides in the exact scalar operation
@@ -267,7 +268,7 @@ mod avx2 {
     //! [`Avx2F64x4`] only come into existence inside
     //! [`lane_fixed_point_avx2`], which is compiled with
     //! `#[target_feature(enable = "avx2")]` and entered only through
-    //! [`super::fixed_point_x4`] right after [`super::SimdBackend`]
+    //! [`super::fixed_point_x8`] right after [`super::SimdBackend`]
     //! validation — i.e. after `is_x86_feature_detected!("avx2")`
     //! approved this CPU.
 
@@ -368,20 +369,21 @@ mod avx2 {
     /// straight-line vector code.
     #[target_feature(enable = "avx2")]
     pub(super) fn lane_fixed_point_avx2<const NC: usize, const S: usize>(
-        p: &[FixedClasses<NC, S>; 4],
+        p: &[FixedClasses<NC, S>; 8],
     ) -> LaneFixedPoint<NC, S> {
         super::lane_fixed_point::<Avx2F64x4, NC, S>(p)
     }
 }
 
-/// Run the lane kernel on four validated problems with a vector backend.
+/// Run the lane kernel on eight validated problems (two `f64x4` vectors)
+/// with a vector backend.
 /// `Scalar` never reaches this function ([`crate::amva::solve_lanes`]
 /// solves its lanes one by one); it takes the portable lanes here only as
 /// a defensive default. The backend is validated on every call, so an
 /// `Avx2` request on a CPU without AVX2 runs the portable lanes.
-pub(crate) fn fixed_point_x4<const NC: usize, const S: usize>(
+pub(crate) fn fixed_point_x8<const NC: usize, const S: usize>(
     backend: SimdBackend,
-    p: &[FixedClasses<NC, S>; 4],
+    p: &[FixedClasses<NC, S>; 8],
 ) -> LaneFixedPoint<NC, S> {
     match backend.validated() {
         SimdBackend::Scalar | SimdBackend::Portable => lane_fixed_point::<F64x4, NC, S>(p),

@@ -328,7 +328,8 @@ fn assert_window_agrees(window: &[Vec<ClassDemand>], want: &[Observed]) {
 }
 
 /// [`assert_window_agrees`] on every chunking of `problems` by widths
-/// 1..=16.
+/// 1..=16: one kernel call of eight problems (two `f64x4` vectors) or two,
+/// full or padded.
 fn assert_lanes_agree(problems: &[Vec<ClassDemand>]) {
     let want: Vec<Observed> = problems.iter().map(|c| solve_by_value(c)).collect();
     for width in 1..=16usize {
@@ -464,17 +465,28 @@ fn odd_lanes_match_the_fixed_kernel_at_every_chunk_position() {
         let invalid = vec![class(-1.0, 1.0, 1.0); nc];
         let empty = vec![class(0.0, 0.0, 0.0); nc];
         let want_filler: Vec<Observed> = filler.iter().map(|c| solve_by_value(c)).collect();
-        for odd in [stalled, overflow, invalid, empty] {
-            let want_odd = solve_by_value(&odd);
+        let odd = [stalled, overflow, invalid, empty];
+        let want_odd: Vec<Observed> = odd.iter().map(|c| solve_by_value(c)).collect();
+        for (k, lane) in odd.iter().enumerate() {
             // The odd lane at every index of every window size puts it at
-            // every position of a four-lane chunk, first chunk to last.
+            // every position of an eight-problem call — either `f64x4`
+            // vector, first call to last. Where the window reaches it, the
+            // same position of the call's other vector holds the next odd
+            // kind, so each vector's masks and residual must stay its own.
+            let (next, want_next) = (&odd[(k + 1) % odd.len()], &want_odd[(k + 1) % odd.len()]);
             for width in 1..=16usize {
                 for pos in 0..width {
                     let mut lanes = filler[..width].to_vec();
-                    lanes[pos] = odd.clone();
                     let mut want = want_filler[..width].to_vec();
-                    want[pos] = want_odd.clone();
+                    lanes[pos] = lane.clone();
+                    want[pos] = want_odd[k].clone();
                     assert_window_agrees(&lanes, &want);
+                    let other = pos ^ 4;
+                    if other < width {
+                        lanes[other] = next.clone();
+                        want[other] = want_next.clone();
+                        assert_window_agrees(&lanes, &want);
+                    }
                 }
             }
         }
