@@ -34,17 +34,6 @@ impl AppClass {
             AppClass::M => 'M',
         }
     }
-
-    /// Parse the paper's single-letter label.
-    pub fn from_letter(c: char) -> Option<AppClass> {
-        match c.to_ascii_uppercase() {
-            'C' => Some(AppClass::C),
-            'H' => Some(AppClass::H),
-            'I' => Some(AppClass::I),
-            'M' => Some(AppClass::M),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for AppClass {
@@ -90,12 +79,6 @@ impl ClassPair {
         }
         v
     }
-
-    /// Does the pair contain a memory-bound application? (Fig 5: such pairs
-    /// always rank last.)
-    pub fn contains_m(self) -> bool {
-        self.first == AppClass::M || self.second == AppClass::M
-    }
 }
 
 impl fmt::Display for ClassPair {
@@ -107,18 +90,6 @@ impl fmt::Display for ClassPair {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn letters_round_trip() {
-        for c in AppClass::ALL {
-            assert_eq!(AppClass::from_letter(c.letter()), Some(c));
-            assert_eq!(
-                AppClass::from_letter(c.letter().to_ascii_lowercase()),
-                Some(c)
-            );
-        }
-        assert_eq!(AppClass::from_letter('x'), None);
-    }
 
     #[test]
     fn pair_is_unordered() {
@@ -135,11 +106,5 @@ mod tests {
         assert_eq!(all.len(), 10);
         let uniq: std::collections::HashSet<_> = all.iter().collect();
         assert_eq!(uniq.len(), 10);
-    }
-
-    #[test]
-    fn contains_m_detects_memory() {
-        assert!(ClassPair::new(AppClass::M, AppClass::I).contains_m());
-        assert!(!ClassPair::new(AppClass::C, AppClass::I).contains_m());
     }
 }

@@ -15,7 +15,6 @@
 //!   `working_set_frac` (DRAM-capacity pressure), high `mem_stall_frac`.
 
 use crate::class::AppClass;
-use crate::datasize::InputSize;
 
 /// Resource-demand profile of one application.
 ///
@@ -78,21 +77,6 @@ impl AppProfile {
     pub fn mem_bw_per_core_mbps(&self, freq_hz: f64) -> f64 {
         let inst_per_s = self.ipc_base * freq_hz;
         inst_per_s * (self.llc_mpki / 1000.0) * 64.0 / 1e6
-    }
-
-    /// Application working set for a given input size, MB (excludes
-    /// per-mapper buffers, which depend on the block size and are added by
-    /// the executor).
-    #[inline]
-    pub fn working_set_mb(&self, size: InputSize) -> f64 {
-        self.footprint_base_mb + self.working_set_frac * size.per_node_mb()
-    }
-
-    /// Total disk bytes a map task moves per MB of input (read + spilled
-    /// output).
-    #[inline]
-    pub fn map_io_per_mb(&self) -> f64 {
-        1.0 + self.map_selectivity * self.spill_factor
     }
 
     /// Sanity-check invariants; used by tests and the synthetic generator.
@@ -174,22 +158,6 @@ mod tests {
         assert!((hot.mem_bw_per_core_mbps(2.4e9) / high - 2.0).abs() < 1e-9);
         // 2 MPKI @ 1 IPC @ 2.4 GHz = 2.4e9 * 0.002 * 64 B ≈ 307 MB/s.
         assert!((high - 307.2).abs() < 1.0);
-    }
-
-    #[test]
-    fn working_set_grows_with_input() {
-        let p = sample();
-        assert!(p.working_set_mb(InputSize::Large) > p.working_set_mb(InputSize::Small));
-        let expected = 300.0 + 0.05 * 10240.0;
-        assert!((p.working_set_mb(InputSize::Large) - expected).abs() < 1e-9);
-    }
-
-    #[test]
-    fn io_per_mb_includes_spill() {
-        let mut p = sample();
-        p.map_selectivity = 1.0;
-        p.spill_factor = 1.3;
-        assert!((p.map_io_per_mb() - 2.3).abs() < 1e-12);
     }
 
     #[test]

@@ -71,17 +71,8 @@ fn draw<R: Rng>(rng: &mut R, (lo, hi): (f64, f64)) -> f64 {
     }
 }
 
-/// Generate a synthetic application of the requested class.
-///
-/// The returned profile leaks its name (profiles hold `&'static str` so the
-/// catalog can be `const`); callers generating unbounded numbers of profiles
-/// in a loop should reuse names via [`synth_app_named`].
-pub fn synth_app<R: Rng>(rng: &mut R, class: AppClass, id: u32) -> AppProfile {
-    let name: &'static str = Box::leak(format!("syn-{}{id}", class.letter()).into_boxed_str());
-    synth_app_named(rng, class, name)
-}
-
-/// As [`synth_app`] but with a caller-provided name (no leak).
+/// Generate a synthetic application of the requested class under `name`
+/// (profiles hold `&'static str` so the catalog can be `const`).
 pub fn synth_app_named<R: Rng>(rng: &mut R, class: AppClass, name: &'static str) -> AppProfile {
     let e = envelope(class);
     let p = AppProfile {
@@ -134,12 +125,5 @@ mod tests {
             assert!(m.llc_mpki > 2.0 * c.llc_mpki);
             assert!(m.working_set_frac > c.working_set_frac);
         }
-    }
-
-    #[test]
-    fn synth_app_names_embed_class_and_id() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let p = synth_app(&mut rng, AppClass::I, 42);
-        assert_eq!(p.name, "syn-I42");
     }
 }

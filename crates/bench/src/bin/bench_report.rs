@@ -54,21 +54,21 @@
 //! AMVA lane kernel (auto-detected backend); alongside them the default
 //! run times the same sweeps with the kernel pinned scalar, so the SIMD
 //! delta is tracked (`*_simd_off` keys in the trend row). A separate
-//! single-threaded instrumented pass ([`EvalEngine::set_phase_timing`])
-//! reports the measured phase breakdown of the sweep path (solve / outer
-//! / submit+reset / memo / event-loop) in the `phases` section, with the
-//! full pair sweep's rate problems: how many were solved and how many
-//! were answered from a worker's reuse table. Those two are exact counts
-//! (the same on every one-thread run), so their ratio, `pair_reuse_share`,
-//! goes into the trend row and `trend_check` gates it on a drop, free of
-//! host drift: a reuse key that silently stops matching shows there.
+//! single-threaded pass runs the full pair sweep on a fresh engine and
+//! reports its rate problems in the `phases` section: how many were
+//! solved and how many were answered from a worker's reuse table, read
+//! from the engine's `engine.rate_problems_{solved,reused}` registry
+//! counters. Those two are exact counts (the same on every one-thread
+//! run), so their ratio, `pair_reuse_share`, goes into the trend row and
+//! `trend_check` gates it on a drop, free of host drift: a reuse key that
+//! silently stops matching shows there.
 //!
-//! Flags: `--baseline` runs the baseline arms only (for A/B against an
-//! older build); `--no-batch` runs only the single-point and baseline
-//! arms; `--batch` is the explicit form of the default (all arms);
-//! `--no-simd` pins the scalar AMVA kernel on every batched arm and on the
-//! lane-kernel ledger (rows get `"simd":"off"`, and the simd-off shadow
-//! arms are skipped); `--threads N` sets the worker count for the
+//! Flags: with none, every arm runs; `--baseline` runs the baseline arms
+//! only (for A/B against an older build); `--no-batch` runs only the
+//! single-point and baseline arms; `--no-simd` pins the scalar AMVA
+//! kernel on every batched arm and on the lane-kernel ledger (rows get
+//! `"simd":"off"`, and the simd-off shadow arms are skipped);
+//! `--threads N` sets the worker count for the
 //! rayon-sharded arms (the row's `threads` context field reports it);
 //! `--quick` (or `ECOST_QUICK=1`) shrinks every dimension for CI smoke
 //! runs. Any other argument, or an unknown `ECOST_SIMD` value, is an
@@ -87,12 +87,12 @@
 
 use ecost_apps::{App, InputSize, WorkloadScenario};
 use ecost_bench::BenchError;
-use ecost_core::engine::{EvalEngine, PhaseBreakdown, RetryPolicy};
+use ecost_core::engine::{EvalEngine, RetryPolicy};
 use ecost_core::features::Testbed;
 use ecost_core::mapping::{run_stream, Decisions, FaultSetup, OpenArrival, OpenOptions};
 use ecost_core::{DecisionTier, ServiceConfig, ServiceError, TuningRequest, TuningService};
 use ecost_mapreduce::reference::{run_colocated_reference, run_standalone_reference};
-use ecost_mapreduce::{JobSpec, PairConfig, TuningConfig, MAX_BATCH_LANES};
+use ecost_mapreduce::{BatchPhases, JobSpec, PairConfig, TuningConfig, MAX_BATCH_LANES};
 use ecost_sim::{
     solve_lanes, AmvaScratch, ClassDemand, FaultPlan, FixedClasses, ServiceFaultSpec, SimdBackend,
 };
@@ -105,7 +105,7 @@ use std::time::Instant;
 /// Report schema version. Bump when the `BENCH_sim.json` shape changes
 /// (new sections or renamed keys), never for additive arm entries inside
 /// an existing section; the pinned unit test makes bumps deliberate.
-const SCHEMA: &str = "ecost-bench-sim/9";
+const SCHEMA: &str = "ecost-bench-sim/10";
 
 /// One timed measurement arm.
 #[derive(Debug, Clone, Copy)]
@@ -755,33 +755,20 @@ fn engine_hits(keys: u32, reps: usize, rounds: usize) -> Result<HitTiming, Bench
     })
 }
 
-/// One instrumented pass over a fresh engine — the full solo sweep plus
-/// the full pair sweep, every point a miss — with phase timing on.
-/// Returns the pass's wall nanoseconds, the breakdown of the whole pass,
-/// and the pair sweep's own breakdown (its rate-problem counts).
-fn phase_pass(simd: bool, mb: f64) -> Result<(u64, PhaseBreakdown, PhaseBreakdown), BenchError> {
-    let mut eng = EvalEngine::atom().with_simd(simd);
-    eng.set_phase_timing(true);
-    let t0 = Instant::now();
-    eng.sweep_solo(App::Gp.profile(), mb)?;
-    let solo = eng.take_phase_breakdown();
+/// The full Gp × St pair sweep on a fresh engine, every point a miss:
+/// its rate problems, solved and reused, from the engine's registry.
+fn rate_problem_pass(simd: bool, mb: f64) -> Result<BatchPhases, BenchError> {
+    let eng = EvalEngine::atom().with_simd(simd);
     eng.pair_sweep(App::Gp.profile(), mb, App::St.profile(), mb)?;
-    let wall_ns = t0.elapsed().as_nanos() as u64;
-    let pair = eng.take_phase_breakdown();
-    let pass = PhaseBreakdown {
-        solve_ns: solo.solve_ns + pair.solve_ns,
-        outer_ns: solo.outer_ns + pair.outer_ns,
-        submit_reset_ns: solo.submit_reset_ns + pair.submit_reset_ns,
-        memo_ns: solo.memo_ns + pair.memo_ns,
-        event_loop_ns: solo.event_loop_ns + pair.event_loop_ns,
-        solved: solo.solved + pair.solved,
-        reused: solo.reused + pair.reused,
-    };
-    Ok((wall_ns, pass, pair))
+    let snap = eng.recorder().metrics().snapshot();
+    Ok(BatchPhases {
+        solved: snap.counter("engine.rate_problems_solved"),
+        reused: snap.counter("engine.rate_problems_reused"),
+    })
 }
 
 /// Share of a sweep's rate problems answered from the reuse table.
-fn reuse_share(p: &PhaseBreakdown) -> f64 {
+fn reuse_share(p: &BatchPhases) -> f64 {
     let total = p.solved + p.reused;
     if total == 0 {
         return 0.0;
@@ -789,47 +776,25 @@ fn reuse_share(p: &PhaseBreakdown) -> f64 {
     p.reused as f64 / total as f64
 }
 
-/// Fraction of a pass's wall spent in simulator checkout/submit/reset and
-/// memo traffic — the overhead the sweep path fuses into the lane window.
-fn submit_reset_memo_share(wall_ns: u64, p: &PhaseBreakdown) -> f64 {
-    if wall_ns == 0 {
-        return 0.0;
-    }
-    (p.submit_reset_ns + p.memo_ns) as f64 / wall_ns as f64
-}
-
-/// Measure the sweep path's phase breakdown on one thread (restoring the
-/// caller's `RAYON_NUM_THREADS`, so the summed per-thread buckets are
-/// directly comparable to the wall, and the rate-problem counts are those
-/// of one worker), and emit the `phases` section. Returns the full pair
-/// sweep's reuse share.
+/// Count the full pair sweep's rate problems on one thread (restoring the
+/// caller's `RAYON_NUM_THREADS`, so the counts are those of one worker and
+/// repeat run to run), and emit the `phases` section. Returns the sweep's
+/// reuse share.
 fn measure_phases(out: &mut String, simd: bool, mb: f64) -> Result<f64, BenchError> {
     let prev = std::env::var("RAYON_NUM_THREADS").ok();
     std::env::set_var("RAYON_NUM_THREADS", "1");
-    let pass = phase_pass(simd, mb);
+    let pass = rate_problem_pass(simd, mb);
     match prev {
         Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
         None => std::env::remove_var("RAYON_NUM_THREADS"),
     }
-    let (wall_ns, p, pair) = pass?;
+    let pair = pass?;
     let share = reuse_share(&pair);
     let _ = writeln!(
         out,
-        "  \"phases\": {{\n    \"wall_s\": {:.4},\n    \"solve_ns\": {},\n    \
-         \"outer_ns\": {},\n    \"submit_reset_ns\": {},\n    \"memo_ns\": {},\n    \
-         \"event_loop_ns\": {},\n    \"submit_reset_memo_share\": {:.4},\n    \
-         \"pair_rate_problems_solved\": {},\n    \"pair_rate_problems_reused\": {},\n    \
-         \"pair_reuse_share\": {:.4}\n  }},",
-        wall_ns as f64 * 1e-9,
-        p.solve_ns,
-        p.outer_ns,
-        p.submit_reset_ns,
-        p.memo_ns,
-        p.event_loop_ns,
-        submit_reset_memo_share(wall_ns, &p),
-        pair.solved,
-        pair.reused,
-        share
+        "  \"phases\": {{\n    \"pair_rate_problems_solved\": {},\n    \
+         \"pair_rate_problems_reused\": {},\n    \"pair_reuse_share\": {:.4}\n  }},",
+        pair.solved, pair.reused, share
     );
     Ok(share)
 }
@@ -899,7 +864,6 @@ fn parse_args(args: &[String]) -> Result<Options, BenchError> {
         match arg.as_str() {
             "--baseline" => baseline_only = true,
             "--no-batch" => no_batch = true,
-            "--batch" => {}
             "--no-simd" => no_simd = true,
             "--quick" => quick = true,
             "--threads" => {
@@ -914,8 +878,8 @@ fn parse_args(args: &[String]) -> Result<Options, BenchError> {
             }
             other => {
                 return Err(BenchError::Invalid(format!(
-                    "unknown argument `{other}` (flags: --baseline, --no-batch, --batch, \
-                     --no-simd, --threads N, --quick)"
+                    "unknown argument `{other}` (flags: --baseline, --no-batch, --no-simd, \
+                     --threads N, --quick)"
                 )))
             }
         }
@@ -1140,7 +1104,7 @@ fn run(opts: Options) -> Result<(), BenchError> {
         let _ = writeln!(out, "  \"service_hits\": {},", h.service_json());
     }
     let reuse = if arms.batched {
-        eprintln!("[bench_report] phase breakdown: sweep path, 1 thread…");
+        eprintln!("[bench_report] rate problems: full pair sweep, 1 thread…");
         Some(measure_phases(&mut out, arms.simd, mb)?)
     } else {
         None
@@ -1221,7 +1185,7 @@ mod tests {
         // Consumers (CI smoke, DESIGN.md §11, external dashboards) key on
         // this exact string; a shape change must bump it here on purpose,
         // in the same commit that documents the new shape.
-        assert_eq!(SCHEMA, "ecost-bench-sim/9");
+        assert_eq!(SCHEMA, "ecost-bench-sim/10");
     }
 
     fn args(list: &[&str]) -> Vec<String> {
@@ -1230,7 +1194,7 @@ mod tests {
 
     #[test]
     fn known_flags_select_arms() {
-        let all = parse_args(&args(&["--quick", "--batch", "--threads", "2"])).unwrap();
+        let all = parse_args(&args(&["--quick", "--threads", "2"])).unwrap();
         assert_eq!(
             all,
             Options {
@@ -1257,6 +1221,7 @@ mod tests {
     fn unknown_and_malformed_arguments_are_rejected() {
         for bad in [
             &["--lane-sweep"][..],
+            &["--batch"],
             &["--quick", "--frobnicate"],
             &["--threads"],
             &["--threads", "0"],
@@ -1273,28 +1238,12 @@ mod tests {
     }
 
     #[test]
-    fn submit_reset_memo_share_is_a_fraction_of_wall() {
-        let p = PhaseBreakdown {
-            solve_ns: 600,
-            outer_ns: 100,
-            submit_reset_ns: 200,
-            memo_ns: 100,
-            event_loop_ns: 0,
-            solved: 0,
-            reused: 0,
-        };
-        assert!((submit_reset_memo_share(1000, &p) - 0.3).abs() < 1e-12);
-        assert_eq!(submit_reset_memo_share(0, &p), 0.0);
-    }
-
-    #[test]
     fn reuse_share_is_reused_over_all_rate_problems() {
-        let p = PhaseBreakdown {
+        let p = BatchPhases {
             solved: 300,
             reused: 100,
-            ..PhaseBreakdown::default()
         };
         assert!((reuse_share(&p) - 0.25).abs() < 1e-12);
-        assert_eq!(reuse_share(&PhaseBreakdown::default()), 0.0);
+        assert_eq!(reuse_share(&BatchPhases::default()), 0.0);
     }
 }

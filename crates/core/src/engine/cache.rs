@@ -274,102 +274,6 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedCache<K, V> {
         value
     }
 
-    /// Probe a whole window of keys with at most one lock acquisition per
-    /// touched shard, writing `keys[i]`'s cached value (or `None`) to
-    /// `out[i]`. Hits mark their slots referenced, and within each shard
-    /// keys are visited in input order, so the CLOCK state afterwards is
-    /// identical to a sequence of [`ShardedCache::get`] calls — shards are
-    /// independent, so cross-shard ordering cannot be observed.
-    pub(crate) fn get_many(&self, keys: &[K], out: &mut Vec<Option<V>>) {
-        out.clear();
-        out.resize_with(keys.len(), || None);
-        let hashed: Vec<Hashed<K>> = keys.iter().map(|k| self.hashed(k)).collect();
-        let mut touched = [false; SHARDS];
-        for key in &hashed {
-            touched[(key.hash as usize) % SHARDS] = true;
-        }
-        for (s, shard) in self.shards.iter().enumerate() {
-            if !touched[s] {
-                continue;
-            }
-            let mut guard = shard.lock().unwrap_or_else(|e| e.into_inner());
-            for (i, key) in hashed.iter().enumerate() {
-                if (key.hash as usize) % SHARDS != s {
-                    continue;
-                }
-                if let Some(idx) = guard.map.get(key).copied() {
-                    guard.slots[idx].referenced = true;
-                    out[i] = Some(guard.slots[idx].value.clone());
-                }
-            }
-        }
-    }
-
-    /// Insert a window of entries with at most one lock acquisition per
-    /// touched shard, pushing the value now stored under each key (the
-    /// incumbent on a duplicate, first-insert-wins like
-    /// [`ShardedCache::insert_or_keep`]) to `out` in input order. Within a
-    /// shard, entries land in input order, so bounded-mode CLOCK eviction
-    /// takes exactly the victims sequential inserts would; the eviction
-    /// counter is bumped once per window with the accumulated delta.
-    pub(crate) fn insert_many(&self, entries: &[(K, V)], out: &mut Vec<V>) {
-        out.clear();
-        out.reserve(entries.len());
-        let hashed: Vec<Hashed<K>> = entries.iter().map(|(k, _)| self.hashed(k)).collect();
-        let mut touched = [false; SHARDS];
-        for key in &hashed {
-            touched[(key.hash as usize) % SHARDS] = true;
-        }
-        let mut evicted = 0u64;
-        // `out` must come back in input order, but each shard is visited
-        // once; stage values keyed by input index, then emit in order.
-        let mut staged: Vec<Option<V>> = Vec::new();
-        staged.resize_with(entries.len(), || None);
-        for (s, shard) in self.shards.iter().enumerate() {
-            if !touched[s] {
-                continue;
-            }
-            let mut guard = shard.lock().unwrap_or_else(|e| e.into_inner());
-            for (i, (key, (_, value))) in hashed.iter().zip(entries).enumerate() {
-                if (key.hash as usize) % SHARDS != s {
-                    continue;
-                }
-                if let Some(idx) = guard.map.get(key).copied() {
-                    guard.slots[idx].referenced = true;
-                    staged[i] = Some(guard.slots[idx].value.clone());
-                    continue;
-                }
-                let idx = if guard.slots.len() >= guard.cap {
-                    let victim = guard.evict_one();
-                    evicted += 1;
-                    guard.map.insert(key.clone(), victim);
-                    guard.slots[victim] = Slot {
-                        key: key.clone(),
-                        value: value.clone(),
-                        referenced: true,
-                    };
-                    victim
-                } else {
-                    let idx = guard.slots.len();
-                    guard.map.insert(key.clone(), idx);
-                    guard.slots.push(Slot {
-                        key: key.clone(),
-                        value: value.clone(),
-                        referenced: true,
-                    });
-                    idx
-                };
-                staged[i] = Some(guard.slots[idx].value.clone());
-            }
-        }
-        if evicted > 0 {
-            self.evictions.add(evicted);
-        }
-        // Every index was staged by exactly one shard pass; `flatten`
-        // (rather than unwrap) keeps this free of panic paths anyway.
-        out.extend(staged.into_iter().flatten());
-    }
-
     /// True when `key` is resident, *without* touching its CLOCK
     /// referenced bit (a diagnostic probe, not a use).
     #[cfg(test)]
@@ -493,97 +397,6 @@ mod tests {
             (0..200).filter(|k| c.get(k).is_some()).collect::<Vec<_>>()
         };
         assert_eq!(survivors(), survivors());
-    }
-
-    #[test]
-    fn get_many_matches_sequential_gets_and_marks_hits() {
-        let c: ShardedCache<u64, u64> = ShardedCache::new(counter());
-        for k in (0..200).step_by(2) {
-            c.insert_or_keep(k, k + 1);
-        }
-        let keys: Vec<u64> = (0..200).collect();
-        let mut bulk = Vec::new();
-        c.get_many(&keys, &mut bulk);
-        assert_eq!(bulk.len(), keys.len());
-        for (k, got) in keys.iter().zip(&bulk) {
-            assert_eq!(*got, c.get(k), "key {k}");
-        }
-        // Repeated keys in one window are each answered.
-        let dup = [4u64, 4, 5, 4];
-        c.get_many(&dup, &mut bulk);
-        assert_eq!(bulk, vec![Some(5), Some(5), None, Some(5)]);
-    }
-
-    #[test]
-    fn insert_many_is_first_insert_wins_in_input_order() {
-        let c: ShardedCache<u64, Arc<u64>> = ShardedCache::new(counter());
-        let incumbent = c.insert_or_keep(7, Arc::new(1));
-        // A window carrying an incumbent key AND an internal duplicate:
-        // the incumbent survives, and the window's own first insert wins
-        // over its later duplicate.
-        let entries = vec![(7u64, Arc::new(2u64)), (8, Arc::new(10)), (8, Arc::new(20))];
-        let mut stored = Vec::new();
-        c.insert_many(&entries, &mut stored);
-        assert_eq!(stored.len(), 3);
-        assert!(Arc::ptr_eq(&stored[0], &incumbent));
-        assert_eq!(*stored[1], 10);
-        assert_eq!(*stored[2], 10, "later duplicate must see the first insert");
-        assert_eq!(*c.get(&8).unwrap(), 10);
-        assert_eq!(c.len(), 2);
-    }
-
-    #[test]
-    fn bulk_ops_leave_the_same_clock_state_as_sequential_ops() {
-        // Identical logical traffic — bulk vs per-key — must leave the
-        // bounded CLOCK rings in identical states: same survivors, same
-        // eviction count. This is what lets the engine switch the sweep
-        // memo to get_many/insert_many without perturbing eviction order.
-        let run = |bulk: bool| -> (Vec<u64>, u64) {
-            let ev = counter();
-            let c: ShardedCache<u64, u64> = ShardedCache::with_budget(Some(32), ev.clone());
-            for round in 0..4u64 {
-                let keys: Vec<u64> = (round * 40..round * 40 + 80).collect();
-                if bulk {
-                    let mut out = Vec::new();
-                    c.get_many(&keys, &mut out);
-                    let entries: Vec<(u64, u64)> = keys.iter().map(|&k| (k, k * 3)).collect();
-                    let mut stored = Vec::new();
-                    c.insert_many(&entries, &mut stored);
-                } else {
-                    for &k in &keys {
-                        c.get(&k);
-                    }
-                    for &k in &keys {
-                        c.insert_or_keep(k, k * 3);
-                    }
-                }
-            }
-            let survivors = (0..400).filter(|k| c.contains(k)).collect();
-            (survivors, ev.get())
-        };
-        let (seq_survivors, seq_evictions) = run(false);
-        let (bulk_survivors, bulk_evictions) = run(true);
-        assert_eq!(bulk_survivors, seq_survivors);
-        assert_eq!(bulk_evictions, seq_evictions);
-        assert!(seq_evictions > 0, "the sequence must actually thrash");
-    }
-
-    #[test]
-    fn bounded_insert_many_conserves_entries() {
-        let ev = counter();
-        let c: ShardedCache<u64, u64> = ShardedCache::with_budget(Some(64), ev.clone());
-        let mut inserted = 0u64;
-        for round in 0..10u64 {
-            let entries: Vec<(u64, u64)> =
-                (round * 500..(round + 1) * 500).map(|k| (k, k)).collect();
-            let mut stored = Vec::new();
-            c.insert_many(&entries, &mut stored);
-            inserted += entries.len() as u64;
-            assert!(c.len() <= 64, "len {} after round {round}", c.len());
-        }
-        // Every distinct key inserted exactly one entry; each is resident
-        // or was evicted — the per-window eviction delta loses nothing.
-        assert_eq!(c.len() as u64 + ev.get(), inserted);
     }
 
     #[test]

@@ -40,7 +40,6 @@ use ecost_sim::{SimError, SimdBackend};
 use ecost_telemetry::{Counter, Event, Recorder, Registry};
 use pool::SimPool;
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -55,57 +54,6 @@ const WINDOWS_PER_SPAN: usize = 8;
 
 /// Sweep points one span covers: [`WINDOWS_PER_SPAN`] full lane windows.
 const SPAN_POINTS: usize = MAX_BATCH_LANES * WINDOWS_PER_SPAN;
-
-/// Wall-clock cost breakdown of the engine's sweep miss path, measured
-/// (not estimated) when phase timing is on ([`EvalEngine::set_phase_timing`])
-/// and drained with [`EvalEngine::take_phase_breakdown`]. The `*_ns`
-/// buckets are nanoseconds summed across windows and worker threads;
-/// buckets overlap wall time when sweeps run on several rayon workers. The
-/// two rate-problem counts are exact, and repeat run to run at one thread.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PhaseBreakdown {
-    /// Inside the lane-interleaved AMVA kernel.
-    pub solve_ns: u64,
-    /// Outer contention fixed-point bookkeeping around the kernel.
-    pub outer_ns: u64,
-    /// Simulator checkout, job submit, reset and pool return.
-    pub submit_reset_ns: u64,
-    /// Memo-table traffic: key building, probes, inserts.
-    pub memo_ns: u64,
-    /// Event-loop bookkeeping between solves.
-    pub event_loop_ns: u64,
-    /// Rate problems (one simulator's job mix) the sweep path solved.
-    pub solved: u64,
-    /// Rate problems it answered from a worker's reuse table instead.
-    pub reused: u64,
-}
-
-/// Relaxed atomic accumulators behind [`PhaseBreakdown`] — bumped from
-/// rayon workers without any lock.
-#[derive(Debug, Default)]
-struct PhaseNs {
-    solve: AtomicU64,
-    outer: AtomicU64,
-    submit_reset: AtomicU64,
-    memo: AtomicU64,
-    event_loop: AtomicU64,
-    solved: AtomicU64,
-    reused: AtomicU64,
-}
-
-impl PhaseNs {
-    fn take(&self) -> PhaseBreakdown {
-        PhaseBreakdown {
-            solve_ns: self.solve.swap(0, Ordering::Relaxed),
-            outer_ns: self.outer.swap(0, Ordering::Relaxed),
-            submit_reset_ns: self.submit_reset.swap(0, Ordering::Relaxed),
-            memo_ns: self.memo.swap(0, Ordering::Relaxed),
-            event_loop_ns: self.event_loop.swap(0, Ordering::Relaxed),
-            solved: self.solved.swap(0, Ordering::Relaxed),
-            reused: self.reused.swap(0, Ordering::Relaxed),
-        }
-    }
-}
 
 /// Result of a standalone run at one configuration.
 #[derive(Debug, Clone)]
@@ -500,8 +448,8 @@ struct PairPointKey {
 
 /// Cached handles into the telemetry registry — one per engine metric, so
 /// the hot paths pay exactly one relaxed atomic add per probe and never a
-/// registry lookup. [`EngineStats`] is a read-only view over these: the
-/// registry is the single source of truth.
+/// registry lookup. [`EngineStats`] is a read-only view over the first
+/// ten: the registry is the single source of truth.
 #[derive(Debug, Clone)]
 struct EngineCounters {
     hits: Counter,
@@ -514,6 +462,10 @@ struct EngineCounters {
     sims_created: Counter,
     sims_reused: Counter,
     evictions: Counter,
+    /// Rate problems (one simulator's job mix) the sweep path solved.
+    rate_solved: Counter,
+    /// Rate problems it answered from a worker's reuse table instead.
+    rate_reused: Counter,
 }
 
 impl EngineCounters {
@@ -542,6 +494,8 @@ impl EngineCounters {
             sims_created: reg.counter(&name("sims_created")),
             sims_reused: reg.counter(&name("sims_reused")),
             evictions: reg.counter(&name("cache_evictions")),
+            rate_solved: reg.counter(&name("rate_problems_solved")),
+            rate_reused: reg.counter(&name("rate_problems_reused")),
         }
     }
 }
@@ -567,10 +521,6 @@ pub struct EvalEngine {
     /// AMVA vector backend for sweep windows, detected at construction
     /// ([`Self::with_simd`] pins the scalar kernel instead).
     simd: SimdBackend,
-    /// Collect the [`PhaseBreakdown`] buckets (off by default: the hot
-    /// path takes no timestamps unless asked).
-    phase_timing: bool,
-    phases: PhaseNs,
 }
 
 impl EvalEngine {
@@ -609,8 +559,6 @@ impl EvalEngine {
             recorder,
             counters,
             simd: SimdBackend::detect(),
-            phase_timing: false,
-            phases: PhaseNs::default(),
         }
     }
 
@@ -646,17 +594,6 @@ impl EvalEngine {
     /// The AMVA vector backend sweep windows will use.
     pub fn simd_backend(&self) -> SimdBackend {
         self.simd
-    }
-
-    /// Toggle [`PhaseBreakdown`] collection (off by default; timing never
-    /// changes simulated results).
-    pub fn set_phase_timing(&mut self, on: bool) {
-        self.phase_timing = on;
-    }
-
-    /// Drain the accumulated phase breakdown, resetting all buckets.
-    pub fn take_phase_breakdown(&self) -> PhaseBreakdown {
-        self.phases.take()
     }
 
     /// The telemetry recorder this engine (and every run driven through
@@ -809,9 +746,7 @@ impl EvalEngine {
         let solved = runs
             .into_par_iter()
             .map(|run| {
-                let mut scratch = BatchScratch::new();
-                scratch.set_simd_backend(self.simd);
-                scratch.set_phase_timing(self.phase_timing);
+                let mut scratch = BatchScratch::new(self.simd);
                 let mut out = Vec::with_capacity(run.len());
                 for span in run.chunks(SPAN_POINTS) {
                     self.run_span(span, &mut scratch, &submit, &read_out, &mut out)?;
@@ -835,8 +770,11 @@ impl EvalEngine {
     /// completion and resets lane state in place, so the pool's lock and
     /// the multi-KB per-simulator moves are paid once per span instead of
     /// once per window. Every lane is bit-identical to a scalar run of the
-    /// same point. On any failure the span's simulators are dropped,
-    /// mirroring [`Self::run_pooled`]'s error policy.
+    /// same point. The span's rate-problem counts (solved, and answered
+    /// from the scratch's reuse table) go to the engine's
+    /// `engine.rate_problems_{solved,reused}` registry counters. On any
+    /// failure the span's simulators are dropped, mirroring
+    /// [`Self::run_pooled`]'s error policy.
     fn run_span<P, T>(
         &self,
         span: &[P],
@@ -845,14 +783,6 @@ impl EvalEngine {
         read_out: impl Fn(&mut NodeSim) -> Result<T, SimError>,
         out: &mut Vec<T>,
     ) -> Result<(), EvalError> {
-        let timing = self.phase_timing;
-        let mut sr_ns = 0u64;
-        let mut timed = |t: Option<Instant>| {
-            if let Some(t) = t {
-                sr_ns += t.elapsed().as_nanos() as u64;
-            }
-        };
-        let t = timing.then(Instant::now);
         let width = span.len().min(MAX_BATCH_LANES);
         let mut sims = Vec::with_capacity(width);
         let (reused, built) =
@@ -868,44 +798,27 @@ impl EvalEngine {
         if reused_runs > 0 {
             self.counters.sims_reused.add(reused_runs);
         }
-        timed(t);
         let run = (|| -> Result<(), SimError> {
             for window in span.chunks(MAX_BATCH_LANES) {
                 let lanes = &mut sims[..window.len()];
-                let t = timing.then(Instant::now);
                 for (sim, point) in lanes.iter_mut().zip(window) {
                     submit(sim, point)?;
                 }
-                timed(t);
                 run_batch_to_completion(lanes, scratch)?;
-                let t = timing.then(Instant::now);
                 for sim in lanes {
                     out.push(read_out(sim)?);
                     sim.reset();
                 }
-                timed(t);
             }
             Ok(())
         })();
-        if timing {
-            let p = scratch.take_phases();
-            self.phases.solve.fetch_add(p.solve_ns, Ordering::Relaxed);
-            self.phases.outer.fetch_add(p.outer_ns, Ordering::Relaxed);
-            self.phases
-                .event_loop
-                .fetch_add(p.event_ns, Ordering::Relaxed);
-            self.phases.solved.fetch_add(p.solved, Ordering::Relaxed);
-            self.phases.reused.fetch_add(p.reused, Ordering::Relaxed);
-        }
+        let counts = scratch.take_phases();
+        self.counters.rate_solved.add(counts.solved);
+        self.counters.rate_reused.add(counts.reused);
         // Simulators from a failed span are dropped, never shelved — the
         // pool's half-advanced-state policy.
         run?;
-        let t = timing.then(Instant::now);
         self.pool.release_window(&mut sims);
-        timed(t);
-        if sr_ns > 0 {
-            self.phases.submit_reset.fetch_add(sr_ns, Ordering::Relaxed);
-        }
         Ok(())
     }
 
@@ -1018,45 +931,26 @@ impl EvalEngine {
     ) -> Result<Vec<SoloRun>, EvalError> {
         check_input_mb(input_mb)?;
         let configs: Vec<TuningConfig> = TuningConfig::space(self.tb.node.cores).collect();
-        // Probe the whole sweep in bulk (grouped shard lookups, one counter
-        // delta per sweep) — the same hit/miss totals and keys as point
-        // probes — then solve only the misses.
+        // Probe every point in sweep order, then solve only the misses.
         let fp = fingerprint(profile);
-        let keys: Vec<SoloKey> = configs
-            .iter()
-            .map(|&cfg| SoloKey {
-                fp,
-                mb: input_mb.to_bits(),
-                cfg,
-            })
-            .collect();
+        let key = |cfg| SoloKey {
+            fp,
+            mb: input_mb.to_bits(),
+            cfg,
+        };
         let mut metrics: Vec<Option<JobMetrics>> = vec![None; configs.len()];
         let mut missing: Vec<(usize, TuningConfig)> = Vec::new();
-        let t_memo = self.phase_timing.then(Instant::now);
-        let mut probed: Vec<Option<Arc<JobOutcome>>> = Vec::new();
-        self.solo.get_many(&keys, &mut probed);
-        let mut nh = 0u64;
-        for (i, cached) in probed.into_iter().enumerate() {
-            match cached {
+        for (i, &cfg) in configs.iter().enumerate() {
+            match self.solo.get(&key(cfg)) {
                 Some(out) => {
-                    nh += 1;
-                    self.recorder
-                        .emit(0.0, None, None, || Event::CacheHit { cache: "solo" });
+                    self.hit("solo");
                     metrics[i] = Some(out.metrics);
                 }
                 None => {
-                    self.recorder
-                        .emit(0.0, None, None, || Event::CacheMiss { cache: "solo" });
-                    missing.push((i, configs[i]));
+                    self.miss("solo");
+                    missing.push((i, cfg));
                 }
             }
-        }
-        self.counters.hits.add(nh);
-        self.counters.misses.add(missing.len() as u64);
-        if let Some(t) = t_memo {
-            self.phases
-                .memo
-                .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
         }
         if !missing.is_empty() {
             let t0 = Instant::now();
@@ -1080,23 +974,11 @@ impl EvalEngine {
                 },
             )?;
             self.charge(missing.len() as u64, t0.elapsed().as_nanos() as u64);
-            let t_memo = self.phase_timing.then(Instant::now);
-            let entries: Vec<(SoloKey, Arc<JobOutcome>)> = missing
-                .iter()
-                .zip(solved)
-                .map(|(&(i, _), out)| (keys[i], Arc::new(out)))
-                .collect();
-            // Bulk insert under one lock acquisition per touched shard;
-            // first-insert-wins exactly like `insert_or_keep`.
-            let mut stored: Vec<Arc<JobOutcome>> = Vec::new();
-            self.solo.insert_many(&entries, &mut stored);
-            for (&(i, _), out) in missing.iter().zip(&stored) {
-                metrics[i] = Some(out.metrics);
-            }
-            if let Some(t) = t_memo {
-                self.phases
-                    .memo
-                    .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            // Store in sweep order; first insert wins, so a point another
+            // thread stored meanwhile keeps its incumbent value.
+            for (&(i, cfg), out) in missing.iter().zip(solved) {
+                let stored = self.solo.insert_or_keep(key(cfg), Arc::new(out));
+                metrics[i] = Some(stored.metrics);
             }
         }
         configs
@@ -2059,19 +1941,20 @@ mod tests {
         // that share is solved once: 42.7 % of the problems come from the
         // reuse table on one worker, 40.3 % on sixteen, while a table per
         // span reaches 32.6 %.
-        let mut eng = EvalEngine::atom();
-        eng.set_phase_timing(true);
+        // The engine counts both kinds in its registry, always on.
+        let eng = EvalEngine::atom();
         let mb = InputSize::Small.per_node_mb();
         eng.pair_sweep(App::Gp.profile(), mb, App::St.profile(), mb)
             .unwrap();
-        let p = eng.take_phase_breakdown();
-        assert_eq!(p.solved + p.reused, 67_200);
+        let snap = eng.recorder().metrics().snapshot();
+        let solved = snap.counter("engine.rate_problems_solved");
+        let reused = snap.counter("engine.rate_problems_reused");
+        assert_eq!(solved + reused, 67_200);
         // With more workers each share shrinks toward one span.
         if rayon::current_num_threads() <= 16 {
             assert!(
-                p.reused * 100 > 37 * 67_200,
-                "{} of 67 200 rate problems reused on {} workers",
-                p.reused,
+                reused * 100 > 37 * 67_200,
+                "{reused} of 67 200 rate problems reused on {} workers",
                 rayon::current_num_threads()
             );
         }

@@ -7,8 +7,10 @@
 //! [`NodeSim::reset`]: a single-point miss checks out one simulator, a
 //! sweep span one lane window's worth, so a rayon worker crunching a sweep
 //! reuses the same warm simulators point after point. The pool holds
-//! simulators only: a span's `BatchScratch` holds no buffers (just the
-//! kernel backend and phase timers), so each span builds its own.
+//! simulators only: each sweep worker builds one `BatchScratch` (the lane
+//! kernel's backend and a 127 KiB rate-solution reuse table) and keeps it
+//! across all its spans of that sweep, so a recurring job mix is solved
+//! once per worker.
 //!
 //! Correctness: `reset` restores every observable field to its
 //! freshly-constructed value (the executor's property tests hold pooled

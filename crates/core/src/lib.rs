@@ -54,7 +54,7 @@ pub mod strategies;
 
 pub use classify::{KnnAppClassifier, RuleClassifier};
 pub use database::ConfigDatabase;
-pub use engine::{CacheBudget, EngineStats, EvalEngine, EvalError, PhaseBreakdown, RetryPolicy};
+pub use engine::{CacheBudget, EngineStats, EvalEngine, EvalError, RetryPolicy};
 pub use features::{profile_app, AppSignature, Testbed, REFERENCE_CONFIG};
 pub use fleet::{run_fleet, FleetConfig, FleetRun, FleetService, RoutePolicy, ShardReport};
 pub use mapping::{

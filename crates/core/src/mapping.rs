@@ -100,14 +100,6 @@ impl MappingPolicy {
             MappingPolicy::Ub => "UB",
         }
     }
-
-    /// True for the policies that need an [`EcostContext`].
-    pub fn needs_context(self) -> bool {
-        matches!(
-            self,
-            MappingPolicy::Ptm | MappingPolicy::Ecost | MappingPolicy::Ub
-        )
-    }
 }
 
 /// A mapping policy *with* whatever it needs to run: the tuned variants
@@ -1360,7 +1352,6 @@ mod tests {
     #[test]
     fn tuned_policy_without_context_is_a_typed_error() {
         for policy in [MappingPolicy::Ptm, MappingPolicy::Ecost, MappingPolicy::Ub] {
-            assert!(policy.needs_context());
             let err = ConfiguredPolicy::new(policy, None)
                 .err()
                 .expect("must fail");

@@ -133,11 +133,6 @@ pub fn f(v: f64, prec: usize) -> String {
     format!("{v:.prec$}")
 }
 
-/// Format a ratio as a percentage with two decimals.
-pub fn pct(v: f64) -> String {
-    format!("{:.2}", 100.0 * v)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,6 +180,5 @@ mod tests {
     #[test]
     fn helpers_format() {
         assert_eq!(f(1.23456, 2), "1.23");
-        assert_eq!(pct(0.0384), "3.84");
     }
 }

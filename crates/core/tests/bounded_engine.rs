@@ -62,11 +62,10 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// The batch-resident sweep writes misses through the bulk
-    /// `insert_many` path (grouped shard locks, one eviction delta per
-    /// window) instead of per-point `insert_or_keep`. Under a thrashing
-    /// 16-entry budget the CLOCK ring evicts during the bulk insert
-    /// itself; every returned metric must still be bit-identical to an
+    /// A solo sweep stores all its misses at once, after solving them, in
+    /// sweep order. Under a thrashing 16-entry budget the CLOCK ring
+    /// evicts during those inserts, even entries the same sweep just
+    /// stored; every returned metric must still be bit-identical to an
     /// unbounded engine, the budget must hold, and the eviction counter
     /// must conserve entries (`resident + evicted == inserted`, where the
     /// sweep inserts exactly its misses).
@@ -80,7 +79,7 @@ proptest! {
             ..CacheBudget::unbounded()
         });
         // Both engines run the batch-resident sweep (the engine default):
-        // the bounded one exercises CLOCK eviction × bulk inserts.
+        // the bounded one exercises CLOCK eviction × a sweep's inserts.
         for pass in 0..2 {
             let a = unbounded.sweep_solo(p, mb).expect("unbounded sweep");
             let b = bounded.sweep_solo(p, mb).expect("bounded sweep");
@@ -90,7 +89,7 @@ proptest! {
                 prop_assert_eq!(
                     x.metrics.exec_time_s.to_bits(),
                     y.metrics.exec_time_s.to_bits(),
-                    "pass {}: exec time drifted under bulk-insert eviction", pass
+                    "pass {}: exec time drifted under eviction", pass
                 );
                 prop_assert_eq!(x.metrics.energy_j.to_bits(), y.metrics.energy_j.to_bits());
             }
@@ -99,13 +98,47 @@ proptest! {
         let s = bounded.stats();
         // 160 distinct keys through 16 slots thrash on every pass.
         prop_assert!(s.evictions > 0);
-        // Entry conservation across the bulk path: every miss inserted
-        // exactly one entry, and each is either still resident or counted
-        // evicted — bulk eviction deltas lose nothing.
+        // Entry conservation: every miss inserted exactly one entry, and
+        // each is either still resident or counted evicted.
         prop_assert_eq!(bounded.cached_solo_runs() as u64 + s.evictions, s.misses);
         // The unbounded engine answered pass 2 entirely from memo.
         prop_assert!(s.misses > unbounded.stats().misses);
     }
+}
+
+/// Memo traffic of solo sweeps on a bounded engine, pinned. A sweep
+/// probes its points in sweep order and stores its misses in sweep order
+/// once they are solved; which points survive the CLOCK ring then decides
+/// which later point queries hit. Two passes over three apps × sizes,
+/// each sweep followed by point queries at every ninth configuration,
+/// through a 32-entry budget (two slots per shard): the counts below
+/// move if the sweep's probe or store order does.
+#[test]
+fn bounded_solo_sweeps_keep_their_memo_traffic() {
+    let eng = EvalEngine::atom().with_cache_budget(CacheBudget::entries(32));
+    let grid = [
+        (App::Wc, InputSize::Small),
+        (App::St, InputSize::Small),
+        (App::Wc, InputSize::Medium),
+    ];
+    let points: Vec<TuningConfig> = TuningConfig::space(8).step_by(9).collect();
+    for _pass in 0..2 {
+        for &(app, size) in &grid {
+            let mb = size.per_node_mb();
+            eng.sweep_solo(app.profile(), mb).expect("bounded sweep");
+            for &cfg in &points {
+                eng.solo_metrics(app.profile(), mb, cfg)
+                    .expect("bounded point");
+            }
+        }
+    }
+    let s = eng.stats();
+    assert_eq!(
+        (s.hits, s.misses, s.evictions, eng.cached_solo_runs()),
+        (20, 1048, 1016, 32),
+        "{s}"
+    );
+    assert_eq!(s.runs_simulated, s.misses);
 }
 
 /// Pair-point queries through a thrashing pair-point cache: evicted points

@@ -56,14 +56,6 @@ impl BlockSize {
             BlockSize::B1024 => 4,
         }
     }
-
-    /// Parse from MB as printed in the paper's tables.
-    pub fn from_mb(mb: f64) -> Option<BlockSize> {
-        BlockSize::ALL
-            .iter()
-            .copied()
-            .find(|b| (b.mb() - mb).abs() < 0.5)
-    }
 }
 
 impl fmt::Display for BlockSize {
@@ -209,9 +201,7 @@ mod tests {
         assert_eq!(mb, vec![64.0, 128.0, 256.0, 512.0, 1024.0]);
         for (i, b) in BlockSize::ALL.iter().enumerate() {
             assert_eq!(b.index(), i);
-            assert_eq!(BlockSize::from_mb(b.mb()), Some(*b));
         }
-        assert_eq!(BlockSize::from_mb(100.0), None);
     }
 
     #[test]

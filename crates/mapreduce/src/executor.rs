@@ -32,7 +32,6 @@ use ecost_sim::{
     PowerModel, SimError, SimdBackend,
 };
 use ecost_telemetry::{Event, Recorder, SpanKey};
-use std::time::Instant;
 
 /// Opaque handle identifying a submitted job within one `NodeSim`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -1297,38 +1296,16 @@ fn finalize<const N: usize>(
 /// fixed stack arrays.
 pub const MAX_BATCH_LANES: usize = 16;
 
-/// Wall-clock breakdown of batched window execution, accumulated while
-/// phase timing is enabled ([`BatchScratch::set_phase_timing`]) and drained
-/// with [`BatchScratch::take_phases`]. The `*_ns` buckets are nanoseconds;
-/// timing never changes any simulated quantity. The two rate-problem
-/// counts are kept whether or not timing is on.
+/// Rate problems of batched window execution, counted exactly on every
+/// run and drained with [`BatchScratch::take_phases`]: one rate problem is
+/// one simulator's job mix needing a fresh contention solution.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchPhases {
-    /// Inside the AMVA lane kernel ([`ecost_sim::amva::solve_lanes`]).
-    pub solve_ns: u64,
-    /// Outer contention fixed-point bookkeeping around the kernel: class
-    /// builds, θ/slow coupling, convergence masking, finalize, and the
-    /// reuse table's probes and stores.
-    pub outer_ns: u64,
-    /// Event-loop bookkeeping between solves: re-solve detection, event
-    /// stepping, budgets, live-lane compaction.
-    pub event_ns: u64,
     /// Rate problems solved: a simulator's job mix whose contention model
     /// ran, on the lane kernel or on the simulator's own solve.
     pub solved: u64,
     /// Rate problems answered from the scratch's reuse table instead.
     pub reused: u64,
-}
-
-impl BatchPhases {
-    /// Bucket-wise sum, for aggregating across windows.
-    pub fn absorb(&mut self, other: BatchPhases) {
-        self.solve_ns += other.solve_ns;
-        self.outer_ns += other.outer_ns;
-        self.event_ns += other.event_ns;
-        self.solved += other.solved;
-        self.reused += other.reused;
-    }
 }
 
 /// Direct-mapped slots of a [`BatchScratch`]'s reuse table, 368 B each
@@ -1661,58 +1638,34 @@ impl ReuseTable {
     }
 }
 
-/// Settings, phase timers and the rate-solution reuse table for batched
-/// run windows ([`run_batch_to_completion`]): the AMVA lane kernel's
-/// backend, the optional phase breakdown, and recurring mixes' solutions
-/// (`ReuseTable`), which carry over from one window to the next. All
-/// per-lane solve state lives on the stack and the table is allocated
-/// once with the scratch, so a batched run allocates nothing.
+/// State of batched run windows ([`run_batch_to_completion`]): the AMVA
+/// lane kernel's backend, the rate-problem counts ([`BatchPhases`]), and
+/// recurring mixes' solutions (`ReuseTable`), which carry over from one
+/// window to the next. All per-lane solve state lives on the stack and
+/// the table is allocated once with the scratch, so a batched run
+/// allocates nothing.
 pub struct BatchScratch {
     backend: SimdBackend,
-    timing: bool,
     phases: BatchPhases,
     reuse: ReuseTable,
 }
 
 impl BatchScratch {
-    /// A scratch on the detected backend ([`SimdBackend::detect`]), phase
-    /// timing off, with an empty reuse table.
-    pub fn new() -> BatchScratch {
+    /// A scratch whose batched solves run the AMVA lane kernel on
+    /// `backend` (validated against the running CPU), with an empty reuse
+    /// table. Every backend is bit-identical to the scalar path, so the
+    /// choice only moves throughput.
+    pub fn new(backend: SimdBackend) -> BatchScratch {
         BatchScratch {
-            backend: SimdBackend::detect(),
-            timing: false,
+            backend: backend.validated(),
             phases: BatchPhases::default(),
             reuse: ReuseTable::new(),
         }
     }
 
-    /// Select the AMVA lane kernel's backend for this scratch's batched
-    /// solves (validated against the running CPU). Every backend is
-    /// bit-identical to the scalar path, so this only moves throughput.
-    pub fn set_simd_backend(&mut self, backend: SimdBackend) {
-        self.backend = backend.validated();
-    }
-
-    /// The AMVA lane kernel's backend for the next batched solve.
-    pub fn simd_backend(&self) -> SimdBackend {
-        self.backend
-    }
-
-    /// Enable wall-clock phase accounting ([`BatchPhases`]). Off by
-    /// default: the hot path takes no timestamps unless asked.
-    pub fn set_phase_timing(&mut self, timing: bool) {
-        self.timing = timing;
-    }
-
-    /// Drain the accumulated phase breakdown, resetting it to zero.
+    /// Drain the rate-problem counts, resetting them to zero.
     pub fn take_phases(&mut self) -> BatchPhases {
         std::mem::take(&mut self.phases)
-    }
-}
-
-impl Default for BatchScratch {
-    fn default() -> Self {
-        BatchScratch::new()
     }
 }
 
@@ -1735,8 +1688,6 @@ fn solve_fixed_group<const NC: usize, const S: usize>(
     scratch: &mut BatchScratch,
 ) -> Result<(), SimError> {
     let k = lane_ids.len();
-    let t_all = scratch.timing.then(Instant::now);
-    let mut solve_ns = 0u64;
     let mut preps = [SolvePrep::<NC>::empty(); MAX_BATCH_LANES];
     let mut states = [OuterState::<NC>::start(); MAX_BATCH_LANES];
     for (prep, &i) in preps.iter_mut().zip(lane_ids) {
@@ -1755,7 +1706,6 @@ fn solve_fixed_group<const NC: usize, const S: usize>(
             *p = fixed_classes(&preps[slot], nic_bw_mbps, &mut states[slot]);
         }
         let mut failed: Option<(usize, SimError)> = None;
-        let t_solve = scratch.timing.then(Instant::now);
         solve_lanes(scratch.backend, &problems[..nlive], |r, sol| {
             let slot = live[r];
             match sol {
@@ -1767,9 +1717,6 @@ fn solve_fixed_group<const NC: usize, const S: usize>(
                 }
             }
         });
-        if let Some(t) = t_solve {
-            solve_ns += t.elapsed().as_nanos() as u64;
-        }
         if let Some((_, e)) = failed {
             return Err(e);
         }
@@ -1798,12 +1745,6 @@ fn solve_fixed_group<const NC: usize, const S: usize>(
         finalize(prep, spec, power, *nic_power_w, active, st, &mut bufs[back]);
         sim.front = back;
         sim.sol_valid = true;
-    }
-
-    if let Some(t) = t_all {
-        let total = t.elapsed().as_nanos() as u64;
-        scratch.phases.solve_ns += solve_ns;
-        scratch.phases.outer_ns += total.saturating_sub(solve_ns);
     }
     Ok(())
 }
@@ -1851,7 +1792,6 @@ fn solve_batch(
                 g += 1;
             }
         }
-        let t = scratch.timing.then(Instant::now);
         let mut rest = [0usize; MAX_BATCH_LANES];
         let mut r = 0usize;
         for &lane in &group[..g] {
@@ -1862,9 +1802,6 @@ fn solve_batch(
         }
         scratch.phases.reused += (g - r) as u64;
         scratch.phases.solved += r as u64;
-        if let Some(t) = t {
-            scratch.phases.outer_ns += t.elapsed().as_nanos() as u64;
-        }
         match (n, r) {
             (1, 2..) => solve_fixed_group::<1, 2>(sims, &rest[..r], scratch)?,
             (2, 2..) => solve_fixed_group::<2, 3>(sims, &rest[..r], scratch)?,
@@ -1875,11 +1812,7 @@ fn solve_batch(
             }
         }
     }
-    let t = scratch.timing.then(Instant::now);
     scratch.reuse.store_misses(sims);
-    if let Some(t) = t {
-        scratch.phases.outer_ns += t.elapsed().as_nanos() as u64;
-    }
     Ok(())
 }
 
@@ -1931,7 +1864,6 @@ pub fn run_batch_to_completion(
         }
     }
     while nlive > 0 {
-        let t0 = scratch.timing.then(Instant::now);
         // Lanes whose job mix changed since the last solve get re-solved
         // together, lane-interleaved.
         let mut need = [0usize; MAX_BATCH_LANES];
@@ -1942,15 +1874,11 @@ pub fn run_batch_to_completion(
                 k += 1;
             }
         }
-        if let Some(t) = t0 {
-            scratch.phases.event_ns += t.elapsed().as_nanos() as u64;
-        }
         if k > 0 {
             solve_batch(sims, &need[..k], scratch)?;
         }
         // One event step per still-active lane; the solutions were just
         // refreshed, so `step` never falls back to a scalar solve.
-        let t1 = scratch.timing.then(Instant::now);
         let mut w = 0usize;
         for r in 0..nlive {
             let i = live[r];
@@ -1969,9 +1897,6 @@ pub fn run_batch_to_completion(
             }
         }
         nlive = w;
-        if let Some(t) = t1 {
-            scratch.phases.event_ns += t.elapsed().as_nanos() as u64;
-        }
     }
     Ok(())
 }
@@ -2720,7 +2645,7 @@ mod tests {
                 rate_bits(&sim)
             };
             let mut sims = vec![make(false), make(true)];
-            let mut scratch = BatchScratch::new();
+            let mut scratch = BatchScratch::new(SimdBackend::detect());
             scratch.reuse.enter(&sims);
             solve_batch(&mut sims, &[0], &mut scratch).unwrap();
             solve_batch(&mut sims, &[1], &mut scratch).unwrap();
@@ -2767,7 +2692,7 @@ mod tests {
         };
         let window = |spec: &NodeSpec| (0..12).map(|i| sim(spec, i)).collect::<Vec<_>>();
         let (atom, xeon) = (NodeSpec::atom_c2758(), NodeSpec::xeon_like());
-        let mut scratch = BatchScratch::new();
+        let mut scratch = BatchScratch::new(SimdBackend::detect());
         for _ in 0..2 {
             run_batch_to_completion(&mut window(&atom), &mut scratch).unwrap();
         }
@@ -2806,8 +2731,7 @@ mod tests {
         let lane = |i: usize| window().swap_remove(i).ensure_solution().unwrap_err();
         assert_ne!(lane(1), lane(2));
         for backend in [SimdBackend::detect(), SimdBackend::Scalar] {
-            let mut scratch = BatchScratch::new();
-            scratch.set_simd_backend(backend);
+            let mut scratch = BatchScratch::new(backend);
             let mut warm = vec![parked(&[(App::St, 2, true)])];
             run_batch_to_completion(&mut warm, &mut scratch).unwrap();
             scratch.take_phases();
@@ -2818,7 +2742,7 @@ mod tests {
                 "{backend:?}: lane 0 was not a hit"
             );
             assert_eq!(err, lane(2), "{backend:?}");
-            let fresh = run_batch_to_completion(&mut window(), &mut BatchScratch::new());
+            let fresh = run_batch_to_completion(&mut window(), &mut BatchScratch::new(backend));
             assert_eq!(fresh.unwrap_err(), err, "{backend:?}");
         }
     }
@@ -2854,8 +2778,7 @@ mod tests {
         };
         for backend in [SimdBackend::detect(), SimdBackend::Scalar] {
             let mut group = sims();
-            let mut scratch = BatchScratch::new();
-            scratch.set_simd_backend(backend);
+            let mut scratch = BatchScratch::new(backend);
             let err = run_batch_to_completion(&mut group, &mut scratch).unwrap_err();
             let mut alone = sims();
             let lane1 = alone[1].ensure_solution().unwrap_err();

@@ -91,12 +91,6 @@ impl PairMetrics {
     pub fn edp_wall(&self, idle_w: f64) -> f64 {
         self.makespan_s * (self.energy_j + idle_w * self.makespan_s)
     }
-
-    /// Wall energy (J) for the same accounting.
-    #[inline]
-    pub fn energy_wall_j(&self, idle_w: f64) -> f64 {
-        self.energy_j + idle_w * self.makespan_s
-    }
 }
 
 #[cfg(test)]
@@ -161,7 +155,6 @@ mod tests {
             energy_j: 50.0,
         };
         assert!((p.edp_wall(0.0) - p.edp()).abs() < 1e-12);
-        assert!((p.energy_wall_j(16.0) - 210.0).abs() < 1e-12);
     }
 
     #[test]

@@ -69,8 +69,7 @@ fn reused_rate_solutions_match_fresh_runs_across_windows() {
         })
         .collect();
     for backend in [SimdBackend::detect(), SimdBackend::Scalar] {
-        let mut scratch = BatchScratch::new();
-        scratch.set_simd_backend(backend);
+        let mut scratch = BatchScratch::new(backend);
         let mut sims: Vec<NodeSim> = (0..MAX_BATCH_LANES)
             .map(|_| NodeSim::new(node.clone(), fw.clone()))
             .collect();

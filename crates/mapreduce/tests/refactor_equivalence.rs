@@ -270,7 +270,7 @@ proptest! {
         }
 
         if !setup_failed {
-            let mut scratch = BatchScratch::new();
+            let mut scratch = BatchScratch::new(SimdBackend::detect());
             match run_batch_to_completion(&mut sims, &mut scratch) {
                 Ok(()) => {
                     for (sim, want) in sims.iter_mut().zip(&scalar) {
@@ -396,8 +396,7 @@ fn run_batched(plans: &[Plan], backend: SimdBackend) -> Result<Vec<Fingerprint>,
         setup_new(&mut sim, plan)?;
         sims.push(sim);
     }
-    let mut scratch = BatchScratch::new();
-    scratch.set_simd_backend(backend);
+    let mut scratch = BatchScratch::new(backend);
     run_batch_to_completion(&mut sims, &mut scratch)?;
     Ok(sims.iter_mut().map(fingerprint_of).collect())
 }

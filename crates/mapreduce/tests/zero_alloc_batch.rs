@@ -80,18 +80,20 @@ fn batched_event_loop_is_allocation_free_after_warmup() {
     let mut sims: Vec<NodeSim> = (0..MAX_BATCH_LANES)
         .map(|_| NodeSim::new(NodeSpec::atom_c2758(), FrameworkSpec::default()))
         .collect();
-    let mut scratch = BatchScratch::new();
-
-    // Warm-up: one full-width batched run grows every lane's buffers
-    // (AMVA lanes, SoA columns, class vectors, finished capacity) to the
-    // widest window's high-water mark; narrower windows reuse capacity.
-    submit_mixes(&mut sims);
-    run_batch_to_completion(&mut sims, &mut scratch).expect("warm-up run");
-
-    // The backend swap below must not cold-start lane state: the scalar
-    // kernel shares every SoA buffer with the vector path.
+    // One scratch per backend, each warmed before its timed windows.
     for backend in [SimdBackend::detect(), SimdBackend::Scalar] {
-        scratch.set_simd_backend(backend);
+        let mut scratch = BatchScratch::new(backend);
+
+        // Warm-up: one full-width batched run grows every lane's buffers
+        // (AMVA lanes, SoA columns, class vectors, finished capacity) to
+        // the widest window's high-water mark, and fills the scratch's
+        // reuse table; narrower windows reuse capacity.
+        for sim in &mut sims {
+            sim.reset();
+        }
+        submit_mixes(&mut sims);
+        run_batch_to_completion(&mut sims, &mut scratch).expect("warm-up run");
+
         for width in 1..=MAX_BATCH_LANES {
             // The counting allocator is global, and the libtest *main*
             // thread lazily allocates its mpsc parking context the first

@@ -29,14 +29,6 @@ impl LinearRegression {
             ridge: 1e-8,
         }
     }
-
-    /// OLS with an explicit ridge penalty.
-    pub fn with_ridge(ridge: f64) -> LinearRegression {
-        LinearRegression {
-            ridge,
-            ..LinearRegression::new()
-        }
-    }
 }
 
 impl Regressor for LinearRegression {
@@ -145,7 +137,10 @@ mod tests {
     #[test]
     fn ridge_shrinks_weights() {
         let mut plain = LinearRegression::new();
-        let mut heavy = LinearRegression::with_ridge(1e3);
+        let mut heavy = LinearRegression {
+            ridge: 1e3,
+            ..LinearRegression::new()
+        };
         let data = linear_data();
         plain.fit(&data);
         heavy.fit(&data);

@@ -80,31 +80,10 @@ impl Pca {
         self.explained_variance_ratio().iter().take(k).sum()
     }
 
-    /// Project one observation onto the first `k` components.
-    pub fn project(&self, row: &[f64], k: usize) -> Vec<f64> {
-        (0..k.min(self.components.rows()))
-            .map(|c| {
-                self.components
-                    .row(c)
-                    .iter()
-                    .zip(row)
-                    .map(|(a, b)| a * b)
-                    .sum()
-            })
-            .collect()
-    }
-
     /// The loading of feature `f` on component `k` scaled by the component's
     /// standard deviation — the coordinates Fig 1 scatters the *features* at.
     pub fn loading(&self, k: usize, f: usize) -> f64 {
         self.components[(k, f)] * self.explained_variance[k].sqrt()
-    }
-
-    /// All features' `(PC-a, PC-b)` loading coordinates.
-    pub fn feature_scatter(&self, a: usize, b: usize) -> Vec<(f64, f64)> {
-        (0..self.components.cols())
-            .map(|f| (self.loading(a, f), self.loading(b, f)))
-            .collect()
     }
 }
 
@@ -152,15 +131,6 @@ mod tests {
     }
 
     #[test]
-    fn projection_reduces_dimension() {
-        let raw = correlated();
-        let pca = Pca::fit(&raw).unwrap();
-        let p = pca.project(&raw[3], 1);
-        assert_eq!(p.len(), 1);
-        assert!(p[0].is_finite());
-    }
-
-    #[test]
     fn uncorrelated_features_scatter_apart() {
         // Feature 0 and 1 perfectly correlated; feature 2 independent.
         let raw: Vec<Vec<f64>> = (0..60)
@@ -172,7 +142,10 @@ mod tests {
             .collect();
         let z = ZScore::fit(&raw);
         let pca = Pca::fit(&z.transform_all(&raw)).unwrap();
-        let pts = pca.feature_scatter(0, 1);
+        // Each feature at its (PC1, PC2) loadings, as Fig 1 scatters them.
+        let pts: Vec<(f64, f64)> = (0..3)
+            .map(|f| (pca.loading(0, f), pca.loading(1, f)))
+            .collect();
         let d01 = ((pts[0].0 - pts[1].0).powi(2) + (pts[0].1 - pts[1].1).powi(2)).sqrt();
         let d02 = ((pts[0].0 - pts[2].0).powi(2) + (pts[0].1 - pts[2].1).powi(2)).sqrt();
         assert!(

@@ -129,14 +129,6 @@ pub struct AmvaSolution {
     pub iterations: usize,
 }
 
-impl AmvaSolution {
-    /// Mean number of class-`j` customers currently *thinking* (at their
-    /// private cores) — by Little's law, `X_j · Z_j`.
-    pub fn thinking(&self, class: usize, classes: &[ClassDemand]) -> f64 {
-        self.throughput[class] * classes[class].think_time_s
-    }
-}
-
 /// Convergence tolerance on queue lengths.
 const TOL: f64 = 1e-7;
 /// Iteration budget; typical problems converge in < 60 iterations.

@@ -92,14 +92,6 @@ impl Frequency {
     pub fn from_index(i: usize) -> Option<Frequency> {
         Frequency::ALL.get(i).copied()
     }
-
-    /// Parse from a GHz value as printed in the paper's tables (e.g. `2.4`).
-    pub fn from_ghz(ghz: f64) -> Option<Frequency> {
-        Frequency::ALL
-            .iter()
-            .copied()
-            .find(|f| (f.ghz() - ghz).abs() < 1e-9)
-    }
 }
 
 impl fmt::Display for Frequency {
@@ -148,14 +140,6 @@ mod tests {
             assert_eq!(Frequency::from_index(i), Some(*f));
         }
         assert_eq!(Frequency::from_index(4), None);
-    }
-
-    #[test]
-    fn from_ghz_round_trips() {
-        for f in Frequency::ALL {
-            assert_eq!(Frequency::from_ghz(f.ghz()), Some(f));
-        }
-        assert_eq!(Frequency::from_ghz(3.0), None);
     }
 
     #[test]

@@ -13,8 +13,6 @@
 //! * **DRAM capacity**: overflowing it inflates disk traffic (spill/swap
 //!   pressure), which penalises huge block sizes at high mapper counts.
 
-use crate::dvfs::Frequency;
-
 /// Disk subsystem parameters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DiskSpec {
@@ -81,7 +79,7 @@ pub struct NodeSpec {
     /// figures exactly as the paper does (§2.5).
     pub idle_power_w: f64,
     /// Dynamic power of one fully-busy core at 2.4 GHz, watts. Other
-    /// frequencies scale by [`Frequency::dynamic_factor`].
+    /// frequencies scale by [`crate::Frequency::dynamic_factor`].
     pub core_busy_power_w: f64,
     /// Power of a core that is allocated but stalled on I/O (iowait), watts.
     /// Burned regardless of frequency — this is why parking an I/O-bound app
@@ -141,12 +139,6 @@ impl NodeSpec {
         }
     }
 
-    /// Dynamic power of one busy core at `freq`, watts.
-    #[inline]
-    pub fn core_power(&self, freq: Frequency) -> f64 {
-        self.core_busy_power_w * freq.dynamic_factor()
-    }
-
     /// Memory bandwidth in MB/s (the executor works in MB).
     #[inline]
     pub fn mem_bw_mbps(&self) -> f64 {
@@ -178,13 +170,6 @@ mod tests {
         assert!(d.aggregate_bw(16.0) > 0.0);
         // Fractional and sub-1 stream counts are clamped.
         assert!((d.aggregate_bw(0.2) - d.peak_bw_mbps).abs() < 1e-9);
-    }
-
-    #[test]
-    fn core_power_scales_with_dvfs() {
-        let n = NodeSpec::atom_c2758();
-        assert!((n.core_power(Frequency::F2_4) - n.core_busy_power_w).abs() < 1e-12);
-        assert!(n.core_power(Frequency::F1_2) < 0.35 * n.core_busy_power_w);
     }
 
     #[test]

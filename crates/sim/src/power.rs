@@ -108,7 +108,6 @@ impl PowerModel {
 /// meter.record(2.0, 10.0); // 2 s at 10 W
 /// meter.record(1.0, 4.0);  // 1 s at 4 W
 /// assert_eq!(meter.energy_j(), 24.0);
-/// assert_eq!(meter.average_power_w(), 8.0);
 /// assert_eq!(meter.trace().unwrap(), &[10.0, 10.0, 4.0]);
 /// ```
 #[derive(Debug, Clone)]
@@ -175,16 +174,6 @@ impl EnergyMeter {
     #[inline]
     pub fn elapsed_s(&self) -> f64 {
         self.elapsed_s
-    }
-
-    /// Time-averaged power, watts (0 if nothing recorded).
-    #[inline]
-    pub fn average_power_w(&self) -> f64 {
-        if self.elapsed_s > 0.0 {
-            self.energy_j / self.elapsed_s
-        } else {
-            0.0
-        }
     }
 
     /// The 1 Hz trace, if enabled. The trailing partial second (if any) is
@@ -266,13 +255,6 @@ mod tests {
         m.record(0.5, 4.0);
         assert!((m.energy_j() - 22.0).abs() < 1e-12);
         assert!((m.elapsed_s() - 2.5).abs() < 1e-12);
-        assert!((m.average_power_w() - 8.8).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_meter_reports_zero_power() {
-        let m = EnergyMeter::new();
-        assert_eq!(m.average_power_w(), 0.0);
     }
 
     #[test]

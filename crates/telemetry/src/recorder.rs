@@ -53,11 +53,6 @@ impl Recorder {
         }
     }
 
-    /// True when trace events are being kept.
-    pub fn is_recording(&self) -> bool {
-        self.log.is_some()
-    }
-
     /// The metrics registry this recorder writes through to.
     pub fn metrics(&self) -> &Registry {
         &self.metrics
@@ -171,7 +166,6 @@ mod tests {
     #[test]
     fn noop_recorder_keeps_metrics_but_drops_events() {
         let r = Recorder::noop();
-        assert!(!r.is_recording());
         r.metrics().counter("c").inc();
         let mut built = false;
         r.emit(1.0, None, None, || {
