@@ -27,18 +27,10 @@ fn main() -> ExitCode {
         run("table1_ape", ex::table1_ape(&mut ctx))?;
         run("table2_configs", ex::table2_configs(&mut ctx))?;
         run("fig8_overhead", ex::fig8_overhead(&mut ctx))?;
-        let nodes: Result<Vec<usize>, BenchError> = std::env::var("ECOST_NODES")
-            .unwrap_or_else(|_| "1,2,4,8".into())
-            .split(',')
-            .map(|s| {
-                s.trim().parse().map_err(|_| {
-                    BenchError::Invalid(format!("bad node count '{}' in ECOST_NODES", s.trim()))
-                })
-            })
-            .collect();
+        let nodes = ecost_bench::node_counts()?;
         run(
             "fig9_scalability",
-            ex::fig9_scalability(&mut ctx, &nodes?, InputSize::Small),
+            ex::fig9_scalability(&mut ctx, &nodes, InputSize::Small),
         )?;
         run("ablation_kway", ex::ablation_kway(&mut ctx))?;
         run("ablation_pairing", ex::ablation_pairing(&mut ctx))?;

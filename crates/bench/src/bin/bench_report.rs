@@ -17,11 +17,12 @@
 //! Below those sits the **AMVA kernel** ledger: ns per fixed-point
 //! iteration on the two shapes the executor produces (one job over 2
 //! stations, two jobs over 3), with the register-resident fixed-shape
-//! kernel, the runtime-shape loop and the lane kernel (ns per lane-
-//! iteration, 16 problems per `solve_lanes` call as the sweep path
-//! batches them: two kernel calls, each two `f64x4` chains) timed
-//! interleaved on the same problems, so their paired ratios come from
-//! one run (`amva_kernel`).
+//! kernel (`FixedClasses::solve`, which the executor calls on those
+//! shapes), the runtime-shape loop (`AmvaScratch::solve`) and the lane
+//! kernel (ns per lane-iteration, 16 problems per `solve_lanes` call as
+//! the sweep path batches them: two kernel calls, each two `f64x4`
+//! chains) timed interleaved on the same problems, so their paired ratios
+//! come from one run (`amva_kernel`).
 //!
 //! Above the kernels sits the **engine memo-hit** ledger (`engine_hits`):
 //! ns per `best_pair` hit answered from the winners table, and ns per hit
@@ -34,7 +35,7 @@
 //! ratios, which `trend_check` gates: sweep-table over winner ns, and
 //! winner over decide ns (the engine's share of a warm decision).
 //!
-//! The sweep kernels are timed in up to three arms of identical shape: the
+//! The sweep kernels are timed in three arms of identical shape: the
 //! *baseline* arm drives the frozen pre-refactor executor
 //! (`ecost_mapreduce::reference`: fresh allocating simulator per point),
 //! the *optimized* arm drives the pooled [`EvalEngine`] one point at a
@@ -51,9 +52,9 @@
 //! engine's default paths.
 //!
 //! The batched arms and the lane-kernel ledger run the explicit `f64x4`
-//! AMVA lane kernel (auto-detected backend); alongside them the default
-//! run times the same sweeps with the kernel pinned scalar, so the SIMD
-//! delta is tracked (`*_simd_off` keys in the trend row). A separate
+//! AMVA lane kernel (the detected backend); alongside them every run
+//! times the same sweeps with the kernel pinned scalar, so the SIMD delta
+//! is tracked (`*_simd_off` keys in the trend row). A separate
 //! single-threaded pass runs the full pair sweep on a fresh engine and
 //! reports its rate problems in the `phases` section: how many were
 //! solved and how many were answered from a worker's reuse table, read
@@ -63,16 +64,18 @@
 //! `trend_check` gates it on a drop, free of host drift: a reuse key that
 //! silently stops matching shows there.
 //!
-//! Flags: with none, every arm runs; `--baseline` runs the baseline arms
-//! only (for A/B against an older build); `--no-batch` runs only the
-//! single-point and baseline arms; `--no-simd` pins the scalar AMVA
-//! kernel on every batched arm and on the lane-kernel ledger (rows get
-//! `"simd":"off"`, and the simd-off shadow arms are skipped);
-//! `--threads N` sets the worker count for the
-//! rayon-sharded arms (the row's `threads` context field reports it);
-//! `--quick` (or `ECOST_QUICK=1`) shrinks every dimension for CI smoke
-//! runs. Any other argument, or an unknown `ECOST_SIMD` value, is an
-//! error (exit 1), reported before the first measurement.
+//! The binary takes no arguments, and every run measures every arm. Like
+//! the other bench binaries it is configured through the environment:
+//! `ECOST_QUICK=1` shrinks every dimension for CI smoke runs,
+//! `RAYON_NUM_THREADS` sets the worker count for the rayon-sharded arms
+//! (the row's `threads` context field reports it), and `ECOST_SIMD` pins
+//! the backend of the engine's default sweeps and of the lane-kernel
+//! ledger — the report's `simd_backend`, and the `simd` label the report
+//! and the row carry (`off` for the scalar kernel, `on` for a vector
+//! backend), name the backend that ran. Any argument, a
+//! `RAYON_NUM_THREADS` that is not a positive integer, or an unknown
+//! `ECOST_SIMD` value is an error (exit 1), reported before the first
+//! measurement.
 //!
 //! Besides `BENCH_sim.json`, every run appends one compact row to the
 //! `BENCH_trend.jsonl` trend store (path override: `ECOST_TREND_OUT`;
@@ -146,37 +149,6 @@ impl Arm {
     }
 }
 
-/// Which arms this invocation measures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Arms {
-    optimized: bool,
-    batched: bool,
-    /// `false` pins the scalar AMVA kernel on every batched arm.
-    simd: bool,
-}
-
-impl Arms {
-    fn label(&self) -> &'static str {
-        if !self.optimized {
-            "baseline-only"
-        } else if !self.batched {
-            "no-batch"
-        } else {
-            "all"
-        }
-    }
-
-    /// The trend row's `simd` context value: batched arms either all ran
-    /// the vector kernel or all had it pinned scalar.
-    fn simd_label(&self) -> &'static str {
-        if self.simd {
-            "on"
-        } else {
-            "off"
-        }
-    }
-}
-
 /// Pool accounting accumulated across the optimized and batched arms.
 #[derive(Debug, Clone, Copy, Default)]
 struct PoolTotals {
@@ -200,12 +172,21 @@ fn solo_apps(quick: bool) -> Vec<App> {
     }
 }
 
-/// Keep whichever measurement of the same deterministic work was faster.
-fn faster(best: Option<Arm>, cur: Arm) -> Option<Arm> {
-    match best {
-        Some(b) if b.wall_s <= cur.wall_s => Some(b),
-        _ => Some(cur),
+/// Run `round` `rounds` times (at least once) and keep, arm by arm, the
+/// fastest measurement of the same deterministic work.
+fn fastest<const N: usize>(
+    rounds: usize,
+    mut round: impl FnMut() -> Result<[Arm; N], BenchError>,
+) -> Result<[Arm; N], BenchError> {
+    let mut best = round()?;
+    for _ in 1..rounds {
+        for (b, cur) in best.iter_mut().zip(round()?) {
+            if cur.wall_s < b.wall_s {
+                *b = cur;
+            }
+        }
     }
+    Ok(best)
 }
 
 /// Optimized solo sweep: the pooled engine's single-point path, one fresh
@@ -407,10 +388,10 @@ fn scheduler_events(quick: bool) -> Result<u64, BenchError> {
 
 /// One timed pass of the streaming scheduler (wait queue, paired
 /// placement, per-node event loops) under the untuned policy, fault-free.
-fn scheduler_timed(quick: bool, simd: bool, pool: &mut PoolTotals) -> Result<Arm, BenchError> {
+fn scheduler_timed(quick: bool, pool: &mut PoolTotals) -> Result<Arm, BenchError> {
     let (nodes, wl) = scheduler_load(quick);
     let stream = OpenArrival::from_workload(&wl, nodes, None)?;
-    let eng = EvalEngine::atom().with_simd(simd);
+    let eng = EvalEngine::atom();
     let t0 = Instant::now();
     scheduler_run(&eng, nodes, &stream)?;
     let wall_s = t0.elapsed().as_secs_f64();
@@ -423,10 +404,10 @@ fn scheduler_timed(quick: bool, simd: bool, pool: &mut PoolTotals) -> Result<Arm
 }
 
 /// The AMVA kernels on one shape, timed on the same problems: the
-/// fixed-shape scalar kernel ([`AmvaScratch::solve`]), the runtime-shape
-/// loop ([`AmvaScratch::solve_runtime_shape`]) and the lane kernel
-/// ([`solve_lanes`], [`MAX_BATCH_LANES`] problems per call, as the sweep
-/// path calls it).
+/// fixed-shape scalar kernel ([`FixedClasses::solve`], as the executor
+/// calls it), the runtime-shape loop ([`AmvaScratch::solve`]) and the
+/// lane kernel ([`solve_lanes`], [`MAX_BATCH_LANES`] problems per call,
+/// as the sweep path calls it).
 #[derive(Debug, Clone, Copy)]
 struct KernelTiming {
     problems: usize,
@@ -523,17 +504,22 @@ fn amva_kernel<const NC: usize, const S: usize>(
             p
         })
         .collect();
+    let fixed_pass = || -> Result<(f64, u64), BenchError> {
+        let t0 = Instant::now();
+        let mut iterations = 0u64;
+        for p in &packed {
+            let sol = std::hint::black_box(p).solve()?;
+            std::hint::black_box(sol.throughput);
+            iterations += sol.iterations as u64;
+        }
+        Ok((t0.elapsed().as_nanos() as f64, iterations))
+    };
     let mut scratch = AmvaScratch::new();
-    let mut scalar_pass = |fixed: bool| -> Result<(f64, u64), BenchError> {
+    let mut runtime_pass = || -> Result<(f64, u64), BenchError> {
         let t0 = Instant::now();
         let mut iterations = 0u64;
         for p in problems {
-            let p = std::hint::black_box(p.as_slice());
-            if fixed {
-                scratch.solve(p, S)?;
-            } else {
-                scratch.solve_runtime_shape(p, S)?;
-            }
+            scratch.solve(std::hint::black_box(p.as_slice()), S)?;
             std::hint::black_box(scratch.throughput());
             iterations += scratch.iterations() as u64;
         }
@@ -564,19 +550,19 @@ fn amva_kernel<const NC: usize, const S: usize>(
     for round in 0..rounds {
         let (fixed, runtime, lanes) = match round % 3 {
             0 => {
-                let f = scalar_pass(true)?;
-                let r = scalar_pass(false)?;
+                let f = fixed_pass()?;
+                let r = runtime_pass()?;
                 (f, r, lanes_pass()?)
             }
             1 => {
-                let r = scalar_pass(false)?;
+                let r = runtime_pass()?;
                 let l = lanes_pass()?;
-                (scalar_pass(true)?, r, l)
+                (fixed_pass()?, r, l)
             }
             _ => {
                 let l = lanes_pass()?;
-                let f = scalar_pass(true)?;
-                (f, scalar_pass(false)?, l)
+                let f = fixed_pass()?;
+                (f, runtime_pass()?, l)
             }
         };
         if fixed.1 != runtime.1 || fixed.1 != lanes.1 || fixed.1 == 0 {
@@ -757,8 +743,8 @@ fn engine_hits(keys: u32, reps: usize, rounds: usize) -> Result<HitTiming, Bench
 
 /// The full Gp × St pair sweep on a fresh engine, every point a miss:
 /// its rate problems, solved and reused, from the engine's registry.
-fn rate_problem_pass(simd: bool, mb: f64) -> Result<BatchPhases, BenchError> {
-    let eng = EvalEngine::atom().with_simd(simd);
+fn rate_problem_pass(mb: f64) -> Result<BatchPhases, BenchError> {
+    let eng = EvalEngine::atom();
     eng.pair_sweep(App::Gp.profile(), mb, App::St.profile(), mb)?;
     let snap = eng.recorder().metrics().snapshot();
     Ok(BatchPhases {
@@ -780,10 +766,10 @@ fn reuse_share(p: &BatchPhases) -> f64 {
 /// caller's `RAYON_NUM_THREADS`, so the counts are those of one worker and
 /// repeat run to run), and emit the `phases` section. Returns the sweep's
 /// reuse share.
-fn measure_phases(out: &mut String, simd: bool, mb: f64) -> Result<f64, BenchError> {
+fn measure_phases(out: &mut String, mb: f64) -> Result<f64, BenchError> {
     let prev = std::env::var("RAYON_NUM_THREADS").ok();
     std::env::set_var("RAYON_NUM_THREADS", "1");
-    let pass = rate_problem_pass(simd, mb);
+    let pass = rate_problem_pass(mb);
     match prev {
         Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
         None => std::env::remove_var("RAYON_NUM_THREADS"),
@@ -799,28 +785,24 @@ fn measure_phases(out: &mut String, simd: bool, mb: f64) -> Result<f64, BenchErr
     Ok(share)
 }
 
-/// Emit one kernel section: scalar extras, then every present arm, then
-/// every present ratio — comma placement handled by joining.
+/// Emit one kernel section: scalar extras, then every arm, then every
+/// ratio — comma placement handled by joining.
 fn section(
     out: &mut String,
     name: &str,
     extra: &[(&str, String)],
-    arms: &[(&str, Option<Arm>)],
-    ratios: &[(&str, Option<f64>)],
+    arms: &[(&str, Arm)],
+    ratios: &[(&str, f64)],
 ) {
     let mut items: Vec<String> = Vec::new();
     for (k, v) in extra {
         items.push(format!("    \"{k}\": {v}"));
     }
-    for (k, arm) in arms {
-        if let Some(a) = arm {
-            items.push(format!("    \"{k}\": {}", a.json()));
-        }
+    for (k, a) in arms {
+        items.push(format!("    \"{k}\": {}", a.json()));
     }
     for (k, r) in ratios {
-        if let Some(r) = r {
-            items.push(format!("    \"{k}\": {r:.2}"));
-        }
+        items.push(format!("    \"{k}\": {r:.2}"));
     }
     let _ = writeln!(out, "  \"{name}\": {{");
     let _ = writeln!(out, "{}", items.join(",\n"));
@@ -829,81 +811,49 @@ fn section(
 
 /// Wall-clock speedup of `opt` over `base` — only meaningful when both
 /// arms did identical work (same point set).
-fn wall_speedup(opt: Option<Arm>, base: Option<Arm>) -> Option<f64> {
-    match (opt, base) {
-        (Some(o), Some(b)) if o.wall_s > 0.0 => Some(b.wall_s / o.wall_s),
-        _ => None,
+fn wall_speedup(opt: Arm, base: Arm) -> f64 {
+    if opt.wall_s > 0.0 {
+        base.wall_s / opt.wall_s
+    } else {
+        0.0
     }
 }
 
 /// Throughput ratio of `num` over `den` — rate-based, so it stays
 /// meaningful when the arms covered different point counts.
-fn rate_ratio(num: Option<Arm>, den: Option<Arm>) -> Option<f64> {
-    match (num, den) {
-        (Some(n), Some(d)) if d.sims_per_s() > 0.0 => Some(n.sims_per_s() / d.sims_per_s()),
-        _ => None,
+fn rate_ratio(num: Arm, den: Arm) -> f64 {
+    if den.sims_per_s() > 0.0 {
+        num.sims_per_s() / den.sims_per_s()
+    } else {
+        0.0
     }
-}
-
-/// A parsed command line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Options {
-    arms: Arms,
-    quick: bool,
-    threads: Option<usize>,
-}
-
-/// Parse the arguments after the program name. Every argument must be a
-/// known flag (or the value after `--threads`): a typo or a retired flag
-/// is an error, never a silently different report.
-fn parse_args(args: &[String]) -> Result<Options, BenchError> {
-    let (mut baseline_only, mut no_batch, mut no_simd, mut quick) = (false, false, false, false);
-    let mut threads = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--baseline" => baseline_only = true,
-            "--no-batch" => no_batch = true,
-            "--no-simd" => no_simd = true,
-            "--quick" => quick = true,
-            "--threads" => {
-                let n = it
-                    .next()
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| {
-                        BenchError::Invalid("--threads needs a positive integer".into())
-                    })?;
-                threads = Some(n);
-            }
-            other => {
-                return Err(BenchError::Invalid(format!(
-                    "unknown argument `{other}` (flags: --baseline, --no-batch, --no-simd, \
-                     --threads N, --quick)"
-                )))
-            }
-        }
-    }
-    Ok(Options {
-        arms: Arms {
-            optimized: !baseline_only,
-            batched: !baseline_only && !no_batch,
-            simd: !no_simd,
-        },
-        quick,
-        threads,
-    })
 }
 
 #[allow(clippy::too_many_lines)]
-fn run(opts: Options) -> Result<(), BenchError> {
-    let arms = opts.arms;
-    let quick = opts.quick || std::env::var("ECOST_QUICK").is_ok_and(|v| v == "1");
-    // The vendored rayon shim sizes its scope per call from this
-    // variable, so setting it up front covers every parallel arm.
-    if let Some(n) = opts.threads {
-        std::env::set_var("RAYON_NUM_THREADS", n.to_string());
+fn run() -> Result<(), BenchError> {
+    if let Some(arg) = std::env::args().nth(1) {
+        return Err(BenchError::Invalid(format!(
+            "unknown argument `{arg}` (bench_report takes none; set ECOST_QUICK=1 for a \
+             quick run, RAYON_NUM_THREADS for the worker count)"
+        )));
     }
+    // The row's `threads` field keys the trend gate, so a worker count
+    // the rayon shim would silently replace is an error, not a default.
+    if let Some(v) = std::env::var_os("RAYON_NUM_THREADS") {
+        let n = v.to_str().and_then(|s| s.parse::<usize>().ok());
+        if n.is_none_or(|n| n == 0) {
+            return Err(BenchError::Invalid(format!(
+                "RAYON_NUM_THREADS={v:?} is not a positive integer"
+            )));
+        }
+    }
+    let quick = ecost_bench::quick_mode();
+    let backend = SimdBackend::detect();
+    let simd = if backend == SimdBackend::Scalar {
+        "off"
+    } else {
+        "on"
+    };
     let tb = Testbed::atom();
     let mb = InputSize::Small.per_node_mb();
     let rounds = if quick { 3 } else { 7 };
@@ -912,42 +862,26 @@ fn run(opts: Options) -> Result<(), BenchError> {
     let solo_cfgs: Vec<TuningConfig> = TuningConfig::space(tb.node.cores).collect();
     let apps = solo_apps(quick);
     eprintln!(
-        "[bench_report] solo sweep: {} apps x {} configs, {} rounds ({}, {} arms)…",
+        "[bench_report] solo sweep: {} apps x {} configs, {} rounds ({})…",
         apps.len(),
         solo_cfgs.len(),
         rounds,
         if quick { "quick" } else { "full" },
-        arms.label()
     );
-    let mut solo_base: Option<Arm> = None;
-    let mut solo_opt: Option<Arm> = None;
-    let mut solo_bat: Option<Arm> = None;
-    let mut solo_off: Option<Arm> = None;
-    for _ in 0..rounds {
-        solo_base = faster(solo_base, solo_baseline(&apps, mb, &solo_cfgs)?);
-        if arms.optimized {
-            solo_opt = faster(solo_opt, solo_optimized(&apps, mb, &solo_cfgs, &mut pool)?);
-        }
-        if arms.batched {
-            solo_bat = faster(solo_bat, solo_batched(&apps, mb, arms.simd, &mut pool)?);
-        }
-        // Shadow arm: same batched sweep with the kernel pinned scalar,
-        // so the SIMD delta itself is tracked by trend_check.
-        if arms.batched && arms.simd {
-            solo_off = faster(solo_off, solo_batched(&apps, mb, false, &mut pool)?);
-        }
-    }
-    let solo_base = solo_base.ok_or(BenchError::Invalid("no solo rounds ran".into()))?;
+    let [solo_base, solo_opt, mut solo_bat, mut solo_off] = fastest(rounds, || {
+        Ok([
+            solo_baseline(&apps, mb, &solo_cfgs)?,
+            solo_optimized(&apps, mb, &solo_cfgs, &mut pool)?,
+            solo_batched(&apps, mb, true, &mut pool)?,
+            // Shadow arm: the same sweep with the kernel pinned scalar,
+            // so the SIMD delta itself is tracked by trend_check.
+            solo_batched(&apps, mb, false, &mut pool)?,
+        ])
+    })?;
     // Bit-identical arms: the baseline's event count transfers (sweep
-    // metrics keep no timelines to count on the batched arm).
-    let solo_bat = solo_bat.map(|mut arm| {
-        arm.events = solo_base.events;
-        arm
-    });
-    let solo_off = solo_off.map(|mut arm| {
-        arm.events = solo_base.events;
-        arm
-    });
+    // metrics keep no timelines to count on the batched arms).
+    solo_bat.events = solo_base.events;
+    solo_off.events = solo_base.events;
 
     let all_pcs = PairConfig::space(tb.node.cores);
     let full_space = all_pcs.len();
@@ -958,85 +892,43 @@ fn run(opts: Options) -> Result<(), BenchError> {
         pcs.len(),
         full_space
     );
-    let mut pair_base: Option<Arm> = None;
-    let mut pair_opt: Option<Arm> = None;
-    let mut pair_bat: Option<Arm> = None;
-    let mut pair_off: Option<Arm> = None;
-    for _ in 0..rounds {
-        pair_base = faster(pair_base, pair_baseline(App::Gp, App::St, mb, &pcs)?);
-        if arms.optimized {
-            pair_opt = faster(
-                pair_opt,
-                pair_optimized(App::Gp, App::St, mb, &pcs, &mut pool)?,
-            );
-        }
-        if arms.batched {
-            pair_bat = faster(
-                pair_bat,
-                pair_batched(App::Gp, App::St, mb, arms.simd, &mut pool)?,
-            );
-        }
-        if arms.batched && arms.simd {
-            pair_off = faster(
-                pair_off,
-                pair_batched(App::Gp, App::St, mb, false, &mut pool)?,
-            );
-        }
-    }
-    let pair_base = pair_base.ok_or(BenchError::Invalid("no pair rounds ran".into()))?;
+    let [pair_base, mut pair_opt, mut pair_bat, mut pair_off] = fastest(rounds, || {
+        Ok([
+            pair_baseline(App::Gp, App::St, mb, &pcs)?,
+            pair_optimized(App::Gp, App::St, mb, &pcs, &mut pool)?,
+            pair_batched(App::Gp, App::St, mb, true, &mut pool)?,
+            pair_batched(App::Gp, App::St, mb, false, &mut pool)?,
+        ])
+    })?;
     // Bit-identical arms: the baseline's event count is the event count
     // (the engine's pair memo keeps metrics, not timelines). The batched
     // arms' count transfers only when they covered the same point set.
-    let pair_opt = pair_opt.map(|mut arm| {
-        arm.events = pair_base.events;
-        arm
-    });
-    let same_points = |arm: Option<Arm>| {
-        arm.map(|mut a| {
-            if a.sims == pair_base.sims {
-                a.events = pair_base.events;
-            }
-            a
-        })
-    };
-    let (pair_bat, pair_off) = (same_points(pair_bat), same_points(pair_off));
+    pair_opt.events = pair_base.events;
+    for arm in [&mut pair_bat, &mut pair_off] {
+        if arm.sims == pair_base.sims {
+            arm.events = pair_base.events;
+        }
+    }
 
     let (nodes, wl) = scheduler_load(quick);
     let jobs = wl.jobs.len();
-    let mut sched: Option<Arm> = None;
-    if arms.batched {
-        eprintln!("[bench_report] scheduler run, {rounds} rounds…");
-        let sched_events = scheduler_events(quick)?;
-        for _ in 0..rounds {
-            sched = faster(sched, scheduler_timed(quick, arms.simd, &mut pool)?);
-        }
-        sched = sched.map(|mut a| {
-            a.events = sched_events;
-            a
-        });
-    }
+    eprintln!("[bench_report] scheduler run, {rounds} rounds…");
+    let sched_events = scheduler_events(quick)?;
+    let [mut sched] = fastest(rounds, || Ok([scheduler_timed(quick, &mut pool)?]))?;
+    sched.events = sched_events;
 
     let kernel_count = if quick { 2_000 } else { 20_000 };
-    let lane_backend = if arms.simd {
-        SimdBackend::detect()
-    } else {
-        SimdBackend::Scalar
-    };
     eprintln!(
         "[bench_report] AMVA kernels: {kernel_count} problems per shape, {rounds} rounds, \
          lanes on {}…",
-        lane_backend.name()
+        backend.name()
     );
-    let one_class = amva_kernel::<1, 2>(&kernel_problems(1, kernel_count), rounds, lane_backend)?;
-    let two_class = amva_kernel::<2, 3>(&kernel_problems(2, kernel_count), rounds, lane_backend)?;
+    let one_class = amva_kernel::<1, 2>(&kernel_problems(1, kernel_count), rounds, backend)?;
+    let two_class = amva_kernel::<2, 3>(&kernel_problems(2, kernel_count), rounds, backend)?;
 
-    let hit_cost = if arms.batched {
-        let (keys, reps) = if quick { (2, 2_000) } else { (8, 20_000) };
-        eprintln!("[bench_report] engine and service memo hits: {keys} keys, {rounds} rounds…");
-        Some(engine_hits(keys, reps, rounds)?)
-    } else {
-        None
-    };
+    let (keys, reps) = if quick { (2, 2_000) } else { (8, 20_000) };
+    eprintln!("[bench_report] engine and service memo hits: {keys} keys, {rounds} rounds…");
+    let hit_cost = engine_hits(keys, reps, rounds)?;
 
     let mut out = String::new();
     out.push_str("{\n");
@@ -1046,11 +938,11 @@ fn run(opts: Options) -> Result<(), BenchError> {
         "  \"mode\": \"{}\",",
         if quick { "quick" } else { "full" }
     );
-    let _ = writeln!(out, "  \"arms\": \"{}\",", arms.label());
+    let _ = writeln!(out, "  \"arms\": \"all\",");
     let _ = writeln!(out, "  \"threads\": {},", rayon::current_num_threads());
     let _ = writeln!(out, "  \"batch_lanes\": {MAX_BATCH_LANES},");
-    let _ = writeln!(out, "  \"simd\": \"{}\",", arms.simd_label());
-    let _ = writeln!(out, "  \"simd_backend\": \"{}\",", lane_backend.name());
+    let _ = writeln!(out, "  \"simd\": \"{simd}\",");
+    let _ = writeln!(out, "  \"simd_backend\": \"{}\",", backend.name());
     section(
         &mut out,
         "solo_sweep",
@@ -1062,10 +954,10 @@ fn run(opts: Options) -> Result<(), BenchError> {
             ("optimized", solo_opt),
             ("batched", solo_bat),
             ("batched_no_simd", solo_off),
-            ("baseline", Some(solo_base)),
+            ("baseline", solo_base),
         ],
         &[
-            ("speedup", wall_speedup(solo_opt, Some(solo_base))),
+            ("speedup", wall_speedup(solo_opt, solo_base)),
             ("speedup_batched", rate_ratio(solo_bat, solo_opt)),
             ("speedup_simd", rate_ratio(solo_bat, solo_off)),
         ],
@@ -1078,37 +970,29 @@ fn run(opts: Options) -> Result<(), BenchError> {
             ("optimized", pair_opt),
             ("batched", pair_bat),
             ("batched_no_simd", pair_off),
-            ("baseline", Some(pair_base)),
+            ("baseline", pair_base),
         ],
         &[
-            ("speedup", wall_speedup(pair_opt, Some(pair_base))),
+            ("speedup", wall_speedup(pair_opt, pair_base)),
             ("speedup_batched", rate_ratio(pair_bat, pair_opt)),
             ("speedup_simd", rate_ratio(pair_bat, pair_off)),
         ],
     );
-    if sched.is_some() {
-        section(
-            &mut out,
-            "scheduler",
-            &[("nodes", nodes.to_string()), ("jobs", jobs.to_string())],
-            &[("batched", sched)],
-            &[],
-        );
-    }
+    section(
+        &mut out,
+        "scheduler",
+        &[("nodes", nodes.to_string()), ("jobs", jobs.to_string())],
+        &[("batched", sched)],
+        &[],
+    );
     let _ = writeln!(out, "  \"amva_kernel\": {{");
     let _ = writeln!(out, "    \"one_class\": {},", one_class.json());
     let _ = writeln!(out, "    \"two_class\": {}", two_class.json());
     let _ = writeln!(out, "  }},");
-    if let Some(h) = &hit_cost {
-        let _ = writeln!(out, "  \"engine_hits\": {},", h.engine_json());
-        let _ = writeln!(out, "  \"service_hits\": {},", h.service_json());
-    }
-    let reuse = if arms.batched {
-        eprintln!("[bench_report] rate problems: full pair sweep, 1 thread…");
-        Some(measure_phases(&mut out, arms.simd, mb)?)
-    } else {
-        None
-    };
+    let _ = writeln!(out, "  \"engine_hits\": {},", hit_cost.engine_json());
+    let _ = writeln!(out, "  \"service_hits\": {},", hit_cost.service_json());
+    eprintln!("[bench_report] rate problems: full pair sweep, 1 thread…");
+    let reuse = measure_phases(&mut out, mb)?;
     let _ = writeln!(out, "  \"pool\": {{");
     let _ = writeln!(out, "    \"sims_created\": {},", pool.created);
     let _ = writeln!(out, "    \"sims_reused\": {},", pool.reused);
@@ -1126,45 +1010,34 @@ fn run(opts: Options) -> Result<(), BenchError> {
     println!("{out}");
     eprintln!("[bench_report] wrote {path}");
 
-    let sims = [
-        ("solo_baseline_sims_per_s", Some(solo_base)),
-        ("solo_optimized_sims_per_s", solo_opt),
-        ("solo_batched_sims_per_s", solo_bat),
-        ("solo_simd_off_sims_per_s", solo_off),
-        ("pair_baseline_sims_per_s", Some(pair_base)),
-        ("pair_optimized_sims_per_s", pair_opt),
-        ("pair_batched_sims_per_s", pair_bat),
-        ("pair_simd_off_sims_per_s", pair_off),
+    let metrics = [
+        ("solo_baseline_sims_per_s", solo_base.sims_per_s(), 1),
+        ("solo_optimized_sims_per_s", solo_opt.sims_per_s(), 1),
+        ("solo_batched_sims_per_s", solo_bat.sims_per_s(), 1),
+        ("solo_simd_off_sims_per_s", solo_off.sims_per_s(), 1),
+        ("pair_baseline_sims_per_s", pair_base.sims_per_s(), 1),
+        ("pair_optimized_sims_per_s", pair_opt.sims_per_s(), 1),
+        ("pair_batched_sims_per_s", pair_bat.sims_per_s(), 1),
+        ("pair_simd_off_sims_per_s", pair_off.sims_per_s(), 1),
+        ("amva_1c_fixed_ns_per_iter", one_class.fixed_ns, 3),
+        ("amva_1c_runtime_ns_per_iter", one_class.runtime_ns, 3),
+        ("amva_1c_speedup", one_class.speedup, 3),
+        ("amva_2c_fixed_ns_per_iter", two_class.fixed_ns, 3),
+        ("amva_2c_runtime_ns_per_iter", two_class.runtime_ns, 3),
+        ("amva_2c_speedup", two_class.speedup, 3),
+        ("amva_1c_lanes_ns_per_iter", one_class.lanes_ns, 3),
+        ("amva_1c_lanes_speedup", one_class.lanes_speedup, 3),
+        ("amva_2c_lanes_ns_per_iter", two_class.lanes_ns, 3),
+        ("amva_2c_lanes_speedup", two_class.lanes_speedup, 3),
+        ("engine_winner_hit_speedup", hit_cost.speedup, 3),
+        ("service_hit_engine_share", hit_cost.engine_share, 3),
+        ("pair_reuse_share", reuse, 3),
     ];
-    let scalars = [
-        ("amva_1c_fixed_ns_per_iter", one_class.fixed_ns),
-        ("amva_1c_runtime_ns_per_iter", one_class.runtime_ns),
-        ("amva_1c_speedup", one_class.speedup),
-        ("amva_2c_fixed_ns_per_iter", two_class.fixed_ns),
-        ("amva_2c_runtime_ns_per_iter", two_class.runtime_ns),
-        ("amva_2c_speedup", two_class.speedup),
-        ("amva_1c_lanes_ns_per_iter", one_class.lanes_ns),
-        ("amva_1c_lanes_speedup", one_class.lanes_speedup),
-        ("amva_2c_lanes_ns_per_iter", two_class.lanes_ns),
-        ("amva_2c_lanes_speedup", two_class.lanes_speedup),
-    ];
-    let metrics: Vec<(&str, f64, usize)> = sims
-        .iter()
-        .filter_map(|&(key, arm)| arm.map(|a| (key, a.sims_per_s(), 1)))
-        .chain(scalars.iter().map(|&(key, v)| (key, v, 3)))
-        .chain(hit_cost.iter().flat_map(|h| {
-            [
-                ("engine_winner_hit_speedup", h.speedup, 3),
-                ("service_hit_engine_share", h.engine_share, 3),
-            ]
-        }))
-        .chain(reuse.map(|share| ("pair_reuse_share", share, 3)))
-        .collect();
     let trend_path = ecost_bench::append_trend_row(
         quick,
-        arms.label(),
+        "all",
         rayon::current_num_threads(),
-        Some(arms.simd_label()),
+        Some(simd),
         &metrics,
     )?;
     eprintln!("[bench_report] appended trend row to {trend_path}");
@@ -1172,8 +1045,7 @@ fn run(opts: Options) -> Result<(), BenchError> {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    ecost_bench::run_main("bench_report", || run(parse_args(&args)?))
+    ecost_bench::run_main("bench_report", run)
 }
 
 #[cfg(test)]
@@ -1186,55 +1058,6 @@ mod tests {
         // this exact string; a shape change must bump it here on purpose,
         // in the same commit that documents the new shape.
         assert_eq!(SCHEMA, "ecost-bench-sim/10");
-    }
-
-    fn args(list: &[&str]) -> Vec<String> {
-        list.iter().map(|a| a.to_string()).collect()
-    }
-
-    #[test]
-    fn known_flags_select_arms() {
-        let all = parse_args(&args(&["--quick", "--threads", "2"])).unwrap();
-        assert_eq!(
-            all,
-            Options {
-                arms: Arms {
-                    optimized: true,
-                    batched: true,
-                    simd: true
-                },
-                quick: true,
-                threads: Some(2),
-            }
-        );
-        assert_eq!(all.arms.label(), "all");
-        let no_batch = parse_args(&args(&["--no-batch", "--no-simd"])).unwrap();
-        assert_eq!(no_batch.arms.label(), "no-batch");
-        assert_eq!(no_batch.arms.simd_label(), "off");
-        assert_eq!(
-            parse_args(&args(&["--baseline"])).unwrap().arms.label(),
-            "baseline-only"
-        );
-    }
-
-    #[test]
-    fn unknown_and_malformed_arguments_are_rejected() {
-        for bad in [
-            &["--lane-sweep"][..],
-            &["--batch"],
-            &["--quick", "--frobnicate"],
-            &["--threads"],
-            &["--threads", "0"],
-            &["quick"],
-        ] {
-            match parse_args(&args(bad)) {
-                Err(BenchError::Invalid(msg)) => {
-                    let named = bad.iter().any(|a| msg.contains(a));
-                    assert!(named, "{bad:?}: {msg}");
-                }
-                other => panic!("{bad:?}: expected Invalid, got {other:?}"),
-            }
-        }
     }
 
     #[test]

@@ -7,14 +7,12 @@
 use ecost_apps::InputSize;
 use ecost_bench::experiments;
 use ecost_bench::harness::Ctx;
-use ecost_bench::BenchError;
 use ecost_core::report::emit;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     ecost_bench::run_main("fig9_scalability", || {
-        let sizes =
-            parse_nodes(&std::env::var("ECOST_NODES").unwrap_or_else(|_| "1,2,4,8".into()))?;
+        let sizes = ecost_bench::node_counts()?;
         let mut ctx = Ctx::new();
         let tables = experiments::fig9_scalability(&mut ctx, &sizes, InputSize::Small);
         for (i, table) in tables.iter().enumerate() {
@@ -22,15 +20,4 @@ fn main() -> ExitCode {
         }
         Ok(())
     })
-}
-
-/// Parse `ECOST_NODES` ("1,2,4,8") into cluster sizes.
-fn parse_nodes(raw: &str) -> Result<Vec<usize>, BenchError> {
-    raw.split(',')
-        .map(|s| {
-            s.trim().parse().map_err(|_| {
-                BenchError::Invalid(format!("bad node count '{}' in ECOST_NODES", s.trim()))
-            })
-        })
-        .collect()
 }

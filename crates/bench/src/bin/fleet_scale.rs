@@ -166,7 +166,7 @@ fn check_bounds(arm: &ArmOut, arrivals: usize) -> Result<(), BenchError> {
 }
 
 fn run() -> Result<(), BenchError> {
-    let quick = std::env::var("ECOST_QUICK").is_ok_and(|v| v == "1");
+    let quick = ecost_bench::quick_mode();
     let scale = Scale::new(quick);
     let spec = TraceSpec::alibaba_like(SEED, CATALOG.len(), scale.peak_rate_per_s);
     let tb = Testbed::atom();

@@ -147,7 +147,7 @@ fn run() -> Result<(), BenchError> {
             "unknown argument `{arg}` (scale_out takes none)"
         )));
     }
-    let quick = std::env::var("ECOST_QUICK").is_ok_and(|v| v == "1");
+    let quick = ecost_bench::quick_mode();
     let scale = Scale::new(quick);
 
     eprintln!(

@@ -332,7 +332,7 @@ fn arrival_stream(n: usize) -> Vec<OpenArrival> {
 }
 
 fn run() -> Result<(), BenchError> {
-    let quick = std::env::var("ECOST_QUICK").is_ok_and(|v| v == "1");
+    let quick = ecost_bench::quick_mode();
     let (n_requests, n_stream, nodes) = if quick { (64, 24, 2) } else { (256, 96, 4) };
 
     // ------------------------------------------------------------------

@@ -7,10 +7,9 @@
 //! field only compares against rows that also lack one, so rows from
 //! before the SIMD kernel never gate its arms), so quick CI rows never
 //! gate against full workstation rows — and fails (non-zero exit) when
-//! any kernel's
-//! throughput dropped by more than the tolerance (`ECOST_TREND_TOL`,
-//! default 0.10 = 10%). Latency keys (`*_ns_per_iter`, the scalar AMVA
-//! kernel ledger) gate the other way: a rise beyond the tolerance fails.
+//! any kernel's throughput dropped by more than [`TOLERANCE`] (10 %).
+//! Latency keys (`*_ns_per_iter`, the AMVA kernel ledger) gate the other
+//! way: a rise beyond the tolerance fails.
 //! The median reference makes the gate robust to a single anomalously
 //! fast prior row (a noisy-neighbour lull would otherwise ratchet the
 //! baseline up and flag the next honest run).
@@ -82,6 +81,9 @@ fn lower_is_better(key: &str) -> bool {
 /// How many comparable prior rows feed the reference median.
 const WINDOW: usize = 3;
 
+/// The largest relative move against the reference median that passes.
+const TOLERANCE: f64 = 0.10;
+
 /// Median of a non-empty sample; an even count averages the middle two.
 /// Returns `None` on an empty slice (metric absent from every prior row).
 fn median(values: &mut [f64]) -> Option<f64> {
@@ -132,17 +134,11 @@ fn run() -> Result<(), BenchError> {
     let path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "BENCH_trend.jsonl".into());
-    let tol: f64 = match std::env::var("ECOST_TREND_TOL") {
-        Ok(v) => v
-            .parse()
-            .map_err(|_| BenchError::Invalid(format!("ECOST_TREND_TOL={v:?} is not a number")))?,
-        Err(_) => 0.10,
-    };
-    check(&path, tol)
+    check(&path)
 }
 
-/// The gate proper, separated from env/arg parsing for unit testing.
-fn check(path: &str, tol: f64) -> Result<(), BenchError> {
+/// The gate proper, separated from argument parsing for unit testing.
+fn check(path: &str) -> Result<(), BenchError> {
     let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
@@ -197,9 +193,9 @@ fn check(path: &str, tol: f64) -> Result<(), BenchError> {
         };
         compared += 1;
         let regressed = if lower_is_better(key) {
-            new > old * (1.0 + tol)
+            new > old * (1.0 + TOLERANCE)
         } else {
-            new < old * (1.0 - tol)
+            new < old * (1.0 - TOLERANCE)
         };
         if old > 0.0 && regressed {
             regressions.push(format!(
@@ -218,7 +214,7 @@ fn check(path: &str, tol: f64) -> Result<(), BenchError> {
         println!(
             "trend_check: {compared} metrics within {:.0}% of the median of {} prior rows \
              in {} (commits {})",
-            tol * 100.0,
+            TOLERANCE * 100.0,
             prevs.len(),
             path,
             commits
@@ -230,7 +226,7 @@ fn check(path: &str, tol: f64) -> Result<(), BenchError> {
              {:.0}%): {}",
             prevs.len(),
             commits,
-            tol * 100.0,
+            TOLERANCE * 100.0,
             regressions.join("; ")
         )))
     }
@@ -268,7 +264,7 @@ mod tests {
         // newest-row-only policy would have gated 95 against 140.
         let m = median(&mut [100.0, 140.0, 100.0]).unwrap();
         assert_eq!(m, 100.0);
-        assert!(95.0 >= m * (1.0 - 0.10));
+        assert!(95.0 >= m * (1.0 - TOLERANCE));
     }
 
     fn write_store(name: &str, rows: &[&str]) -> String {
@@ -281,7 +277,7 @@ mod tests {
 
     #[test]
     fn missing_store_is_no_data() {
-        match check("/nonexistent/ecost/trend.jsonl", 0.10) {
+        match check("/nonexistent/ecost/trend.jsonl") {
             Err(BenchError::NoData(msg)) => assert!(msg.contains("not found"), "{msg}"),
             other => panic!("expected NoData, got {other:?}"),
         }
@@ -290,7 +286,7 @@ mod tests {
     #[test]
     fn empty_store_is_no_data() {
         let path = write_store("empty.jsonl", &[""]);
-        match check(&path, 0.10) {
+        match check(&path) {
             Err(BenchError::NoData(msg)) => assert!(msg.contains("no rows"), "{msg}"),
             other => panic!("expected NoData, got {other:?}"),
         }
@@ -301,7 +297,7 @@ mod tests {
         let row_full = r#"{"schema":"ecost-bench-trend/1","commit":"a","mode":"full","arms":"scale","threads":1,"scale_decisions_per_s":100.0}"#;
         let row_quick = r#"{"schema":"ecost-bench-trend/1","commit":"b","mode":"quick","arms":"scale","threads":1,"scale_decisions_per_s":100.0}"#;
         let path = write_store("seeding.jsonl", &[row_full, row_quick]);
-        match check(&path, 0.10) {
+        match check(&path) {
             Err(BenchError::NoData(msg)) => assert!(msg.contains("seeds the trend"), "{msg}"),
             other => panic!("expected NoData, got {other:?}"),
         }
@@ -313,9 +309,9 @@ mod tests {
         let ok = r#"{"schema":"ecost-bench-trend/1","commit":"b","mode":"quick","arms":"scale","threads":1,"scale_decisions_per_s":95.0}"#;
         let bad = r#"{"schema":"ecost-bench-trend/1","commit":"c","mode":"quick","arms":"scale","threads":1,"scale_decisions_per_s":50.0}"#;
         let path = write_store("gate_ok.jsonl", &[prior, ok]);
-        assert!(check(&path, 0.10).is_ok());
+        assert!(check(&path).is_ok());
         let path = write_store("gate_bad.jsonl", &[prior, bad]);
-        match check(&path, 0.10) {
+        match check(&path) {
             Err(BenchError::Invalid(msg)) => assert!(msg.contains("regression"), "{msg}"),
             other => panic!("expected Invalid regression, got {other:?}"),
         }
@@ -345,7 +341,7 @@ mod tests {
         let old = r#"{"schema":"ecost-bench-trend/1","commit":"a","mode":"quick","arms":"all","threads":1,"pair_batched_sims_per_s":100.0}"#;
         let new = r#"{"schema":"ecost-bench-trend/1","commit":"b","mode":"quick","arms":"all","threads":1,"simd":"on","pair_batched_sims_per_s":50.0}"#;
         let path = write_store("simd_split.jsonl", &[old, new]);
-        match check(&path, 0.10) {
+        match check(&path) {
             Err(BenchError::NoData(msg)) => assert!(msg.contains("seeds the trend"), "{msg}"),
             other => panic!("expected NoData, got {other:?}"),
         }
@@ -353,7 +349,7 @@ mod tests {
         let on = r#"{"schema":"ecost-bench-trend/1","commit":"c","mode":"quick","arms":"all","threads":1,"simd":"on","pair_batched_sims_per_s":100.0}"#;
         let off = r#"{"schema":"ecost-bench-trend/1","commit":"d","mode":"quick","arms":"all","threads":1,"simd":"off","pair_batched_sims_per_s":50.0}"#;
         let path = write_store("simd_on_off.jsonl", &[on, off]);
-        match check(&path, 0.10) {
+        match check(&path) {
             Err(BenchError::NoData(msg)) => assert!(msg.contains("seeds the trend"), "{msg}"),
             other => panic!("expected NoData, got {other:?}"),
         }
@@ -370,14 +366,14 @@ mod tests {
         let rows = [mk("a", 1000.0), mk("b", 1010.0), mk("c", 990.0)];
         let held = mk("d", 960.0);
         let path = write_store("simd_gate_ok.jsonl", &[&rows[0], &rows[1], &rows[2], &held]);
-        assert!(check(&path, 0.10).is_ok());
+        assert!(check(&path).is_ok());
         // >10% drop in the simd arm (and its shadow) must fail.
         let dropped = mk("e", 500.0);
         let path = write_store(
             "simd_gate_bad.jsonl",
             &[&rows[0], &rows[1], &rows[2], &dropped],
         );
-        match check(&path, 0.10) {
+        match check(&path) {
             Err(BenchError::Invalid(msg)) => {
                 assert!(msg.contains("pair_batched_sims_per_s"), "{msg}");
                 assert!(msg.contains("pair_simd_off_sims_per_s"), "{msg}");
@@ -397,12 +393,12 @@ mod tests {
         let old = r#"{"schema":"ecost-bench-trend/1","commit":"a","dirty":false,"mode":"full","arms":"all","threads":1,"simd":"on","pair_batched_sims_per_s":100.0,"pair_batch_resident_sims_per_s":150.0,"pair_warm_start_sims_per_s":170.0,"sched_baseline_sims_per_s":30.0,"sched_optimized_sims_per_s":35.0,"sched_batched_sims_per_s":30.0}"#;
         let new = r#"{"schema":"ecost-bench-trend/1","commit":"b","dirty":true,"mode":"full","arms":"all","threads":1,"simd":"on","pair_batched_sims_per_s":150.0,"sched_batched_sims_per_s":1.0,"fleet_decisions_per_s":1.0}"#;
         let path = write_store("retired_keys_ok.jsonl", &[old, new]);
-        assert!(check(&path, 0.10).is_ok());
+        assert!(check(&path).is_ok());
         // A newest row that still carries collapsed retired keys is judged
         // on the listed keys alone.
         let stale = r#"{"schema":"ecost-bench-trend/1","commit":"c","dirty":false,"mode":"full","arms":"all","threads":1,"simd":"on","pair_batched_sims_per_s":50.0,"pair_batch_resident_sims_per_s":1.0,"sched_baseline_sims_per_s":1.0,"sched_batched_sims_per_s":1.0}"#;
         let path = write_store("retired_keys_bad.jsonl", &[old, stale]);
-        match check(&path, 0.10) {
+        match check(&path) {
             Err(BenchError::Invalid(msg)) => {
                 assert!(msg.contains("pair_batched_sims_per_s"), "{msg}");
                 assert!(!msg.contains("pair_batch_resident_sims_per_s"), "{msg}");
@@ -414,7 +410,7 @@ mod tests {
         // Only retired keys in common: nothing to gate.
         let retired_only = r#"{"schema":"ecost-bench-trend/1","commit":"d","mode":"full","arms":"all","threads":1,"simd":"on","pair_warm_start_sims_per_s":1.0,"sched_batched_sims_per_s":1.0}"#;
         let path = write_store("retired_keys_only.jsonl", &[old, retired_only]);
-        match check(&path, 0.10) {
+        match check(&path) {
             Err(BenchError::NoData(msg)) => assert!(msg.contains("no metric key"), "{msg}"),
             other => panic!("expected NoData, got {other:?}"),
         }
@@ -430,10 +426,10 @@ mod tests {
         let prior = mk("a", 30.0, 2.8);
         // Faster kernel, same ratio: within tolerance.
         let path = write_store("kernel_ok.jsonl", &[&prior, &mk("b", 20.0, 2.8)]);
-        assert!(check(&path, 0.10).is_ok());
+        assert!(check(&path).is_ok());
         // Slower kernel: a rise beyond tolerance fails, naming only it.
         let path = write_store("kernel_slow.jsonl", &[&prior, &mk("c", 40.0, 2.8)]);
-        match check(&path, 0.10) {
+        match check(&path) {
             Err(BenchError::Invalid(msg)) => {
                 assert!(msg.contains("amva_2c_fixed_ns_per_iter"), "{msg}");
                 assert!(!msg.contains("amva_2c_speedup"), "{msg}");
@@ -442,7 +438,7 @@ mod tests {
         }
         // A collapsed paired ratio fails like any throughput drop.
         let path = write_store("kernel_ratio.jsonl", &[&prior, &mk("d", 30.0, 1.2)]);
-        match check(&path, 0.10) {
+        match check(&path) {
             Err(BenchError::Invalid(msg)) => assert!(msg.contains("amva_2c_speedup"), "{msg}"),
             other => panic!("expected Invalid regression, got {other:?}"),
         }
@@ -460,7 +456,7 @@ mod tests {
         for (name, ratio) in [("hit_ratio_up.jsonl", 1.60), ("hit_ratio_ok.jsonl", 1.22)] {
             let new = mk("d", ratio);
             let path = write_store(name, &[&rows[0], &rows[1], &rows[2], &new]);
-            assert!(check(&path, 0.10).is_ok(), "{ratio}");
+            assert!(check(&path).is_ok(), "{ratio}");
         }
         // Winner hits no cheaper than sweep-table hits: a drop, which fails.
         let new = mk("e", 1.0);
@@ -468,7 +464,7 @@ mod tests {
             "hit_ratio_drop.jsonl",
             &[&rows[0], &rows[1], &rows[2], &new],
         );
-        match check(&path, 0.10) {
+        match check(&path) {
             Err(BenchError::Invalid(msg)) => {
                 assert!(msg.contains("engine_winner_hit_speedup"), "{msg}")
             }
@@ -489,7 +485,7 @@ mod tests {
         for (name, share) in [("svc_share_up.jsonl", 0.80), ("svc_share_ok.jsonl", 0.48)] {
             let new = mk("d", share);
             let path = write_store(name, &[&rows[0], &rows[1], &rows[2], &new]);
-            assert!(check(&path, 0.10).is_ok(), "{share}");
+            assert!(check(&path).is_ok(), "{share}");
         }
         // The service layer's cost doubled against the engine's: a drop.
         let new = mk("e", 0.30);
@@ -497,7 +493,7 @@ mod tests {
             "svc_share_drop.jsonl",
             &[&rows[0], &rows[1], &rows[2], &new],
         );
-        match check(&path, 0.10) {
+        match check(&path) {
             Err(BenchError::Invalid(msg)) => {
                 assert!(msg.contains("service_hit_engine_share"), "{msg}")
             }
@@ -517,14 +513,14 @@ mod tests {
         for (name, share) in [("reuse_same.jsonl", 0.427), ("reuse_up.jsonl", 0.52)] {
             let new = mk("d", share);
             let path = write_store(name, &[&rows[0], &rows[1], &rows[2], &new]);
-            assert!(check(&path, 0.10).is_ok(), "{share}");
+            assert!(check(&path).is_ok(), "{share}");
         }
         // A key that stops matching (say, one that takes in a job's
         // remaining work, which differs at every solve): a drop, which
         // fails.
         let new = mk("e", 0.20);
         let path = write_store("reuse_drop.jsonl", &[&rows[0], &rows[1], &rows[2], &new]);
-        match check(&path, 0.10) {
+        match check(&path) {
             Err(BenchError::Invalid(msg)) => assert!(msg.contains("pair_reuse_share"), "{msg}"),
             other => panic!("expected Invalid regression, got {other:?}"),
         }
@@ -538,7 +534,7 @@ mod tests {
         let old = r#"{"schema":"ecost-bench-trend/1","commit":"a","mode":"quick","arms":"scale","threads":1,"scale_decisions_per_s":100.0}"#;
         let new = r#"{"schema":"ecost-bench-trend/1","commit":"b","mode":"quick","arms":"scale","threads":1,"fleet_decisions_per_s":100.0}"#;
         let path = write_store("key_mismatch.jsonl", &[old, new]);
-        match check(&path, 0.10) {
+        match check(&path) {
             Err(BenchError::NoData(msg)) => assert!(msg.contains("no metric key"), "{msg}"),
             other => panic!("expected NoData, got {other:?}"),
         }

@@ -72,7 +72,7 @@ impl Models {
 impl Ctx {
     /// Fresh context on the Atom testbed.
     pub fn new() -> Ctx {
-        let quick = std::env::var("ECOST_QUICK").is_ok_and(|v| v == "1");
+        let quick = crate::quick_mode();
         Ctx {
             engine: EvalEngine::atom(),
             quick,

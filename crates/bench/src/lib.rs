@@ -21,6 +21,27 @@ pub use error::{run_main, BenchError};
 use std::fmt::Write as _;
 use std::io::Write as _;
 
+/// Quick mode, from `ECOST_QUICK`: exactly `1` shrinks a binary's work
+/// to its CI-sized run; unset or any other value runs it in full.
+pub fn quick_mode() -> bool {
+    std::env::var("ECOST_QUICK").is_ok_and(|v| v == "1")
+}
+
+/// Fig 9's cluster sizes, from `ECOST_NODES`: comma-separated node
+/// counts (`"1,2"`), default `1,2,4,8`. A count that does not parse is
+/// an error naming it.
+pub fn node_counts() -> Result<Vec<usize>, BenchError> {
+    std::env::var("ECOST_NODES")
+        .unwrap_or_else(|_| "1,2,4,8".into())
+        .split(',')
+        .map(|s| {
+            s.trim().parse().map_err(|_| {
+                BenchError::Invalid(format!("bad node count '{}' in ECOST_NODES", s.trim()))
+            })
+        })
+        .collect()
+}
+
 /// The trend row's commit context: `(commit id, dirty worktree)`.
 ///
 /// Precedence: `ECOST_COMMIT`, then `GITHUB_SHA` (both trusted as clean —

@@ -578,10 +578,10 @@ impl EvalEngine {
     }
 
     /// Toggle the explicit `f64x4` AMVA kernel for sweep windows. `false`
-    /// pins the always-available scalar lane loop (the bench `--no-simd`
-    /// arm); `true` re-detects the best backend for this CPU. Every
-    /// backend is bit-identical to a scalar solve, so this knob changes
-    /// throughput, never results.
+    /// pins the always-available scalar lane loop (the bench's
+    /// `batched_no_simd` arms); `true` re-detects the best backend for
+    /// this CPU. Every backend is bit-identical to a scalar solve, so this
+    /// knob changes throughput, never results.
     pub fn with_simd(mut self, on: bool) -> EvalEngine {
         self.simd = if on {
             SimdBackend::detect()

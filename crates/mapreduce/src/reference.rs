@@ -11,7 +11,7 @@
 //!    through both executors and require every metric to match to the bit
 //!    (`f64::to_bits`). Any arithmetic drift introduced by the scratch
 //!    buffers is caught immediately.
-//! 2. **Perf baseline** — `bench_report --baseline` sweeps with this
+//! 2. **Perf baseline** — `bench_report`'s baseline arms sweep with this
 //!    executor (fresh simulator per point, no pooling) so `BENCH_sim.json`
 //!    records the speedup of the optimised path against a live, compiled-
 //!    in-the-same-build reference rather than a stale number.

@@ -144,12 +144,12 @@ const DAMPING: f64 = 0.5;
 /// `resize` keeps capacity, so after the first solve at a given problem
 /// size every subsequent solve is allocation-free).
 ///
-/// Two kernels run the same arithmetic: [`Self::solve`] hands the two
-/// shapes the executor produces (1 class × 2 stations, 2 × 3) to the
-/// register-resident [`FixedClasses`] kernel, and
-/// [`Self::solve_runtime_shape`] is the slice-walking loop for any shape —
-/// the fallback for wider mixes and the oracle the fixed kernel is pinned
-/// against. [`solve`] wraps the runtime-shape loop.
+/// [`Self::solve`] is the runtime-shape loop: it walks slices sized at
+/// run time, so it takes any class and station count. The executor runs
+/// it for mixes of three or more jobs and sends one- and two-job mixes
+/// (1 class × 2 stations, 2 × 3) to the register-resident
+/// [`FixedClasses`] kernel, which runs the same arithmetic and is pinned
+/// against this loop. [`solve`] wraps it.
 #[derive(Debug, Default)]
 pub struct AmvaScratch {
     /// Queue lengths, row-major: `q[j * stations + s]`.
@@ -174,46 +174,14 @@ impl AmvaScratch {
     }
 
     /// Solve the network in place; the converged state is read back
-    /// through the accessors below. Results, iteration counts and errors
-    /// are bit-identical to [`Self::solve_runtime_shape`] (and so to
-    /// [`solve`]): the 1×2 and 2×3 shapes run the [`FixedClasses`] kernel,
-    /// which writes its queues, throughputs and iteration count back here
-    /// before the shared convergence test and `Self::finish`.
-    pub fn solve(&mut self, classes: &[ClassDemand], stations: usize) -> Result<(), SimError> {
-        let residual = match (classes.len(), stations) {
-            (1, 2) => self.run_fixed(&FixedClasses::<1, 2>::from_classes(classes, stations)?),
-            (2, 3) => self.run_fixed(&FixedClasses::<2, 3>::from_classes(classes, stations)?),
-            _ => {
-                self.begin(classes, stations)?;
-                self.run_loop(classes)
-            }
-        };
-        self.convergence_err(residual)?;
-        self.finish(classes);
-        Ok(())
-    }
-
-    /// [`Self::solve`] on the runtime-shape loop whatever the shape: the
-    /// oracle the fixed-shape kernel is tested and benchmarked against.
+    /// through the accessors below.
     ///
     /// The fixed point is decomposed into `Self::begin` (validate + seed),
-    /// `Self::iterate` (one Bard–Schweitzer step) and `Self::finish`
-    /// (derived per-station figures).
-    pub fn solve_runtime_shape(
-        &mut self,
-        classes: &[ClassDemand],
-        stations: usize,
-    ) -> Result<(), SimError> {
+    /// `Self::iterate` (one Bard–Schweitzer step, repeated to convergence
+    /// or the iteration budget) and `Self::finish` (derived per-station
+    /// figures).
+    pub fn solve(&mut self, classes: &[ClassDemand], stations: usize) -> Result<(), SimError> {
         self.begin(classes, stations)?;
-        let residual = self.run_loop(classes);
-        self.convergence_err(residual)?;
-        self.finish(classes);
-        Ok(())
-    }
-
-    /// Iterate a seeded problem to convergence or the iteration budget;
-    /// returns the last residual.
-    fn run_loop(&mut self, classes: &[ClassDemand]) -> f64 {
         let mut residual = f64::INFINITY;
         for _ in 0..MAX_ITER {
             residual = self.iterate(classes);
@@ -221,24 +189,9 @@ impl AmvaScratch {
                 break;
             }
         }
-        residual
-    }
-
-    /// Run the fixed-shape kernel on a problem the caller already
-    /// validated, and write its state back into this scratch (sized here)
-    /// so the accessors, [`Self::convergence_err`] and [`Self::finish`]
-    /// see exactly what the runtime-shape loop would have left. Returns
-    /// the last residual.
-    fn run_fixed<const NC: usize, const S: usize>(&mut self, p: &FixedClasses<NC, S>) -> f64 {
-        let (q, x, iterations, residual) = p.fixed_point();
-        self.nc = NC;
-        self.stations = S;
-        self.q.clear();
-        self.q.extend(q.iter().flatten());
-        self.x.clear();
-        self.x.extend_from_slice(&x);
-        self.iterations = iterations;
-        residual
+        convergence_check(self.iterations, residual)?;
+        self.finish(classes);
+        Ok(())
     }
 
     /// Validate the problem, size the buffers and seed the fixed point.
@@ -335,11 +288,6 @@ impl AmvaScratch {
         residual
     }
 
-    /// The scalar loop's post-exit convergence test.
-    fn convergence_err(&self, residual: f64) -> Result<(), SimError> {
-        convergence_check(self.iterations, residual)
-    }
-
     /// Derive the per-station utilisation/queue figures from the converged
     /// fixed point.
     fn finish(&mut self, classes: &[ClassDemand]) {
@@ -408,8 +356,8 @@ impl AmvaScratch {
 /// class must provide exactly that many demands.
 ///
 /// Classes with zero population are carried through with zero throughput.
-/// Runs the runtime-shape loop ([`AmvaScratch::solve_runtime_shape`]) for
-/// every shape, so callers that serve as an oracle for the fixed-shape
+/// Runs the runtime-shape loop ([`AmvaScratch::solve`]) for every
+/// shape, so callers that serve as an oracle for the fixed-shape
 /// kernel (the frozen reference executor) stay on an independent path.
 ///
 /// ```
@@ -429,7 +377,7 @@ impl AmvaScratch {
 /// ```
 pub fn solve(classes: &[ClassDemand], stations: usize) -> Result<AmvaSolution, SimError> {
     let mut scratch = AmvaScratch::new();
-    scratch.solve_runtime_shape(classes, stations)?;
+    scratch.solve(classes, stations)?;
     Ok(scratch.to_solution())
 }
 
@@ -508,34 +456,17 @@ impl<const NC: usize, const S: usize> FixedClasses<NC, S> {
         }
     }
 
-    /// Validate `classes` against `stations` (the same checks, in the same
-    /// order, as [`AmvaScratch::solve_runtime_shape`]) and copy them in.
-    /// The caller guarantees the shape: `NC` classes over `S == stations`.
-    fn from_classes(
-        classes: &[ClassDemand],
-        stations: usize,
-    ) -> Result<FixedClasses<NC, S>, SimError> {
-        let mut p = FixedClasses::zeroed();
-        for (j, c) in classes.iter().enumerate().take(NC) {
-            c.validate(stations)?;
-            p.population[j] = c.population;
-            p.think_time_s[j] = c.think_time_s;
-            p.demands_s[j].copy_from_slice(&c.demands_s[..S]);
-        }
-        Ok(p)
-    }
-
     /// Validate and solve. Errors, results and iteration counts are
-    /// bit-identical to [`AmvaScratch::solve_runtime_shape`] on the
-    /// equivalent [`ClassDemand`] slice.
+    /// bit-identical to [`AmvaScratch::solve`] on the equivalent
+    /// [`ClassDemand`] slice.
     pub fn solve(&self) -> Result<FixedSolution<NC, S>, SimError> {
         self.validate()?;
         let (queue, throughput, iterations, residual) = self.fixed_point();
         self.finish(queue, throughput, iterations, residual)
     }
 
-    /// The per-class input checks of [`AmvaScratch::solve_runtime_shape`],
-    /// class by class.
+    /// The per-class input checks of [`AmvaScratch::solve`], class by
+    /// class.
     fn validate(&self) -> Result<(), SimError> {
         for j in 0..NC {
             validate_class(

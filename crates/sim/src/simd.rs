@@ -52,7 +52,8 @@ use crate::amva::{lane_fixed_point, FixedClasses, LaneFixedPoint};
 /// Every backend is bit-identical to every other (and to the scalar
 /// [`crate::FixedClasses::solve`]) by construction — see the module docs
 /// — so this is purely a throughput knob. `Scalar` is the
-/// always-available escape hatch (the `--no-simd` benchmark arm).
+/// always-available escape hatch (`ECOST_SIMD=off`, and the benchmark's
+/// `batched_no_simd` arms).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimdBackend {
     /// No vector code: each lane is one scalar
